@@ -180,6 +180,7 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
         "flags": series.flags,
         "final_ground_occupation": float(series.ground_occupation[-1]),
         "final_excited_mass": float(series.mass[-1] - series.ground_occupation[-1]),
+        "nfev": traj.meta["nfev"],
         "provenance": _provenance(config),
     }
     if series.logistic is not None:

@@ -35,8 +35,6 @@ from .grids import MomentumGrid
 from .kernels import InteractionKernel, transform_profiles
 from .spectrum import EigenBasis, mode_product
 
-FOUR_PI = 4.0 * np.pi
-
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
 DENSITY_PREFACTOR = 1.0 / (2.0 * np.pi**2)
 
@@ -416,8 +414,9 @@ class CoefficientSet:
     lamb_direct: np.ndarray | None = None
     eta: float | None = None
     tensor: np.ndarray | None = None
-    tensor_gaps: np.ndarray | None = None
-    tensor_hartree: np.ndarray | None = None
+    #: trap energies shifted by the ground level, E_k - E_0; the prelimit
+    #: phases depend on energy differences only
+    energies: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -599,11 +598,12 @@ def assemble_prelimit_tensor(
 ) -> CoefficientSet:
     """Limit matrix plus the full quadruple tensor at regularization eta^2.
 
-    For every quadruple (k,k';j,j') the tensor stores the energy mismatch
-    dE = (E_k - E_k') - (E_j - E_j') and the coefficient obtained from
-    both resolvent branches at eps = eta^2 (or at the extrapolated limit
-    under ``eps_policy = "limit"``), together with the mean-field part.
-    Memory grows like K^4; the mode cap guards against accidents.
+    For every quadruple (k,k';j,j') the tensor stores the coefficient
+    obtained from both resolvent branches at eps = eta^2 (or at the
+    extrapolated limit under ``eps_policy = "limit"``) together with the
+    mean-field part.  The energy mismatch dE = (E_k - E_k') - (E_j - E_j')
+    of its phase follows from the stored ``energies``.  Memory grows like
+    K^4; the mode cap guards against accidents.
     """
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -621,13 +621,10 @@ def assemble_prelimit_tensor(
     vhat = pair.transform
     rho2 = momenta.nodes**2
     energies = basis.energies
-    gaps = basis.gaps()
     eps = eta**2
     pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
 
     tensor = np.empty((size,) * 4, dtype=complex)
-    tensor_har = np.empty((size,) * 4)
-    tensor_gaps = np.empty((size,) * 4)
 
     branch_cache: dict[tuple, complex] = {}
     hartree_cache: dict[tuple, float] = {}
@@ -666,8 +663,6 @@ def assemble_prelimit_tensor(
                     s = branch(pair_a, j, jp)
                     har = hartree_part(pair_a, pair_b)
                     tensor[k, kp, j, jp] = -1j * (har - s.real) - pi_scale * s.imag
-                    tensor_har[k, kp, j, jp] = har
-                    tensor_gaps[k, kp, j, jp] = gaps[k, kp] - gaps[j, jp]
 
     if options.tensor_restriction == "resonant":
         tensor = tensor * resonant_mask(size)
@@ -676,8 +671,7 @@ def assemble_prelimit_tensor(
 
     coeffs.eta = eta
     coeffs.tensor = tensor
-    coeffs.tensor_gaps = tensor_gaps
-    coeffs.tensor_hartree = tensor_har
+    coeffs.energies = energies - energies[0]
     coeffs.provenance = dict(coeffs.provenance)
     coeffs.provenance.update(
         {

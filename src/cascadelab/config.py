@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .convergence import MIN_SWEEP_SAMPLES
 from .errors import ConfigError, ValidationError
 
 
@@ -220,6 +221,10 @@ class SimulationConfig:
             raise ValidationError("sweep etas must be strictly decreasing")
         if not self.sweep.t_final > 0:
             raise ValidationError("sweep t_final must be positive")
+        if self.sweep.samples < MIN_SWEEP_SAMPLES:
+            raise ValidationError(
+                f"sweep samples must be at least {MIN_SWEEP_SAMPLES}, got {self.sweep.samples}"
+            )
         return self
 
 

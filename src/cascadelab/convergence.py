@@ -10,7 +10,7 @@ asserts monotone decrease of the sup distance, nothing more.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,10 +20,13 @@ from .coeffs import (
     assemble_prelimit_tensor,
     limit_matrix_from_tensor,
 )
-from .dynamics import SolverOptions, integrate, integrate_limit, integrate_prelimit
+from .dynamics import SolverOptions, integrate_limit, integrate_prelimit
 from .errors import ValidationError
 from .kernels import InteractionKernel
 from .spectrum import EigenBasis
+
+#: Fewest sample times on which a sup distance is measured.
+MIN_SWEEP_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,11 @@ def eta_sweep(
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValidationError(f"eta values must be strictly decreasing, got {etas}")
 
-    n_samples = max(int(n_samples), 200)
+    n_samples = int(n_samples)
+    if n_samples < MIN_SWEEP_SAMPLES:
+        raise ValidationError(
+            f"sweep needs at least {MIN_SWEEP_SAMPLES} samples, got {n_samples}"
+        )
     t_eval = np.linspace(0.0, float(t_final), n_samples)
     initial_state = np.asarray(initial_state, dtype=complex)
 
@@ -91,14 +98,8 @@ def eta_sweep(
             # algebraic-identity mode: a resonant-only tensor has constant
             # phases, so its flow must match the generator collapsed from
             # the same tensor entries up to integrator noise
-            matrix = limit_matrix_from_tensor(tensor)
-            reference = integrate(
-                lambda _t, y: (matrix @ np.abs(y) ** 2) * y,
-                initial_state,
-                t_final,
-                solver,
-                t_eval,
-            )
+            collapsed = replace(tensor, limit_matrix=limit_matrix_from_tensor(tensor))
+            reference = integrate_limit(collapsed, initial_state, t_final, solver, t_eval)
         else:
             reference = limit_traj
         distances = np.linalg.norm(traj.states - reference.states, axis=1)

@@ -6,12 +6,26 @@ The limit system is the autonomous diagonal cascade
 
 whose structure conserves the l2 mass exactly (the real part of M is
 antisymmetric) and pushes occupation monotonically toward the lowest
-mode.  The prelimit system runs over all index quadruples with explicit
+mode.  It is integrated in modulus/phase form: with F = r e^{i theta},
+
+    r' = r * (Re M r^2),    theta' = Im M r^2,
+
+a real system of size 2K whose moduli move only through Re M.  The
+imaginary part, which carries fast phase rotations but never moves
+occupations, enters only the phase equation, so the step size follows
+the slow occupation dynamics.  The mass sum r^2 stays a quadratic
+invariant that Runge-Kutta does not preserve exactly, and modes with
+zero amplitude stay exactly zero.
+
+The prelimit system runs over all index quadruples with explicit
 oscillatory phases e^{i T dE / eta^2}; its remainder terms (the freely
 dispersing part of the initial field data) are dropped, which is the one
 modeling deviation of this package: those terms vanish in the
 weak-coupling limit but would require the full field propagator to
-evaluate at finite eta.
+evaluate at finite eta.  The quadruple phase factors into one phase per
+mode, e^{iT(g_ab - g_cd)/eta^2} = v_a conj(v_b) conj(v_c) v_d with
+v = e^{i T E / eta^2}, so one evaluation costs a K^2 x K^2 product and K
+exponentials instead of K^4.
 
 Integration uses an adaptive embedded Runge-Kutta 4(5) pair; conserved
 quantities are monitored, never enforced, so their drift doubles as a
@@ -41,9 +55,6 @@ class SolverOptions:
     method: str = "RK45"
     #: fraction of the fastest oscillation period used to cap prelimit steps
     step_cap_factor: float = 0.1
-    #: optional post-sampling mass renormalization (off by default; drift is
-    #: a test statistic and renormalizing would hide it)
-    renormalize: bool = False
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,53 @@ class DiagnosticsSeries:
         return float(max(0.0, np.max(diffs, initial=-np.inf)))
 
 
-def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
-    """Right-hand side of the limit cascade."""
+def _require_state(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape != (coeffs.size,):
         raise ValidationError(
             f"state has {state.shape} entries, coefficients expect {coeffs.size}"
         )
+    return state
+
+
+def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
+    """Right-hand side of the limit cascade in complex form."""
+    state = _require_state(state, coeffs)
     return (coeffs.limit_matrix @ np.abs(state) ** 2) * state
+
+
+def _modulus_phase_rhs(coeffs: CoefficientSet):
+    """(r, theta) -> (r * (Re M r^2), Im M r^2), one stacked product per call."""
+    size = coeffs.size
+    stacked = np.vstack([coeffs.limit_matrix.real, coeffs.limit_matrix.imag])
+
+    def rhs(_t, y):
+        r = y[:size]
+        out = stacked @ (r * r)
+        out[:size] *= r
+        return out
+
+    return rhs
+
+
+def _prelimit_rhs(coeffs: CoefficientSet, eta: float):
+    """The prelimit right-hand side with the quadruple phase factored per mode.
+
+    With v = e^{i t E / eta^2} and G = conj(v) F, the sum over (b, c, d)
+    of tensor[a,b,c,d] e^{i t dE / eta^2} F_c conj(F_d) F_b equals
+    v_a (S G)_a with S[a,b] = sum_{c,d} tensor[a,b,c,d] G_c conj(G_d).
+    """
+    size = coeffs.size
+    flat = coeffs.tensor.reshape(size * size, size * size)
+    rates = coeffs.energies / eta**2
+
+    def rhs(t, y):
+        v = np.exp((1j * t) * rates)
+        g = v.conj() * y
+        s = (flat @ (g[:, None] * g.conj()).ravel()).reshape(size, size)
+        return v * (s @ g)
+
+    return rhs
 
 
 def rhs_prelimit(
@@ -98,29 +148,69 @@ def rhs_prelimit(
     """Right-hand side of the oscillatory prelimit system (remainders dropped)."""
     if not coeffs.has_tensor:
         raise ValidationError("coefficient set carries no prelimit tensor")
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (coeffs.size,):
-        raise ValidationError(
-            f"state has {state.shape} entries, coefficients expect {coeffs.size}"
-        )
-    phases = np.exp((1j * t / eta**2) * coeffs.tensor_gaps)
-    weighted = coeffs.tensor * phases
-    return np.einsum("abcd,c,d,b->a", weighted, state, np.conj(state), state)
+    return _prelimit_rhs(coeffs, eta)(t, _require_state(state, coeffs))
 
 
 def fastest_phase(coeffs: CoefficientSet) -> float:
     """Largest |dE| among quadruples that actually contribute.
 
-    This is the fastest prelimit phase rate times eta^2; quadruples with a
-    zero coefficient (e.g. under a resonant-only restriction) cannot force
-    the step cap.
+    This is the fastest prelimit phase rate times eta^2, with
+    dE = (E_a - E_b) - (E_c - E_d); quadruples with a zero coefficient
+    (e.g. under a resonant-only restriction) cannot force the step cap.
     """
     if not coeffs.has_tensor:
         return 0.0
     active = coeffs.tensor != 0.0
     if not np.any(active):
         return 0.0
-    return float(np.max(np.abs(coeffs.tensor_gaps[active])))
+    gaps = coeffs.energies[:, None] - coeffs.energies[None, :]
+    quadruple = gaps[:, :, None, None] - gaps[None, None, :, :]
+    return float(np.max(np.abs(quadruple[active])))
+
+
+def _solve(
+    rhs,
+    y0: np.ndarray,
+    t_end: float,
+    options: SolverOptions,
+    t_eval: np.ndarray | None,
+    max_step: float = np.inf,
+):
+    """One adaptive solve; returns (sample times, samples (n, dim), meta).
+
+    Raises on bad input, solver breakdown or non-finite output instead of
+    returning partial data.
+    """
+    if not np.all(np.isfinite(y0)):
+        raise ValidationError("initial state contains non-finite entries")
+    if t_end <= 0:
+        raise ValidationError(f"t_end must be positive, got {t_end}")
+    if t_eval is None:
+        t_eval = np.linspace(0.0, t_end, options.n_samples)
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(t_end)),
+        y0,
+        method=options.method,
+        rtol=options.rtol,
+        atol=options.atol,
+        t_eval=t_eval,
+        max_step=max_step,
+    )
+    if not sol.success:
+        raise NumericalError(f"integration failed at t = {sol.t[-1] if len(sol.t) else 0.0}: {sol.message}")
+    if not np.all(np.isfinite(sol.y)):
+        raise NumericalError("integration produced non-finite amplitudes")
+
+    meta = {
+        "method": options.method,
+        "rtol": options.rtol,
+        "atol": options.atol,
+        "max_step": None if np.isinf(max_step) else max_step,
+        "nfev": int(sol.nfev),
+    }
+    return np.asarray(t_eval, dtype=float), sol.y.T, meta
 
 
 def integrate(
@@ -131,49 +221,14 @@ def integrate(
     t_eval: np.ndarray | None = None,
     max_step: float = np.inf,
 ) -> Trajectory:
-    """Adaptive RK45 integration with dense sampling.
+    """Adaptive RK45 integration of a complex system with dense sampling.
 
     ``rhs`` is a callable (t, state) -> derivative over complex states.
-    Raises on solver breakdown or non-finite output instead of returning
-    partial data.
     """
     initial_state = np.asarray(initial_state, dtype=complex)
-    if not np.all(np.isfinite(initial_state)):
-        raise ValidationError("initial state contains non-finite entries")
-    if t_end <= 0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, options.n_samples)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        initial_state,
-        method=options.method,
-        rtol=options.rtol,
-        atol=options.atol,
-        t_eval=t_eval,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise NumericalError(f"integration failed at t = {sol.t[-1] if len(sol.t) else 0.0}: {sol.message}")
-    states = np.ascontiguousarray(sol.y.T.astype(complex))
-    if not np.all(np.isfinite(states)):
-        raise NumericalError("integration produced non-finite amplitudes")
-
-    if options.renormalize:
-        mass0 = np.sum(np.abs(initial_state) ** 2)
-        norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
-        states = states * np.sqrt(mass0) / norms[:, None]
-
-    meta = {
-        "method": options.method,
-        "rtol": options.rtol,
-        "atol": options.atol,
-        "max_step": None if np.isinf(max_step) else max_step,
-        "nfev": int(sol.nfev),
-    }
-    return Trajectory(times=np.asarray(t_eval, dtype=float), states=states, meta=meta)
+    times, samples, meta = _solve(rhs, initial_state, t_end, options, t_eval, max_step)
+    states = np.ascontiguousarray(samples.astype(complex))
+    return Trajectory(times=times, states=states, meta=meta)
 
 
 def integrate_limit(
@@ -183,11 +238,22 @@ def integrate_limit(
     options: SolverOptions = SolverOptions(),
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    traj = integrate(
-        lambda _t, y: rhs_limit(y, coeffs), initial_state, t_end, options, t_eval
-    )
-    traj.meta["system"] = "limit"
-    return traj
+    """Integrate the limit cascade in modulus/phase form.
+
+    The real system y = (r, theta) of size 2K runs under the same
+    solver and tolerances as a complex one; the returned states are the
+    complex amplitudes r e^{i theta}.  The phase is integrated as its
+    increment theta - theta(0) from zero, so the solver takes the same
+    steps for every choice of initial phases, as it does for the complex
+    system, whose error norm sees only |F|.
+    """
+    state = _require_state(initial_state, coeffs)
+    size = coeffs.size
+    y0 = np.concatenate([np.abs(state), np.zeros(size)])
+    times, samples, meta = _solve(_modulus_phase_rhs(coeffs), y0, t_end, options, t_eval)
+    states = samples[:, :size] * np.exp(1j * (np.angle(state) + samples[:, size:]))
+    meta["system"] = "limit"
+    return Trajectory(times=times, states=np.ascontiguousarray(states), meta=meta)
 
 
 def integrate_prelimit(
@@ -204,8 +270,8 @@ def integrate_prelimit(
     rate = fastest_phase(coeffs) / eta**2
     cap = options.step_cap_factor * 2.0 * np.pi / rate if rate > 0 else np.inf
     traj = integrate(
-        lambda t, y: rhs_prelimit(t, y, coeffs, eta),
-        initial_state,
+        _prelimit_rhs(coeffs, eta),
+        _require_state(initial_state, coeffs),
         t_end,
         options,
         t_eval,

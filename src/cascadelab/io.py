@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def fmt(value) -> str:
     """Render a number for CSV output (17 significant digits)."""
@@ -62,5 +64,9 @@ def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 
 
 def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory; an unusable path is a validation error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
     return path

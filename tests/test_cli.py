@@ -77,6 +77,7 @@ def test_evolve_two_mode_preset(tmp_path):
 
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["mass_conserved"] and diag["energy_monotone"] and diag["tails_monotone"]
+    assert isinstance(diag["nfev"], int) and diag["nfev"] > 0
 
 
 def test_coeffs_command_and_determinism(tmp_path):
@@ -145,6 +146,18 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
+
+
+def test_exit_code_output_path_under_file(tmp_path, capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("[trap]\nmodes = 2\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert str(out) in record["message"]
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

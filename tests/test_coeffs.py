@@ -14,6 +14,7 @@ from cascadelab.coeffs import (
     lambda_lamb_shift,
     lap_uniformity_probe,
     limit_matrix_from_tensor,
+    resonant_mask,
     richardson_limit,
     spectral_density,
     two_mode_coefficients,
@@ -326,9 +327,15 @@ def test_tensor_shape_and_diagonal_gaps(sweep_assets):
     size = sweep_assets.basis.size
     assert tensor.tensor.shape == (size,) * 4
     assert tensor.tensor.size == size**4
+    energies = sweep_assets.basis.energies
+    assert np.array_equal(tensor.energies, energies - energies[0])
+    gaps = tensor.energies[:, None] - tensor.energies[None, :]
+    mismatch = gaps[:, :, None, None] - gaps[None, None, :, :]
     for k in range(size):
         for kp in range(size):
-            assert tensor.tensor_gaps[k, kp, k, kp] == 0.0
+            assert mismatch[k, kp, k, kp] == 0.0
+    # every quadruple the resonant mask keeps has an identically zero phase
+    assert np.all(mismatch[resonant_mask(size) == 1.0] == 0.0)
 
 
 def test_tensor_mode_cap():

@@ -54,6 +54,12 @@ def test_invalid_values_rejected(tmp_path):
         parse_config(write(tmp_path, "[sweep]\netas = 0.1, 0.2\n"))
 
 
+def test_small_sweep_sample_count_rejected(tmp_path):
+    with pytest.raises(ValidationError, match="sweep samples"):
+        parse_config(write(tmp_path, "[sweep]\nsamples = 5\n"))
+    assert parse_config(write(tmp_path, "[sweep]\nsamples = 200\n")).sweep.samples == 200
+
+
 def test_round_trip(tmp_path):
     original = parse_config(
         write(tmp_path, "[trap]\nmodes = 3\nscale = 2.5\n[dynamics]\ninitial = uniform(3)\n")

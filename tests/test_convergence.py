@@ -74,6 +74,14 @@ def test_eta_list_must_decrease(sweep_assets):
         )
 
 
+def test_small_sample_count_rejected(sweep_assets):
+    with pytest.raises(ValidationError, match="samples"):
+        eta_sweep(
+            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
+            sweep_assets.config.initial_state(), 1.0, [0.2], n_samples=5,
+        )
+
+
 def test_sweep_reproducible_bit_for_bit(sweep_assets):
     def run():
         return eta_sweep(

@@ -139,6 +139,39 @@ def test_integrator_rejects_bad_input():
         integrate(lambda t, y: y, np.array([1.0 + 0j]), -1.0)
 
 
+def test_limit_integrator_rejects_bad_input(default_assets):
+    coeffs = default_assets.coeffs
+    with pytest.raises(ValidationError):
+        integrate_limit(coeffs, np.ones(coeffs.size + 1, dtype=complex), 1.0)
+    state = np.ones(coeffs.size, dtype=complex)
+    state[2] = np.inf
+    with pytest.raises(ValidationError):
+        integrate_limit(coeffs, state, 1.0)
+    with pytest.raises(ValidationError):
+        integrate_limit(coeffs, np.ones(coeffs.size, dtype=complex), 0.0)
+
+
+def test_modulus_phase_flow_matches_complex_rk45(default_assets):
+    """The complex-amplitude RK45 route is the oracle of the limit integrator."""
+    coeffs = default_assets.coeffs
+    state = default_assets.config.initial_state()
+    options = default_assets.solver_options
+    flow = integrate_limit(coeffs, state, 50.0, options)
+    oracle = integrate(lambda _t, y: rhs_limit(y, coeffs), state, 50.0, options)
+    assert np.array_equal(flow.times, oracle.times)
+    assert np.max(np.abs(flow.states - oracle.states)) < 1e-6
+    assert flow.meta["system"] == "limit"
+    assert flow.meta["nfev"] < oracle.meta["nfev"]
+
+
+def test_zero_amplitudes_stay_zero(default_assets):
+    coeffs = default_assets.coeffs
+    state = np.zeros(coeffs.size, dtype=complex)
+    state[:3] = np.array([0.6, 0.6j, -0.2 + 0.5j])
+    traj = integrate_limit(coeffs, state, 20.0, SolverOptions(n_samples=41))
+    assert np.all(traj.states[:, 3:] == 0.0)
+
+
 def test_non_finite_rhs_aborts():
     def blow_up(t, y):
         return y / (0.5 - t)
