@@ -12,15 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffs import (
-    CoeffOptions,
     assemble_limit_matrix,
+    branch_sum,
     cauchy_transform_limit,
     gamma_fgr,
+    mode_pair_transforms,
     spectral_density,
     two_mode_coefficients,
-    _branch_sum,
-    _density_from_hats,
-    _mode_pair_transforms,
 )
 from .config import SimulationConfig
 from .convergence import eta_sweep
@@ -126,20 +124,20 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     )
     checks.append(_record("coefficient_symmetries", structural, 0.0, structural == 0.0))
 
-    recomputed = assemble_limit_matrix(
-        basis, coupling, pair, _options_without_symmetry(assets.coeff_options)
+    # entries (k,k') and (k',k) are assembled from their own cells
+    im_m = coeffs.limit_matrix.imag
+    agreement = float(np.max(np.abs(im_m - im_m.T)))
+    checks.append(
+        _record("independent_recomputation", agreement, 1e-10, detail="max |Im M - Im M^T|")
     )
-    agreement = float(np.max(np.abs(recomputed.limit_matrix - coeffs.limit_matrix)))
-    checks.append(_record("independent_recomputation", agreement, 1e-10))
 
-    phat = _mode_pair_transforms(basis, momenta)
-    ghat = coupling.transform * phat
+    ghat = coupling.transform * mode_pair_transforms(basis, momenta)
     scale = np.pi if coeffs.fgr_pi_convention else 1.0
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
             delta_route = gamma_fgr(basis, coupling, k, kp, coeffs.fgr_pi_convention)
-            a = _density_from_hats(ghat[k, kp], ghat[k, kp], momenta)
+            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
             resolvent_route = -scale / np.pi * cauchy_transform_limit(a, lam).imag
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
@@ -160,12 +158,12 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     sup_abs = 0.0
     for k in range(basis.size):
         for kp in range(k, basis.size):
-            a = _density_from_hats(ghat[k, kp], ghat[k, kp], momenta)
+            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             mu = float(basis.energies[k] - basis.energies[kp])
             har = coeffs.hartree_exchange[k, kp]
             values = []
             for eps in eps_grid:
-                s = _branch_sum(a, mu, float(eps))
+                s = branch_sum(a, mu, float(eps))
                 values.append(abs(-1j * (har - s.real) - s.imag))
             sup_abs = max(sup_abs, max(values))
             worst_ratio = max(worst_ratio, values[-1] / values[-2])
@@ -178,13 +176,9 @@ def coefficient_checks(assets: Assets) -> list[dict]:
         )
     )
 
-    refined_assets = Assets(assets.config)
-    refined_assets._cache.update(
-        {"grid": assets.grid, "potential": assets.potential, "basis": basis}
-    )
-    refined_assets._cache["momenta"] = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
+    fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
     refined = assemble_limit_matrix(
-        basis, refined_assets.coupling, refined_assets.pair, assets.coeff_options
+        basis, assets.kernel("coupling", fine), assets.kernel("pair", fine), assets.coeff_options
     )
     rows = np.sum(np.abs(coeffs.limit_matrix), axis=1)
     rows_fine = np.sum(np.abs(refined.limit_matrix), axis=1)
@@ -197,18 +191,6 @@ def coefficient_checks(assets: Assets) -> list[dict]:
         )
     )
     return checks
-
-
-def _options_without_symmetry(options: CoeffOptions) -> CoeffOptions:
-    return CoeffOptions(
-        pi_convention=options.pi_convention,
-        include_degenerate=options.include_degenerate,
-        lamb_mode=options.lamb_mode,
-        lamb_eps_values=options.lamb_eps_values,
-        eps_policy=options.eps_policy,
-        exploit_symmetry=False,
-        tensor_mode_cap=options.tensor_mode_cap,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-#: seed is reserved (no stochastic components); both knobs are echoed into
-#: manifests for provenance
-_RUN_INFO = {"seed": 0, "threads": 1}
-
 
 def _provenance(config: SimulationConfig) -> dict:
     c = config.conventions
@@ -73,7 +69,6 @@ def _write_manifest(out_dir: str, command: str, config: SimulationConfig, output
         "config_echo": emit_config(config),
         "outputs": sorted(outputs),
         "provenance": _provenance(config),
-        "run": dict(_RUN_INFO),
     }
     if extra:
         manifest.update(extra)
@@ -192,7 +187,7 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_converge(config: SimulationConfig, out_dir: str, threads: int) -> int:
+def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
     assets = Assets(config)
     report = eta_sweep(
         assets.basis,
@@ -204,7 +199,6 @@ def cmd_converge(config: SimulationConfig, out_dir: str, threads: int) -> int:
         solver=assets.solver_options,
         coeff_options=assets.coeff_options,
         n_samples=config.sweep.samples,
-        threads=threads,
     )
     write_json(
         f"{out_dir}/convergence.json",
@@ -259,8 +253,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="configuration file (defaults to built-in preset)")
     parser.add_argument("--out", help="output directory (overrides [output] section)")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; recorded only")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     args = parser.parse_args(argv)
 
     try:
@@ -268,10 +260,6 @@ def main(argv=None) -> int:
             config = parse_config(args.config)
         else:
             config = SimulationConfig.default().validate()
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        _RUN_INFO["seed"] = args.seed
-        _RUN_INFO["threads"] = args.threads
         out_dir = ensure_dir(args.out or config.output.directory)
 
         if args.command == "spectrum":
@@ -281,7 +269,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(config, out_dir)
         if args.command == "converge":
-            return cmd_converge(config, out_dir, args.threads)
+            return cmd_converge(config, out_dir)
         return cmd_check(config, out_dir)
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -16,6 +16,12 @@ resonance frequency (fresh single-point quadrature) and the imaginary
 part of the regularized Cauchy transform extrapolated to eps = 0.  Tests
 pit them against each other.
 
+The limit matrix and the prelimit tensor are read off one table over the
+K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform pass,
+the Hartree pairings of every two products as one matrix product, and
+the branch sums of the cells a caller needs.  The limit generator keeps
+the resonant cells at eps -> 0, the tensor every cell at eps = eta^2.
+
 Convention note: the Sokhotski-Plemelj split of the regularized resolvent
 carries a factor pi on the on-shell delta term.  With the default
 ``pi_convention`` the stored rate matrix includes that factor, so the
@@ -33,7 +39,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grids import MomentumGrid
 from .kernels import InteractionKernel, transform_profiles
-from .spectrum import EigenBasis, mode_product
+from .spectrum import EigenBasis, mode_product, resonant_mask
 
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
 DENSITY_PREFACTOR = 1.0 / (2.0 * np.pi**2)
@@ -232,7 +238,7 @@ def richardson_limit(samples, eps_values, powers=(1, 2)):
     return _fit_limit(samples, eps_values, [lambda e, p=p: e**p for p in powers])
 
 
-def _branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
+def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     """Both resolvent branches of the second-order pairing at gap mu.
 
     S(mu, eps) = int a /(rho - mu - i eps) + int a /(rho + mu + i eps).
@@ -244,19 +250,19 @@ def _branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     return minus + plus
 
 
-def _branch_sum_limit(a: SpectralDensity, mu: float, eps_values=LAMB_EPS_VALUES) -> complex:
-    """Three-point extrapolation of the branch sum to eps = 0.
+def _branch_sum_limit(a: SpectralDensity, mu: float) -> complex:
+    """Three-point extrapolation of the branch sum to eps = 0 over LAMB_EPS_VALUES.
 
     Away from zero gap the error is a plain power series in eps.  At
     mu = 0 both poles merge at the interval edge where the density
     vanishes quadratically; the error then starts at eps^2 log(1/eps),
     so the fit basis switches accordingly.
     """
-    samples = [_branch_sum(a, mu, e) for e in eps_values]
+    samples = [branch_sum(a, mu, e) for e in LAMB_EPS_VALUES]
     if mu == 0.0:
         funcs = [lambda e: e**2 * np.log(1.0 / e), lambda e: e**2]
-        return _fit_limit(samples, eps_values, funcs)
-    return richardson_limit(samples, eps_values)
+        return _fit_limit(samples, LAMB_EPS_VALUES, funcs)
+    return richardson_limit(samples, LAMB_EPS_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +341,21 @@ def lambda_lamb_shift(
     j: int,
     jp: int,
     mode: str = "extrapolate",
-    eps_values=LAMB_EPS_VALUES,
 ) -> float:
     """Off-shell energy renormalization for the quadruple (k,k';j,j').
 
     Principal-value pairing through both resolvent branches,
     PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j'.
     ``mode`` selects the production route ("extrapolate": Richardson in
-    eps over ``eps_values``) or the direct eps = 0 subtracted quadrature
+    eps over LAMB_EPS_VALUES) or the direct eps = 0 subtracted quadrature
     ("direct", used as a cross-check).
     """
     a = _pair_density(basis, coupling, k, kp, j, jp)
     mu = float(basis.energies[j] - basis.energies[jp])
     if mode == "extrapolate":
-        return float(_branch_sum_limit(a, mu, eps_values).real)
+        return float(_branch_sum_limit(a, mu).real)
     if mode == "direct":
-        return float(_branch_sum(a, mu, 0.0).real)
+        return float(branch_sum(a, mu, 0.0).real)
     raise ValidationError(f"unknown lamb shift mode {mode!r}")
 
 
@@ -363,24 +368,23 @@ def lambda_lamb_shift(
 class CoeffOptions:
     """Assembly policy knobs.
 
-    ``include_degenerate`` keeps the identically-resonant quadruples
-    (k,k;j,j) in the limit generator.  They carry no on-shell rate (the
-    emission/absorption parts cancel at zero gap) but contribute a purely
-    imaginary mean-field/renormalization dressing; dropping them changes
-    trajectory phases, not occupations.
-    ``eps_policy`` decides whether prelimit tensors are evaluated at the
-    physical regularization eps = eta^2 or at the extrapolated eps -> 0
-    values.
+    ``pi_convention`` keeps the Sokhotski-Plemelj factor pi in the stored
+    rates.  ``include_degenerate`` keeps the identically-resonant
+    quadruples (k,k;j,j) in the limit generator.  They carry no on-shell
+    rate (the emission/absorption parts cancel at zero gap) but contribute
+    a purely imaginary mean-field/renormalization dressing; dropping them
+    changes trajectory phases, not occupations.  ``lamb_mode`` selects the
+    eps -> 0 route of the limit Lamb shifts ("extrapolate" over
+    LAMB_EPS_VALUES or "direct" at eps = 0).  ``eps_policy`` decides
+    whether prelimit tensors are evaluated at the physical regularization
+    eps = eta^2 or at the extrapolated eps -> 0 values.
     """
 
     pi_convention: bool = True
     include_degenerate: bool = True
     lamb_mode: str = "extrapolate"
-    lamb_eps_values: tuple = LAMB_EPS_VALUES
     eps_policy: str = "eta2"
-    exploit_symmetry: bool = True
     tensor_mode_cap: int = 12
-    cutoff_factor: float = 4.0
     #: "full" keeps all quadruples; "resonant" zeroes the oscillatory ones,
     #: leaving exactly the terms that survive the averaging limit
     tensor_restriction: str = "full"
@@ -466,87 +470,102 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     )
 
 
-def _mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
-    """Transforms of all mode products, indexed [k, kp, :] (symmetric)."""
-    size = basis.size
-    pairs = [(k, kp) for k in range(size) for kp in range(k, size)]
-    products = np.vstack([mode_product(basis, k, kp) for k, kp in pairs])
-    hats = transform_profiles(products, basis.grid, momenta.nodes)
-    out = np.empty((size, size, momenta.n_rho))
-    for row, (k, kp) in enumerate(pairs):
-        out[k, kp] = hats[row]
-        out[kp, k] = hats[row]
-    return out
+def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
+    """Transforms of all mode products, indexed [k, kp, :] (symmetric).
+
+    One transform pass over the K(K+1)/2 products chi_k chi_k' with k <= k'.
+    """
+    rows, cols = np.triu_indices(basis.size)
+    hats = transform_profiles(basis.modes[rows] * basis.modes[cols], basis.grid, momenta.nodes)
+    return hats[_pair_index(basis.size)]
 
 
-def _density_from_hats(ghat_1, ghat_2, momenta) -> SpectralDensity:
-    return SpectralDensity(momenta, DENSITY_PREFACTOR * momenta.nodes**2 * ghat_1 * ghat_2)
+def _pair_index(size: int) -> np.ndarray:
+    """Row of the unordered pair {k, k'} in the upper-triangle order of np.triu_indices."""
+    rows, cols = np.triu_indices(size)
+    index = np.empty((size, size), dtype=int)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return index
 
 
-def _require_valid_inputs(basis, coupling, pair, options):
+@dataclass(frozen=True)
+class _PairingTable:
+    """Pairings of the mode products chi_k chi_k', one row per pair k <= k'.
+
+    ``index[k, kp]`` is the row of the pair {k, kp}, ``ghat[p]`` the
+    coupling-smoothed transform of row p and ``hartree[p, q]`` the
+    mean-field pairing of rows p and q.  A cell (p; j, jp) pairs row p
+    with the ordered pair (j, jp); its branch sum sits at the gap
+    mu = E_j - E_jp, so the two orders of a pair put the pole on opposite
+    sides of the origin.
+    """
+
+    basis: EigenBasis
+    momenta: MomentumGrid
+    index: np.ndarray
+    ghat: np.ndarray
+    hartree: np.ndarray
+
+    def branch_sums(self, rows, j, jp, eps: float | None) -> np.ndarray:
+        """Branch sums of the cells (rows[n]; j[n], jp[n]); eps None extrapolates to 0."""
+        energies = self.basis.energies
+        out = np.empty(len(rows), dtype=complex)
+        for n, (p, a, b) in enumerate(zip(rows, j, jp)):
+            density = spectral_density(self.ghat[p], self.ghat[self.index[a, b]], self.momenta)
+            mu = float(energies[a] - energies[b])
+            out[n] = _branch_sum_limit(density, mu) if eps is None else branch_sum(density, mu, eps)
+        return out
+
+
+def _pairing_table(
+    basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
+) -> _PairingTable:
+    """One transform pass and one matrix product shared by every coefficient."""
     if coupling.role != "coupling" or pair.role != "pair":
         raise ValidationError("expected a coupling kernel and a pair-interaction kernel")
     for kernel in (coupling, pair):
         if kernel.grid.n_points != basis.grid.n_points or kernel.grid.r_max != basis.grid.r_max:
             raise ValidationError("kernel and basis grids do not match")
-    max_gap = float(basis.energies[-1] - basis.energies[0])
-    coupling.momenta.require_covers(max_gap, factor=options.cutoff_factor)
+    momenta = coupling.momenta
+    momenta.require_covers(float(basis.energies[-1] - basis.energies[0]))
+    rows, cols = np.triu_indices(basis.size)
+    phat = mode_pair_transforms(basis, momenta)[rows, cols]
+    weights = DENSITY_PREFACTOR * momenta.nodes**2 * pair.transform * momenta.weights
+    return _PairingTable(
+        basis=basis,
+        momenta=momenta,
+        index=_pair_index(basis.size),
+        ghat=coupling.transform * phat,
+        hartree=(phat * weights) @ phat.T,
+    )
 
 
-def assemble_limit_matrix(
-    basis: EigenBasis,
+def _limit_coefficients(
+    table: _PairingTable,
     coupling: InteractionKernel,
     pair: InteractionKernel,
-    options: CoeffOptions = CoeffOptions(),
+    options: CoeffOptions,
 ) -> CoefficientSet:
-    """Assemble the limit transition matrix over the diagonal quadruples.
-
-    Entries are written to preallocated slots pair by pair; with
-    ``exploit_symmetry`` only the upper triangle is computed and mirrored
-    through the exact symmetries, otherwise every entry is recomputed
-    independently (the recomputation cross-check).
-    """
-    _require_valid_inputs(basis, coupling, pair, options)
+    """The limit generator read off the resonant cells at eps -> 0."""
+    basis, index = table.basis, table.index
     size = basis.size
-    momenta = coupling.momenta
-    phat = _mode_pair_transforms(basis, momenta)
-    ghat = coupling.transform * phat
-    vhat = pair.transform
-    rho2 = momenta.nodes**2
+    eps = 0.0 if options.lamb_mode == "direct" else None
+    k, kp = np.indices((size, size)).reshape(2, -1)
+    off = k != kp
 
-    har_ex = np.zeros((size, size))
-    lamb_ex = np.zeros((size, size))
-    fgr = np.zeros((size, size))
-    har_dir = np.zeros((size, size))
+    # exchange cells (k,k'; k,k'), each order evaluated on its own
+    har_ex = table.hartree[index, index]
+    lamb_ex = table.branch_sums(index[k, kp], k, kp, eps).real.reshape(size, size)
+    # direct cells (k,k; k',k') at zero gap, off the diagonal only
+    diag = np.diag(index)
+    har_dir = table.hartree[diag[:, None], diag[None, :]]
+    np.fill_diagonal(har_dir, 0.0)
     lamb_dir = np.zeros((size, size))
+    lamb_dir[k[off], kp[off]] = table.branch_sums(diag[k[off]], kp[off], kp[off], eps).real
 
-    def lamb_value(a: SpectralDensity, mu: float) -> float:
-        if options.lamb_mode == "direct":
-            return _branch_sum(a, mu, 0.0).real
-        return _branch_sum_limit(a, mu, options.lamb_eps_values).real
-
-    for k in range(size):
-        for kp in range(size):
-            if options.exploit_symmetry and kp < k:
-                har_ex[k, kp] = har_ex[kp, k]
-                lamb_ex[k, kp] = lamb_ex[kp, k]
-                fgr[k, kp] = fgr[kp, k]
-                har_dir[k, kp] = har_dir[kp, k]
-                lamb_dir[k, kp] = lamb_dir[kp, k]
-                continue
-            mu = float(basis.energies[k] - basis.energies[kp])
-            har_ex[k, kp] = momenta.integrate(
-                DENSITY_PREFACTOR * rho2 * phat[k, kp] * vhat * phat[k, kp]
-            )
-            a_ex = _density_from_hats(ghat[k, kp], ghat[k, kp], momenta)
-            lamb_ex[k, kp] = lamb_value(a_ex, mu)
-            if k != kp:
-                fgr[k, kp] = gamma_fgr(basis, coupling, k, kp, options.pi_convention)
-                har_dir[k, kp] = momenta.integrate(
-                    DENSITY_PREFACTOR * rho2 * phat[k, k] * vhat * phat[kp, kp]
-                )
-                a_dir = _density_from_hats(ghat[k, k], ghat[kp, kp], momenta)
-                lamb_dir[k, kp] = lamb_value(a_dir, 0.0)
+    fgr = np.zeros((size, size))
+    for a, b in zip(*np.triu_indices(size, 1)):
+        fgr[a, b] = fgr[b, a] = gamma_fgr(basis, coupling, a, b, options.pi_convention)
 
     if options.include_degenerate:
         hartree = har_ex + har_dir
@@ -554,11 +573,10 @@ def assemble_limit_matrix(
     else:
         hartree = har_ex.copy()
         lamb = lamb_ex.copy()
-
-    idx = np.arange(size)
-    sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
+    sign = np.sign(np.arange(size)[:, None] - np.arange(size)[None, :]).astype(float)
     limit_matrix = -1j * (hartree - lamb) - fgr * sign
 
+    momenta = table.momenta
     provenance = {
         "n_points": basis.grid.n_points,
         "r_max": basis.grid.r_max,
@@ -570,7 +588,7 @@ def assemble_limit_matrix(
         "pair_amplitude": pair.amplitude,
         "pair_width": pair.width,
         "lamb_mode": options.lamb_mode,
-        "lamb_eps_values": list(options.lamb_eps_values),
+        "lamb_eps_values": list(LAMB_EPS_VALUES),
         "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
     }
     return CoefficientSet(
@@ -589,6 +607,24 @@ def assemble_limit_matrix(
     )
 
 
+def assemble_limit_matrix(
+    basis: EigenBasis,
+    coupling: InteractionKernel,
+    pair: InteractionKernel,
+    options: CoeffOptions = CoeffOptions(),
+) -> CoefficientSet:
+    """Assemble the limit transition matrix from the resonant quadruples.
+
+    The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
+    entry (k,k'), the direct cells (k,k;k',k') their degenerate dressing,
+    and ``gamma_fgr`` the rate of each unordered pair.  Entries (k,k')
+    and (k',k) are evaluated on their own cells, so Im M, symmetric in
+    exact arithmetic, cross-checks the assembly: max |Im M - Im M^T|
+    is a rounding gap unless a cell is read at the wrong index.
+    """
+    return _limit_coefficients(_pairing_table(basis, coupling, pair), coupling, pair, options)
+
+
 def assemble_prelimit_tensor(
     basis: EigenBasis,
     coupling: InteractionKernel,
@@ -598,12 +634,14 @@ def assemble_prelimit_tensor(
 ) -> CoefficientSet:
     """Limit matrix plus the full quadruple tensor at regularization eta^2.
 
-    For every quadruple (k,k';j,j') the tensor stores the coefficient
-    obtained from both resolvent branches at eps = eta^2 (or at the
-    extrapolated limit under ``eps_policy = "limit"``) together with the
-    mean-field part.  The energy mismatch dE = (E_k - E_k') - (E_j - E_j')
-    of its phase follows from the stored ``energies``.  Memory grows like
-    K^4; the mode cap guards against accidents.
+    Both come from one pairing table.  Entry (k,k';j,j') of the tensor is
+    -i (H - Re S) - Im S (Im S / pi without ``pi_convention``), with H the
+    mean-field pairing of the pairs {k,k'} and {j,j'} and S the branch sum
+    of the cell at eps = eta^2 (or at the extrapolated limit under
+    ``eps_policy = "limit"``).  The energy mismatch
+    dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
+    ``energies``.  Memory grows like K^4; the mode cap guards against
+    accidents.
     """
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -613,56 +651,16 @@ def assemble_prelimit_tensor(
             f"{size} modes would need {size**4} tensor entries; cap is "
             f"{options.tensor_mode_cap} modes"
         )
-    coeffs = assemble_limit_matrix(basis, coupling, pair, options)
+    table = _pairing_table(basis, coupling, pair)
+    coeffs = _limit_coefficients(table, coupling, pair, options)
 
-    momenta = coupling.momenta
-    phat = _mode_pair_transforms(basis, momenta)
-    ghat = coupling.transform * phat
-    vhat = pair.transform
-    rho2 = momenta.nodes**2
-    energies = basis.energies
     eps = eta**2
+    rows, j, jp = np.indices((len(table.ghat), size, size)).reshape(3, -1)
+    sums = table.branch_sums(rows, j, jp, None if options.eps_policy == "limit" else eps)
+    sums = sums.reshape(-1, size, size)
     pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
-
-    tensor = np.empty((size,) * 4, dtype=complex)
-
-    branch_cache: dict[tuple, complex] = {}
-    hartree_cache: dict[tuple, float] = {}
-
-    def branch(pair_a, j, jp) -> complex:
-        # canonical order j <= jp; the swap conjugates (real densities)
-        swap = j > jp
-        key = (pair_a, (jp, j) if swap else (j, jp))
-        if key not in branch_cache:
-            cj, cjp = key[1]
-            a = _density_from_hats(ghat[pair_a], ghat[cj, cjp], momenta)
-            mu = float(energies[cj] - energies[cjp])
-            if options.eps_policy == "limit":
-                branch_cache[key] = _branch_sum_limit(a, mu, options.lamb_eps_values)
-            else:
-                branch_cache[key] = _branch_sum(a, mu, eps)
-        value = branch_cache[key]
-        return np.conj(value) if swap else value
-
-    def hartree_part(pair_a, pair_b) -> float:
-        key = (pair_a, pair_b)
-        if key not in hartree_cache:
-            hartree_cache[key] = float(
-                momenta.integrate(
-                    DENSITY_PREFACTOR * rho2 * phat[pair_a] * vhat * phat[pair_b]
-                )
-            )
-        return hartree_cache[key]
-
-    for k in range(size):
-        for kp in range(size):
-            pair_a = (min(k, kp), max(k, kp))
-            for j in range(size):
-                for jp in range(size):
-                    pair_b = (min(j, jp), max(j, jp))
-                    s = branch(pair_a, j, jp)
-                    har = hartree_part(pair_a, pair_b)
-                    tensor[k, kp, j, jp] = -1j * (har - s.real) - pi_scale * s.imag
+    cells = -1j * (table.hartree[:, table.index] - sums.real) - pi_scale * sums.imag
+    tensor = cells[table.index]
 
     if options.tensor_restriction == "resonant":
         tensor = tensor * resonant_mask(size)
@@ -671,8 +669,7 @@ def assemble_prelimit_tensor(
 
     coeffs.eta = eta
     coeffs.tensor = tensor
-    coeffs.energies = energies - energies[0]
-    coeffs.provenance = dict(coeffs.provenance)
+    coeffs.energies = basis.energies - basis.energies[0]
     coeffs.provenance.update(
         {
             "eta": eta,
@@ -682,23 +679,6 @@ def assemble_prelimit_tensor(
         }
     )
     return coeffs
-
-
-def resonant_mask(size: int) -> np.ndarray:
-    """Indicator of the quadruples whose phase vanishes identically.
-
-    These are the diagonal family (k,k';k,k') and the zero-gap family
-    (k,k;j,j); for a generically-gapped spectrum every other quadruple
-    oscillates and averages out in the weak-coupling limit.
-    """
-    idx = np.arange(size)
-    diag = (idx[:, None, None, None] == idx[None, None, :, None]) & (
-        idx[None, :, None, None] == idx[None, None, None, :]
-    )
-    zero_gap = (idx[:, None, None, None] == idx[None, :, None, None]) & (
-        idx[None, None, :, None] == idx[None, None, None, :]
-    )
-    return (diag | zero_gap).astype(float)
 
 
 def limit_matrix_from_tensor(coeffs: CoefficientSet) -> np.ndarray:

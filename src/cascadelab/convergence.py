@@ -9,7 +9,6 @@ asserts monotone decrease of the sup distance, nothing more.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,14 +59,11 @@ def eta_sweep(
     coeff_options: CoeffOptions = CoeffOptions(),
     n_samples: int = 256,
     noise_factor: float = 1.2,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Run the sweep and measure sup_T l2 distances on a common sample grid.
 
     The limit trajectory is integrated once; each prelimit run shares its
-    initial data and sample times.  Per-eta runs are independent and may
-    execute on a thread pool; the report is always assembled in list
-    order, so results are reproducible bit for bit.
+    initial data and sample times.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) == 0:
@@ -108,11 +104,7 @@ def eta_sweep(
         drift = float(np.max(np.abs(traj.masses() - mass0)))
         return sup, terminal, drift, float(distances[0])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, etas))
-    else:
-        results = [run_one(e) for e in etas]
+    results = [run_one(e) for e in etas]
 
     sups = tuple(r[0] for r in results)
     terminals = tuple(r[1] for r in results)

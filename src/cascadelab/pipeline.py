@@ -63,25 +63,22 @@ class Assets:
 
         return self._get("momenta", build)
 
+    def kernel(self, role: str, momenta: MomentumGrid) -> InteractionKernel:
+        """The configured ``coupling`` or ``pair`` kernel on a given momentum grid."""
+        k = self.config.kernels
+        amplitude, width = {
+            "coupling": (k.coupling_amplitude, k.coupling_width),
+            "pair": (k.pair_amplitude, k.pair_width),
+        }[role]
+        return gaussian_kernel(role, self.grid, momenta, amplitude, width)
+
     @property
     def coupling(self) -> InteractionKernel:
-        k = self.config.kernels
-        return self._get(
-            "coupling",
-            lambda: gaussian_kernel(
-                "coupling", self.grid, self.momenta, k.coupling_amplitude, k.coupling_width
-            ),
-        )
+        return self._get("coupling", lambda: self.kernel("coupling", self.momenta))
 
     @property
     def pair(self) -> InteractionKernel:
-        k = self.config.kernels
-        return self._get(
-            "pair",
-            lambda: gaussian_kernel(
-                "pair", self.grid, self.momenta, k.pair_amplitude, k.pair_width
-            ),
-        )
+        return self._get("pair", lambda: self.kernel("pair", self.momenta))
 
     @property
     def coeff_options(self) -> CoeffOptions:

@@ -155,9 +155,9 @@ class ResonanceReport:
 
     A quadruple (k,k';j,j') collides when its gap difference
     |(E_k - E_k') - (E_j - E_j')| falls below the tolerance.  Quadruples
-    that are resonant by construction are excluded: the diagonal family
-    (k,k';k,k') and the zero-gap family with k = k' and j = j', whose gap
-    difference vanishes identically for any spectrum.
+    that are resonant by construction (``resonant_mask``) are excluded:
+    the diagonal family (k,k';k,k') and the zero-gap family with k = k'
+    and j = j', whose gap difference vanishes identically for any spectrum.
     """
 
     gap_tol: float
@@ -253,6 +253,23 @@ def solve_radial_eigenpairs(
     return EigenBasis(energies=energies, modes=modes, grid=grid, potential=potential)
 
 
+def resonant_mask(size: int) -> np.ndarray:
+    """Boolean indicator of the quadruples whose phase vanishes identically.
+
+    These are the diagonal family (k,k';k,k') and the zero-gap family
+    (k,k;j,j); for a generically-gapped spectrum every other quadruple
+    oscillates and averages out in the weak-coupling limit.
+    """
+    idx = np.arange(size)
+    diag = (idx[:, None, None, None] == idx[None, None, :, None]) & (
+        idx[None, :, None, None] == idx[None, None, None, :]
+    )
+    zero_gap = (idx[:, None, None, None] == idx[None, :, None, None]) & (
+        idx[None, None, :, None] == idx[None, None, None, :]
+    )
+    return diag | zero_gap
+
+
 def check_gap_independence(basis: EigenBasis, gap_tol: float = GAP_TOL) -> ResonanceReport:
     """Enumerate all K^4 quadruples and report near-coincident gap differences.
 
@@ -260,21 +277,10 @@ def check_gap_independence(basis: EigenBasis, gap_tol: float = GAP_TOL) -> Reson
     quadruples that are not resonant by construction.  With a single mode
     there is nothing to compare and the minimum is +inf.
     """
-    k = basis.size
     gaps = basis.gaps()
     delta = gaps[:, :, None, None] - gaps[None, None, :, :]
-
-    idx = np.arange(k)
-    diagonal = (idx[:, None, None, None] == idx[None, None, :, None]) & (
-        idx[None, :, None, None] == idx[None, None, None, :]
-    )
-    trivially_zero = (idx[:, None, None, None] == idx[None, :, None, None]) & (
-        idx[None, None, :, None] == idx[None, None, None, :]
-    )
-    excluded = diagonal | trivially_zero
-
     magnitudes = np.abs(delta)
-    informative = ~excluded
+    informative = ~resonant_mask(basis.size)
     if not np.any(informative):
         return ResonanceReport(gap_tol, [], float("inf"))
 

@@ -160,12 +160,6 @@ def test_exit_code_output_path_under_file(tmp_path, capsys):
     assert str(out) in record["message"]
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
-    cfg = tmp_path / "ok.cfg"
-    cfg.write_text("[trap]\nmodes = 2\n")
-    assert run_cli(["converge", "--config", str(cfg), "--threads", "0"]) == 3
-
-
 def test_custom_tabulated_trap(tmp_path):
     # a tabulated copy of the harmonic trap must reproduce its spectrum
     import cascadelab.grids as grids

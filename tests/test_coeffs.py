@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cascadelab.coeffs import (
+    DENSITY_PREFACTOR,
     CoeffOptions,
     SpectralDensity,
-    _branch_sum,
+    _branch_sum_limit,
     assemble_limit_matrix,
     assemble_prelimit_tensor,
+    branch_sum,
     cauchy_transform,
     cauchy_transform_limit,
     gamma_fgr,
@@ -14,17 +16,16 @@ from cascadelab.coeffs import (
     lambda_lamb_shift,
     lap_uniformity_probe,
     limit_matrix_from_tensor,
-    resonant_mask,
+    mode_pair_transforms,
     richardson_limit,
     spectral_density,
     two_mode_coefficients,
-    _density_from_hats,
-    _mode_pair_transforms,
     _pair_density,
 )
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import gaussian_kernel, transform_profiles
+from cascadelab.spectrum import resonant_mask
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +155,12 @@ def test_gamma_dual_route(default_assets):
     """Delta-pairing route vs the eps -> 0 resolvent route, all pairs."""
     basis, w = default_assets.basis, default_assets.coupling
     momenta = w.momenta
-    ghat = w.transform * _mode_pair_transforms(basis, momenta)
+    ghat = w.transform * mode_pair_transforms(basis, momenta)
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
             delta_route = gamma_fgr(basis, w, k, kp)
-            a = _density_from_hats(ghat[k, kp], ghat[k, kp], momenta)
+            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
             resolvent_route = -cauchy_transform_limit(a, lam).imag
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
@@ -189,7 +190,7 @@ def test_lamb_shift_zero_gap_is_half_wave_moment(default_assets):
 def test_lamb_shift_branches_cancel_imaginary_part(default_assets):
     basis, w = default_assets.basis, default_assets.coupling
     a = _pair_density(basis, w, 0, 1, 1, 1)
-    assert _branch_sum(a, 0.0, 1e-3).imag == 0.0
+    assert branch_sum(a, 0.0, 1e-3).imag == 0.0
 
 
 def test_lamb_shift_extrapolation_vs_small_eps(default_assets):
@@ -202,7 +203,7 @@ def test_lamb_shift_extrapolation_vs_small_eps(default_assets):
     for quad in ((0, 1, 2, 2), (2, 3, 4, 4)):
         extrapolated = lambda_lamb_shift(basis, w, *quad, mode="extrapolate")
         a = _pair_density(basis, w, *quad)
-        direct = _branch_sum(a, 0.0, 1e-4).real
+        direct = branch_sum(a, 0.0, 1e-4).real
         assert abs(extrapolated - direct) / abs(direct) < 1e-5
 
 
@@ -285,11 +286,9 @@ def test_limit_matrix_fgr_entries_match_operation(default_assets):
 
 
 def test_assembly_symmetry_exploitation_consistent(sweep_assets):
-    brute_options = CoeffOptions(exploit_symmetry=False)
-    brute = assemble_limit_matrix(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, brute_options
-    )
-    assert np.max(np.abs(brute.limit_matrix - sweep_assets.coeffs.limit_matrix)) < 1e-10
+    """Entries (k,k') and (k',k) are assembled from their own cells and agree."""
+    im_m = sweep_assets.coeffs.limit_matrix.imag
+    assert np.max(np.abs(im_m - im_m.T)) < 1e-10
 
 
 def test_pi_convention_flag(sweep_assets):
@@ -335,7 +334,38 @@ def test_tensor_shape_and_diagonal_gaps(sweep_assets):
         for kp in range(size):
             assert mismatch[k, kp, k, kp] == 0.0
     # every quadruple the resonant mask keeps has an identically zero phase
-    assert np.all(mismatch[resonant_mask(size) == 1.0] == 0.0)
+    assert np.all(mismatch[resonant_mask(size)] == 0.0)
+
+
+def test_tensor_matches_quadruple_formula(sweep_assets):
+    """Every K^4 tensor entry against a plain loop over the quadruples."""
+    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
+    momenta = w.momenta
+    phat = mode_pair_transforms(basis, momenta)
+    ghat = w.transform * phat
+    energies = basis.energies
+    eta = 0.2
+    for options in (
+        CoeffOptions(),
+        CoeffOptions(eps_policy="limit"),
+        CoeffOptions(pi_convention=False),
+    ):
+        tensor = assemble_prelimit_tensor(basis, w, v, eta, options).tensor
+        pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
+        worst = 0.0
+        for k, kp, j, jp in np.ndindex(tensor.shape):
+            a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
+            mu = float(energies[j] - energies[jp])
+            if options.eps_policy == "limit":
+                s = _branch_sum_limit(a, mu)
+            else:
+                s = branch_sum(a, mu, eta**2)
+            har = momenta.integrate(
+                DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
+            )
+            expected = -1j * (har - s.real) - pi_scale * s.imag
+            worst = max(worst, abs(tensor[k, kp, j, jp] - expected))
+        assert worst < 1e-12
 
 
 def test_tensor_mode_cap():

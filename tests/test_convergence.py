@@ -99,21 +99,3 @@ def test_sweep_reproducible_bit_for_bit(sweep_assets):
     assert first.sup_distances == second.sup_distances
     assert first.terminal_distances == second.terminal_distances
     assert first.mass_drifts == second.mass_drifts
-
-
-def test_threaded_sweep_matches_sequential(sweep_assets):
-    kwargs = dict(
-        solver=SolverOptions(rtol=1e-9, atol=1e-12),
-        coeff_options=sweep_assets.coeff_options,
-        n_samples=200,
-    )
-    state = sweep_assets.config.initial_state()
-    sequential = eta_sweep(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-        state, 0.5, [0.3, 0.15], threads=1, **kwargs,
-    )
-    threaded = eta_sweep(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-        state, 0.5, [0.3, 0.15], threads=2, **kwargs,
-    )
-    assert sequential.sup_distances == threaded.sup_distances
