@@ -30,7 +30,7 @@ from .dynamics import (
 )
 from .grids import MomentumGrid, RadialGrid
 from .io import to_jsonable
-from .kernels import radial_convolution, transform_profiles
+from .kernels import radial_convolution
 from .pipeline import Assets
 from .spectrum import Potential, check_gap_independence, mode_product, solve_radial_eigenpairs
 
@@ -143,9 +143,9 @@ def coefficient_checks(assets: Assets) -> list[dict]:
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
     checks.append(_record("dual_route_fgr", worst, 1e-6))
 
+    # the momentum side is the production transform; the real side shares none of it
     product = mode_product(basis, 0, 1)
-    g_hat = coupling.transform * transform_profiles(product, basis.grid, momenta.nodes)[0]
-    a01 = spectral_density(g_hat, g_hat, momenta)
+    a01 = spectral_density(ghat[0, 1], ghat[0, 1], momenta)
     momentum_side = float(a01.integrate().real)
     g_real = radial_convolution(coupling.profile, product, basis.grid)
     real_side = float(4.0 * np.pi * basis.grid.integrate(g_real**2 * basis.grid.nodes**2))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .grids import MomentumGrid
-from .kernels import InteractionKernel, transform_profiles
+from .kernels import InteractionKernel, grid_transforms, transform_profiles
 from .spectrum import EigenBasis, mode_product, resonant_mask
 
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
@@ -276,7 +276,7 @@ def _pair_density(
     """Density of (w*(chi_k chi_k'), w*(chi_j chi_j')) on the kernel's grid."""
     momenta = coupling.momenta
     products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = transform_profiles(products, basis.grid, momenta.nodes)
+    hats = grid_transforms(products, basis.grid, momenta)
     g1 = coupling.transform * hats[0]
     g2 = coupling.transform * hats[1]
     return spectral_density(g1, g2, momenta)
@@ -328,7 +328,7 @@ def lambda_hartree(
             raise ValidationError(f"mode index {idx} out of range")
     momenta = pair.momenta
     products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = transform_profiles(products, basis.grid, momenta.nodes)
+    hats = grid_transforms(products, basis.grid, momenta)
     integrand = DENSITY_PREFACTOR * momenta.nodes**2 * hats[0] * pair.transform * hats[1]
     return float(momenta.integrate(integrand))
 
@@ -476,7 +476,7 @@ def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray
     One transform pass over the K(K+1)/2 products chi_k chi_k' with k <= k'.
     """
     rows, cols = np.triu_indices(basis.size)
-    hats = transform_profiles(basis.modes[rows] * basis.modes[cols], basis.grid, momenta.nodes)
+    hats = grid_transforms(basis.modes[rows] * basis.modes[cols], basis.grid, momenta)
     return hats[_pair_index(basis.size)]
 
 

@@ -9,6 +9,14 @@ collapses to
 with the rho -> 0 limit replacing sin(x)/x by 1.  Profiles are assumed
 even in r (they extend smoothly through the origin), which makes the
 uniform trapezoid rule superalgebraically accurate for decayed profiles.
+
+The same trapezoid sum has two evaluation routes.  On a full
+MomentumGrid, rho_l r_i = l*i*theta with theta = h_rho*h_r, so the sum
+is a chirp z-transform (Rabiner, Schafer & Rader 1969) and
+``grid_transforms`` computes it as one FFT convolution (Bluestein).  At
+explicit points (on-shell rates, ``transform_at``) ``transform_profiles``
+sums the dense sinc quadrature, which also serves as the oracle of the
+FFT route.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import ValidationError
 from .grids import MomentumGrid, RadialGrid
@@ -23,29 +32,35 @@ from .grids import MomentumGrid, RadialGrid
 FOUR_PI = 4.0 * np.pi
 
 
-#: Row block size for the sinc quadrature matrix; keeps the working set
-#: of dense transforms around ~20 MB for the default grids.
+#: Row block size of the dense sinc quadrature, which serves explicit points
+#: (on-shell rates) and is the oracle of the chirp-z route; keeps its
+#: working set around ~20 MB even when it is given a whole grid's nodes.
 _RHO_BLOCK = 1024
 
 
-def transform_profiles(
-    profiles: np.ndarray, grid: RadialGrid, rho: np.ndarray
-) -> np.ndarray:
-    """Radial transforms of many profiles at once, shape (m, len(rho)).
-
-    Shared quadrature core: out[p, l] = 4*pi * sum_i sinc(rho_l r_i) *
-    profiles[p, i] * r_i^2 * w_i, evaluated blockwise in rho to bound
-    memory.
-    """
+def _weighted_profiles(profiles: np.ndarray, grid: RadialGrid, power: int) -> np.ndarray:
+    """Profiles times r^power * w as a 2D float array, validated against ``grid``."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     if profiles.shape[1] != grid.n_points:
         raise ValidationError("profile does not match the radial grid")
     if not np.all(np.isfinite(profiles)):
         raise ValidationError("profile contains NaN or Inf")
+    return profiles * (grid.nodes**power * grid.weights)
 
+
+def transform_profiles(
+    profiles: np.ndarray, grid: RadialGrid, rho: np.ndarray
+) -> np.ndarray:
+    """Radial transforms of many profiles at explicit points, shape (m, len(rho)).
+
+    Dense quadrature: out[p, l] = 4*pi * sum_i sinc(rho_l r_i) *
+    profiles[p, i] * r_i^2 * w_i, evaluated blockwise in rho to bound
+    memory.  Full momentum grids go through ``grid_transforms``; this
+    route serves single points and is its oracle.
+    """
     r = grid.nodes
-    weighted = profiles * (r**2 * grid.weights)
-    out = np.empty((profiles.shape[0], len(rho)))
+    weighted = _weighted_profiles(profiles, grid, 2)
+    out = np.empty((weighted.shape[0], len(rho)))
     for start in range(0, len(rho), _RHO_BLOCK):
         block = rho[start : start + _RHO_BLOCK]
         # np.sinc is sin(pi y)/(pi y) and handles the rho = 0 limit itself
@@ -54,18 +69,52 @@ def transform_profiles(
     return out
 
 
+def _chirp(theta: float, start: int, stop: int) -> np.ndarray:
+    """e^{i theta k^2 / 2} for k = start .. stop - 1, from exact integer squares."""
+    k = np.arange(start, stop, dtype=np.int64)
+    return np.exp(0.5j * theta * (k * k).astype(float))
+
+
+def grid_transforms(
+    profiles: np.ndarray, grid: RadialGrid, momenta: MomentumGrid
+) -> np.ndarray:
+    """Radial transforms of many profiles on every node of ``momenta``, shape (m, n_rho).
+
+    The same trapezoid sum as ``transform_profiles``, written as
+    out[p, l] = (4*pi / rho_l) * sum_i f_p(r_i) r_i w_i sin(l*i*theta)
+    with theta = h_rho * h_r.  Bluestein's identity
+    l*i = (l^2 + i^2 - (l - i)^2) / 2 turns the sine sum into
+    Im[c_l sum_i (g_i c_i) conj(c_{l-i})] with the chirp
+    c_k = e^{i theta k^2/2}: one FFT convolution of length
+    >= n_r + n_rho - 1 for all rows at once.
+    """
+    g = _weighted_profiles(profiles, grid, 1)
+    n_r, n_rho = grid.n_points, momenta.n_rho
+    theta = grid.spacing * momenta.spacing
+    size = fft.next_fast_len(n_r + n_rho - 1)
+    # lags m = l - i run over 1 - n_r .. n_rho - 1; index m + n_r - 1
+    lags = np.conj(_chirp(theta, 1 - n_r, n_rho))
+    spectrum = fft.fft(g * _chirp(theta, 1, n_r + 1), size, axis=1)
+    spectrum *= fft.fft(lags, size)
+    conv = fft.ifft(spectrum, axis=1, overwrite_x=True)[:, n_r - 1 : n_r - 1 + n_rho]
+    sines = (conv * _chirp(theta, 1, n_rho + 1)).imag
+    return sines * (FOUR_PI / momenta.nodes)
+
+
 def fourier_radial(
     profile: np.ndarray, grid: RadialGrid, momenta: MomentumGrid | np.ndarray
 ) -> np.ndarray:
     """Radial 3D Fourier transform of a profile sampled on ``grid``.
 
-    ``momenta`` may be a MomentumGrid or an arbitrary array of evaluation
-    frequencies (on-shell evaluations use a single exact point rather than
-    interpolating a tabulated transform).
+    ``momenta`` may be a MomentumGrid, whose nodes all go through the
+    chirp-z route of ``grid_transforms``, or an arbitrary array of
+    evaluation frequencies summed by dense quadrature (on-shell
+    evaluations use a single exact point rather than interpolating a
+    tabulated transform).
     """
-    rho = momenta.nodes if isinstance(momenta, MomentumGrid) else np.atleast_1d(
-        np.asarray(momenta, dtype=float)
-    )
+    if isinstance(momenta, MomentumGrid):
+        return grid_transforms(profile, grid, momenta)[0]
+    rho = np.atleast_1d(np.asarray(momenta, dtype=float))
     return transform_profiles(profile, grid, rho)[0]
 
 
@@ -158,7 +207,7 @@ class InteractionKernel:
         }
 
     def transform_at(self, rho) -> np.ndarray:
-        """Transform evaluated at arbitrary frequencies by fresh quadrature."""
+        """Transform evaluated at arbitrary frequencies by dense sinc quadrature."""
         return fourier_radial(self.profile, self.grid, np.asarray(rho, dtype=float))
 
 

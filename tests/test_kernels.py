@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import (
     fourier_radial,
     gaussian_kernel,
+    grid_transforms,
     radial_convolution,
+    transform_profiles,
 )
+
+#: Chirp-z against dense sinc, relative to each row's peak.
+ROUTE_AGREEMENT = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +82,7 @@ def test_kernel_must_decay(momenta):
 def test_transform_at_matches_grid_nodes(grid, momenta):
     kernel = gaussian_kernel("pair", grid, momenta, amplitude=1.0, width=1.0)
     sample = kernel.transform_at(momenta.nodes[100:103])
-    # fresh quadrature sums in a different BLAS order than the cached batch
+    # dense sinc at explicit points against the chirp-z transform on the grid
     assert np.allclose(sample, kernel.transform[100:103], rtol=1e-13, atol=0)
 
 
@@ -97,3 +104,65 @@ def test_radial_convolution_commutes():
     fg = radial_convolution(f, g, grid)
     gf = radial_convolution(g, f, grid)
     assert np.max(np.abs(fg - gf)) < 1e-10 * np.max(np.abs(fg))
+
+
+def route_gap(profiles, grid, momenta):
+    """Largest |chirp-z - dense sinc| of each row over that row's dense peak."""
+    dense = transform_profiles(profiles, grid, momenta.nodes)
+    fast = grid_transforms(profiles, grid, momenta)
+    assert fast.shape == dense.shape
+    return np.max(np.abs(fast - dense), axis=1) / np.max(np.abs(dense), axis=1)
+
+
+def shipped_profiles(assets):
+    """Coupling and pair kernels plus every mode product chi_k chi_k' (k <= k')."""
+    basis = assets.basis
+    rows, cols = np.triu_indices(basis.size)
+    return np.vstack(
+        [assets.coupling.profile, assets.pair.profile, basis.modes[rows] * basis.modes[cols]]
+    )
+
+
+@pytest.mark.parametrize("preset", ["default_assets", "sweep_assets"])
+def test_grid_transforms_match_dense_on_shipped_grids(preset, request):
+    assets = request.getfixturevalue(preset)
+    profiles = shipped_profiles(assets)
+    assert np.max(route_gap(profiles, assets.grid, assets.coupling.momenta)) <= ROUTE_AGREEMENT
+
+
+def test_grid_transforms_match_dense_on_doubled_grid(default_assets):
+    # the refined momentum grid of the row-sum stability check
+    momenta = default_assets.coupling.momenta
+    fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
+    profiles = shipped_profiles(default_assets)
+    assert np.max(route_gap(profiles, default_assets.grid, fine)) <= ROUTE_AGREEMENT
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_points=st.integers(16, 512),
+    n_rho=st.integers(16, 512),
+    width=st.floats(0.25, 4.0),
+    r_extent=st.floats(4.0, 16.0),
+    rho_extent=st.floats(2.0, 16.0),
+    coefficients=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4),
+)
+def test_grid_transforms_match_dense_on_random_grids(
+    n_points, n_rho, width, r_extent, rho_extent, coefficients
+):
+    # grids that resolve the profile (r_max >= 4 widths) and its transform
+    # (rho_max >= 2 / width); the profile is (1 + sum_k c_k x^k) e^{-x^2/2}, x = r / width
+    grid = RadialGrid(r_extent * width, n_points)
+    momenta = MomentumGrid(rho_extent / width, n_rho)
+    x = grid.nodes / width
+    polynomial = 1.0 + sum(c * x ** (k + 1) for k, c in enumerate(coefficients))
+    profile = polynomial * np.exp(-(x**2) / 2.0)
+    assert np.max(route_gap(profile, grid, momenta)) <= ROUTE_AGREEMENT
+
+
+def test_mismatched_profile_rejected(grid, momenta):
+    short = np.ones(grid.n_points - 1)
+    with pytest.raises(ValidationError, match="does not match"):
+        fourier_radial(short, grid, momenta)
+    with pytest.raises(ValidationError, match="does not match"):
+        fourier_radial(short, grid, momenta.nodes[:3])
