@@ -102,7 +102,7 @@ def eta_sweep(
         sup = float(np.max(distances))
         terminal = float(distances[-1])
         drift = float(np.max(np.abs(traj.masses() - mass0)))
-        return sup, terminal, drift, float(distances[0])
+        return sup, terminal, drift, float(distances[0]), traj.meta
 
     results = [run_one(e) for e in etas]
 
@@ -120,6 +120,9 @@ def eta_sweep(
         "atol": solver.atol,
         "eps_policy": coeff_options.eps_policy,
         "modes": basis.size,
+        # what each eta cost: RHS evaluations and the step cap it ran under
+        "prelimit_nfev": [r[4]["nfev"] for r in results],
+        "prelimit_max_step": [r[4]["max_step"] for r in results],
     }
     return ConvergenceReport(
         etas, sups, terminals, drifts, initial_distance, monotone, strict, noise_factor, meta

@@ -29,7 +29,9 @@ exponentials instead of K^4.
 
 Integration uses an adaptive embedded Runge-Kutta 4(5) pair; conserved
 quantities are monitored, never enforced, so their drift doubles as a
-quality statistic.
+quality statistic.  Prelimit steps are capped at PRELIMIT_STEP_CAP = 0.25
+of the fastest phase period, the largest fraction that keeps a 2x margin
+under every bound placed on the canonical eta sweep (see the constant).
 """
 
 from __future__ import annotations
@@ -46,6 +48,28 @@ from .errors import NumericalError, ValidationError
 #: vanishing and rate-based diagnostics are skipped rather than reported.
 MIN_GROUND_RATE = 1e-14
 
+#: Prelimit steps are capped at this fraction of the fastest phase period
+#: 2 pi eta^2 / max|dE|.  It is the largest fraction on the ladder
+#: {0.1, 0.2, 0.25, 0.3, 0.4, 0.5, inf} that keeps a 2x margin under every
+#: bound placed on the canonical sweep (convergence preset, eta = 0.2, 0.1,
+#: 0.05, T = 1, RK45 at rtol 1e-9, atol 1e-12): integrator error at most
+#: 1e-3 of each eta's sup distance, sweep mass drift below 1e-9, and a mass
+#: drift that falls from eta = 0.1 to 0.05.  Error is the sup over samples
+#: of the l2 distance to DOP853 at rtol 1e-13, atol 1e-16:
+#:
+#:     fraction  RHS evals (3 eta)  max error  max drift  drift(0.1)/drift(0.05)
+#:     0.1            194,892        2.1e-11    3.6e-12          16
+#:     0.2             97,458        7.1e-10    1.1e-10          16
+#:     0.25            77,964        2.1e-9     3.3e-10           9.0
+#:     0.3             65,016        3.6e-9     6.9e-10           8.4
+#:     0.4             49,722        5.2e-9     7.2e-10           6.1
+#:     0.5             42,762        8.0e-9     7.2e-10           2.2
+#:     inf             43,758        2.0e-8     7.2e-10           0.9
+#:
+#: From 0.3 on the drift margin is 1.4x; without a cap the drift no longer
+#: falls with eta.  The error stays below 2.2e-2 of its budget throughout.
+PRELIMIT_STEP_CAP = 0.25
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -53,8 +77,6 @@ class SolverOptions:
     atol: float = 1e-12
     n_samples: int = 256
     method: str = "RK45"
-    #: fraction of the fastest oscillation period used to cap prelimit steps
-    step_cap_factor: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -263,12 +285,15 @@ def integrate_prelimit(
     options: SolverOptions = SolverOptions(),
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the prelimit system, capping steps to resolve the phases."""
+    """Integrate the prelimit system.
+
+    Steps are capped at PRELIMIT_STEP_CAP of the fastest phase period.
+    """
     eta = coeffs.eta
     if eta is None:
         raise ValidationError("coefficient set was not assembled at a finite eta")
     rate = fastest_phase(coeffs) / eta**2
-    cap = options.step_cap_factor * 2.0 * np.pi / rate if rate > 0 else np.inf
+    cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
     traj = integrate(
         _prelimit_rhs(coeffs, eta),
         _require_state(initial_state, coeffs),

@@ -127,6 +127,11 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
     inner integral is O(h^4) accurate; the integrand's kink at s = r sits
     exactly on a grid node, keeping the outer trapezoid rule clean.
 
+    On the uniform grid r_i = i*h both arguments lie on the lattice k*h:
+    G is evaluated once at k = 0 .. 2n, and the sums over s become one
+    Hankel-type (G at i + j) and one Toeplitz-type (G at |i - j|) direct
+    convolution, in O(n) memory.
+
     This is the real-space route: it shares no machinery with the
     momentum-space transforms and serves as their independent oracle.
     """
@@ -134,7 +139,8 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
 
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if len(f) != grid.n_points or len(g) != grid.n_points:
+    n = grid.n_points
+    if len(f) != n or len(g) != n:
         raise ValidationError("profiles do not match the radial grid")
 
     r = grid.nodes
@@ -142,18 +148,14 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
     t_ext = np.concatenate(([0.0], r))
     tg_ext = np.concatenate(([0.0], r * g))
     big_g = CubicSpline(t_ext, tg_ext).antiderivative()
+    # G(k h) for k = 0 .. 2n; beyond the wall g has decayed, so G is constant there
+    lattice = big_g(np.minimum(grid.spacing * np.arange(2 * n + 1), grid.r_max))
 
-    def big_g_clamped(x):
-        # beyond the wall g has decayed, so G is constant there
-        return big_g(np.minimum(x, grid.r_max))
-
-    out = np.empty(grid.n_points)
     sf = r * f * grid.weights
-    for i, ri in enumerate(r):
-        upper = big_g_clamped(ri + r)
-        lower = big_g_clamped(np.abs(ri - r))
-        out[i] = np.dot(sf, upper - lower)
-    return 2.0 * np.pi * out / r
+    # node i = p + 1: upper[p] = sum_q sf[q] G(p + q + 2), lower[p] = sum_q sf[q] G(|p - q|)
+    upper = np.convolve(lattice[2:], sf[::-1], mode="valid")
+    lower = np.convolve(np.concatenate((lattice[n - 1 : 0 : -1], lattice[:n])), sf, mode="valid")
+    return 2.0 * np.pi * (upper - lower) / r
 
 
 @dataclass(frozen=True)
