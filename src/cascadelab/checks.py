@@ -14,6 +14,7 @@ import numpy as np
 from .coeffs import (
     assemble_limit_matrix,
     branch_sum,
+    branch_sum_limit,
     cauchy_transform_limit,
     gamma_fgr,
     mode_pair_transforms,
@@ -142,6 +143,26 @@ def coefficient_checks(assets: Assets) -> list[dict]:
             resolvent_route = -scale / np.pi * cauchy_transform_limit(a, lam).imag
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
     checks.append(_record("dual_route_fgr", worst, 1e-6))
+
+    # production Lamb shifts pair weight vectors with the densities; the
+    # scalar route evaluates each cell's Cauchy transforms on its own
+    energies = basis.energies
+    produced, scalar = [], []
+    for k in range(basis.size):
+        for kp in range(basis.size):
+            mu = float(energies[k] - energies[kp])
+            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
+            produced.append(coeffs.lamb_exchange[k, kp])
+            scalar.append(branch_sum_limit(a, mu).real)
+            if k != kp:
+                a = spectral_density(ghat[k, k], ghat[kp, kp], momenta)
+                produced.append(coeffs.lamb_direct[k, kp])
+                scalar.append(branch_sum_limit(a, 0.0).real)
+    produced = np.array(produced)
+    gap = float(np.max(np.abs(produced - np.array(scalar))) / np.max(np.abs(produced)))
+    checks.append(
+        _record("lamb_dual_route", gap, 1e-10, detail="exchange and direct cells, relative")
+    )
 
     # the momentum side is the production transform; the real side shares none of it
     product = mode_product(basis, 0, 1)

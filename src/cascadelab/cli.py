@@ -44,7 +44,6 @@ def _provenance(config: SimulationConfig) -> dict:
             "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
             "fgr_pi_factor": c.fgr_pi_factor,
             "include_degenerate": c.include_degenerate,
-            "lamb_mode": c.lamb_mode,
             "eps_policy": c.eps_policy,
         },
     }
@@ -58,7 +57,7 @@ def _csv_comments(config: SimulationConfig, extra: list[str] | None = None) -> l
         "fourier=forward e^{-ix.xi}, inverse (2pi)^-3",
         f"fgr_pi_factor={config.conventions.fgr_pi_factor} "
         f"include_degenerate={config.conventions.include_degenerate} "
-        f"lamb_mode={config.conventions.lamb_mode} eps_policy={config.conventions.eps_policy}",
+        f"eps_policy={config.conventions.eps_policy}",
     ]
     return lines + (extra or [])
 

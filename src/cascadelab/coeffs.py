@@ -10,17 +10,17 @@ whose integral over (0, inf) recovers the inner product <f, g>
 transforms of a; their eps -> 0 limits split into a principal-value part
 (energy renormalization) and an on-shell part (transition rates).
 
-Two independent computational routes exist for the on-shell rates and are
-kept deliberately separate: a direct evaluation of the density at the
-resonance frequency (fresh single-point quadrature) and the imaginary
-part of the regularized Cauchy transform extrapolated to eps = 0.  Tests
-pit them against each other.
+A branch sum is linear in the density, so the assembly pairs densities
+with one weight vector per gap and eps (``branch_weights``), while the
+scalar Cauchy transforms evaluate one density at a time; the on-shell
+rates also have a fresh single-point quadrature at the resonance
+frequency.  Tests and the check suite pit these routes against each other.
 
 The limit matrix and the prelimit tensor are read off one table over the
 K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform pass,
-the Hartree pairings of every two products as one matrix product, and
-the branch sums of the cells a caller needs.  The limit generator keeps
-the resonant cells at eps -> 0, the tensor every cell at eps = eta^2.
+then the Hartree pairings and the branch sums of every cell as matrix
+products.  The limit generator keeps the resonant cells at eps -> 0, the
+tensor every cell at eps = eta^2.
 
 Convention note: the Sokhotski-Plemelj split of the regularized resolvent
 carries a factor pi on the on-shell delta term.  With the default
@@ -32,6 +32,7 @@ bare delta pairing instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,16 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grids import MomentumGrid
 from .kernels import InteractionKernel, grid_transforms, transform_profiles
-from .spectrum import EigenBasis, mode_product, resonant_mask
+from .spectrum import EigenBasis, mode_product
 
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
 DENSITY_PREFACTOR = 1.0 / (2.0 * np.pi**2)
 
 #: Regularization ladder for the eps -> 0 extrapolation of principal values.
 LAMB_EPS_VALUES = (1e-2, 5e-3, 2.5e-3)
+
+#: Most modes a prelimit tensor is assembled for; its memory grows like K^4.
+TENSOR_MODE_CAP = 12
 
 #: Evaluation points this close to the ends of the momentum interval are
 #: rejected: the subtraction stencil would leave the grid.
@@ -79,28 +83,32 @@ class SpectralDensity:
         return SpectralDensity(self.momenta, np.conj(self.values), np.conj(self.zero_value))
 
     def _extended(self):
-        nodes = np.concatenate(([0.0], self.momenta.nodes))
-        values = np.concatenate(([self.zero_value], self.values))
-        weights = np.concatenate(([0.5 * self.momenta.spacing], self.momenta.weights))
-        return nodes, values, weights
+        nodes, weights = _extended_grid(self.momenta)
+        return nodes, np.concatenate(([self.zero_value], self.values)), weights
 
     def at(self, lam: float):
         """Density at an off-node frequency by local cubic interpolation."""
         nodes, values, _ = self._extended()
         if lam < nodes[0] or lam > nodes[-1]:
             raise ValidationError(f"interpolation point {lam} outside [0, {nodes[-1]}]")
-        i = int(np.searchsorted(nodes, lam))
-        lo = min(max(i - 2, 0), len(nodes) - 4)
-        xs = nodes[lo : lo + 4]
-        ys = values[lo : lo + 4]
-        out = 0.0
-        for m in range(4):
-            num = 1.0
-            for n in range(4):
-                if n != m:
-                    num *= (lam - xs[n]) / (xs[m] - xs[n])
-            out = out + ys[m] * num
-        return out
+        lo, row = _lagrange_row(nodes, lam)
+        return sum(y * weight for y, weight in zip(values[lo : lo + 4], row))
+
+
+def _extended_grid(momenta: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and trapezoid weights of the grid with the origin node prepended."""
+    nodes = np.concatenate(([0.0], momenta.nodes))
+    weights = np.concatenate(([0.5 * momenta.spacing], momenta.weights))
+    return nodes, weights
+
+
+def _lagrange_row(nodes: np.ndarray, lam: float) -> tuple[int, np.ndarray]:
+    """First node and weights of the 4-point Lagrange interpolation at lam."""
+    i = int(np.searchsorted(nodes, lam))
+    lo = min(max(i - 2, 0), len(nodes) - 4)
+    xs = nodes[lo : lo + 4].tolist()
+    row = [math.prod((lam - xs[n]) / (xs[m] - xs[n]) for n in range(4) if n != m) for m in range(4)]
+    return lo, np.array(row)
 
 
 def spectral_density(
@@ -138,17 +146,14 @@ def _cauchy_interior(a: SpectralDensity, lam: float, eps: float) -> complex:
     shifted = nodes - lam
     denom = shifted + 1j * eps
     numer = values - a_lam
-    if eps == 0.0:
-        hit = np.abs(shifted) < 1e-9 * a.momenta.spacing
-        if np.any(hit):
-            quotient = np.zeros(len(nodes), dtype=complex)
-            ok = ~hit
-            quotient[ok] = numer[ok] / denom[ok]
-            i = int(np.argmax(hit))
-            j0, j1 = max(i - 1, 0), min(i + 1, len(nodes) - 1)
-            quotient[i] = (values[j1] - values[j0]) / (nodes[j1] - nodes[j0])
-        else:
-            quotient = numer / denom
+    hit = np.abs(shifted) < 1e-9 * a.momenta.spacing if eps == 0.0 else None
+    if hit is not None and np.any(hit):
+        quotient = np.zeros(len(nodes), dtype=complex)
+        ok = ~hit
+        quotient[ok] = numer[ok] / denom[ok]
+        i = int(np.argmax(hit))
+        j0, j1 = max(i - 1, 0), min(i + 1, len(nodes) - 1)
+        quotient[i] = (values[j1] - values[j0]) / (nodes[j1] - nodes[j0])
     else:
         quotient = numer / denom
     subtracted = np.dot(weights, quotient)
@@ -171,16 +176,37 @@ def _cauchy_exterior(a: SpectralDensity, lam: float, eps: float) -> complex:
     return complex(np.dot(weights, values / denom))
 
 
-def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
-    lo, hi = _interior_bounds(a.momenta)
+def _is_interior(momenta: MomentumGrid, lam: float) -> bool:
+    """Whether a pole at lam takes the interior route (lam <= 0 takes the exterior one)."""
     if lam <= 0.0:
-        return _cauchy_exterior(a, lam, eps)
+        return False
+    lo, hi = _interior_bounds(momenta)
     if lo <= lam <= hi:
-        return _cauchy_interior(a, lam, eps)
+        return True
     raise ValidationError(
-        f"evaluation point {lam} is inside the momentum interval but too close to "
-        f"its ends to be resolved (usable range [{lo:.3g}, {hi:.3g}])"
+        f"evaluation point {lam} is too close to the ends of the momentum interval "
+        f"or beyond them to be resolved (usable range [{lo:.3g}, {hi:.3g}])"
     )
+
+
+def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
+    route = _cauchy_interior if _is_interior(a.momenta, lam) else _cauchy_exterior
+    return route(a, lam, eps)
+
+
+def _cauchy_weights(momenta: MomentumGrid, lam: float, eps: float) -> np.ndarray:
+    """Weights c over the extended nodes with _cauchy_any(a, lam, eps) = c . a.
+
+    Exterior: c = w / (rho - lam + i eps).  The interior route's subtraction
+    adds l * (log term - sum c), l the Lagrange row of SpectralDensity.at.
+    """
+    nodes, weights = _extended_grid(momenta)
+    c = weights / (nodes - lam + 1j * eps)
+    if _is_interior(momenta, lam):
+        lo, row = _lagrange_row(nodes, lam)
+        log_term = np.log(complex(nodes[-1] - lam, eps)) - np.log(complex(-lam, eps))
+        c[lo : lo + 4] += row * (log_term - np.sum(c))
+    return c
 
 
 def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
@@ -191,12 +217,8 @@ def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
     """
     if eps <= 0:
         raise ValidationError(f"regularization eps must be positive, got {eps}")
-    lo, hi = _interior_bounds(a.momenta)
-    if not (lo <= lam <= hi):
-        raise ValidationError(
-            f"lambda = {lam} must lie inside the momentum interval "
-            f"(usable range [{lo:.3g}, {hi:.3g}])"
-        )
+    if not _is_interior(a.momenta, lam):
+        raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
     return _cauchy_interior(a, lam, eps)
 
 
@@ -209,24 +231,20 @@ def cauchy_transform_limit(a: SpectralDensity, lam: float) -> complex:
     transforms converge to this value at the Sokhotski-Plemelj rate
     O(eps log(1/eps)).
     """
-    lo, hi = _interior_bounds(a.momenta)
-    if not (lo <= lam <= hi):
-        raise ValidationError(
-            f"lambda = {lam} must lie inside the momentum interval "
-            f"(usable range [{lo:.3g}, {hi:.3g}])"
-        )
+    if not _is_interior(a.momenta, lam):
+        raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
     return _cauchy_interior(a, lam, 0.0)
 
 
 def _fit_limit(samples, eps_values, error_funcs):
-    """Solve y(eps) = y0 + sum_j c_j f_j(eps) for y0 (exact small system)."""
+    """Solve y(eps) = y0 + sum_j c_j f_j(eps) for y0; samples may be stacked vectors."""
     samples = np.asarray(samples)
     eps_values = np.asarray(eps_values, dtype=float)
     if len(samples) != len(error_funcs) + 1:
         raise ValidationError("need one sample per error term plus one for the limit")
-    rows = [[1.0] + [f(e) for f in error_funcs] for e in eps_values]
-    coeffs = np.linalg.solve(np.array(rows), samples)
-    return coeffs[0]
+    rows = np.array([[1.0] + [f(e) for f in error_funcs] for e in eps_values])
+    combination = np.linalg.solve(rows.T, np.eye(len(rows))[0])
+    return combination @ samples
 
 
 def richardson_limit(samples, eps_values, powers=(1, 2)):
@@ -250,19 +268,37 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     return minus + plus
 
 
-def _branch_sum_limit(a: SpectralDensity, mu: float) -> complex:
-    """Three-point extrapolation of the branch sum to eps = 0 over LAMB_EPS_VALUES.
+def _branch_limit(sample, mu: float):
+    """Three-point extrapolation of sample(eps) at gap mu to eps = 0 over LAMB_EPS_VALUES.
 
     Away from zero gap the error is a plain power series in eps.  At
     mu = 0 both poles merge at the interval edge where the density
-    vanishes quadratically; the error then starts at eps^2 log(1/eps),
-    so the fit basis switches accordingly.
+    vanishes quadratically; the error then starts at eps^2 log(1/eps).
     """
-    samples = [branch_sum(a, mu, e) for e in LAMB_EPS_VALUES]
     if mu == 0.0:
         funcs = [lambda e: e**2 * np.log(1.0 / e), lambda e: e**2]
-        return _fit_limit(samples, LAMB_EPS_VALUES, funcs)
-    return richardson_limit(samples, LAMB_EPS_VALUES)
+    else:
+        funcs = [lambda e: e, lambda e: e**2]
+    return _fit_limit([sample(e) for e in LAMB_EPS_VALUES], LAMB_EPS_VALUES, funcs)
+
+
+def branch_sum_limit(a: SpectralDensity, mu: float) -> complex:
+    """The branch sum extrapolated to eps = 0."""
+    return _branch_limit(lambda e: branch_sum(a, mu, e), mu)
+
+
+def branch_weights(momenta: MomentumGrid, mu: float, eps: float | None) -> np.ndarray:
+    """Weights W on the grid nodes with branch_sum(a, mu, eps) = W . a.values.
+
+    W = conj c(mu) + c(-mu) from the Cauchy-route weights; a must vanish at
+    the origin, as genuine densities do.  eps None extrapolates to eps -> 0.
+    """
+    if eps is None:
+        return _branch_limit(lambda e: branch_weights(momenta, mu, e), mu)
+    if eps <= 0:
+        raise ValidationError(f"regularization eps must be positive, got {eps}")
+    both = np.conj(_cauchy_weights(momenta, mu, eps)) + _cauchy_weights(momenta, -mu, eps)
+    return both[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +389,7 @@ def lambda_lamb_shift(
     a = _pair_density(basis, coupling, k, kp, j, jp)
     mu = float(basis.energies[j] - basis.energies[jp])
     if mode == "extrapolate":
-        return float(_branch_sum_limit(a, mu).real)
+        return float(branch_sum_limit(a, mu).real)
     if mode == "direct":
         return float(branch_sum(a, mu, 0.0).real)
     raise ValidationError(f"unknown lamb shift mode {mode!r}")
@@ -373,21 +409,15 @@ class CoeffOptions:
     quadruples (k,k;j,j) in the limit generator.  They carry no on-shell
     rate (the emission/absorption parts cancel at zero gap) but contribute
     a purely imaginary mean-field/renormalization dressing; dropping them
-    changes trajectory phases, not occupations.  ``lamb_mode`` selects the
-    eps -> 0 route of the limit Lamb shifts ("extrapolate" over
-    LAMB_EPS_VALUES or "direct" at eps = 0).  ``eps_policy`` decides
+    changes trajectory phases, not occupations.  ``eps_policy`` decides
     whether prelimit tensors are evaluated at the physical regularization
-    eps = eta^2 or at the extrapolated eps -> 0 values.
+    eps = eta^2 or at the extrapolated eps -> 0 values.  The limit Lamb
+    shifts are always the eps -> 0 extrapolation over LAMB_EPS_VALUES.
     """
 
     pi_convention: bool = True
     include_degenerate: bool = True
-    lamb_mode: str = "extrapolate"
     eps_policy: str = "eta2"
-    tensor_mode_cap: int = 12
-    #: "full" keeps all quadruples; "resonant" zeroes the oscillatory ones,
-    #: leaving exactly the terms that survive the averaging limit
-    tensor_restriction: str = "full"
 
 
 @dataclass
@@ -427,10 +457,6 @@ class CoefficientSet:
     def has_tensor(self) -> bool:
         return self.tensor is not None
 
-    def sign_matrix(self) -> np.ndarray:
-        idx = np.arange(self.size)
-        return np.sign(idx[:, None] - idx[None, :]).astype(float)
-
     def symmetry_defects(self) -> dict[str, float]:
         """Measured violations of the structural invariants (0 when exact)."""
         m = self.limit_matrix
@@ -445,6 +471,12 @@ class CoefficientSet:
         }
 
 
+def _sign_matrix(size: int) -> np.ndarray:
+    """sign[k, k'] of the rate term: 1 if k > k', -1 if k < k', else 0."""
+    idx = np.arange(size)
+    return np.sign(idx[:, None] - idx[None, :]).astype(float)
+
+
 def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     """Synthetic coefficient preset: a single transition rate, no shifts.
 
@@ -455,15 +487,13 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     if gamma <= 0:
         raise ValidationError(f"synthetic rate must be positive, got {gamma}")
     fgr = gamma * (1.0 - np.eye(size))
-    idx = np.arange(size)
-    sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
     zeros = np.zeros((size, size))
     return CoefficientSet(
         size=size,
         hartree=zeros.copy(),
         lamb=zeros.copy(),
         fgr=fgr,
-        limit_matrix=(-fgr * sign).astype(complex),
+        limit_matrix=(-fgr * _sign_matrix(size)).astype(complex),
         fgr_pi_convention=True,
         include_degenerate=True,
         provenance={"synthetic": "uniform-rate preset", "gamma": gamma},
@@ -506,14 +536,20 @@ class _PairingTable:
     ghat: np.ndarray
     hartree: np.ndarray
 
-    def branch_sums(self, rows, j, jp, eps: float | None) -> np.ndarray:
-        """Branch sums of the cells (rows[n]; j[n], jp[n]); eps None extrapolates to 0."""
-        energies = self.basis.energies
-        out = np.empty(len(rows), dtype=complex)
-        for n, (p, a, b) in enumerate(zip(rows, j, jp)):
-            density = spectral_density(self.ghat[p], self.ghat[self.index[a, b]], self.momenta)
-            mu = float(energies[a] - energies[b])
-            out[n] = _branch_sum_limit(density, mu) if eps is None else branch_sum(density, mu, eps)
+    def cell_sums(self, eps: float | None) -> np.ndarray:
+        """Branch sums of every cell (p; j, jp), shape (P, K, K); eps None extrapolates to 0.
+
+        Block j is ghat @ B with B[:, jp] = rho^2/(2 pi^2) conj(ghat of {j, jp}) W(E_j - E_jp).
+        """
+        energies, size = self.basis.energies, self.basis.size
+        scale = DENSITY_PREFACTOR * self.momenta.nodes**2
+        out = np.empty((len(self.ghat), size, size), dtype=complex)
+        block = np.empty((self.momenta.n_rho, size), dtype=complex)
+        for j in range(size):
+            for jp in range(size):
+                weights = branch_weights(self.momenta, float(energies[j] - energies[jp]), eps)
+                block[:, jp] = scale * np.conj(self.ghat[self.index[j, jp]]) * weights
+            out[:, j, :] = self.ghat @ block
         return out
 
 
@@ -549,19 +585,18 @@ def _limit_coefficients(
     """The limit generator read off the resonant cells at eps -> 0."""
     basis, index = table.basis, table.index
     size = basis.size
-    eps = 0.0 if options.lamb_mode == "direct" else None
-    k, kp = np.indices((size, size)).reshape(2, -1)
-    off = k != kp
+    sums = table.cell_sums(None).real
+    k, kp = np.indices((size, size))
 
-    # exchange cells (k,k'; k,k'), each order evaluated on its own
+    # exchange cells (k,k'; k,k'), each order read off its own cell
     har_ex = table.hartree[index, index]
-    lamb_ex = table.branch_sums(index[k, kp], k, kp, eps).real.reshape(size, size)
+    lamb_ex = sums[index, k, kp]
     # direct cells (k,k; k',k') at zero gap, off the diagonal only
     diag = np.diag(index)
     har_dir = table.hartree[diag[:, None], diag[None, :]]
     np.fill_diagonal(har_dir, 0.0)
-    lamb_dir = np.zeros((size, size))
-    lamb_dir[k[off], kp[off]] = table.branch_sums(diag[k[off]], kp[off], kp[off], eps).real
+    lamb_dir = sums[diag[:, None], kp, kp]
+    np.fill_diagonal(lamb_dir, 0.0)
 
     fgr = np.zeros((size, size))
     for a, b in zip(*np.triu_indices(size, 1)):
@@ -573,8 +608,7 @@ def _limit_coefficients(
     else:
         hartree = har_ex.copy()
         lamb = lamb_ex.copy()
-    sign = np.sign(np.arange(size)[:, None] - np.arange(size)[None, :]).astype(float)
-    limit_matrix = -1j * (hartree - lamb) - fgr * sign
+    limit_matrix = -1j * (hartree - lamb) - fgr * _sign_matrix(size)
 
     momenta = table.momenta
     provenance = {
@@ -587,7 +621,6 @@ def _limit_coefficients(
         "coupling_width": coupling.width,
         "pair_amplitude": pair.amplitude,
         "pair_width": pair.width,
-        "lamb_mode": options.lamb_mode,
         "lamb_eps_values": list(LAMB_EPS_VALUES),
         "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
     }
@@ -640,44 +673,29 @@ def assemble_prelimit_tensor(
     of the cell at eps = eta^2 (or at the extrapolated limit under
     ``eps_policy = "limit"``).  The energy mismatch
     dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
-    ``energies``.  Memory grows like K^4; the mode cap guards against
-    accidents.
+    ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
+    against accidents.
     """
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
     size = basis.size
-    if size > options.tensor_mode_cap:
+    if size > TENSOR_MODE_CAP:
         raise ValidationError(
             f"{size} modes would need {size**4} tensor entries; cap is "
-            f"{options.tensor_mode_cap} modes"
+            f"{TENSOR_MODE_CAP} modes"
         )
     table = _pairing_table(basis, coupling, pair)
     coeffs = _limit_coefficients(table, coupling, pair, options)
 
     eps = eta**2
-    rows, j, jp = np.indices((len(table.ghat), size, size)).reshape(3, -1)
-    sums = table.branch_sums(rows, j, jp, None if options.eps_policy == "limit" else eps)
-    sums = sums.reshape(-1, size, size)
+    sums = table.cell_sums(None if options.eps_policy == "limit" else eps)
     pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
     cells = -1j * (table.hartree[:, table.index] - sums.real) - pi_scale * sums.imag
-    tensor = cells[table.index]
-
-    if options.tensor_restriction == "resonant":
-        tensor = tensor * resonant_mask(size)
-    elif options.tensor_restriction != "full":
-        raise ValidationError(f"unknown tensor restriction {options.tensor_restriction!r}")
 
     coeffs.eta = eta
-    coeffs.tensor = tensor
+    coeffs.tensor = cells[table.index]
     coeffs.energies = basis.energies - basis.energies[0]
-    coeffs.provenance.update(
-        {
-            "eta": eta,
-            "eps_policy": options.eps_policy,
-            "eps": eps,
-            "tensor_restriction": options.tensor_restriction,
-        }
-    )
+    coeffs.provenance.update({"eta": eta, "eps_policy": options.eps_policy, "eps": eps})
     return coeffs
 
 

@@ -51,7 +51,6 @@ class MomentumConfig:
 class ConventionConfig:
     fgr_pi_factor: bool = True
     include_degenerate: bool = True
-    lamb_mode: str = "extrapolate"
     eps_policy: str = "eta2"
     gap_tol: float = 1e-8
 
@@ -198,8 +197,6 @@ class SimulationConfig:
         if m.n_rho < 16:
             raise ValidationError(f"momentum n_rho must be >= 16, got {m.n_rho}")
         c = self.conventions
-        if c.lamb_mode not in ("extrapolate", "direct"):
-            raise ValidationError(f"unknown lamb_mode {c.lamb_mode!r}")
         if c.eps_policy not in ("eta2", "limit"):
             raise ValidationError(f"unknown eps_policy {c.eps_policy!r}")
         if not c.gap_tol > 0:

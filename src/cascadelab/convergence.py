@@ -9,16 +9,11 @@ asserts monotone decrease of the sup distance, nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import (
-    CoeffOptions,
-    assemble_limit_matrix,
-    assemble_prelimit_tensor,
-    limit_matrix_from_tensor,
-)
+from .coeffs import CoeffOptions, assemble_limit_matrix, assemble_prelimit_tensor
 from .dynamics import SolverOptions, integrate_limit, integrate_prelimit
 from .errors import ValidationError
 from .kernels import InteractionKernel
@@ -81,24 +76,14 @@ def eta_sweep(
     t_eval = np.linspace(0.0, float(t_final), n_samples)
     initial_state = np.asarray(initial_state, dtype=complex)
 
-    restricted = coeff_options.tensor_restriction == "resonant"
-    if not restricted:
-        limit_coeffs = assemble_limit_matrix(basis, coupling, pair, coeff_options)
-        limit_traj = integrate_limit(limit_coeffs, initial_state, t_final, solver, t_eval)
+    limit_coeffs = assemble_limit_matrix(basis, coupling, pair, coeff_options)
+    limit_traj = integrate_limit(limit_coeffs, initial_state, t_final, solver, t_eval)
     mass0 = float(np.sum(np.abs(initial_state) ** 2))
 
     def run_one(eta: float):
         tensor = assemble_prelimit_tensor(basis, coupling, pair, eta, coeff_options)
         traj = integrate_prelimit(tensor, initial_state, t_final, solver, t_eval)
-        if restricted:
-            # algebraic-identity mode: a resonant-only tensor has constant
-            # phases, so its flow must match the generator collapsed from
-            # the same tensor entries up to integrator noise
-            collapsed = replace(tensor, limit_matrix=limit_matrix_from_tensor(tensor))
-            reference = integrate_limit(collapsed, initial_state, t_final, solver, t_eval)
-        else:
-            reference = limit_traj
-        distances = np.linalg.norm(traj.states - reference.states, axis=1)
+        distances = np.linalg.norm(traj.states - limit_traj.states, axis=1)
         sup = float(np.max(distances))
         terminal = float(distances[-1])
         drift = float(np.max(np.abs(traj.masses() - mass0)))

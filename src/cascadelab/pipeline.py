@@ -86,7 +86,6 @@ class Assets:
         return CoeffOptions(
             pi_convention=c.fgr_pi_factor,
             include_degenerate=c.include_degenerate,
-            lamb_mode=c.lamb_mode,
             eps_policy=c.eps_policy,
         )
 

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
+    TENSOR_MODE_CAP,
     CoeffOptions,
     SpectralDensity,
-    _branch_sum_limit,
     assemble_limit_matrix,
     assemble_prelimit_tensor,
     branch_sum,
+    branch_sum_limit,
     cauchy_transform,
     cauchy_transform_limit,
     gamma_fgr,
@@ -26,7 +29,7 @@ from cascadelab.coeffs import (
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import gaussian_kernel, transform_profiles
-from cascadelab.spectrum import resonant_mask
+from cascadelab.spectrum import Potential, resonant_mask, solve_radial_eigenpairs
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +393,7 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
             a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
             mu = float(energies[j] - energies[jp])
             if options.eps_policy == "limit":
-                s = _branch_sum_limit(a, mu)
+                s = branch_sum_limit(a, mu)
             else:
                 s = branch_sum(a, mu, eta**2)
             har = momenta.integrate(
@@ -402,15 +405,13 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
 
 
 def test_tensor_mode_cap():
-    from cascadelab import Assets, SimulationConfig
-
-    config = SimulationConfig.convergence()
-    assets = Assets(config)
-    options = CoeffOptions(tensor_mode_cap=3)
+    grid = RadialGrid(12.0, 400)
+    basis = solve_radial_eigenpairs(Potential.harmonic(grid), grid, TENSOR_MODE_CAP + 1)
+    momenta = MomentumGrid(4.0 * float(basis.energies[-1] - basis.energies[0]), 256)
+    w = gaussian_kernel("coupling", grid, momenta, 1.0, 1.0)
+    v = gaussian_kernel("pair", grid, momenta, 1.0, 1.0)
     with pytest.raises(ValidationError, match="tensor"):
-        assemble_prelimit_tensor(
-            assets.basis, assets.coupling, assets.pair, eta=0.1, options=options
-        )
+        assemble_prelimit_tensor(basis, w, v, eta=0.1)
 
 
 def test_tensor_diagonal_converges_to_limit(sweep_assets):
@@ -433,11 +434,12 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 
 
 def test_resonant_restriction_and_collapse(sweep_assets):
-    options = CoeffOptions(eps_policy="limit", tensor_restriction="resonant")
-    tensor = assemble_prelimit_tensor(
+    options = CoeffOptions(eps_policy="limit")
+    full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
         options=options,
     )
+    tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     # oscillatory entries are gone
     assert tensor.tensor[0, 1, 0, 2] == 0.0
     # collapsing the resonant entries at extrapolated eps recovers the

@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cascadelab.coeffs import CoeffOptions, assemble_prelimit_tensor
+from cascadelab.coeffs import assemble_prelimit_tensor, limit_matrix_from_tensor
 from cascadelab.convergence import eta_sweep
-from cascadelab.dynamics import SolverOptions, integrate, integrate_prelimit, rhs_prelimit
+from cascadelab.dynamics import (
+    SolverOptions,
+    integrate,
+    integrate_limit,
+    integrate_prelimit,
+    rhs_prelimit,
+)
 from cascadelab.errors import ValidationError
+from cascadelab.spectrum import resonant_mask
 
 
 def test_sweep_distances_strictly_decreasing(sweep_report):
@@ -60,21 +69,24 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
 
 
 def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
-    """A resonant-only tensor at nearly-zero eta is the limit system itself."""
-    options = CoeffOptions(tensor_restriction="resonant")
+    """A resonant-only tensor at nearly-zero eta is the limit system itself.
+
+    Its phases are constant, so its flow must match the generator
+    collapsed from the same tensor entries up to integrator noise.
+    """
     solver = SolverOptions(rtol=1e-9, atol=1e-12)
-    report = eta_sweep(
-        sweep_assets.basis,
-        sweep_assets.coupling,
-        sweep_assets.pair,
-        sweep_assets.config.initial_state(),
-        1.0,
-        [1e-3],
-        solver=solver,
-        coeff_options=options,
-        n_samples=200,
+    full = assemble_prelimit_tensor(
+        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
+        sweep_assets.coeff_options,
     )
-    assert report.sup_distances[0] < 10.0 * solver.rtol
+    tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
+    collapsed = replace(tensor, limit_matrix=limit_matrix_from_tensor(tensor))
+    state = sweep_assets.config.initial_state()
+    t_eval = np.linspace(0.0, 1.0, 200)
+    traj = integrate_prelimit(tensor, state, 1.0, solver, t_eval)
+    reference = integrate_limit(collapsed, state, 1.0, solver, t_eval)
+    distance = np.max(np.linalg.norm(traj.states - reference.states, axis=1))
+    assert distance < 10.0 * solver.rtol
 
 
 def test_empty_eta_list(sweep_assets):

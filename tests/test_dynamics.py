@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cascadelab.coeffs import (
-    CoeffOptions,
     assemble_prelimit_tensor,
     limit_matrix_from_tensor,
     two_mode_coefficients,
@@ -18,6 +19,7 @@ from cascadelab.dynamics import (
     rhs_prelimit,
 )
 from cascadelab.errors import NumericalError, ValidationError
+from cascadelab.spectrum import resonant_mask
 
 EXACT_LOGISTIC_AT_ONE = 1.0 / (1.0 + np.exp(-2.0))  # = 0.8807970779778823
 
@@ -89,11 +91,11 @@ def test_prelimit_phases_at_time_zero(sweep_assets):
 
 
 def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
-    options = CoeffOptions(tensor_restriction="resonant")
-    tensor = assemble_prelimit_tensor(
+    full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
-        options=options,
+        options=sweep_assets.coeff_options,
     )
+    tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     matrix = limit_matrix_from_tensor(tensor)
     rng = np.random.default_rng(13)
     state = rng.normal(size=tensor.size) + 1j * rng.normal(size=tensor.size)

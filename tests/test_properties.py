@@ -1,8 +1,9 @@
-"""Property tests of the cascade right-hand sides.
+"""Property tests of the cascade right-hand sides and the branch-sum weights.
 
 The einsum over index quadruples with the explicit phase
 e^{i t dE / eta^2} is kept here as the oracle of the factored prelimit
-right-hand side.
+right-hand side; the scalar ``branch_sum`` is the oracle of the weight
+vectors the assembly pairs with every density.
 """
 
 import numpy as np
@@ -10,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadelab.coeffs import assemble_prelimit_tensor
+from cascadelab.coeffs import (
+    assemble_prelimit_tensor,
+    branch_sum,
+    branch_sum_limit,
+    branch_weights,
+)
 from cascadelab.dynamics import rhs_limit, rhs_prelimit
+from cascadelab.errors import ValidationError
 
 ETA = 0.1
 
@@ -88,3 +95,44 @@ def test_prelimit_rhs_global_phase_equivariance(prelimit_tensor, data, t, phi):
     plain = rhs_prelimit(t, state, prelimit_tensor, ETA)
     scale = cubic_scale(prelimit_tensor.tensor, state)
     assert np.max(np.abs(rotated - phase * plain), initial=0.0) <= 1e-13 * scale
+
+
+def gaps(momenta):
+    """Gaps of either sign whose poles the Cauchy routes resolve, and zero."""
+    h = momenta.spacing
+    usable = st.floats(min_value=2.0 * h, max_value=momenta.rho_max - 2.0 * h)
+    signed = st.tuples(usable, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+    return st.one_of(st.just(0.0), signed)
+
+
+def fringe_gaps(momenta):
+    """Gaps of either sign with a pole closer than two spacings to an end."""
+    h = momenta.spacing
+    near_origin = st.floats(min_value=0.0, max_value=2.0 * h, exclude_min=True, exclude_max=True)
+    near_cutoff = st.floats(
+        min_value=momenta.rho_max - 2.0 * h, max_value=momenta.rho_max, exclude_min=True
+    )
+    magnitude = st.one_of(near_origin, near_cutoff)
+    return st.tuples(magnitude, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), eps=st.floats(min_value=2.5e-3, max_value=1e-1))
+def test_branch_weights_match_scalar_branch_sum(gaussian_pair_density, data, eps):
+    a = gaussian_pair_density
+    mu = data.draw(gaps(a.momenta))
+    exact = branch_sum(a, mu, eps)
+    assert abs(branch_weights(a.momenta, mu, eps) @ a.values - exact) <= 1e-12 * abs(exact)
+    limit = branch_sum_limit(a, mu)
+    assert abs(branch_weights(a.momenta, mu, None) @ a.values - limit) <= 1e-12 * abs(limit)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_branch_weights_reject_fringe_gaps(gaussian_pair_density, data):
+    a = gaussian_pair_density
+    mu = data.draw(fringe_gaps(a.momenta))
+    with pytest.raises(ValidationError):
+        branch_weights(a.momenta, mu, 1e-2)
+    with pytest.raises(ValidationError):
+        branch_sum(a, mu, 1e-2)
