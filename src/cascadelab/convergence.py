@@ -105,7 +105,9 @@ def eta_sweep(
         "atol": solver.atol,
         "eps_policy": coeff_options.eps_policy,
         "modes": basis.size,
-        # what each eta cost: RHS evaluations and the step cap it ran under
+        # the prelimit integrator, and what each eta cost under it: RHS
+        # evaluations and the step cap it ran under
+        "prelimit_method": results[0][4]["method"],
         "prelimit_nfev": [r[4]["nfev"] for r in results],
         "prelimit_max_step": [r[4]["max_step"] for r in results],
     }

@@ -27,11 +27,13 @@ mode, e^{iT(g_ab - g_cd)/eta^2} = v_a conj(v_b) conj(v_c) v_d with
 v = e^{i T E / eta^2}, so one evaluation costs a K^2 x K^2 product and K
 exponentials instead of K^4.
 
-Integration uses an adaptive embedded Runge-Kutta 4(5) pair; conserved
-quantities are monitored, never enforced, so their drift doubles as a
-quality statistic.  Prelimit steps are capped at PRELIMIT_STEP_CAP = 0.25
-of the fastest phase period, the largest fraction that keeps a 2x margin
-under every bound placed on the canonical eta sweep (see the constant).
+Each system has one adaptive embedded Runge-Kutta pair: the limit
+cascade runs on the 4(5) pair (RK45), the prelimit system on the 8(5,3)
+pair (DOP853).  Conserved quantities are monitored, never enforced, so
+their drift doubles as a quality statistic.  Prelimit steps are capped at
+PRELIMIT_STEP_CAP = 0.9 of the fastest phase period, the fraction with the
+fewest RHS evaluations that keeps a 2x margin under every bound placed on
+the canonical eta sweep (see the constant).
 """
 
 from __future__ import annotations
@@ -49,26 +51,40 @@ from .errors import NumericalError, ValidationError
 MIN_GROUND_RATE = 1e-14
 
 #: Prelimit steps are capped at this fraction of the fastest phase period
-#: 2 pi eta^2 / max|dE|.  It is the largest fraction on the ladder
-#: {0.1, 0.2, 0.25, 0.3, 0.4, 0.5, inf} that keeps a 2x margin under every
-#: bound placed on the canonical sweep (convergence preset, eta = 0.2, 0.1,
-#: 0.05, T = 1, RK45 at rtol 1e-9, atol 1e-12): integrator error at most
-#: 1e-3 of each eta's sup distance, sweep mass drift below 1e-9, and a mass
-#: drift that falls from eta = 0.1 to 0.05.  Error is the sup over samples
-#: of the l2 distance to DOP853 at rtol 1e-13, atol 1e-16:
+#: 2 pi eta^2 / max|dE|, with PRELIMIT_METHOD, the Dormand-Prince 8(5,3)
+#: pair, which suits this smooth oscillatory system at rtol 1e-9 (Hairer,
+#: Norsett & Wanner, Solving ODEs I, 2nd ed., 1993, sec. II.10).  The
+#: fraction is the one with the fewest RHS evaluations on the ladder
+#: {0.5, 0.6, 0.75, 0.9, 1, 1.25, 1.5, inf} among those that keep a 2x
+#: margin under every bound placed on the canonical sweep (convergence
+#: preset, eta = 0.2, 0.1, 0.05, T = 1, rtol 1e-9, atol 1e-12): integrator
+#: error at most 1e-3 of each eta's sup distance, sweep mass drift below
+#: 1e-9, and a mass drift that falls from eta = 0.1 to 0.05.  Error is the
+#: sup over samples of the l2 distance to DOP853 at rtol 1e-13, atol 1e-16,
+#: divided by that eta's sup distance.  DOP853's cost does not grow steadily
+#: with the fraction, so the largest passing fraction (inf) would cost more:
 #:
-#:     fraction  RHS evals (3 eta)  max error  max drift  drift(0.1)/drift(0.05)
-#:     0.1            194,892        2.1e-11    3.6e-12          16
-#:     0.2             97,458        7.1e-10    1.1e-10          16
-#:     0.25            77,964        2.1e-9     3.3e-10           9.0
-#:     0.3             65,016        3.6e-9     6.9e-10           8.4
-#:     0.4             49,722        5.2e-9     7.2e-10           6.1
-#:     0.5             42,762        8.0e-9     7.2e-10           2.2
-#:     inf             43,758        2.0e-8     7.2e-10           0.9
+#:     method  fraction  RHS evals (3 eta)  max error  max drift  drift(0.1)/drift(0.05)
+#:     RK45    0.25           77,964         1.1e-7     3.3e-10          8.96
+#:     DOP853  0.5            80,286         3.6e-9     1.3e-11          5.22
+#:     DOP853  0.6            67,302         1.5e-8     6.8e-11          5.06
+#:     DOP853  0.75           54,672         1.1e-7     1.3e-10          4.44
+#:     DOP853  0.9            48,339         6.8e-7     2.3e-10          3.98
+#:     DOP853  1.0            47,706         6.6e-6     2.3e-10          1.88
+#:     DOP853  1.25           50,409         1.0e-5     1.7e-10          1.31
+#:     DOP853  1.5            50,925         9.8e-6     2.5e-10          2.48
+#:     DOP853  inf            50,889         1.3e-5     2.6e-10          2.59
 #:
-#: From 0.3 on the drift margin is 1.4x; without a cap the drift no longer
-#: falls with eta.  The error stays below 2.2e-2 of its budget throughout.
-PRELIMIT_STEP_CAP = 0.25
+#: The RK45 row is the previous method at its own budgeted cap.  Off the
+#: ladder, 0.8, 0.85 and 0.95 take 51,828, 49,758 and 47,643 evaluations at
+#: drift ratios 3.87, 3.11 and 2.76: the ratio swings between neighbouring
+#: fractions, and 0.95, 1.4% cheaper than 0.9, sits next to the failing 1.0.
+PRELIMIT_STEP_CAP = 0.9
+PRELIMIT_METHOD = "DOP853"
+
+#: The limit cascade runs on the Dormand-Prince 4(5) pair; its modulus/phase
+#: form follows only the slow occupation dynamics.
+LIMIT_METHOD = "RK45"
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,6 @@ class SolverOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
     n_samples: int = 256
-    method: str = "RK45"
 
 
 @dataclass(frozen=True)
@@ -196,9 +211,10 @@ def _solve(
     t_end: float,
     options: SolverOptions,
     t_eval: np.ndarray | None,
+    method: str,
     max_step: float = np.inf,
 ):
-    """One adaptive solve; returns (sample times, samples (n, dim), meta).
+    """One adaptive solve by ``method``; returns (sample times, samples (n, dim), meta).
 
     Raises on bad input, solver breakdown or non-finite output instead of
     returning partial data.
@@ -214,7 +230,7 @@ def _solve(
         rhs,
         (0.0, float(t_end)),
         y0,
-        method=options.method,
+        method=method,
         rtol=options.rtol,
         atol=options.atol,
         t_eval=t_eval,
@@ -226,7 +242,7 @@ def _solve(
         raise NumericalError("integration produced non-finite amplitudes")
 
     meta = {
-        "method": options.method,
+        "method": method,
         "rtol": options.rtol,
         "atol": options.atol,
         "max_step": None if np.isinf(max_step) else max_step,
@@ -242,13 +258,17 @@ def integrate(
     options: SolverOptions = SolverOptions(),
     t_eval: np.ndarray | None = None,
     max_step: float = np.inf,
+    method: str = "RK45",
 ) -> Trajectory:
-    """Adaptive RK45 integration of a complex system with dense sampling.
+    """Adaptive integration of a complex system with dense sampling.
 
-    ``rhs`` is a callable (t, state) -> derivative over complex states.
+    ``rhs`` is a callable (t, state) -> derivative over complex states;
+    ``method`` names a ``solve_ivp`` Runge-Kutta pair.
     """
     initial_state = np.asarray(initial_state, dtype=complex)
-    times, samples, meta = _solve(rhs, initial_state, t_end, options, t_eval, max_step)
+    times, samples, meta = _solve(
+        rhs, initial_state, t_end, options, t_eval, method, max_step
+    )
     states = np.ascontiguousarray(samples.astype(complex))
     return Trajectory(times=times, states=states, meta=meta)
 
@@ -272,7 +292,9 @@ def integrate_limit(
     state = _require_state(initial_state, coeffs)
     size = coeffs.size
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
-    times, samples, meta = _solve(_modulus_phase_rhs(coeffs), y0, t_end, options, t_eval)
+    times, samples, meta = _solve(
+        _modulus_phase_rhs(coeffs), y0, t_end, options, t_eval, LIMIT_METHOD
+    )
     states = samples[:, :size] * np.exp(1j * (np.angle(state) + samples[:, size:]))
     meta["system"] = "limit"
     return Trajectory(times=times, states=np.ascontiguousarray(states), meta=meta)
@@ -285,7 +307,7 @@ def integrate_prelimit(
     options: SolverOptions = SolverOptions(),
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the prelimit system.
+    """Integrate the prelimit system by PRELIMIT_METHOD.
 
     Steps are capped at PRELIMIT_STEP_CAP of the fastest phase period.
     """
@@ -301,6 +323,7 @@ def integrate_prelimit(
         options,
         t_eval,
         max_step=cap,
+        method=PRELIMIT_METHOD,
     )
     traj.meta["system"] = "prelimit"
     traj.meta["eta"] = eta

@@ -118,6 +118,7 @@ def test_converge_command(tmp_path):
     assert len(report["etas"]) == 2
     assert all(n > 0 for n in report["meta"]["prelimit_nfev"])
     assert len(report["meta"]["prelimit_max_step"]) == 2
+    assert report["meta"]["prelimit_method"] == "DOP853"
     csv_lines = (out / "convergence.csv").read_text().splitlines()
     assert csv_lines[-2].startswith("2.0000000000000001e-01")
 

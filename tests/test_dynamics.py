@@ -200,8 +200,8 @@ def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
         traj = integrate_prelimit(tensor, state, 1.0, SolverOptions())
         drifts[eta] = np.max(np.abs(traj.masses() - 1.0))
     # the oscillatory system conserves mass up to integrator error, which
-    # shrinks with the phase-resolving step cap
-    assert drifts[0.1] > drifts[0.05]
+    # shrinks with the phase-resolving step cap; the cap keeps a 2x margin
+    assert drifts[0.1] > 2 * drifts[0.05]
     assert drifts[0.1] < 1e-9
 
 
