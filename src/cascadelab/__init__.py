@@ -32,6 +32,7 @@ from .kernels import InteractionKernel, fourier_radial, gaussian_kernel, radial_
 from .coeffs import (
     CoefficientSet,
     CoeffOptions,
+    PrelimitTensor,
     SpectralDensity,
     assemble_limit_matrix,
     assemble_prelimit_tensor,
@@ -69,6 +70,7 @@ __all__ = [
     "InteractionKernel",
     "MomentumGrid",
     "Potential",
+    "PrelimitTensor",
     "RadialGrid",
     "ResonanceReport",
     "SimulationConfig",

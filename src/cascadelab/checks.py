@@ -24,6 +24,7 @@ from .coeffs import (
 from .config import SimulationConfig
 from .convergence import eta_sweep
 from .dynamics import (
+    MIN_GROUND_RATE,
     SolverOptions,
     diagnostics,
     integrate_limit,
@@ -264,14 +265,14 @@ def dynamics_checks(assets: Assets) -> list[dict]:
         )
 
     ground_rates = coeffs.fgr[0, 1:]
-    if np.min(ground_rates) < 1e-14:
+    if np.min(ground_rates) < MIN_GROUND_RATE:
         checks.append(
             _record(
                 "bec_formation",
                 0.0,
                 0.0,
                 True,
-                detail="skipped: some ground-row rate below 1e-14",
+                detail=f"skipped: some ground-row rate below {MIN_GROUND_RATE:g}",
             )
         )
     else:

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .checks import run_all_checks
 from .config import SimulationConfig, config_hash, emit_config, parse_config
-from .convergence import eta_sweep
+from .convergence import NOISE_FACTOR, eta_sweep
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import ensure_dir, fmt, write_csv, write_json
 from .pipeline import Assets, evolve
@@ -210,7 +210,7 @@ def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
             "initial_distance": report.initial_distance,
             "monotone_within_noise": report.monotone_within_noise,
             "strictly_decreasing": report.strictly_decreasing,
-            "noise_factor": report.noise_factor,
+            "noise_factor": NOISE_FACTOR,
             "meta": report.meta,
             "provenance": _provenance(config),
         },

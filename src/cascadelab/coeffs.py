@@ -16,11 +16,13 @@ scalar Cauchy transforms evaluate one density at a time; the on-shell
 rates also have a fresh single-point quadrature at the resonance
 frequency.  Tests and the check suite pit these routes against each other.
 
-The limit matrix and the prelimit tensor are read off one table over the
-K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform pass,
-then the Hartree pairings and the branch sums of every cell as matrix
-products.  The limit generator keeps the resonant cells at eps -> 0, the
-tensor every cell at eps = eta^2.
+The limit matrix and the prelimit tensor are each read off a table over
+the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
+pass, then the Hartree pairings and the branch sums of every cell as
+matrix products.  The limit generator (``CoefficientSet``) keeps the
+resonant cells at eps -> 0 plus one golden-rule rate per pair; the
+tensor (``PrelimitTensor``) is a value of its own, every cell at
+eps = eta^2, and carries no limit part.
 
 Convention note: the Sokhotski-Plemelj split of the regularized resolvent
 carries a factor pi on the on-shell delta term.  With the default
@@ -420,9 +422,9 @@ class CoeffOptions:
     eps_policy: str = "eta2"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
-    """Limit matrix, its three component matrices, and optional prelimit tensor.
+    """Limit matrix and its three component matrices.
 
     The stored ``hartree`` and ``lamb`` matrices are the effective ones
     entering the limit generator (exchange part on the diagonal quadruple
@@ -446,16 +448,7 @@ class CoefficientSet:
     hartree_direct: np.ndarray | None = None
     lamb_exchange: np.ndarray | None = None
     lamb_direct: np.ndarray | None = None
-    eta: float | None = None
-    tensor: np.ndarray | None = None
-    #: trap energies shifted by the ground level, E_k - E_0; the prelimit
-    #: phases depend on energy differences only
-    energies: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def has_tensor(self) -> bool:
-        return self.tensor is not None
 
     def symmetry_defects(self) -> dict[str, float]:
         """Measured violations of the structural invariants (0 when exact)."""
@@ -469,6 +462,31 @@ class CoefficientSet:
             "hartree_symmetry": float(np.max(np.abs(self.hartree - self.hartree.T))),
             "im_m_max": float(np.max(np.abs(m.imag))),
         }
+
+
+@dataclass(frozen=True)
+class PrelimitTensor:
+    """The quadruple tensor of the oscillatory system at coupling eta.
+
+    ``tensor[k,k',j,j']`` couples F_j conj(F_j') F_k' into the equation of
+    F_k with the phase e^{i T dE / eta^2}, dE = (E_k - E_k') - (E_j - E_j').
+    ``energies`` are the trap energies shifted by the ground level,
+    E_k - E_0; the phases depend on energy differences only.
+    """
+
+    eta: float
+    tensor: np.ndarray
+    energies: np.ndarray
+
+    def __post_init__(self):
+        if self.eta <= 0:
+            raise ValidationError(f"eta must be positive, got {self.eta}")
+        if self.tensor.shape != (len(self.energies),) * 4:
+            raise ValidationError("tensor shape does not match the energies")
+
+    @property
+    def size(self) -> int:
+        return len(self.energies)
 
 
 def _sign_matrix(size: int) -> np.ndarray:
@@ -556,7 +574,7 @@ class _PairingTable:
 def _pairing_table(
     basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
 ) -> _PairingTable:
-    """One transform pass and one matrix product shared by every coefficient."""
+    """One transform pass and one matrix product shared by every cell of an assembly."""
     if coupling.role != "coupling" or pair.role != "pair":
         raise ValidationError("expected a coupling kernel and a pair-interaction kernel")
     for kernel in (coupling, pair):
@@ -576,14 +594,23 @@ def _pairing_table(
     )
 
 
-def _limit_coefficients(
-    table: _PairingTable,
+def assemble_limit_matrix(
+    basis: EigenBasis,
     coupling: InteractionKernel,
     pair: InteractionKernel,
-    options: CoeffOptions,
+    options: CoeffOptions = CoeffOptions(),
 ) -> CoefficientSet:
-    """The limit generator read off the resonant cells at eps -> 0."""
-    basis, index = table.basis, table.index
+    """Assemble the limit transition matrix from the resonant quadruples at eps -> 0.
+
+    The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
+    entry (k,k'), the direct cells (k,k;k',k') their degenerate dressing,
+    and ``gamma_fgr`` the rate of each unordered pair.  Entries (k,k')
+    and (k',k) are evaluated on their own cells, so Im M, symmetric in
+    exact arithmetic, cross-checks the assembly: max |Im M - Im M^T|
+    is a rounding gap unless a cell is read at the wrong index.
+    """
+    table = _pairing_table(basis, coupling, pair)
+    index = table.index
     size = basis.size
     sums = table.cell_sums(None).real
     k, kp = np.indices((size, size))
@@ -640,41 +667,22 @@ def _limit_coefficients(
     )
 
 
-def assemble_limit_matrix(
-    basis: EigenBasis,
-    coupling: InteractionKernel,
-    pair: InteractionKernel,
-    options: CoeffOptions = CoeffOptions(),
-) -> CoefficientSet:
-    """Assemble the limit transition matrix from the resonant quadruples.
-
-    The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
-    entry (k,k'), the direct cells (k,k;k',k') their degenerate dressing,
-    and ``gamma_fgr`` the rate of each unordered pair.  Entries (k,k')
-    and (k',k) are evaluated on their own cells, so Im M, symmetric in
-    exact arithmetic, cross-checks the assembly: max |Im M - Im M^T|
-    is a rounding gap unless a cell is read at the wrong index.
-    """
-    return _limit_coefficients(_pairing_table(basis, coupling, pair), coupling, pair, options)
-
-
 def assemble_prelimit_tensor(
     basis: EigenBasis,
     coupling: InteractionKernel,
     pair: InteractionKernel,
     eta: float,
     options: CoeffOptions = CoeffOptions(),
-) -> CoefficientSet:
-    """Limit matrix plus the full quadruple tensor at regularization eta^2.
+) -> PrelimitTensor:
+    """The full quadruple tensor at regularization eta^2, from its own pairing table.
 
-    Both come from one pairing table.  Entry (k,k';j,j') of the tensor is
-    -i (H - Re S) - Im S (Im S / pi without ``pi_convention``), with H the
-    mean-field pairing of the pairs {k,k'} and {j,j'} and S the branch sum
-    of the cell at eps = eta^2 (or at the extrapolated limit under
-    ``eps_policy = "limit"``).  The energy mismatch
-    dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
-    ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
-    against accidents.
+    Entry (k,k';j,j') is -i (H - Re S) - Im S (Im S / pi without
+    ``pi_convention``), with H the mean-field pairing of the pairs {k,k'}
+    and {j,j'} and S the branch sum of the cell at eps = eta^2 (or at the
+    extrapolated limit under ``eps_policy = "limit"``).  The energy
+    mismatch dE = (E_k - E_k') - (E_j - E_j') of its phase follows from
+    the stored ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP``
+    guards against accidents.
     """
     if eta <= 0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -685,21 +693,13 @@ def assemble_prelimit_tensor(
             f"{TENSOR_MODE_CAP} modes"
         )
     table = _pairing_table(basis, coupling, pair)
-    coeffs = _limit_coefficients(table, coupling, pair, options)
-
-    eps = eta**2
-    sums = table.cell_sums(None if options.eps_policy == "limit" else eps)
+    sums = table.cell_sums(None if options.eps_policy == "limit" else eta**2)
     pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
     cells = -1j * (table.hartree[:, table.index] - sums.real) - pi_scale * sums.imag
-
-    coeffs.eta = eta
-    coeffs.tensor = cells[table.index]
-    coeffs.energies = basis.energies - basis.energies[0]
-    coeffs.provenance.update({"eta": eta, "eps_policy": options.eps_policy, "eps": eps})
-    return coeffs
+    return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])
 
 
-def limit_matrix_from_tensor(coeffs: CoefficientSet) -> np.ndarray:
+def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
     """Collapse the resonant tensor entries into the K x K limit generator.
 
     The resonant quadruples all produce terms of the form c |F_j|^2 F_k,
@@ -708,13 +708,12 @@ def limit_matrix_from_tensor(coeffs: CoefficientSet) -> np.ndarray:
     diagonal).  With the tensor evaluated at eps -> 0 this reproduces the
     assembled limit matrix.
     """
-    if not coeffs.has_tensor:
-        raise ValidationError("coefficient set carries no prelimit tensor")
-    size = coeffs.size
+    size = tensor.size
+    cells = tensor.tensor
     idx = np.arange(size)
-    matrix = coeffs.tensor[idx[:, None], idx[None, :], idx[:, None], idx[None, :]].copy()
+    matrix = cells[idx[:, None], idx[None, :], idx[:, None], idx[None, :]].copy()
     off = ~np.eye(size, dtype=bool)
-    matrix[off] += coeffs.tensor[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
+    matrix[off] += cells[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
     return matrix
 
 

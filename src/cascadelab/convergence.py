@@ -22,6 +22,10 @@ from .spectrum import EigenBasis
 #: Fewest sample times on which a sup distance is measured.
 MIN_SWEEP_SAMPLES = 200
 
+#: A sweep is monotone within noise when each sup distance is at most this
+#: factor times the one before it.
+NOISE_FACTOR = 1.2
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -32,7 +36,6 @@ class ConvergenceReport:
     initial_distance: float
     monotone_within_noise: bool
     strictly_decreasing: bool
-    noise_factor: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -53,7 +56,6 @@ def eta_sweep(
     solver: SolverOptions = SolverOptions(),
     coeff_options: CoeffOptions = CoeffOptions(),
     n_samples: int = 256,
-    noise_factor: float = 1.2,
 ) -> ConvergenceReport:
     """Run the sweep and measure sup_T l2 distances on a common sample grid.
 
@@ -62,7 +64,7 @@ def eta_sweep(
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) == 0:
-        return ConvergenceReport((), (), (), (), 0.0, True, True, noise_factor)
+        return ConvergenceReport((), (), (), (), 0.0, True, True)
     if any(e <= 0 for e in etas):
         raise ValidationError("all eta values must be positive")
     if any(b >= a for a, b in zip(etas, etas[1:])):
@@ -96,7 +98,7 @@ def eta_sweep(
     drifts = tuple(r[2] for r in results)
     initial_distance = max(r[3] for r in results)
 
-    monotone = all(b <= noise_factor * a for a, b in zip(sups, sups[1:]))
+    monotone = all(b <= NOISE_FACTOR * a for a, b in zip(sups, sups[1:]))
     strict = all(b < a for a, b in zip(sups, sups[1:]))
     meta = {
         "t_final": float(t_final),
@@ -112,5 +114,5 @@ def eta_sweep(
         "prelimit_max_step": [r[4]["max_step"] for r in results],
     }
     return ConvergenceReport(
-        etas, sups, terminals, drifts, initial_distance, monotone, strict, noise_factor, meta
+        etas, sups, terminals, drifts, initial_distance, monotone, strict, meta
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coeffs import CoefficientSet
+from .coeffs import CoefficientSet, PrelimitTensor
 from .errors import NumericalError, ValidationError
 
 #: Below this rate the ground-row transition is treated as numerically
@@ -130,18 +130,18 @@ class DiagnosticsSeries:
         return float(max(0.0, np.max(diffs, initial=-np.inf)))
 
 
-def _require_state(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
+def _require_state(state: np.ndarray, size: int) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
-    if state.shape != (coeffs.size,):
+    if state.shape != (size,):
         raise ValidationError(
-            f"state has {state.shape} entries, coefficients expect {coeffs.size}"
+            f"state has {state.shape} entries, coefficients expect {size}"
         )
     return state
 
 
 def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
     """Right-hand side of the limit cascade in complex form."""
-    state = _require_state(state, coeffs)
+    state = _require_state(state, coeffs.size)
     return (coeffs.limit_matrix @ np.abs(state) ** 2) * state
 
 
@@ -159,16 +159,16 @@ def _modulus_phase_rhs(coeffs: CoefficientSet):
     return rhs
 
 
-def _prelimit_rhs(coeffs: CoefficientSet, eta: float):
+def _prelimit_rhs(tensor: PrelimitTensor):
     """The prelimit right-hand side with the quadruple phase factored per mode.
 
     With v = e^{i t E / eta^2} and G = conj(v) F, the sum over (b, c, d)
     of tensor[a,b,c,d] e^{i t dE / eta^2} F_c conj(F_d) F_b equals
     v_a (S G)_a with S[a,b] = sum_{c,d} tensor[a,b,c,d] G_c conj(G_d).
     """
-    size = coeffs.size
-    flat = coeffs.tensor.reshape(size * size, size * size)
-    rates = coeffs.energies / eta**2
+    size = tensor.size
+    flat = tensor.tensor.reshape(size * size, size * size)
+    rates = tensor.energies / tensor.eta**2
 
     def rhs(t, y):
         v = np.exp((1j * t) * rates)
@@ -180,27 +180,23 @@ def _prelimit_rhs(coeffs: CoefficientSet, eta: float):
 
 
 def rhs_prelimit(
-    t: float, state: np.ndarray, coeffs: CoefficientSet, eta: float
+    t: float, state: np.ndarray, tensor: PrelimitTensor
 ) -> np.ndarray:
     """Right-hand side of the oscillatory prelimit system (remainders dropped)."""
-    if not coeffs.has_tensor:
-        raise ValidationError("coefficient set carries no prelimit tensor")
-    return _prelimit_rhs(coeffs, eta)(t, _require_state(state, coeffs))
+    return _prelimit_rhs(tensor)(t, _require_state(state, tensor.size))
 
 
-def fastest_phase(coeffs: CoefficientSet) -> float:
+def fastest_phase(tensor: PrelimitTensor) -> float:
     """Largest |dE| among quadruples that actually contribute.
 
     This is the fastest prelimit phase rate times eta^2, with
     dE = (E_a - E_b) - (E_c - E_d); quadruples with a zero coefficient
     (e.g. under a resonant-only restriction) cannot force the step cap.
     """
-    if not coeffs.has_tensor:
-        return 0.0
-    active = coeffs.tensor != 0.0
+    active = tensor.tensor != 0.0
     if not np.any(active):
         return 0.0
-    gaps = coeffs.energies[:, None] - coeffs.energies[None, :]
+    gaps = tensor.energies[:, None] - tensor.energies[None, :]
     quadruple = gaps[:, :, None, None] - gaps[None, None, :, :]
     return float(np.max(np.abs(quadruple[active])))
 
@@ -289,7 +285,7 @@ def integrate_limit(
     steps for every choice of initial phases, as it does for the complex
     system, whose error norm sees only |F|.
     """
-    state = _require_state(initial_state, coeffs)
+    state = _require_state(initial_state, coeffs.size)
     size = coeffs.size
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
     times, samples, meta = _solve(
@@ -301,7 +297,7 @@ def integrate_limit(
 
 
 def integrate_prelimit(
-    coeffs: CoefficientSet,
+    tensor: PrelimitTensor,
     initial_state: np.ndarray,
     t_end: float,
     options: SolverOptions = SolverOptions(),
@@ -311,14 +307,11 @@ def integrate_prelimit(
 
     Steps are capped at PRELIMIT_STEP_CAP of the fastest phase period.
     """
-    eta = coeffs.eta
-    if eta is None:
-        raise ValidationError("coefficient set was not assembled at a finite eta")
-    rate = fastest_phase(coeffs) / eta**2
+    rate = fastest_phase(tensor) / tensor.eta**2
     cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
     traj = integrate(
-        _prelimit_rhs(coeffs, eta),
-        _require_state(initial_state, coeffs),
+        _prelimit_rhs(tensor),
+        _require_state(initial_state, tensor.size),
         t_end,
         options,
         t_eval,
@@ -326,7 +319,7 @@ def integrate_prelimit(
         method=PRELIMIT_METHOD,
     )
     traj.meta["system"] = "prelimit"
-    traj.meta["eta"] = eta
+    traj.meta["eta"] = tensor.eta
     return traj
 
 
@@ -351,7 +344,6 @@ def diagnostics(
     traj: Trajectory,
     energies: np.ndarray,
     coeffs: CoefficientSet | None = None,
-    min_rate: float = MIN_GROUND_RATE,
 ) -> DiagnosticsSeries:
     """Mass, energy, ground occupation, tail masses, and the logistic trace.
 
@@ -391,9 +383,9 @@ def diagnostics(
     else:
         top = int(support[-1])
         rates = coeffs.fgr[0, 1 : top + 1]
-        if np.min(rates) < min_rate:
+        if np.min(rates) < MIN_GROUND_RATE:
             flags["logistic_skipped"] = (
-                f"ground-row rate below {min_rate:g} for some occupied mode"
+                f"ground-row rate below {MIN_GROUND_RATE:g} for some occupied mode"
             )
         else:
             gamma_tilde = float(np.min(rates))

@@ -8,8 +8,8 @@ Dirichlet problem
     -psi'' + V(r) psi = E psi  on (0, r_max),  psi(0) = psi(r_max) = 0,
 
 discretized with second-order central differences on the uniform grid.
-Eigenvalues get a two-grid Richardson correction by default, which removes
-the leading O(h^2) discretization bias while keeping the plain symmetric
+Eigenvalues get a two-grid Richardson correction, which removes the
+leading O(h^2) discretization bias while keeping the plain symmetric
 tridiagonal solve as the work horse.
 """
 
@@ -81,8 +81,8 @@ class Potential:
     def validate_confining(self):
         """Linear-coercivity proxy: V must grow towards the wall.
 
-        Reports the empirical slope c in V(r) >= c*r - C0 measured between
-        the midpoint and the wall; a confining trap has c > 0.
+        Measures the empirical slope c in V(r) >= c*r - C0 between the
+        midpoint and the wall; a confining trap has c > 0.
         """
         v = self.values
         r = self.grid.nodes
@@ -92,17 +92,6 @@ class Potential:
             raise ValidationError(
                 f"potential is not coercive on the grid (outer slope {slope:.3e} <= 0)"
             )
-        object.__setattr__(self, "_coercivity_slope", slope)
-        object.__setattr__(self, "_lower_bound", float(max(0.0, -np.min(v))))
-
-    @property
-    def coercivity_slope(self) -> float:
-        return self._coercivity_slope
-
-    @property
-    def lower_bound_constant(self) -> float:
-        """C0 in the bound V(r) >= -C0."""
-        return self._lower_bound
 
     def on_grid(self, grid: RadialGrid) -> np.ndarray:
         """Resample analytic kinds on another grid (used for Richardson)."""
@@ -133,10 +122,6 @@ class EigenBasis:
     @property
     def size(self) -> int:
         return len(self.energies)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """3D inner product of two radial profiles."""
-        return FOUR_PI * self.grid.integrate(f * g * self.grid.nodes**2)
 
     def orthonormality_defect(self) -> float:
         """max_{j,k} |<chi_j, chi_k> - delta_jk| over the computed modes."""
@@ -181,16 +166,14 @@ def solve_radial_eigenpairs(
     potential: Potential,
     grid: RadialGrid,
     count: int,
-    richardson: bool = True,
-    decay_tol: float = DECAY_TOL,
 ) -> EigenBasis:
     """Compute the lowest ``count`` s-wave eigenpairs of -Laplacian + V.
 
     The Dirichlet problem for psi = r*chi lives on the interior nodes;
-    psi(r_max) = 0 pins the last grid node.  With ``richardson`` the
-    eigenvalues are corrected with a second solve on the 2h grid,
-    E = (4*E_h - E_2h)/3, which cancels the O(h^2) finite-difference bias.
-    Eigenvectors always come from the fine grid.
+    psi(r_max) = 0 pins the last grid node.  The eigenvalues are corrected
+    with a second solve on the 2h grid, E = (4*E_h - E_2h)/3, which cancels
+    the O(h^2) finite-difference bias; the eigenvectors come from the fine
+    grid.
 
     Raises a dimension error when the grid cannot resolve ``count`` modes
     and a domain-truncation error when the highest mode has not decayed
@@ -210,14 +193,13 @@ def solve_radial_eigenpairs(
         potential.values, grid.spacing, n_interior, count
     )
 
-    if richardson:
-        if grid.n_points % 2 != 0:
-            raise ValidationError("Richardson eigenvalue correction requires even n_points")
-        coarse = grid.coarsened()
-        coarse_vals, _ = _tridiagonal_eigenpairs(
-            potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count
-        )
-        energies = (4.0 * energies - coarse_vals) / 3.0
+    if grid.n_points % 2 != 0:
+        raise ValidationError("Richardson eigenvalue correction requires even n_points")
+    coarse = grid.coarsened()
+    coarse_vals, _ = _tridiagonal_eigenpairs(
+        potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count
+    )
+    energies = (4.0 * energies - coarse_vals) / 3.0
 
     if np.any(np.diff(energies) <= 0):
         raise ValidationError(
@@ -232,9 +214,9 @@ def solve_radial_eigenpairs(
     tail = np.max(np.abs(psi[:, -max(2, grid.n_points // 100) :]), axis=1)
     peak = np.max(np.abs(psi), axis=1)
     worst = float(np.max(tail / peak))
-    if worst > decay_tol:
+    if worst > DECAY_TOL:
         raise ValidationError(
-            f"eigenfunctions not decayed at r_max (tail fraction {worst:.2e} > {decay_tol:.0e}); "
+            f"eigenfunctions not decayed at r_max (tail fraction {worst:.2e} > {DECAY_TOL:.0e}); "
             "increase r_max or use a confining potential"
         )
 

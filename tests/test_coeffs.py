@@ -445,7 +445,29 @@ def test_resonant_restriction_and_collapse(sweep_assets):
     # collapsing the resonant entries at extrapolated eps recovers the
     # assembled limit matrix
     collapsed = limit_matrix_from_tensor(tensor)
-    assert np.max(np.abs(collapsed - tensor.limit_matrix)) < 1e-10
+    assert np.max(np.abs(collapsed - sweep_assets.coeffs.limit_matrix)) < 1e-10
+
+
+def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
+    """The tensor needs no golden-rule rate and no on-shell transform.
+
+    Its cells all come from its pairing table; the limit generator's
+    single-point rates are not part of it under either eps policy.
+    """
+    import cascadelab.coeffs as coeffs_module
+    import cascadelab.kernels as kernels_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("limit-generator work inside the tensor assembly")
+
+    monkeypatch.setattr(coeffs_module, "gamma_fgr", forbidden)
+    monkeypatch.setattr(coeffs_module, "transform_profiles", forbidden)
+    monkeypatch.setattr(kernels_module, "transform_profiles", forbidden)
+    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
+    for policy in ("eta2", "limit"):
+        tensor = assemble_prelimit_tensor(basis, w, v, 0.1, CoeffOptions(eps_policy=policy))
+        assert tensor.eta == 0.1
+        assert tensor.tensor.shape == (basis.size,) * 4
 
 
 def test_two_mode_synthetic_preset():

@@ -60,7 +60,7 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
         )
         capped = integrate_prelimit(tensor, state, t_final, sweep_assets.solver_options, t_eval)
         exact = integrate(
-            lambda t, y, tensor=tensor, eta=eta: rhs_prelimit(t, y, tensor, eta),
+            lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor),
             state, t_final, reference, t_eval, method="DOP853",
         )
         error = np.max(np.linalg.norm(capped.states - exact.states, axis=1))
@@ -82,7 +82,7 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
         sweep_assets.coeff_options,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-    collapsed = replace(tensor, limit_matrix=limit_matrix_from_tensor(tensor))
+    collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor))
     state = sweep_assets.config.initial_state()
     t_eval = np.linspace(0.0, 1.0, 200)
     traj = integrate_prelimit(tensor, state, 1.0, solver, t_eval)

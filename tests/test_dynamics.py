@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cascadelab.coeffs import (
+    PrelimitTensor,
     assemble_prelimit_tensor,
     limit_matrix_from_tensor,
     two_mode_coefficients,
@@ -81,7 +82,7 @@ def test_prelimit_phases_at_time_zero(sweep_assets):
     rng = np.random.default_rng(11)
     for _ in range(200):
         state = rng.normal(size=tensor.size) + 1j * rng.normal(size=tensor.size)
-        value = rhs_prelimit(0.0, state, tensor, eta=0.2)
+        value = rhs_prelimit(0.0, state, tensor)
         plain = np.einsum(
             "abcd,c,d,b->a", tensor.tensor, state, np.conj(state), state
         )
@@ -99,15 +100,33 @@ def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
     matrix = limit_matrix_from_tensor(tensor)
     rng = np.random.default_rng(13)
     state = rng.normal(size=tensor.size) + 1j * rng.normal(size=tensor.size)
-    restricted = rhs_prelimit(0.83, state, tensor, eta=0.1)
+    restricted = rhs_prelimit(0.83, state, tensor)
     collapsed = (matrix @ np.abs(state) ** 2) * state
     assert np.allclose(restricted, collapsed, rtol=1e-13, atol=1e-13)
 
 
-def test_prelimit_requires_tensor(default_assets):
-    state = np.ones(default_assets.coeffs.size, dtype=complex)
+def test_prelimit_rejects_bad_input(sweep_assets):
+    tensor = assemble_prelimit_tensor(
+        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
+        options=sweep_assets.coeff_options,
+    )
+    state = sweep_assets.config.initial_state()
+    short = state[:-1]
     with pytest.raises(ValidationError):
-        rhs_prelimit(0.0, state, default_assets.coeffs, eta=0.1)
+        rhs_prelimit(0.0, short, tensor)
+    with pytest.raises(ValidationError):
+        integrate_prelimit(tensor, short, 1.0)
+    broken = state.copy()
+    broken[1] = np.nan
+    with pytest.raises(ValidationError):
+        integrate_prelimit(tensor, broken, 1.0)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            integrate_prelimit(tensor, state, t_end)
+    with pytest.raises(ValidationError):
+        replace(tensor, eta=0.0)
+    with pytest.raises(ValidationError):
+        PrelimitTensor(0.2, tensor.tensor, tensor.energies[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,11 @@ def prelimit_tensor(sweep_assets):
     )
 
 
-def einsum_prelimit(t, state, coeffs, eta):
+def einsum_prelimit(t, state, tensor, eta):
     """sum_{bcd} tensor[a,b,c,d] e^{i t dE/eta^2} F_c conj(F_d) F_b, term by term."""
-    gaps = coeffs.energies[:, None] - coeffs.energies[None, :]
+    gaps = tensor.energies[:, None] - tensor.energies[None, :]
     mismatch = gaps[:, :, None, None] - gaps[None, None, :, :]
-    weighted = coeffs.tensor * np.exp((1j * t / eta**2) * mismatch)
+    weighted = tensor.tensor * np.exp((1j * t / eta**2) * mismatch)
     return np.einsum("abcd,c,d,b->a", weighted, state, np.conj(state), state)
 
 
@@ -66,7 +66,7 @@ def test_limit_rhs_conserves_mass(default_assets, data):
 @given(data=st.data(), t=st.floats(min_value=0.0, max_value=1.0))
 def test_factored_prelimit_matches_einsum(prelimit_tensor, data, t):
     state = data.draw(states(prelimit_tensor.size))
-    factored = rhs_prelimit(t, state, prelimit_tensor, ETA)
+    factored = rhs_prelimit(t, state, prelimit_tensor)
     oracle = einsum_prelimit(t, state, prelimit_tensor, ETA)
     scale = cubic_scale(prelimit_tensor.tensor, state)
     assert np.max(np.abs(factored - oracle), initial=0.0) <= 1e-12 * scale
@@ -91,8 +91,8 @@ def test_prelimit_rhs_global_phase_equivariance(prelimit_tensor, data, t, phi):
     # off-resonant quadruples mix per-mode phases; one shared phase commutes
     state = data.draw(states(prelimit_tensor.size))
     phase = np.exp(1j * phi)
-    rotated = rhs_prelimit(t, phase * state, prelimit_tensor, ETA)
-    plain = rhs_prelimit(t, state, prelimit_tensor, ETA)
+    rotated = rhs_prelimit(t, phase * state, prelimit_tensor)
+    plain = rhs_prelimit(t, state, prelimit_tensor)
     scale = cubic_scale(prelimit_tensor.tensor, state)
     assert np.max(np.abs(rotated - phase * plain), initial=0.0) <= 1e-13 * scale
 
