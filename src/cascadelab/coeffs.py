@@ -479,8 +479,8 @@ class PrelimitTensor:
     energies: np.ndarray
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if self.tensor.shape != (len(self.energies),) * 4:
             raise ValidationError("tensor shape does not match the energies")
 
@@ -684,8 +684,8 @@ def assemble_prelimit_tensor(
     the stored ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP``
     guards against accidents.
     """
-    if eta <= 0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValidationError(f"eta must be positive and finite, got {eta}")
     size = basis.size
     if size > TENSOR_MODE_CAP:
         raise ValidationError(

@@ -203,8 +203,8 @@ class SimulationConfig:
             raise ValidationError("gap_tol must be positive")
         d = self.dynamics
         for name in ("t_end", "rtol", "atol", "bec_horizon", "bec_threshold"):
-            if not getattr(d, name) > 0:
-                raise ValidationError(f"dynamics {name} must be positive")
+            if not 0 < getattr(d, name) < np.inf:
+                raise ValidationError(f"dynamics {name} must be positive and finite")
         if d.samples < 2:
             raise ValidationError("dynamics samples must be at least 2")
         state = _parse_initial(d.initial, t.modes)
@@ -212,12 +212,12 @@ class SimulationConfig:
             raise ValidationError("initial state has more entries than trap modes")
         self.coefficient_preset()
         etas = self.eta_values()
-        if any(e <= 0 for e in etas):
-            raise ValidationError("sweep etas must be positive")
+        if not all(0 < e < np.inf for e in etas):
+            raise ValidationError("sweep etas must be positive and finite")
         if any(b >= a for a, b in zip(etas, etas[1:])):
             raise ValidationError("sweep etas must be strictly decreasing")
-        if not self.sweep.t_final > 0:
-            raise ValidationError("sweep t_final must be positive")
+        if not 0 < self.sweep.t_final < np.inf:
+            raise ValidationError("sweep t_final must be positive and finite")
         if self.sweep.samples < MIN_SWEEP_SAMPLES:
             raise ValidationError(
                 f"sweep samples must be at least {MIN_SWEEP_SAMPLES}, got {self.sweep.samples}"

@@ -217,8 +217,8 @@ def _solve(
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state contains non-finite entries")
-    if t_end <= 0:
-        raise ValidationError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, options.n_samples)
 

@@ -5,11 +5,13 @@ are session-scoped: they are deterministic, read-only, and several test
 modules check different facets of the same objects.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
+import cascadelab.convergence as convergence
 from cascadelab import Assets, SimulationConfig
 from cascadelab.convergence import eta_sweep
 from cascadelab.grids import MomentumGrid, RadialGrid
@@ -69,3 +71,15 @@ def sweep_report(sweep_assets):
     )
     elapsed = time.perf_counter() - start
     return report, elapsed
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count the sweep sees; above one it runs on forked workers."""
+
+    def set_count(count):
+        if count > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(convergence, "_usable_cpus", lambda: count)
+
+    return set_count

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cascadelab.convergence as convergence
 from cascadelab.cli import main
-from cascadelab.errors import NumericalError
+from cascadelab.errors import NumericalError, ValidationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HARMONIC_CFG = """
 [trap]
@@ -103,14 +111,17 @@ def test_coeffs_command_and_determinism(tmp_path):
     assert np.max(np.abs(re_m + re_m.T)) == 0.0
 
 
+SMALL_SWEEP_CFG = (
+    "[trap]\nscale = 1.0\nr_max = 12.0\nn_points = 800\nmodes = 3\n"
+    "[momentum]\nn_rho = 2048\n"
+    "[dynamics]\ninitial = geometric(0.7)\nrtol = 1e-9\natol = 1e-12\n"
+    "[sweep]\netas = 0.2, 0.1\nt_final = 0.5\nsamples = 200\n"
+)
+
+
 def test_converge_command(tmp_path):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "[trap]\nscale = 1.0\nr_max = 12.0\nn_points = 800\nmodes = 3\n"
-        "[momentum]\nn_rho = 2048\n"
-        "[dynamics]\ninitial = geometric(0.7)\nrtol = 1e-9\natol = 1e-12\n"
-        "[sweep]\netas = 0.2, 0.1\nt_final = 0.5\nsamples = 200\n"
-    )
+    cfg.write_text(SMALL_SWEEP_CFG)
     out = tmp_path / "out"
     assert run_cli(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "convergence.json").read_text())
@@ -161,6 +172,83 @@ def test_exit_code_output_path_under_file(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "validation"
     assert str(out) in record["message"]
+
+
+NON_FINITE_SECTIONS = (
+    "[sweep]\netas = 0.2, nan\n",
+    "[sweep]\netas = inf, 0.2\n",
+    "[sweep]\nt_final = inf\n",
+    "[dynamics]\nt_end = inf\n",
+    "[dynamics]\nbec_horizon = inf\n",
+)
+
+
+def test_non_finite_input_exits_3_promptly(tmp_path):
+    """A non-finite eta, horizon or end time is rejected, not integrated.
+
+    Such inputs once ran past a 60 s timeout without exiting.  One child
+    interpreter runs ``converge`` on each config and is stopped after 30 s,
+    so a hang fails the test instead of stalling the suite.
+    """
+    paths = []
+    for i, section in enumerate(NON_FINITE_SECTIONS):
+        paths.append(tmp_path / f"bad{i}.cfg")
+        paths[-1].write_text(section)
+    script = (
+        "import sys\n"
+        "from cascadelab.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(main(['converge', '--config', path, '--out', path + '.out']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.stdout.split() == ["3"] * len(paths), done.stderr
+    records = [json.loads(line) for line in done.stderr.splitlines()]
+    assert [r["error"] for r in records] == ["validation"] * len(paths)
+    assert all("finite" in r["message"] for r in records)
+
+
+@pytest.mark.parametrize(
+    "error, code, kind",
+    [(ValidationError, 3, "validation"), (NumericalError, 4, "numerical")],
+)
+def test_worker_error_keeps_exit_code(
+    tmp_path, capsys, monkeypatch, usable_cpus, error, code, kind
+):
+    """An error raised in a worker reaches the CLI with its class and message."""
+    usable_cpus(2)
+
+    def fail(tensor, *args):
+        raise error(f"synthetic failure at eta = {tensor.eta}")
+
+    monkeypatch.setattr(convergence, "integrate_prelimit", fail)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_SWEEP_CFG)
+    assert run_cli(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == kind
+    assert record["type"] == error.__name__
+    assert record["message"] == "synthetic failure at eta = 0.1"
+
+
+def test_dead_worker_is_numerical_error(tmp_path, capsys, monkeypatch, usable_cpus):
+    usable_cpus(2)
+
+    def die(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(convergence, "integrate_prelimit", die)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_SWEEP_CFG)
+    assert run_cli(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "worker" in record["message"]
 
 
 def test_custom_tabulated_trap(tmp_path):

@@ -1,8 +1,10 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cascadelab.convergence as convergence
 from cascadelab.coeffs import assemble_prelimit_tensor, limit_matrix_from_tensor
 from cascadelab.convergence import eta_sweep
 from cascadelab.dynamics import (
@@ -143,3 +145,74 @@ def test_sweep_reproducible_bit_for_bit(sweep_assets):
     assert first.sup_distances == second.sup_distances
     assert first.terminal_distances == second.terminal_distances
     assert first.mass_drifts == second.mass_drifts
+
+
+def test_non_finite_sweep_input_rejected(sweep_assets):
+    state = sweep_assets.config.initial_state()
+    for etas, t_final in (
+        ([0.2, np.nan], 1.0),
+        ([np.inf, 0.2], 1.0),
+        ([0.2], np.inf),
+        ([0.2], np.nan),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            eta_sweep(
+                sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
+                state, t_final, etas,
+            )
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+
+def _short_sweep(assets, etas):
+    return eta_sweep(
+        assets.basis,
+        assets.coupling,
+        assets.pair,
+        assets.config.initial_state(),
+        0.25,
+        etas,
+        solver=assets.solver_options,
+        coeff_options=assets.coeff_options,
+        n_samples=200,
+    )
+
+
+def test_pooled_sweep_equals_in_process(sweep_assets, usable_cpus):
+    usable_cpus(1)
+    here = _short_sweep(sweep_assets, [0.2, 0.1])
+    usable_cpus(2)
+    pooled = _short_sweep(sweep_assets, [0.2, 0.1])
+    assert pooled == here
+
+
+def test_pooled_results_in_input_order(sweep_assets, usable_cpus):
+    """Four eta on two workers; each entry equals its own one-eta sweep."""
+    usable_cpus(2)
+    etas = (0.4, 0.3, 0.2, 0.15)
+    pooled = _short_sweep(sweep_assets, etas)
+    assert pooled.etas == etas
+    for i, eta in enumerate(etas):
+        single = _short_sweep(sweep_assets, [eta])
+        assert single.sup_distances[0] == pooled.sup_distances[i]
+        assert single.meta["prelimit_nfev"][0] == pooled.meta["prelimit_nfev"][i]
+        assert single.meta["prelimit_max_step"][0] == pooled.meta["prelimit_max_step"][i]
+
+
+def test_one_usable_cpu_starts_no_process(sweep_assets, usable_cpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started on one usable CPU")
+
+    monkeypatch.setattr(convergence, "ProcessPoolExecutor", refuse)
+    usable_cpus(1)
+    report = _short_sweep(sweep_assets, [0.2, 0.1])
+    assert report.strictly_decreasing
+
+
+def test_usable_cpus_without_affinity_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert convergence._usable_cpus() == 3

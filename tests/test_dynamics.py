@@ -129,6 +129,26 @@ def test_prelimit_rejects_bad_input(sweep_assets):
         PrelimitTensor(0.2, tensor.tensor, tensor.energies[:-1])
 
 
+def test_prelimit_rejects_non_finite_input(sweep_assets):
+    tensor = assemble_prelimit_tensor(
+        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
+        options=sweep_assets.coeff_options,
+    )
+    state = sweep_assets.config.initial_state()
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_prelimit(tensor, state, t_end)
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_limit(sweep_assets.coeffs, state, t_end)
+    for eta in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            replace(tensor, eta=eta)
+        with pytest.raises(ValidationError, match="finite"):
+            assemble_prelimit_tensor(
+                sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta
+            )
+
+
 # ---------------------------------------------------------------------------
 # integrator
 # ---------------------------------------------------------------------------
