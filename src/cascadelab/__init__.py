@@ -28,10 +28,9 @@ from .spectrum import (
     mode_product,
     solve_radial_eigenpairs,
 )
-from .kernels import InteractionKernel, fourier_radial, gaussian_kernel, radial_convolution
+from .kernels import InteractionKernel, gaussian_kernel, radial_convolution
 from .coeffs import (
     CoefficientSet,
-    CoeffOptions,
     PrelimitTensor,
     SpectralDensity,
     assemble_limit_matrix,
@@ -63,7 +62,6 @@ from .pipeline import Assets
 
 __all__ = [
     "CoefficientSet",
-    "CoeffOptions",
     "ConvergenceReport",
     "DiagnosticsSeries",
     "EigenBasis",
@@ -85,7 +83,6 @@ __all__ = [
     "check_gap_independence",
     "diagnostics",
     "eta_sweep",
-    "fourier_radial",
     "gamma_fgr",
     "gaussian_kernel",
     "integrate",

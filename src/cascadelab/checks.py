@@ -113,7 +113,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
         coeffs = assets.coeffs
     else:
         # synthetic presets bypass the trap pipeline; check the real one
-        coeffs = assemble_limit_matrix(basis, coupling, pair, assets.coeff_options)
+        coeffs = assemble_limit_matrix(basis, coupling, pair)
     checks = []
 
     defects = coeffs.symmetry_defects()
@@ -134,14 +134,13 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     )
 
     ghat = coupling.transform * mode_pair_transforms(basis, momenta)
-    scale = np.pi if coeffs.fgr_pi_convention else 1.0
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
-            delta_route = gamma_fgr(basis, coupling, k, kp, coeffs.fgr_pi_convention)
+            delta_route = gamma_fgr(basis, coupling, k, kp)
             a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
-            resolvent_route = -scale / np.pi * cauchy_transform_limit(a, lam).imag
+            resolvent_route = -cauchy_transform_limit(a, lam).imag
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
     checks.append(_record("dual_route_fgr", worst, 1e-6))
 
@@ -200,7 +199,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
 
     fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
     refined = assemble_limit_matrix(
-        basis, assets.kernel("coupling", fine), assets.kernel("pair", fine), assets.coeff_options
+        basis, assets.kernel("coupling", fine), assets.kernel("pair", fine)
     )
     rows = np.sum(np.abs(coeffs.limit_matrix), axis=1)
     rows_fine = np.sum(np.abs(refined.limit_matrix), axis=1)
@@ -333,7 +332,7 @@ def convergence_checks() -> list[dict]:
             assets.config.sweep.t_final,
             etas,
             solver=solver,
-            coeff_options=assets.coeff_options,
+            eps_policy=assets.config.conventions.eps_policy,
             n_samples=assets.config.sweep.samples,
         )
 

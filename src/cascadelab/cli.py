@@ -35,16 +35,13 @@ EXIT_NUMERICAL = 4
 
 
 def _provenance(config: SimulationConfig) -> dict:
-    c = config.conventions
     return {
         "package": "cascadelab",
         "version": __version__,
         "config_sha256": config_hash(config),
         "conventions": {
             "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
-            "fgr_pi_factor": c.fgr_pi_factor,
-            "include_degenerate": c.include_degenerate,
-            "eps_policy": c.eps_policy,
+            "eps_policy": config.conventions.eps_policy,
         },
     }
 
@@ -55,8 +52,6 @@ def _csv_comments(config: SimulationConfig, extra: list[str] | None = None) -> l
         f"package=cascadelab version={prov['version']}",
         f"config_sha256={prov['config_sha256']}",
         "fourier=forward e^{-ix.xi}, inverse (2pi)^-3",
-        f"fgr_pi_factor={config.conventions.fgr_pi_factor} "
-        f"include_degenerate={config.conventions.include_degenerate} "
         f"eps_policy={config.conventions.eps_policy}",
     ]
     return lines + (extra or [])
@@ -108,8 +103,6 @@ def cmd_coeffs(config: SimulationConfig, out_dir: str) -> int:
     coeffs = assets.coeffs
     document = {
         "size": coeffs.size,
-        "fgr_pi_convention": coeffs.fgr_pi_convention,
-        "include_degenerate": coeffs.include_degenerate,
         "hartree": coeffs.hartree,
         "lamb": coeffs.lamb,
         "fgr": coeffs.fgr,
@@ -196,7 +189,7 @@ def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
         config.sweep.t_final,
         config.eta_values(),
         solver=assets.solver_options,
-        coeff_options=assets.coeff_options,
+        eps_policy=config.conventions.eps_policy,
         n_samples=config.sweep.samples,
     )
     write_json(

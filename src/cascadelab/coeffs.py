@@ -24,12 +24,11 @@ resonant cells at eps -> 0 plus one golden-rule rate per pair; the
 tensor (``PrelimitTensor``) is a value of its own, every cell at
 eps = eta^2, and carries no limit part.
 
-Convention note: the Sokhotski-Plemelj split of the regularized resolvent
-carries a factor pi on the on-shell delta term.  With the default
-``pi_convention`` the stored rate matrix includes that factor, so the
-limit matrix equals the eps -> 0 limit of the regularized pairings; the
-flag is recorded in every output and can be switched off to store the
-bare delta pairing instead.
+Convention note: the limit coefficients are the eps -> 0 limits of the
+regularized pairings, which is what the prelimit flow converges to.  Two
+conventions follow and are fixed: the stored rates carry the factor pi
+of the Sokhotski-Plemelj on-shell term, and the limit generator keeps the
+zero-gap quadruples (k,k;j,j) next to the exchange ones (k,k';k,k').
 """
 
 from __future__ import annotations
@@ -325,9 +324,8 @@ def gamma_fgr(
     coupling: InteractionKernel,
     k: int,
     kp: int,
-    pi_convention: bool = True,
 ) -> float:
-    """On-shell transition rate between modes k and k'.
+    """On-shell transition rate between modes k and k', pi times the density there.
 
     Evaluates the spectral density of w*(chi_k chi_k') exactly at the
     resonance frequency |E_k - E_k'| via fresh single-point quadrature of
@@ -349,8 +347,7 @@ def gamma_fgr(
     )[0, 0]
     g_hat = coupling.transform_at([gap])[0] * product_hat
     density_on_shell = DENSITY_PREFACTOR * gap**2 * g_hat**2
-    scale = np.pi if pi_convention else 1.0
-    return float(scale * density_on_shell)
+    return float(np.pi * density_on_shell)
 
 
 def lambda_hartree(
@@ -402,53 +399,52 @@ def lambda_lamb_shift(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffOptions:
-    """Assembly policy knobs.
-
-    ``pi_convention`` keeps the Sokhotski-Plemelj factor pi in the stored
-    rates.  ``include_degenerate`` keeps the identically-resonant
-    quadruples (k,k;j,j) in the limit generator.  They carry no on-shell
-    rate (the emission/absorption parts cancel at zero gap) but contribute
-    a purely imaginary mean-field/renormalization dressing; dropping them
-    changes trajectory phases, not occupations.  ``eps_policy`` decides
-    whether prelimit tensors are evaluated at the physical regularization
-    eps = eta^2 or at the extrapolated eps -> 0 values.  The limit Lamb
-    shifts are always the eps -> 0 extrapolation over LAMB_EPS_VALUES.
-    """
-
-    pi_convention: bool = True
-    include_degenerate: bool = True
-    eps_policy: str = "eta2"
+#: Regularizations a prelimit tensor is evaluated at: the physical eps = eta^2,
+#: or the extrapolated eps -> 0 values of the limit Lamb shifts.
+EPS_POLICIES = ("eta2", "limit")
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Limit matrix and its three component matrices.
+    """Limit matrix, its golden-rule rates and its four component matrices.
 
-    The stored ``hartree`` and ``lamb`` matrices are the effective ones
-    entering the limit generator (exchange part on the diagonal quadruple
-    plus, off the diagonal, the degenerate direct part when enabled), so
+    The exchange cells (k,k';k,k') give ``hartree_exchange`` and
+    ``lamb_exchange``; the zero-gap cells (k,k;k',k'), off the diagonal,
+    give ``hartree_direct`` and ``lamb_direct``.  Those carry no on-shell
+    rate (emission and absorption cancel at zero gap), only a purely
+    imaginary dressing.  The effective ``hartree`` and ``lamb`` are the
+    sums of both, so
 
         limit_matrix = -i (hartree - lamb) - fgr * sign,
         sign[k,k'] = 1 if k > k' else -1 if k < k' else 0
 
-    holds exactly by construction.  ``fgr`` stores the effective rates,
-    including the pi factor when ``pi_convention`` is set.
+    holds exactly by construction.  ``fgr`` stores the rates including the
+    Sokhotski-Plemelj factor pi.
     """
 
-    size: int
-    hartree: np.ndarray
-    lamb: np.ndarray
     fgr: np.ndarray
     limit_matrix: np.ndarray
-    fgr_pi_convention: bool
-    include_degenerate: bool
-    hartree_exchange: np.ndarray | None = None
-    hartree_direct: np.ndarray | None = None
-    lamb_exchange: np.ndarray | None = None
-    lamb_direct: np.ndarray | None = None
+    hartree_exchange: np.ndarray
+    hartree_direct: np.ndarray
+    lamb_exchange: np.ndarray
+    lamb_direct: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.fgr)) and np.all(np.isfinite(self.limit_matrix))):
+            raise NumericalError("limit coefficients contain non-finite values")
+
+    @property
+    def size(self) -> int:
+        return len(self.fgr)
+
+    @property
+    def hartree(self) -> np.ndarray:
+        return self.hartree_exchange + self.hartree_direct
+
+    @property
+    def lamb(self) -> np.ndarray:
+        return self.lamb_exchange + self.lamb_direct
 
     def symmetry_defects(self) -> dict[str, float]:
         """Measured violations of the structural invariants (0 when exact)."""
@@ -483,6 +479,8 @@ class PrelimitTensor:
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if self.tensor.shape != (len(self.energies),) * 4:
             raise ValidationError("tensor shape does not match the energies")
+        if not np.all(np.isfinite(self.tensor)):
+            raise NumericalError("prelimit tensor contains non-finite values")
 
     @property
     def size(self) -> int:
@@ -502,18 +500,17 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     d|F_0|^2/dT = 2 gamma |F_0|^2 |F_1|^2, the exactness oracle for the
     integrator.  Larger sizes place the rate gamma on every pair.
     """
-    if gamma <= 0:
-        raise ValidationError(f"synthetic rate must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValidationError(f"synthetic rate must be positive and finite, got {gamma}")
     fgr = gamma * (1.0 - np.eye(size))
     zeros = np.zeros((size, size))
     return CoefficientSet(
-        size=size,
-        hartree=zeros.copy(),
-        lamb=zeros.copy(),
         fgr=fgr,
         limit_matrix=(-fgr * _sign_matrix(size)).astype(complex),
-        fgr_pi_convention=True,
-        include_degenerate=True,
+        hartree_exchange=zeros,
+        hartree_direct=zeros,
+        lamb_exchange=zeros,
+        lamb_direct=zeros,
         provenance={"synthetic": "uniform-rate preset", "gamma": gamma},
     )
 
@@ -598,7 +595,6 @@ def assemble_limit_matrix(
     basis: EigenBasis,
     coupling: InteractionKernel,
     pair: InteractionKernel,
-    options: CoeffOptions = CoeffOptions(),
 ) -> CoefficientSet:
     """Assemble the limit transition matrix from the resonant quadruples at eps -> 0.
 
@@ -627,15 +623,8 @@ def assemble_limit_matrix(
 
     fgr = np.zeros((size, size))
     for a, b in zip(*np.triu_indices(size, 1)):
-        fgr[a, b] = fgr[b, a] = gamma_fgr(basis, coupling, a, b, options.pi_convention)
-
-    if options.include_degenerate:
-        hartree = har_ex + har_dir
-        lamb = lamb_ex + lamb_dir
-    else:
-        hartree = har_ex.copy()
-        lamb = lamb_ex.copy()
-    limit_matrix = -1j * (hartree - lamb) - fgr * _sign_matrix(size)
+        fgr[a, b] = fgr[b, a] = gamma_fgr(basis, coupling, a, b)
+    limit_matrix = -1j * ((har_ex + har_dir) - (lamb_ex + lamb_dir)) - fgr * _sign_matrix(size)
 
     momenta = table.momenta
     provenance = {
@@ -652,13 +641,8 @@ def assemble_limit_matrix(
         "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
     }
     return CoefficientSet(
-        size=size,
-        hartree=hartree,
-        lamb=lamb,
         fgr=fgr,
         limit_matrix=limit_matrix,
-        fgr_pi_convention=options.pi_convention,
-        include_degenerate=options.include_degenerate,
         hartree_exchange=har_ex,
         hartree_direct=har_dir,
         lamb_exchange=lamb_ex,
@@ -672,20 +656,22 @@ def assemble_prelimit_tensor(
     coupling: InteractionKernel,
     pair: InteractionKernel,
     eta: float,
-    options: CoeffOptions = CoeffOptions(),
+    eps_policy: str = "eta2",
 ) -> PrelimitTensor:
     """The full quadruple tensor at regularization eta^2, from its own pairing table.
 
-    Entry (k,k';j,j') is -i (H - Re S) - Im S (Im S / pi without
-    ``pi_convention``), with H the mean-field pairing of the pairs {k,k'}
-    and {j,j'} and S the branch sum of the cell at eps = eta^2 (or at the
-    extrapolated limit under ``eps_policy = "limit"``).  The energy
-    mismatch dE = (E_k - E_k') - (E_j - E_j') of its phase follows from
-    the stored ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP``
-    guards against accidents.
+    Entry (k,k';j,j') is -i (H - Re S) - Im S, with H the mean-field
+    pairing of the pairs {k,k'} and {j,j'} and S the branch sum of the
+    cell at eps = eta^2 (or at the extrapolated limit under
+    ``eps_policy = "limit"``).  The energy mismatch
+    dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
+    ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
+    against accidents.
     """
     if not 0 < eta < np.inf:
         raise ValidationError(f"eta must be positive and finite, got {eta}")
+    if eps_policy not in EPS_POLICIES:
+        raise ValidationError(f"unknown eps_policy {eps_policy!r}")
     size = basis.size
     if size > TENSOR_MODE_CAP:
         raise ValidationError(
@@ -693,9 +679,8 @@ def assemble_prelimit_tensor(
             f"{TENSOR_MODE_CAP} modes"
         )
     table = _pairing_table(basis, coupling, pair)
-    sums = table.cell_sums(None if options.eps_policy == "limit" else eta**2)
-    pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
-    cells = -1j * (table.hartree[:, table.index] - sums.real) - pi_scale * sums.imag
+    sums = table.cell_sums(None if eps_policy == "limit" else eta**2)
+    cells = -1j * (table.hartree[:, table.index] - sums.real) - sums.imag
     return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .coeffs import EPS_POLICIES
 from .convergence import MIN_SWEEP_SAMPLES
 from .errors import ConfigError, ValidationError
 
@@ -49,8 +50,6 @@ class MomentumConfig:
 
 @dataclass
 class ConventionConfig:
-    fgr_pi_factor: bool = True
-    include_degenerate: bool = True
     eps_policy: str = "eta2"
     gap_tol: float = 1e-8
 
@@ -197,7 +196,7 @@ class SimulationConfig:
         if m.n_rho < 16:
             raise ValidationError(f"momentum n_rho must be >= 16, got {m.n_rho}")
         c = self.conventions
-        if c.eps_policy not in ("eta2", "limit"):
+        if c.eps_policy not in EPS_POLICIES:
             raise ValidationError(f"unknown eps_policy {c.eps_policy!r}")
         if not c.gap_tol > 0:
             raise ValidationError("gap_tol must be positive")

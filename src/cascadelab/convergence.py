@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .coeffs import CoeffOptions, assemble_limit_matrix, assemble_prelimit_tensor
+from .coeffs import EPS_POLICIES, assemble_limit_matrix, assemble_prelimit_tensor
 from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
 from .kernels import InteractionKernel
@@ -82,12 +82,12 @@ def _prelimit_run(
     initial_state: np.ndarray,
     t_final: float,
     solver: SolverOptions,
-    coeff_options: CoeffOptions,
+    eps_policy: str,
     t_eval: np.ndarray,
     eta: float,
 ) -> Trajectory:
     """One eta of the sweep: assemble its tensor and integrate the prelimit system."""
-    tensor = assemble_prelimit_tensor(basis, coupling, pair, eta, coeff_options)
+    tensor = assemble_prelimit_tensor(basis, coupling, pair, eta, eps_policy)
     return integrate_prelimit(tensor, initial_state, t_final, solver, t_eval)
 
 
@@ -99,7 +99,7 @@ def eta_sweep(
     t_final: float,
     etas,
     solver: SolverOptions = SolverOptions(),
-    coeff_options: CoeffOptions = CoeffOptions(),
+    eps_policy: str = "eta2",
     n_samples: int = 256,
 ) -> ConvergenceReport:
     """Run the sweep and measure sup_T l2 distances on a common sample grid.
@@ -108,6 +108,8 @@ def eta_sweep(
     initial data and sample times.  A worker that dies surfaces as a
     NumericalError; errors raised in a worker keep their class and message.
     """
+    if eps_policy not in EPS_POLICIES:
+        raise ValidationError(f"unknown eps_policy {eps_policy!r}")
     etas = tuple(float(e) for e in etas)
     if len(etas) == 0:
         return ConvergenceReport((), (), (), (), 0.0, True, True)
@@ -128,13 +130,13 @@ def eta_sweep(
 
     run = partial(
         _prelimit_run, basis, coupling, pair, initial_state, t_final, solver,
-        coeff_options, t_eval,
+        eps_policy, t_eval,
     )
     pool = _worker_pool(len(etas))
     try:
         # smallest eta first: it costs most and sets the makespan
         runs = (map if pool is None else pool.map)(run, etas[::-1])
-        limit_coeffs = assemble_limit_matrix(basis, coupling, pair, coeff_options)
+        limit_coeffs = assemble_limit_matrix(basis, coupling, pair)
         limit_traj = integrate_limit(limit_coeffs, initial_state, t_final, solver, t_eval)
         trajs = list(runs)[::-1]
     except BrokenProcessPool as exc:
@@ -165,7 +167,7 @@ def eta_sweep(
         "n_samples": n_samples,
         "rtol": solver.rtol,
         "atol": solver.atol,
-        "eps_policy": coeff_options.eps_policy,
+        "eps_policy": eps_policy,
         "modes": basis.size,
         # the prelimit integrator, and what each eta cost under it: RHS
         # evaluations and the step cap it ran under

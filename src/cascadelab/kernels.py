@@ -101,23 +101,6 @@ def grid_transforms(
     return sines * (FOUR_PI / momenta.nodes)
 
 
-def fourier_radial(
-    profile: np.ndarray, grid: RadialGrid, momenta: MomentumGrid | np.ndarray
-) -> np.ndarray:
-    """Radial 3D Fourier transform of a profile sampled on ``grid``.
-
-    ``momenta`` may be a MomentumGrid, whose nodes all go through the
-    chirp-z route of ``grid_transforms``, or an arbitrary array of
-    evaluation frequencies summed by dense quadrature (on-shell
-    evaluations use a single exact point rather than interpolating a
-    tabulated transform).
-    """
-    if isinstance(momenta, MomentumGrid):
-        return grid_transforms(profile, grid, momenta)[0]
-    rho = np.atleast_1d(np.asarray(momenta, dtype=float))
-    return transform_profiles(profile, grid, rho)[0]
-
-
 def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """3D convolution of two radial profiles, evaluated on the grid.
 
@@ -189,7 +172,9 @@ class InteractionKernel:
             return
         if abs(profile[-1]) > 1e-10 * peak:
             raise ValidationError("kernel profile has not decayed at r_max")
-        object.__setattr__(self, "transform", fourier_radial(profile, self.grid, self.momenta))
+        object.__setattr__(
+            self, "transform", grid_transforms(profile, self.grid, self.momenta)[0]
+        )
 
     def norms(self, weight_exponent: float = 1.0) -> dict[str, float]:
         """L1, L2, Linf and the (1+r^2)^s weighted L2 norm of the profile."""
@@ -210,7 +195,8 @@ class InteractionKernel:
 
     def transform_at(self, rho) -> np.ndarray:
         """Transform evaluated at arbitrary frequencies by dense sinc quadrature."""
-        return fourier_radial(self.profile, self.grid, np.asarray(rho, dtype=float))
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        return transform_profiles(self.profile, self.grid, rho)[0]
 
 
 def gaussian_kernel(

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (
-    CoefficientSet,
-    CoeffOptions,
-    assemble_limit_matrix,
-    two_mode_coefficients,
-)
+from .coeffs import CoefficientSet, assemble_limit_matrix, two_mode_coefficients
 from .config import SimulationConfig
 from .dynamics import SolverOptions, diagnostics, integrate_limit
 from .errors import ConfigError, ValidationError
@@ -81,21 +76,12 @@ class Assets:
         return self._get("pair", lambda: self.kernel("pair", self.momenta))
 
     @property
-    def coeff_options(self) -> CoeffOptions:
-        c = self.config.conventions
-        return CoeffOptions(
-            pi_convention=c.fgr_pi_factor,
-            include_degenerate=c.include_degenerate,
-            eps_policy=c.eps_policy,
-        )
-
-    @property
     def coeffs(self) -> CoefficientSet:
         def build():
             preset = self.config.coefficient_preset()
             if preset is not None:
                 return two_mode_coefficients(preset, size=self.config.trap.modes)
-            return assemble_limit_matrix(self.basis, self.coupling, self.pair, self.coeff_options)
+            return assemble_limit_matrix(self.basis, self.coupling, self.pair)
 
         return self._get("coeffs", build)
 

@@ -66,7 +66,6 @@ def sweep_report(sweep_assets):
         config.sweep.t_final,
         config.eta_values(),
         solver=sweep_assets.solver_options,
-        coeff_options=sweep_assets.coeff_options,
         n_samples=config.sweep.samples,
     )
     elapsed = time.perf_counter() - start

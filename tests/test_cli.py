@@ -9,6 +9,7 @@ import pytest
 
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
+from cascadelab.config import SimulationConfig, emit_config
 from cascadelab.errors import NumericalError, ValidationError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,7 +104,7 @@ def test_coeffs_command_and_determinism(tmp_path):
 
     doc = json.loads((out1 / "coefficients.json").read_text())
     assert doc["size"] == 3
-    assert doc["fgr_pi_convention"] is True
+    assert "fgr_pi_convention" not in doc
     fgr = np.array(doc["fgr"])
     assert np.array_equal(fgr, fgr.T)
     assert np.all(np.diag(fgr) == 0)
@@ -174,43 +175,77 @@ def test_exit_code_output_path_under_file(tmp_path, capsys):
     assert str(out) in record["message"]
 
 
-NON_FINITE_SECTIONS = (
-    "[sweep]\netas = 0.2, nan\n",
-    "[sweep]\netas = inf, 0.2\n",
-    "[sweep]\nt_final = inf\n",
-    "[dynamics]\nt_end = inf\n",
-    "[dynamics]\nbec_horizon = inf\n",
+NON_FINITE_CASES = (
+    ("converge", "[sweep]\netas = 0.2, nan\n"),
+    ("converge", "[sweep]\netas = inf, 0.2\n"),
+    ("converge", "[sweep]\nt_final = inf\n"),
+    ("converge", "[dynamics]\nt_end = inf\n"),
+    ("converge", "[dynamics]\nbec_horizon = inf\n"),
+    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(nan)\n"),
+    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(inf)\n"),
+    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(1e400)\n"),
+)
+
+#: Runs ``main(command, path)`` for each (command, path) argument pair and
+#: prints each exit code.
+CHILD_SCRIPT = (
+    "import sys\n"
+    "from cascadelab.cli import main\n"
+    "args = sys.argv[1:]\n"
+    "for command, path in zip(args[::2], args[1::2]):\n"
+    "    print(main([command, '--config', path, '--out', path + '.out']))\n"
 )
 
 
-def test_non_finite_input_exits_3_promptly(tmp_path):
-    """A non-finite eta, horizon or end time is rejected, not integrated.
-
-    Such inputs once ran past a 60 s timeout without exiting.  One child
-    interpreter runs ``converge`` on each config and is stopped after 30 s,
-    so a hang fails the test instead of stalling the suite.
-    """
-    paths = []
-    for i, section in enumerate(NON_FINITE_SECTIONS):
-        paths.append(tmp_path / f"bad{i}.cfg")
-        paths[-1].write_text(section)
-    script = (
-        "import sys\n"
-        "from cascadelab.cli import main\n"
-        "for path in sys.argv[1:]:\n"
-        "    print(main(['converge', '--config', path, '--out', path + '.out']))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script, *map(str, paths)],
+def run_child(tmp_path, cases, timeout):
+    """Run (command, config text) cases in one child interpreter, stopped after timeout s."""
+    args = []
+    for i, (command, text) in enumerate(cases):
+        path = tmp_path / f"case{i}.cfg"
+        path.write_text(text)
+        args += [command, str(path)]
+    return subprocess.run(
+        [sys.executable, "-c", CHILD_SCRIPT, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=timeout,
     )
-    assert done.stdout.split() == ["3"] * len(paths), done.stderr
+
+
+def test_non_finite_input_exits_3_promptly(tmp_path):
+    """A non-finite eta, horizon, end time or synthetic rate is rejected, not integrated.
+
+    Such inputs once ran past a 60 s timeout without exiting.  One child
+    interpreter runs every case and is stopped after 30 s, so a hang fails
+    the test instead of stalling the suite.
+    """
+    done = run_child(tmp_path, NON_FINITE_CASES, timeout=30)
+    assert done.stdout.split() == ["3"] * len(NON_FINITE_CASES), done.stderr
     records = [json.loads(line) for line in done.stderr.splitlines()]
-    assert [r["error"] for r in records] == ["validation"] * len(paths)
+    assert [r["error"] for r in records] == ["validation"] * len(NON_FINITE_CASES)
     assert all("finite" in r["message"] for r in records)
+
+
+def test_overflowing_coefficients_exit_4_promptly(tmp_path):
+    """A coupling so large that the coefficients overflow is a numerical failure.
+
+    The limit matrix then holds nan + inf j, which ``evolve`` and
+    ``converge`` once integrated past a 60 s timeout without exiting.
+    """
+    cases = []
+    for command, config in (
+        ("evolve", SimulationConfig.default()),
+        ("converge", SimulationConfig.convergence()),
+    ):
+        config.kernels.coupling_amplitude = 1e200
+        cases.append((command, emit_config(config)))
+    done = run_child(tmp_path, cases, timeout=60)
+    assert done.stdout.split() == ["4"] * len(cases), done.stderr
+    # numpy's overflow warnings share stderr with the records
+    records = [json.loads(line) for line in done.stderr.splitlines() if line.startswith("{")]
+    assert [r["error"] for r in records] == ["numerical"] * len(cases)
+    assert all("non-finite" in r["message"] for r in records)
 
 
 @pytest.mark.parametrize(

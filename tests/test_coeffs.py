@@ -7,9 +7,7 @@ from scipy.integrate import quad
 from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
-    CoeffOptions,
     SpectralDensity,
-    assemble_limit_matrix,
     assemble_prelimit_tensor,
     branch_sum,
     branch_sum_limit,
@@ -26,7 +24,7 @@ from cascadelab.coeffs import (
     two_mode_coefficients,
     _pair_density,
 )
-from cascadelab.errors import ValidationError
+from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import gaussian_kernel, transform_profiles
 from cascadelab.spectrum import Potential, resonant_mask, solve_radial_eigenpairs
@@ -327,37 +325,18 @@ def test_assembly_symmetry_exploitation_consistent(sweep_assets):
     assert np.max(np.abs(im_m - im_m.T)) < 1e-10
 
 
-def test_pi_convention_flag(sweep_assets):
-    with_pi = sweep_assets.coeffs
-    bare = assemble_limit_matrix(
-        sweep_assets.basis,
-        sweep_assets.coupling,
-        sweep_assets.pair,
-        CoeffOptions(pi_convention=False),
-    )
-    ratio = with_pi.fgr[0, 1] / bare.fgr[0, 1]
-    assert ratio == pytest.approx(np.pi, rel=1e-12)
-    assert bare.fgr_pi_convention is False
-
-
 def test_degenerate_dressing_is_imaginary(default_assets):
+    """The zero-gap cells (k,k;k',k') dress the generator with phases only."""
     coeffs = default_assets.coeffs
-    without = assemble_limit_matrix(
-        default_assets.basis,
-        default_assets.coupling,
-        default_assets.pair,
-        CoeffOptions(include_degenerate=False),
-    )
-    difference = coeffs.limit_matrix - without.limit_matrix
-    assert np.max(np.abs(difference.real)) == 0.0
-    assert np.max(np.abs(np.diag(difference))) == 0.0
-    assert np.max(np.abs(difference.imag)) > 0.0
+    dressing = -1j * (coeffs.hartree_direct - coeffs.lamb_direct)
+    assert np.max(np.abs(dressing.real)) == 0.0
+    assert np.max(np.abs(np.diag(dressing))) == 0.0
+    assert np.max(np.abs(dressing.imag)) > 0.0
 
 
 def test_tensor_shape_and_diagonal_gaps(sweep_assets):
     tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-        options=sweep_assets.coeff_options,
+        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2
     )
     size = sweep_assets.basis.size
     assert tensor.tensor.shape == (size,) * 4
@@ -381,25 +360,20 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
     ghat = w.transform * phat
     energies = basis.energies
     eta = 0.2
-    for options in (
-        CoeffOptions(),
-        CoeffOptions(eps_policy="limit"),
-        CoeffOptions(pi_convention=False),
-    ):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta, options).tensor
-        pi_scale = 1.0 if options.pi_convention else 1.0 / np.pi
+    for eps_policy in ("eta2", "limit"):
+        tensor = assemble_prelimit_tensor(basis, w, v, eta, eps_policy).tensor
         worst = 0.0
         for k, kp, j, jp in np.ndindex(tensor.shape):
             a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
             mu = float(energies[j] - energies[jp])
-            if options.eps_policy == "limit":
+            if eps_policy == "limit":
                 s = branch_sum_limit(a, mu)
             else:
                 s = branch_sum(a, mu, eta**2)
             har = momenta.integrate(
                 DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
             )
-            expected = -1j * (har - s.real) - pi_scale * s.imag
+            expected = -1j * (har - s.real) - s.imag
             worst = max(worst, abs(tensor[k, kp, j, jp] - expected))
         assert worst < 1e-12
 
@@ -417,7 +391,6 @@ def test_tensor_mode_cap():
 def test_tensor_diagonal_converges_to_limit(sweep_assets):
     """Diagonal quadruples approach the limit entries at rate eta^2 log(1/eta)."""
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
-    options = sweep_assets.coeff_options
     limit = sweep_assets.coeffs
     idx = np.arange(limit.size)
     sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
@@ -425,7 +398,7 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 
     previous = np.inf
     for eta in (0.4, 0.2, 0.1, 0.05):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta, options)
+        tensor = assemble_prelimit_tensor(basis, w, v, eta)
         diag = tensor.tensor[idx[:, None], idx[None, :], idx[:, None], idx[None, :]]
         distance = float(np.max(np.abs(diag - exchange_matrix)))
         assert distance <= 10.0 * eta**2 * np.log(1.0 / eta)
@@ -434,10 +407,9 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 
 
 def test_resonant_restriction_and_collapse(sweep_assets):
-    options = CoeffOptions(eps_policy="limit")
     full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
-        options=options,
+        eps_policy="limit",
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     # oscillatory entries are gone
@@ -465,7 +437,7 @@ def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
     monkeypatch.setattr(kernels_module, "transform_profiles", forbidden)
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
     for policy in ("eta2", "limit"):
-        tensor = assemble_prelimit_tensor(basis, w, v, 0.1, CoeffOptions(eps_policy=policy))
+        tensor = assemble_prelimit_tensor(basis, w, v, 0.1, policy)
         assert tensor.eta == 0.1
         assert tensor.tensor.shape == (basis.size,) * 4
 
@@ -476,8 +448,33 @@ def test_two_mode_synthetic_preset():
     assert coeffs.limit_matrix[1, 0] == -1.5
     assert coeffs.limit_matrix[0, 0] == 0.0
     assert coeffs.symmetry_defects()["re_m_antisymmetry"] == 0.0
-    with pytest.raises(ValidationError):
-        two_mode_coefficients(0.0)
+    for gamma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            two_mode_coefficients(gamma)
+
+
+def test_non_finite_coefficients_rejected(sweep_assets):
+    coeffs = two_mode_coefficients(1.0)
+    bad = coeffs.limit_matrix.copy()
+    bad[0, 1] = complex(np.nan, np.inf)
+    with pytest.raises(NumericalError, match="non-finite"):
+        replace(coeffs, limit_matrix=bad)
+    with pytest.raises(NumericalError, match="non-finite"):
+        replace(coeffs, fgr=np.full((2, 2), np.inf))
+    tensor = assemble_prelimit_tensor(
+        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2
+    )
+    cells = tensor.tensor.copy()
+    cells[0, 1, 0, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        replace(tensor, tensor=cells)
+
+
+def test_unknown_eps_policy_rejected(sweep_assets):
+    with pytest.raises(ValidationError, match="eps_policy"):
+        assemble_prelimit_tensor(
+            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 0.1, "limt"
+        )
 
 
 # ---------------------------------------------------------------------------

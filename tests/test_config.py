@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from cascadelab.cli import main
 from cascadelab.config import (
     SimulationConfig,
     config_hash,
@@ -42,7 +45,7 @@ def test_type_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[trap]\nn_points = many\n"))
     with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, "[conventions]\nfgr_pi_factor = maybe\n"))
+        parse_config(write(tmp_path, "[dynamics]\nnormalize = maybe\n"))
 
 
 def test_invalid_values_rejected(tmp_path):
@@ -127,3 +130,13 @@ def test_rho_max_policy():
     assert config.rho_max_value(1.0) == pytest.approx(12.0)
     config.momentum.rho_max = "25.0"
     assert config.rho_max_value(1.0) == 25.0
+
+
+@pytest.mark.parametrize("key", ["fgr_pi_factor", "include_degenerate"])
+def test_removed_convention_key_exits_2(tmp_path, capsys, key):
+    """Both conventions are fixed; a config that sets one is rejected like any unknown key."""
+    path = write(tmp_path, f"[conventions]\n{key} = true\n")
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert key in record["message"]

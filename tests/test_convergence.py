@@ -58,7 +58,6 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
     for i, (eta, sup) in enumerate(zip(report.etas, report.sup_distances)):
         tensor = assemble_prelimit_tensor(
             sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta,
-            sweep_assets.coeff_options,
         )
         capped = integrate_prelimit(tensor, state, t_final, sweep_assets.solver_options, t_eval)
         exact = integrate(
@@ -81,7 +80,6 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     solver = SolverOptions(rtol=1e-9, atol=1e-12)
     full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
-        sweep_assets.coeff_options,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor))
@@ -162,6 +160,19 @@ def test_non_finite_sweep_input_rejected(sweep_assets):
             )
 
 
+def test_unknown_eps_policy_rejected_before_pool(sweep_assets, usable_cpus, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started for an unknown eps_policy")
+
+    monkeypatch.setattr(convergence, "ProcessPoolExecutor", refuse)
+    usable_cpus(2)
+    with pytest.raises(ValidationError, match="eps_policy"):
+        eta_sweep(
+            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
+            sweep_assets.config.initial_state(), 0.25, [0.2, 0.1], eps_policy="limt",
+        )
+
+
 # ---------------------------------------------------------------------------
 # worker processes
 # ---------------------------------------------------------------------------
@@ -176,7 +187,6 @@ def _short_sweep(assets, etas):
         0.25,
         etas,
         solver=assets.solver_options,
-        coeff_options=assets.coeff_options,
         n_samples=200,
     )
 

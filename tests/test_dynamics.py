@@ -71,7 +71,6 @@ def test_two_mode_rhs_matches_logistic_slope():
 def test_prelimit_phases_at_time_zero(sweep_assets):
     tensor = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-        options=sweep_assets.coeff_options,
     )
     # both routes sum at most n = K^3 products, so each is within
     # gamma_n * sum_bcd |T_abcd||F_b||F_c||F_d| of the exact value
@@ -94,7 +93,6 @@ def test_prelimit_phases_at_time_zero(sweep_assets):
 def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
     full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
-        options=sweep_assets.coeff_options,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     matrix = limit_matrix_from_tensor(tensor)
@@ -108,7 +106,6 @@ def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
 def test_prelimit_rejects_bad_input(sweep_assets):
     tensor = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-        options=sweep_assets.coeff_options,
     )
     state = sweep_assets.config.initial_state()
     short = state[:-1]
@@ -132,7 +129,6 @@ def test_prelimit_rejects_bad_input(sweep_assets):
 def test_prelimit_rejects_non_finite_input(sweep_assets):
     tensor = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-        options=sweep_assets.coeff_options,
     )
     state = sweep_assets.config.initial_state()
     for t_end in (np.inf, np.nan):
@@ -235,7 +231,7 @@ def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
     state = sweep_assets.config.initial_state()
     drifts = {}
     for eta in (0.1, 0.05):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta, sweep_assets.coeff_options)
+        tensor = assemble_prelimit_tensor(basis, w, v, eta)
         traj = integrate_prelimit(tensor, state, 1.0, SolverOptions())
         drifts[eta] = np.max(np.abs(traj.masses() - 1.0))
     # the oscillatory system conserves mass up to integrator error, which

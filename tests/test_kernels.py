@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import (
-    fourier_radial,
     gaussian_kernel,
     grid_transforms,
     radial_convolution,
@@ -29,7 +28,7 @@ def momenta():
 
 def test_gaussian_self_transform(grid, momenta):
     profile = np.exp(-grid.nodes**2 / 2.0)
-    hat = fourier_radial(profile, grid, momenta)
+    hat = grid_transforms(profile, grid, momenta)[0]
     exact = (2.0 * np.pi) ** 1.5 * np.exp(-momenta.nodes**2 / 2.0)
     window = momenta.nodes <= 4.0
     rel = np.abs(hat[window] - exact[window]) / exact[window]
@@ -38,7 +37,7 @@ def test_gaussian_self_transform(grid, momenta):
 
 def test_zero_frequency_is_volume_integral(grid):
     profile = np.exp(-grid.nodes**2 / 2.0)
-    hat0 = fourier_radial(profile, grid, np.array([0.0]))[0]
+    hat0 = transform_profiles(profile, grid, np.array([0.0]))[0, 0]
     direct = 4.0 * np.pi * grid.integrate(profile * grid.nodes**2)
     assert hat0 == pytest.approx(direct, rel=1e-14)
 
@@ -49,7 +48,7 @@ def test_unit_ball_transform():
     momenta = MomentumGrid(8.0, 2048)
     ball = (grid.nodes < 1.0).astype(float)
     ball[np.isclose(grid.nodes, 1.0)] = 0.5
-    hat = fourier_radial(ball, grid, momenta)
+    hat = grid_transforms(ball, grid, momenta)[0]
     rho = momenta.nodes
     exact = 4.0 * np.pi * (np.sin(rho) - rho * np.cos(rho)) / rho**3
     assert np.max(np.abs(hat - exact)) < 1e-4 * (4.0 * np.pi / 3.0)
@@ -59,7 +58,7 @@ def test_non_finite_profile_rejected(grid, momenta):
     profile = np.exp(-grid.nodes)
     profile[10] = np.nan
     with pytest.raises(ValidationError):
-        fourier_radial(profile, grid, momenta)
+        grid_transforms(profile, grid, momenta)
 
 
 def test_gaussian_kernel_closed_form_transform(grid, momenta):
@@ -163,6 +162,6 @@ def test_grid_transforms_match_dense_on_random_grids(
 def test_mismatched_profile_rejected(grid, momenta):
     short = np.ones(grid.n_points - 1)
     with pytest.raises(ValidationError, match="does not match"):
-        fourier_radial(short, grid, momenta)
+        grid_transforms(short, grid, momenta)
     with pytest.raises(ValidationError, match="does not match"):
-        fourier_radial(short, grid, momenta.nodes[:3])
+        transform_profiles(short, grid, momenta.nodes[:3])

@@ -35,7 +35,6 @@ def states(size):
 def prelimit_tensor(sweep_assets):
     return assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=ETA,
-        options=sweep_assets.coeff_options,
     )
 
 
