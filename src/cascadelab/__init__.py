@@ -42,7 +42,6 @@ from .coeffs import (
     lambda_lamb_shift,
     lap_uniformity_probe,
     limit_matrix_from_tensor,
-    richardson_limit,
     spectral_density,
     two_mode_coefficients,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "mode_product",
     "parse_config",
     "radial_convolution",
-    "richardson_limit",
     "rhs_limit",
     "rhs_prelimit",
     "solve_radial_eigenpairs",

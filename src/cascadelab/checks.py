@@ -14,7 +14,6 @@ import numpy as np
 from .coeffs import (
     assemble_limit_matrix,
     branch_sum,
-    branch_sum_limit,
     cauchy_transform_limit,
     gamma_fgr,
     mode_pair_transforms,
@@ -153,11 +152,11 @@ def coefficient_checks(assets: Assets) -> list[dict]:
             mu = float(energies[k] - energies[kp])
             a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             produced.append(coeffs.lamb_exchange[k, kp])
-            scalar.append(branch_sum_limit(a, mu).real)
+            scalar.append(branch_sum(a, mu, 0.0).real)
             if k != kp:
                 a = spectral_density(ghat[k, k], ghat[kp, kp], momenta)
                 produced.append(coeffs.lamb_direct[k, kp])
-                scalar.append(branch_sum_limit(a, 0.0).real)
+                scalar.append(branch_sum(a, 0.0, 0.0).real)
     produced = np.array(produced)
     gap = float(np.max(np.abs(produced - np.array(scalar))) / np.max(np.abs(produced)))
     checks.append(

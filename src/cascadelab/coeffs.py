@@ -20,7 +20,7 @@ The limit matrix and the prelimit tensor are each read off a table over
 the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
 pass, then the Hartree pairings and the branch sums of every cell as
 matrix products.  The limit generator (``CoefficientSet``) keeps the
-resonant cells at eps -> 0 plus one golden-rule rate per pair; the
+resonant cells at eps = 0 plus one golden-rule rate per pair; the
 tensor (``PrelimitTensor``) is a value of its own, every cell at
 eps = eta^2, and carries no limit part.
 
@@ -46,15 +46,23 @@ from .spectrum import EigenBasis, mode_product
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
 DENSITY_PREFACTOR = 1.0 / (2.0 * np.pi**2)
 
-#: Regularization ladder for the eps -> 0 extrapolation of principal values.
-LAMB_EPS_VALUES = (1e-2, 5e-3, 2.5e-3)
-
 #: Most modes a prelimit tensor is assembled for; its memory grows like K^4.
 TENSOR_MODE_CAP = 12
 
 #: Evaluation points this close to the ends of the momentum interval are
 #: rejected: the subtraction stencil would leave the grid.
 _INTERIOR_MARGIN = 2
+
+#: At eps = 0 an interior node closer than this many spacings d to the pole
+#: takes the central difference quotient in place of the remainder
+#: (a(rho) - a(lam)) / (rho - lam), whose cancellation costs about u / d in
+#: relative accuracy (u the unit roundoff).  The swap moves the quadrature
+#: by at most h^2 (_POLE_WINDOW |a''| / 2 + h |a'''| / 6).
+_POLE_WINDOW = 1e-3
+
+#: Euler-Maclaurin end weight on the first node of the eps = 0 pole at the
+#: origin (see _cauchy_exterior).
+_ORIGIN_END_WEIGHT = 1.0 / 12.0
 
 
 @dataclass(frozen=True)
@@ -134,30 +142,33 @@ def _interior_bounds(momenta: MomentumGrid) -> tuple[float, float]:
     return _INTERIOR_MARGIN * h, momenta.rho_max - _INTERIOR_MARGIN * h
 
 
+def _pole_node(momenta: MomentumGrid, lam: float, eps: float) -> int | None:
+    """Extended-grid node within _POLE_WINDOW spacings of an eps = 0 pole at lam, if any."""
+    if eps != 0.0:
+        return None
+    i = round(lam / momenta.spacing)
+    return i if abs(i * momenta.spacing - lam) < _POLE_WINDOW * momenta.spacing else None
+
+
 def _cauchy_interior(a: SpectralDensity, lam: float, eps: float) -> complex:
     """Subtracted quadrature of int a(rho) / (rho - lam + i eps) drho.
 
     The singular weight integrates in closed form (complex logarithm at
     the interval endpoints); the remainder (a(rho) - a(lam)) / (...) is
     smooth on the scale of a itself and handled by the trapezoid rule.
-    Valid for eps >= 0.
+    Valid for eps >= 0; at eps = 0 a node on the pole takes the central
+    difference quotient in place of the 0/0 remainder.
     """
     nodes, values, weights = a._extended()
     a_lam = a.at(lam)
-    shifted = nodes - lam
-    denom = shifted + 1j * eps
     numer = values - a_lam
-    hit = np.abs(shifted) < 1e-9 * a.momenta.spacing if eps == 0.0 else None
-    if hit is not None and np.any(hit):
-        quotient = np.zeros(len(nodes), dtype=complex)
-        ok = ~hit
-        quotient[ok] = numer[ok] / denom[ok]
-        i = int(np.argmax(hit))
-        j0, j1 = max(i - 1, 0), min(i + 1, len(nodes) - 1)
-        quotient[i] = (values[j1] - values[j0]) / (nodes[j1] - nodes[j0])
-    else:
-        quotient = numer / denom
-    subtracted = np.dot(weights, quotient)
+    denom = nodes - lam + 1j * eps
+    i = _pole_node(a.momenta, lam, eps)
+    if i is not None:
+        numer[i], denom[i] = 0.0, 1.0
+    subtracted = np.dot(weights, numer / denom)
+    if i is not None:
+        subtracted += weights[i] * (values[i + 1] - values[i - 1]) / (nodes[i + 1] - nodes[i - 1])
     log_term = a_lam * (
         np.log(complex(nodes[-1] - lam, eps)) - np.log(complex(-lam, eps))
     )
@@ -165,15 +176,20 @@ def _cauchy_interior(a: SpectralDensity, lam: float, eps: float) -> complex:
 
 
 def _cauchy_exterior(a: SpectralDensity, lam: float, eps: float) -> complex:
-    """Plain quadrature; requires the pole at lam <= 0, outside the interval."""
+    """Plain quadrature; requires the pole at lam <= 0, outside the interval.
+
+    At lam = eps = 0 the integrand a(rho)/rho is odd with slope a''(0)/2 at
+    the origin, so the trapezoid rule gains the Euler-Maclaurin end term
+    h^2 f'(0)/12 = a(h)/12 + O(h^4).
+    """
     nodes, values, weights = a._extended()
     denom = nodes - lam + 1j * eps
     if lam == 0.0 and eps == 0.0:
         # the origin node has zero denominator; a vanishes there like rho^2
         if a.zero_value != 0.0:
             raise ValidationError("pole at 0 with non-vanishing density")
-        denom = denom.copy()
         denom[0] = 1.0
+        return complex(np.dot(weights, values / denom) + _ORIGIN_END_WEIGHT * values[1])
     return complex(np.dot(weights, values / denom))
 
 
@@ -198,15 +214,33 @@ def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
 def _cauchy_weights(momenta: MomentumGrid, lam: float, eps: float) -> np.ndarray:
     """Weights c over the extended nodes with _cauchy_any(a, lam, eps) = c . a.
 
-    Exterior: c = w / (rho - lam + i eps).  The interior route's subtraction
-    adds l * (log term - sum c), l the Lagrange row of SpectralDensity.at.
+    Exterior: c = w / (rho - lam + i eps), plus the end weight on the first
+    node at lam = eps = 0.  The interior route's subtraction adds
+    l * (log term - sum c), l the Lagrange row of SpectralDensity.at, and
+    moves the weight of a node on an eps = 0 pole onto its neighbours.
     """
     nodes, weights = _extended_grid(momenta)
-    c = weights / (nodes - lam + 1j * eps)
-    if _is_interior(momenta, lam):
-        lo, row = _lagrange_row(nodes, lam)
-        log_term = np.log(complex(nodes[-1] - lam, eps)) - np.log(complex(-lam, eps))
-        c[lo : lo + 4] += row * (log_term - np.sum(c))
+    denom = nodes - lam + 1j * eps
+    if not _is_interior(momenta, lam):
+        if lam != 0.0 or eps != 0.0:
+            return weights / denom
+        denom[0] = 1.0  # a vanishes at the origin, so its weight there is immaterial
+        c = weights / denom
+        c[1] += _ORIGIN_END_WEIGHT
+        return c
+    i = _pole_node(momenta, lam, eps)
+    if i is not None:
+        denom[i] = 1.0
+    c = weights / denom
+    if i is not None:
+        c[i] = 0.0
+    lo, row = _lagrange_row(nodes, lam)
+    log_term = np.log(complex(nodes[-1] - lam, eps)) - np.log(complex(-lam, eps))
+    c[lo : lo + 4] += row * (log_term - np.sum(c))
+    if i is not None:
+        quotient = weights[i] / (nodes[i + 1] - nodes[i - 1])
+        c[i + 1] += quotient
+        c[i - 1] -= quotient
     return c
 
 
@@ -237,26 +271,6 @@ def cauchy_transform_limit(a: SpectralDensity, lam: float) -> complex:
     return _cauchy_interior(a, lam, 0.0)
 
 
-def _fit_limit(samples, eps_values, error_funcs):
-    """Solve y(eps) = y0 + sum_j c_j f_j(eps) for y0; samples may be stacked vectors."""
-    samples = np.asarray(samples)
-    eps_values = np.asarray(eps_values, dtype=float)
-    if len(samples) != len(error_funcs) + 1:
-        raise ValidationError("need one sample per error term plus one for the limit")
-    rows = np.array([[1.0] + [f(e) for f in error_funcs] for e in eps_values])
-    combination = np.linalg.solve(rows.T, np.eye(len(rows))[0])
-    return combination @ samples
-
-
-def richardson_limit(samples, eps_values, powers=(1, 2)):
-    """Extrapolate samples y(eps) = y0 + sum_j c_j eps^p_j to eps = 0.
-
-    Needs len(samples) = len(powers) + 1; solves the small Vandermonde
-    system exactly.  Works for real or complex samples.
-    """
-    return _fit_limit(samples, eps_values, [lambda e, p=p: e**p for p in powers])
-
-
 def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     """Both resolvent branches of the second-order pairing at gap mu.
 
@@ -269,35 +283,14 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     return minus + plus
 
 
-def _branch_limit(sample, mu: float):
-    """Three-point extrapolation of sample(eps) at gap mu to eps = 0 over LAMB_EPS_VALUES.
-
-    Away from zero gap the error is a plain power series in eps.  At
-    mu = 0 both poles merge at the interval edge where the density
-    vanishes quadratically; the error then starts at eps^2 log(1/eps).
-    """
-    if mu == 0.0:
-        funcs = [lambda e: e**2 * np.log(1.0 / e), lambda e: e**2]
-    else:
-        funcs = [lambda e: e, lambda e: e**2]
-    return _fit_limit([sample(e) for e in LAMB_EPS_VALUES], LAMB_EPS_VALUES, funcs)
-
-
-def branch_sum_limit(a: SpectralDensity, mu: float) -> complex:
-    """The branch sum extrapolated to eps = 0."""
-    return _branch_limit(lambda e: branch_sum(a, mu, e), mu)
-
-
-def branch_weights(momenta: MomentumGrid, mu: float, eps: float | None) -> np.ndarray:
+def branch_weights(momenta: MomentumGrid, mu: float, eps: float) -> np.ndarray:
     """Weights W on the grid nodes with branch_sum(a, mu, eps) = W . a.values.
 
     W = conj c(mu) + c(-mu) from the Cauchy-route weights; a must vanish at
-    the origin, as genuine densities do.  eps None extrapolates to eps -> 0.
+    the origin, as genuine densities do.  eps = 0 gives the limit pairing.
     """
-    if eps is None:
-        return _branch_limit(lambda e: branch_weights(momenta, mu, e), mu)
-    if eps <= 0:
-        raise ValidationError(f"regularization eps must be positive, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValidationError(f"regularization eps must be finite and non-negative, got {eps}")
     both = np.conj(_cauchy_weights(momenta, mu, eps)) + _cauchy_weights(momenta, -mu, eps)
     return both[1:]
 
@@ -375,23 +368,16 @@ def lambda_lamb_shift(
     kp: int,
     j: int,
     jp: int,
-    mode: str = "extrapolate",
 ) -> float:
     """Off-shell energy renormalization for the quadruple (k,k';j,j').
 
     Principal-value pairing through both resolvent branches,
-    PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j'.
-    ``mode`` selects the production route ("extrapolate": Richardson in
-    eps over LAMB_EPS_VALUES) or the direct eps = 0 subtracted quadrature
-    ("direct", used as a cross-check).
+    PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j',
+    the real part of the branch sum at eps = 0.
     """
     a = _pair_density(basis, coupling, k, kp, j, jp)
     mu = float(basis.energies[j] - basis.energies[jp])
-    if mode == "extrapolate":
-        return float(branch_sum_limit(a, mu).real)
-    if mode == "direct":
-        return float(branch_sum(a, mu, 0.0).real)
-    raise ValidationError(f"unknown lamb shift mode {mode!r}")
+    return float(branch_sum(a, mu, 0.0).real)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +386,7 @@ def lambda_lamb_shift(
 
 
 #: Regularizations a prelimit tensor is evaluated at: the physical eps = eta^2,
-#: or the extrapolated eps -> 0 values of the limit Lamb shifts.
+#: or eps = 0, where the cells take their limit values.
 EPS_POLICIES = ("eta2", "limit")
 
 
@@ -551,8 +537,8 @@ class _PairingTable:
     ghat: np.ndarray
     hartree: np.ndarray
 
-    def cell_sums(self, eps: float | None) -> np.ndarray:
-        """Branch sums of every cell (p; j, jp), shape (P, K, K); eps None extrapolates to 0.
+    def cell_sums(self, eps: float) -> np.ndarray:
+        """Branch sums of every cell (p; j, jp), shape (P, K, K), at eps >= 0.
 
         Block j is ghat @ B with B[:, jp] = rho^2/(2 pi^2) conj(ghat of {j, jp}) W(E_j - E_jp).
         """
@@ -591,12 +577,14 @@ def _pairing_table(
     )
 
 
+# An overflowing assembly fails its non-finite check; numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_limit_matrix(
     basis: EigenBasis,
     coupling: InteractionKernel,
     pair: InteractionKernel,
 ) -> CoefficientSet:
-    """Assemble the limit transition matrix from the resonant quadruples at eps -> 0.
+    """Assemble the limit transition matrix from the resonant quadruples at eps = 0.
 
     The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
     entry (k,k'), the direct cells (k,k;k',k') their degenerate dressing,
@@ -608,7 +596,7 @@ def assemble_limit_matrix(
     table = _pairing_table(basis, coupling, pair)
     index = table.index
     size = basis.size
-    sums = table.cell_sums(None).real
+    sums = table.cell_sums(0.0).real
     k, kp = np.indices((size, size))
 
     # exchange cells (k,k'; k,k'), each order read off its own cell
@@ -637,7 +625,6 @@ def assemble_limit_matrix(
         "coupling_width": coupling.width,
         "pair_amplitude": pair.amplitude,
         "pair_width": pair.width,
-        "lamb_eps_values": list(LAMB_EPS_VALUES),
         "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
     }
     return CoefficientSet(
@@ -651,6 +638,8 @@ def assemble_limit_matrix(
     )
 
 
+# Quiet for the same reason as assemble_limit_matrix.
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_prelimit_tensor(
     basis: EigenBasis,
     coupling: InteractionKernel,
@@ -662,8 +651,7 @@ def assemble_prelimit_tensor(
 
     Entry (k,k';j,j') is -i (H - Re S) - Im S, with H the mean-field
     pairing of the pairs {k,k'} and {j,j'} and S the branch sum of the
-    cell at eps = eta^2 (or at the extrapolated limit under
-    ``eps_policy = "limit"``).  The energy mismatch
+    cell at eps = eta^2 (or at eps = 0 under ``eps_policy = "limit"``).  The energy mismatch
     dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
     ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
     against accidents.
@@ -679,7 +667,7 @@ def assemble_prelimit_tensor(
             f"{TENSOR_MODE_CAP} modes"
         )
     table = _pairing_table(basis, coupling, pair)
-    sums = table.cell_sums(None if eps_policy == "limit" else eta**2)
+    sums = table.cell_sums(0.0 if eps_policy == "limit" else eta**2)
     cells = -1j * (table.hartree[:, table.index] - sums.real) - sums.imag
     return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])
 
@@ -690,7 +678,7 @@ def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
     The resonant quadruples all produce terms of the form c |F_j|^2 F_k,
     so they sum into a single matrix: the diagonal family contributes
     tensor[k,m,k,m] and the zero-gap family tensor[k,k,m,m] (off the
-    diagonal).  With the tensor evaluated at eps -> 0 this reproduces the
+    diagonal).  With the tensor evaluated at eps = 0 this reproduces the
     assembled limit matrix.
     """
     size = tensor.size

@@ -136,8 +136,8 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
 
     sf = r * f * grid.weights
     # node i = p + 1: upper[p] = sum_q sf[q] G(p + q + 2), lower[p] = sum_q sf[q] G(|p - q|)
-    upper = np.convolve(lattice[2:], sf[::-1], mode="valid")
-    lower = np.convolve(np.concatenate((lattice[n - 1 : 0 : -1], lattice[:n])), sf, mode="valid")
+    upper = np.convolve(lattice[2:], sf[::-1], "valid")
+    lower = np.convolve(np.concatenate((lattice[n - 1 : 0 : -1], lattice[:n])), sf, "valid")
     return 2.0 * np.pi * (upper - lower) / r
 
 

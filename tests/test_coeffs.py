@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cascadelab.checks import coefficient_checks
 from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
     SpectralDensity,
     assemble_prelimit_tensor,
     branch_sum,
-    branch_sum_limit,
     cauchy_transform,
     cauchy_transform_limit,
     gamma_fgr,
@@ -19,7 +19,6 @@ from cascadelab.coeffs import (
     lap_uniformity_probe,
     limit_matrix_from_tensor,
     mode_pair_transforms,
-    richardson_limit,
     spectral_density,
     two_mode_coefficients,
     _pair_density,
@@ -139,12 +138,21 @@ def test_branch_sum_matches_adaptive_quadrature(gaussian_pair_density):
     lam <= 0) route, positive gaps through the subtracted interior route.
     Measured worst relative error 2.2e-7; scaling the exterior route by
     1.01 reads 1.0e-2.
+
+    At eps = 0 the principal values come from quad's weight="cauchy":
+    S(mu, 0) = PV int a [1/(rho - |mu|) + 1/(rho + |mu|)] + i sign(mu) pi a(|mu|),
+    and 2 int a / rho at mu = 0.  Measured 1.1e-8 to 2.0e-7 relative at
+    nonzero gap; 2.7e-12 at zero gap, where the exterior route's end term
+    removes the trapezoid's O(h^2) error (6.4e-7 without it).
     """
     a = gaussian_pair_density
     rho_max = a.momenta.rho_max
 
     def density(rho):
         return 4.0 * np.pi * rho**2 * np.exp(-(rho**2))
+
+    def integral(f, **kwargs):
+        return quad(f, 0.0, rho_max, limit=400, epsabs=0.0, epsrel=1e-12, **kwargs)[0]
 
     for mu in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0):
         for eps in (1e-1, 1e-2):
@@ -163,11 +171,16 @@ def test_branch_sum_matches_adaptive_quadrature(gaussian_pair_density):
             )
             assert abs(branch_sum(a, mu, eps) - exact) <= 1e-5 * abs(exact), (mu, eps)
 
-
-def test_richardson_limit_exact_for_polynomial():
-    eps = np.array([1e-2, 5e-3, 2.5e-3])
-    samples = 3.5 + 2.0 * eps - 7.0 * eps**2
-    assert richardson_limit(samples, eps) == pytest.approx(3.5, abs=1e-12)
+    assert branch_sum(a, 0.0, 0.0) == pytest.approx(
+        2.0 * integral(lambda rho: density(rho) / rho), rel=1e-10, abs=0.0
+    )
+    for mu in (0.5, -0.5, 1.0, -1.0, 2.0):
+        lam = abs(mu)
+        real = integral(density, weight="cauchy", wvar=lam) + integral(
+            lambda rho: density(rho) / (rho + lam)
+        )
+        exact = complex(real, np.sign(mu) * np.pi * density(lam))
+        assert abs(branch_sum(a, mu, 0.0) - exact) <= 1e-5 * abs(exact), mu
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +230,7 @@ def test_lamb_shift_zero_gap_is_half_wave_moment(default_assets):
     direct = 2.0 * float(
         np.dot(a.momenta.weights, np.asarray(a.values) / a.momenta.nodes)
     )
-    value = lambda_lamb_shift(basis, w, 0, 1, 2, 2, mode="direct")
+    value = lambda_lamb_shift(basis, w, 0, 1, 2, 2)
     assert value == pytest.approx(direct, rel=1e-6)
 
 
@@ -227,25 +240,36 @@ def test_lamb_shift_branches_cancel_imaginary_part(default_assets):
     assert branch_sum(a, 0.0, 1e-3).imag == 0.0
 
 
-def test_lamb_shift_extrapolation_vs_small_eps(default_assets):
-    """Richardson ladder against a direct eps = 1e-4 evaluation.
+def test_lamb_shift_limit_matches_small_eps(default_assets):
+    """At nonzero gap the eps = 0 route continues the finite-eps one.
 
-    At zero gap the eps = 1e-4 value is itself within O(eps^2 log) of the
-    limit, so the two routes must agree tightly.
+    Within one grid eps = 1e-7 sits 1.3e-10 to 1.3e-9 (relative) from the
+    limit on these cells.
     """
     basis, w = default_assets.basis, default_assets.coupling
-    for quad in ((0, 1, 2, 2), (2, 3, 4, 4)):
-        extrapolated = lambda_lamb_shift(basis, w, *quad, mode="extrapolate")
+    energies = basis.energies
+    for quad in ((0, 1, 0, 1), (1, 3, 1, 3), (2, 5, 2, 5)):
+        limit = lambda_lamb_shift(basis, w, *quad)
         a = _pair_density(basis, w, *quad)
-        direct = branch_sum(a, 0.0, 1e-4).real
-        assert abs(extrapolated - direct) / abs(direct) < 1e-5
+        small = branch_sum(a, float(energies[quad[2]] - energies[quad[3]]), 1e-7).real
+        assert abs(limit - small) / abs(limit) < 1e-8, quad
 
 
-def test_lamb_shift_modes_consistent(default_assets):
+def test_lamb_shift_zero_gap_grid_doubling(default_assets):
+    """Zero-gap Lamb shifts are grid-converged to O(h^4).
+
+    The exterior route's end term takes the O(h^2) trapezoid error of
+    a(rho)/rho off the cells whose density grows like rho^2 (the direct
+    ones (k,k;j,j)); without it they move by 3.0e-5 absolute under doubling.
+    Measured 2.5e-10 to 1.3e-9 relative.
+    """
     basis, w = default_assets.basis, default_assets.coupling
-    extrapolated = lambda_lamb_shift(basis, w, 0, 1, 0, 1, mode="extrapolate")
-    direct = lambda_lamb_shift(basis, w, 0, 1, 0, 1, mode="direct")
-    assert abs(extrapolated - direct) / abs(direct) < 2e-4
+    momenta = w.momenta
+    fine = default_assets.kernel("coupling", MomentumGrid(momenta.rho_max, 2 * momenta.n_rho))
+    for quad in ((0, 1, 2, 2), (2, 3, 4, 4), (0, 0, 1, 1), (2, 2, 4, 4)):
+        coarse = lambda_lamb_shift(basis, w, *quad)
+        refined = lambda_lamb_shift(basis, fine, *quad)
+        assert abs(coarse - refined) / abs(refined) < 1e-8, quad
 
 
 def test_hartree_symmetries(natural_basis):
@@ -366,10 +390,7 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
         for k, kp, j, jp in np.ndindex(tensor.shape):
             a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
             mu = float(energies[j] - energies[jp])
-            if eps_policy == "limit":
-                s = branch_sum_limit(a, mu)
-            else:
-                s = branch_sum(a, mu, eta**2)
+            s = branch_sum(a, mu, 0.0 if eps_policy == "limit" else eta**2)
             har = momenta.integrate(
                 DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
             )
@@ -406,18 +427,23 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
         previous = distance
 
 
-def test_resonant_restriction_and_collapse(sweep_assets):
-    full = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
-        eps_policy="limit",
-    )
-    tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-    # oscillatory entries are gone
-    assert tensor.tensor[0, 1, 0, 2] == 0.0
-    # collapsing the resonant entries at extrapolated eps recovers the
-    # assembled limit matrix
-    collapsed = limit_matrix_from_tensor(tensor)
-    assert np.max(np.abs(collapsed - sweep_assets.coeffs.limit_matrix)) < 1e-10
+def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
+    """The resonant tensor entries at eps = 0 collapse onto the limit matrix.
+
+    The limit matrix takes its rates from gamma_fgr, the tensor from the
+    on-shell part of its table.  The sweep preset's rates are ~0;
+    default.cfg cascades (rates 0.12-1.91), measured at 1.2e-9 of max |M|.
+    """
+    for assets, bound in ((sweep_assets, 1e-11), (default_assets, 1e-8)):
+        full = assemble_prelimit_tensor(
+            assets.basis, assets.coupling, assets.pair, eta=0.1, eps_policy="limit"
+        )
+        tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
+        # oscillatory entries are gone
+        assert tensor.tensor[0, 1, 0, 2] == 0.0
+        limit = assets.coeffs.limit_matrix
+        collapsed = limit_matrix_from_tensor(tensor)
+        assert np.max(np.abs(collapsed - limit)) <= bound * np.max(np.abs(limit))
 
 
 def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
@@ -475,6 +501,16 @@ def test_unknown_eps_policy_rejected(sweep_assets):
         assemble_prelimit_tensor(
             sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 0.1, "limt"
         )
+
+
+def test_sweep_preset_passes_coefficient_checks(sweep_assets):
+    """convergence.cfg certifies its own coefficients, not only default.cfg.
+
+    Its tightest record, row_sum_stability, reads 9.4e-9 against 1e-6; the
+    three-point eps fit once put it at 2.8e-5.
+    """
+    failed = [r for r in coefficient_checks(sweep_assets) if not r["passed"]]
+    assert failed == []
 
 
 # ---------------------------------------------------------------------------

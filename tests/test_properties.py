@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cascadelab.coeffs import (
     assemble_prelimit_tensor,
     branch_sum,
-    branch_sum_limit,
     branch_weights,
 )
 from cascadelab.dynamics import rhs_limit, rhs_prelimit
@@ -96,11 +95,23 @@ def test_prelimit_rhs_global_phase_equivariance(prelimit_tensor, data, t, phi):
     assert np.max(np.abs(rotated - phase * plain), initial=0.0) <= 1e-13 * scale
 
 
+#: Pole offsets from a node, in spacings, all inside the window where the
+#: eps = 0 routes swap the cancelling remainder for a difference quotient.
+NODE_OFFSETS = (0.0, 1e-10, 1e-7, 1e-5)
+
+
 def gaps(momenta):
-    """Gaps of either sign whose poles the Cauchy routes resolve, and zero."""
+    """Gaps of either sign whose poles the Cauchy routes resolve, and zero.
+
+    Some gaps sit on a grid node plus one of NODE_OFFSETS spacings.
+    """
     h = momenta.spacing
     usable = st.floats(min_value=2.0 * h, max_value=momenta.rho_max - 2.0 * h)
-    signed = st.tuples(usable, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+    near_node = st.tuples(
+        st.integers(min_value=2, max_value=momenta.n_rho - 3), st.sampled_from(NODE_OFFSETS)
+    ).map(lambda p: (p[0] + p[1]) * h)
+    magnitude = st.one_of(usable, near_node)
+    signed = st.tuples(magnitude, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
     return st.one_of(st.just(0.0), signed)
 
 
@@ -116,14 +127,28 @@ def fringe_gaps(momenta):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), eps=st.floats(min_value=2.5e-3, max_value=1e-1))
+@given(
+    data=st.data(),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=2.5e-3, max_value=1e-1)),
+)
 def test_branch_weights_match_scalar_branch_sum(gaussian_pair_density, data, eps):
     a = gaussian_pair_density
     mu = data.draw(gaps(a.momenta))
     exact = branch_sum(a, mu, eps)
     assert abs(branch_weights(a.momenta, mu, eps) @ a.values - exact) <= 1e-12 * abs(exact)
-    limit = branch_sum_limit(a, mu)
-    assert abs(branch_weights(a.momenta, mu, None) @ a.values - limit) <= 1e-12 * abs(limit)
+
+
+@pytest.mark.parametrize("offset", NODE_OFFSETS)
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_branch_weights_match_scalar_branch_sum_at_node_poles(
+    gaussian_pair_density, offset, sign
+):
+    """eps = 0 with the pole on a node or just off it, where the remainder cancels."""
+    a = gaussian_pair_density
+    for node in (2, 700, a.momenta.n_rho - 3):
+        mu = sign * (node + offset) * a.momenta.spacing
+        exact = branch_sum(a, mu, 0.0)
+        assert abs(branch_weights(a.momenta, mu, 0.0) @ a.values - exact) <= 1e-12 * abs(exact)
 
 
 @settings(max_examples=50, deadline=None)
