@@ -40,7 +40,6 @@ from .coeffs import (
     gamma_fgr,
     lambda_hartree,
     lambda_lamb_shift,
-    lap_uniformity_probe,
     limit_matrix_from_tensor,
     spectral_density,
     two_mode_coefficients,
@@ -87,7 +86,6 @@ __all__ = [
     "integrate",
     "lambda_hartree",
     "lambda_lamb_shift",
-    "lap_uniformity_probe",
     "limit_matrix_from_tensor",
     "logistic_bound",
     "mode_product",

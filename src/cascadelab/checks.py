@@ -5,9 +5,18 @@ the suite passes only if every record does.  The convergence block always
 runs on the canonical sweep setup (natural-unit anharmonic trap, four
 modes, T0 = 1), which is what the monotone-decrease and factor-two
 claims refer to; everything else follows the supplied configuration.
+
+The convergence block runs that sweep twice, independently, to certify
+that it reproduces.  All prelimit solves of both runs start first, on one
+pool of forked workers, smallest eta first across the runs; the
+spectrum, coefficient and dynamics blocks run in this process while they
+do, and the convergence block then integrates each run's limit
+trajectory and collects its solves.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from .coeffs import (
     two_mode_coefficients,
 )
 from .config import SimulationConfig
-from .convergence import eta_sweep
+from .convergence import ConvergenceReport, SweepSetup, sweep_runs
 from .dynamics import (
     MIN_GROUND_RATE,
     SolverOptions,
@@ -311,31 +320,32 @@ def dynamics_checks(assets: Assets) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_sweep_assets() -> Assets:
-    """The fixed sweep setup: natural-unit anharmonic trap, four modes."""
-    return Assets(SimulationConfig.convergence())
+def canonical_sweep() -> SweepSetup:
+    """The canonical eta sweep: natural-unit anharmonic trap, four modes."""
+    assets = Assets(SimulationConfig.convergence())
+    config = assets.config
+    return SweepSetup(
+        assets.basis,
+        assets.coupling,
+        assets.pair,
+        config.initial_state(),
+        config.sweep.t_final,
+        config.eta_values(),
+        solver=assets.solver_options,
+        eps_policy=config.conventions.eps_policy,
+        n_samples=config.sweep.samples,
+    )
 
 
-def convergence_checks() -> list[dict]:
-    assets = canonical_sweep_assets()
-    state = assets.config.initial_state()
-    solver = assets.solver_options
-    etas = assets.config.eta_values()
+def convergence_checks(
+    first: Callable[[], ConvergenceReport], second: Callable[[], ConvergenceReport]
+) -> list[dict]:
+    """Records of two independent runs of the canonical sweep.
 
-    def run():
-        return eta_sweep(
-            assets.basis,
-            assets.coupling,
-            assets.pair,
-            state,
-            assets.config.sweep.t_final,
-            etas,
-            solver=solver,
-            eps_policy=assets.config.conventions.eps_policy,
-            n_samples=assets.config.sweep.samples,
-        )
-
-    report = run()
+    ``first`` and ``second`` are the finishers that ``sweep_runs`` yields;
+    each returns its run's report.
+    """
+    report = first()
     checks = [
         _record(
             "sweep_strictly_decreasing",
@@ -352,24 +362,30 @@ def convergence_checks() -> list[dict]:
         ),
         _record("sweep_initial_distance", report.initial_distance, 0.0, report.initial_distance == 0.0),
     ]
-    second = run()
+    repeat = second()
     identical = (
-        report.sup_distances == second.sup_distances
-        and report.terminal_distances == second.terminal_distances
-        and report.mass_drifts == second.mass_drifts
+        report.sup_distances == repeat.sup_distances
+        and report.terminal_distances == repeat.terminal_distances
+        and report.mass_drifts == repeat.mass_drifts
     )
     checks.append(_record("sweep_reproducibility", 0.0 if identical else 1.0, 0.0, identical))
     return checks
 
 
 def run_all_checks(config: SimulationConfig) -> dict:
-    """Execute every invariant block and collect a pass/fail manifest."""
+    """Execute every invariant block and collect a pass/fail manifest.
+
+    Both canonical sweep runs start first, on worker processes where there
+    are CPUs for them, and the other blocks run here meanwhile.
+    """
     assets = Assets(config)
-    blocks = {
-        "spectrum": spectrum_checks(assets),
-        "coefficients": coefficient_checks(assets),
-        "dynamics": dynamics_checks(assets),
-        "convergence": convergence_checks(),
-    }
+    sweep = canonical_sweep()
+    with sweep_runs([sweep, sweep]) as (first, second):
+        blocks = {
+            "spectrum": spectrum_checks(assets),
+            "coefficients": coefficient_checks(assets),
+            "dynamics": dynamics_checks(assets),
+            "convergence": convergence_checks(first, second),
+        }
     all_passed = all(rec["passed"] for recs in blocks.values() for rec in recs)
     return {"blocks": blocks, "all_passed": all_passed}

@@ -688,74 +688,3 @@ def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
     off = ~np.eye(size, dtype=bool)
     matrix[off] += cells[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
     return matrix
-
-
-# ---------------------------------------------------------------------------
-# Uniformity probes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LapProbeReport:
-    """Empirical uniform-boundedness probe for the regularized transform."""
-
-    eps_values: tuple
-    sup_per_eps: tuple
-    sup_abs: float
-    holder_quotient: float
-    growth_ratio: float
-    flagged: bool
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.eps_values) == 0
-
-
-def lap_uniformity_probe(
-    a: SpectralDensity,
-    lambda_window: tuple[float, float],
-    eps_list,
-    growth_tolerance: float = 10.0,
-    n_lambda: int = 33,
-    holder_alpha: float = 1.0,
-) -> LapProbeReport:
-    """Tabulate sup |cauchy_transform(a, lam, eps)| over a frequency window.
-
-    Also reports the empirical Hoelder quotient of the density on the
-    window.  The probe flags when the sup grows monotonically as eps
-    decreases and the total growth exceeds the tolerance factor, i.e.
-    when the data behaves as if the eps -> 0 limit diverged.
-    """
-    eps_list = tuple(eps_list)
-    if len(eps_list) == 0:
-        return LapProbeReport((), (), float("nan"), float("nan"), float("nan"), False)
-    lo, hi = lambda_window
-    usable_lo, usable_hi = _interior_bounds(a.momenta)
-    if lo < usable_lo or hi > usable_hi or lo >= hi:
-        raise ValidationError(
-            f"window [{lo}, {hi}] not inside the usable interior "
-            f"[{usable_lo:.3g}, {usable_hi:.3g}]"
-        )
-    lams = np.linspace(lo, hi, n_lambda)
-    sups = tuple(
-        float(max(abs(cauchy_transform(a, lam, eps)) for lam in lams)) for eps in eps_list
-    )
-
-    # Hoelder quotient of a over the window, on a pair-subsampled node set
-    mask = (a.momenta.nodes >= lo) & (a.momenta.nodes <= hi)
-    nodes = a.momenta.nodes[mask]
-    vals = np.asarray(a.values)[mask]
-    if len(nodes) > 128:
-        stride = len(nodes) // 128 + 1
-        nodes, vals = nodes[::stride], vals[::stride]
-    dv = np.abs(vals[:, None] - vals[None, :])
-    dx = np.abs(nodes[:, None] - nodes[None, :]) ** holder_alpha
-    off = ~np.eye(len(nodes), dtype=bool)
-    holder = float(np.max(dv[off] / dx[off])) if len(nodes) > 1 else 0.0
-
-    order = np.argsort(eps_list)[::-1]  # large eps -> small eps
-    ordered = np.asarray(sups)[order]
-    monotit = bool(np.all(np.diff(ordered) > 0)) if len(ordered) > 1 else False
-    ratio = float(ordered[-1] / ordered[0]) if ordered[0] != 0 else float("inf")
-    flagged = monotit and ratio > growth_tolerance
-    return LapProbeReport(eps_list, sups, float(np.max(sups)), holder, ratio, flagged)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cascadelab.checks as checks
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
 from cascadelab.config import SimulationConfig, emit_config
@@ -284,6 +286,54 @@ def test_dead_worker_is_numerical_error(tmp_path, capsys, monkeypatch, usable_cp
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
     assert "worker" in record["message"]
+
+
+# ---------------------------------------------------------------------------
+# check on one shared worker pool
+# ---------------------------------------------------------------------------
+
+
+def test_pooled_check_equals_in_process(tmp_path, capsys, usable_cpus):
+    """Both routes of ``check`` write the same manifest and print the same lines."""
+    outputs = []
+    for count in (1, 2):
+        usable_cpus(count)
+        out = tmp_path / f"cpus{count}"
+        assert run_cli(["check", "--out", str(out)]) == 0
+        outputs.append(((out / "manifest.json").read_bytes(), capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1]
+
+
+def test_block_error_mid_check_exits_4(tmp_path, capsys, monkeypatch, usable_cpus):
+    """A block that raises while the sweep runs leaves one record and no worker."""
+    usable_cpus(2)
+
+    def fail(assets):
+        raise NumericalError("synthetic dynamics failure")
+
+    monkeypatch.setattr(checks, "dynamics_checks", fail)
+    assert run_cli(["check", "--out", str(tmp_path / "o")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "numerical"
+    assert record["message"] == "synthetic dynamics failure"
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_in_check_is_numerical_error(tmp_path, capsys, monkeypatch, usable_cpus):
+    usable_cpus(2)
+
+    def die(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(convergence, "integrate_prelimit", die)
+    assert run_cli(["check", "--out", str(tmp_path / "o")]) == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "worker" in record["message"]
+    assert multiprocessing.active_children() == []
 
 
 def test_custom_tabulated_trap(tmp_path):

@@ -16,7 +16,6 @@ from cascadelab.coeffs import (
     gamma_fgr,
     lambda_hartree,
     lambda_lamb_shift,
-    lap_uniformity_probe,
     limit_matrix_from_tensor,
     mode_pair_transforms,
     spectral_density,
@@ -96,6 +95,15 @@ def test_flat_density_small_eps_limit(flat_density):
     value = cauchy_transform(flat_density, 1.0, 1e-6)
     assert abs(value.real) < 1e-9  # symmetric interval kills the PV part
     assert value.imag + np.pi == pytest.approx(0.0, abs=1e-5)
+
+
+def test_flat_density_pv_cancels_across_window(flat_density):
+    # symmetric interval: the PV part nearly cancels throughout the window
+    values = [
+        cauchy_transform(flat_density, lam, 1e-3).real for lam in np.linspace(0.9, 1.1, 9)
+    ]
+    assert np.max(np.abs(values)) < 0.25
+    assert abs(cauchy_transform(flat_density, 1.0, 1e-3).real) < 1e-9
 
 
 def test_sokhotski_plemelj_rate(gaussian_pair_density):
@@ -511,34 +519,3 @@ def test_sweep_preset_passes_coefficient_checks(sweep_assets):
     """
     failed = [r for r in coefficient_checks(sweep_assets) if not r["passed"]]
     assert failed == []
-
-
-# ---------------------------------------------------------------------------
-# uniformity probes
-# ---------------------------------------------------------------------------
-
-
-def test_lap_probe_gaussian_density(gaussian_pair_density):
-    report = lap_uniformity_probe(
-        gaussian_pair_density, (0.5, 2.0), (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
-    )
-    assert report.growth_ratio < 10.0
-    assert not report.flagged
-    assert np.isfinite(report.holder_quotient)
-
-
-def test_lap_probe_constant_density(flat_density):
-    report = lap_uniformity_probe(flat_density, (0.9, 1.1), (1e-2, 1e-3))
-    # symmetric interval: the PV part nearly cancels throughout the window
-    values = [
-        cauchy_transform(flat_density, lam, 1e-3).real for lam in np.linspace(0.9, 1.1, 9)
-    ]
-    assert np.max(np.abs(values)) < 0.25
-    assert abs(cauchy_transform(flat_density, 1.0, 1e-3).real) < 1e-9
-    assert report.holder_quotient == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lap_probe_empty_eps(gaussian_pair_density):
-    report = lap_uniformity_probe(gaussian_pair_density, (0.5, 2.0), ())
-    assert report.is_empty
-    assert not report.flagged

@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cascadelab.checks as checks
 import cascadelab.convergence as convergence
+from cascadelab.checks import run_all_checks
+from cascadelab.config import SimulationConfig
 from cascadelab.coeffs import assemble_prelimit_tensor, limit_matrix_from_tensor
 from cascadelab.convergence import eta_sweep
 from cascadelab.dynamics import (
@@ -220,6 +223,38 @@ def test_one_usable_cpu_starts_no_process(sweep_assets, usable_cpus, monkeypatch
     usable_cpus(1)
     report = _short_sweep(sweep_assets, [0.2, 0.1])
     assert report.strictly_decreasing
+
+
+def test_check_runs_two_independent_sweeps(usable_cpus, monkeypatch):
+    """sweep_reproducibility compares two runs, each with its own solves.
+
+    In process, the convergence block integrates the prelimit system once
+    per eta and run and the limit system once per run; a block that reused
+    the first run's report would pass the record with half the calls.
+    """
+    calls = {"prelimit": 0, "limit": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        convergence, "integrate_prelimit", counted("prelimit", convergence.integrate_prelimit)
+    )
+    monkeypatch.setattr(
+        convergence, "integrate_limit", counted("limit", convergence.integrate_limit)
+    )
+    for block in ("spectrum_checks", "coefficient_checks", "dynamics_checks"):
+        monkeypatch.setattr(checks, block, lambda assets: [])
+    usable_cpus(1)
+    result = run_all_checks(SimulationConfig.default())
+    records = {rec["name"]: rec for rec in result["blocks"]["convergence"]}
+    assert records["sweep_reproducibility"]["passed"]
+    etas = SimulationConfig.convergence().eta_values()
+    assert calls == {"prelimit": 2 * len(etas), "limit": 2}
 
 
 def test_usable_cpus_without_affinity_falls_back_to_cpu_count(monkeypatch):
