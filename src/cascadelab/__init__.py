@@ -51,7 +51,6 @@ from .dynamics import (
     diagnostics,
     integrate,
     logistic_bound,
-    rhs_limit,
     rhs_prelimit,
 )
 from .convergence import ConvergenceReport, eta_sweep
@@ -91,7 +90,6 @@ __all__ = [
     "mode_product",
     "parse_config",
     "radial_convolution",
-    "rhs_limit",
     "rhs_prelimit",
     "solve_radial_eigenpairs",
     "spectral_density",

@@ -145,14 +145,16 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
         header += [f"re_f_{k}", f"im_f_{k}"]
     header += ["mass", "energy", "ground_occupation"]
     header += [f"m_{j}" for j in range(1, size)]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t]
-        for k in range(size):
-            row += [traj.states[i, k].real, traj.states[i, k].imag]
-        row += [series.mass[i], series.energy[i], series.ground_occupation[i]]
-        row += [series.tail_masses[j, i] for j in range(1, size)]
-        rows.append(row)
+    # Re/Im of each mode side by side, as in the header
+    amplitudes = np.stack([traj.states.real, traj.states.imag], axis=2).reshape(-1, 2 * size)
+    rows = np.hstack(
+        [
+            traj.times[:, None],
+            amplitudes,
+            np.column_stack([series.mass, series.energy, series.ground_occupation]),
+            series.tail_masses[1:].T,
+        ]
+    ).tolist()
     write_csv(f"{out_dir}/trajectory.csv", comments, header, rows)
 
     budget = 100.0 * config.dynamics.rtol

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cascadelab.coeffs import (
     PrelimitTensor,
@@ -16,11 +17,12 @@ from cascadelab.dynamics import (
     integrate_limit,
     integrate_prelimit,
     logistic_bound,
-    rhs_limit,
     rhs_prelimit,
 )
 from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.spectrum import resonant_mask
+
+from oracles import rhs_limit, rhs_modulus_phase
 
 EXACT_LOGISTIC_AT_ONE = 1.0 / (1.0 + np.exp(-2.0))  # = 0.8807970779778823
 
@@ -203,11 +205,38 @@ def test_modulus_phase_flow_matches_complex_rk45(default_assets):
     state = default_assets.config.initial_state()
     options = default_assets.solver_options
     flow = integrate_limit(coeffs, state, 50.0, options)
-    oracle = integrate(lambda _t, y: rhs_limit(y, coeffs), state, 50.0, options)
+    oracle = integrate(
+        lambda _t, y: rhs_limit(y, coeffs), state, 50.0, options, method="RK45"
+    )
     assert np.array_equal(flow.times, oracle.times)
     assert np.max(np.abs(flow.states - oracle.states)) < 1e-6
     assert flow.meta["system"] == "limit"
     assert flow.meta["nfev"] < oracle.meta["nfev"]
+
+
+def test_limit_route_matches_tight_modulus_phase_reference(default_assets):
+    """The shipped (r, N) route against the (r, theta) system at rtol 1e-13.
+
+    Measured on default.cfg over T = 50: 3.4e-11 in 1,274 evaluations.
+    """
+    coeffs = default_assets.coeffs
+    state = default_assets.config.initial_state()
+    flow = integrate_limit(coeffs, state, 50.0, default_assets.solver_options)
+    size = coeffs.size
+    # the phase increment starts at zero, so its error is relative to it alone
+    reference = solve_ivp(
+        rhs_modulus_phase(coeffs),
+        (0.0, 50.0),
+        np.concatenate([np.abs(state), np.zeros(size)]),
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-16,
+        t_eval=flow.times,
+    )
+    assert reference.success
+    exact = reference.y[:size].T * np.exp(1j * (np.angle(state) + reference.y[size:].T))
+    assert np.max(np.abs(flow.states - exact)) < 1e-10
+    assert flow.meta["nfev"] <= 1500
 
 
 def test_zero_amplitudes_stay_zero(default_assets):

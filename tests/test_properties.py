@@ -6,6 +6,8 @@ right-hand side; the scalar ``branch_sum`` is the oracle of the weight
 vectors the assembly pairs with every density.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from cascadelab.coeffs import (
     branch_sum,
     branch_weights,
 )
-from cascadelab.dynamics import rhs_limit, rhs_prelimit
+from cascadelab.dynamics import SolverOptions, integrate_limit, rhs_prelimit
 from cascadelab.errors import ValidationError
+
+from oracles import rhs_limit
 
 ETA = 0.1
 
@@ -93,6 +97,40 @@ def test_prelimit_rhs_global_phase_equivariance(prelimit_tensor, data, t, phi):
     plain = rhs_prelimit(t, state, prelimit_tensor)
     scale = cubic_scale(prelimit_tensor.tensor, state)
     assert np.max(np.abs(rotated - phase * plain), initial=0.0) <= 1e-13 * scale
+
+
+#: Forming r e^{i theta} and taking its modulus rounds a few times; the
+#: moduli the solver returns are themselves independent of the phases.
+MODULUS_ULPS = 16
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    scale=st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+)
+def test_limit_steps_and_moduli_ignore_phases(default_assets, data, scale):
+    # the solver sees only Re M: neither Im M nor the initial phases may
+    # move its steps or the occupations it returns
+    coeffs = default_assets.coeffs
+    size = coeffs.size
+    weights = np.array(
+        data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=size, max_size=size))
+    )
+    if not np.sum(weights) > 0.0:
+        weights[0] = 1.0
+    theta = np.array(data.draw(st.lists(angle, min_size=size, max_size=size)))
+    state = np.sqrt(weights / np.sum(weights)) * np.exp(1j * theta)
+    rescaled = replace(
+        coeffs,
+        limit_matrix=coeffs.limit_matrix.real + 1j * scale * coeffs.limit_matrix.imag,
+    )
+    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=17)
+    plain = integrate_limit(coeffs, np.abs(state), 1.0, options)
+    turned = integrate_limit(rescaled, state, 1.0, options)
+    assert turned.meta["nfev"] == plain.meta["nfev"]
+    expected, found = np.abs(plain.states), np.abs(turned.states)
+    assert np.all(np.abs(found - expected) <= MODULUS_ULPS * np.finfo(float).eps * expected)
 
 
 #: Pole offsets from a node, in spacings, all inside the window where the
