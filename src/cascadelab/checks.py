@@ -23,14 +23,14 @@ import numpy as np
 from .coeffs import (
     assemble_limit_matrix,
     branch_sum,
-    cauchy_transform_limit,
+    cauchy_transform,
     gamma_fgr,
     mode_pair_transforms,
     spectral_density,
     two_mode_coefficients,
 )
 from .config import SimulationConfig
-from .convergence import ConvergenceReport, SweepSetup, sweep_runs
+from .convergence import ConvergenceReport, sweep_runs
 from .dynamics import (
     MIN_GROUND_RATE,
     SolverOptions,
@@ -43,6 +43,11 @@ from .io import to_jsonable
 from .kernels import radial_convolution
 from .pipeline import Assets
 from .spectrum import Potential, check_gap_independence, mode_product, solve_radial_eigenpairs
+
+
+def _relative(gap, reference):
+    """gap / reference, read as an absolute gap where the reference is below 1e-12."""
+    return float(gap / max(reference, 1e-12))
 
 
 def _record(name, measured, tolerance, passed=None, detail=""):
@@ -148,8 +153,8 @@ def coefficient_checks(assets: Assets) -> list[dict]:
             delta_route = gamma_fgr(basis, coupling, k, kp)
             a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
-            resolvent_route = -cauchy_transform_limit(a, lam).imag
-            worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
+            resolvent_route = -cauchy_transform(a, lam, 0.0).imag
+            worst = max(worst, _relative(abs(delta_route - resolvent_route), delta_route))
     checks.append(_record("dual_route_fgr", worst, 1e-6))
 
     # production Lamb shifts pair weight vectors with the densities; the
@@ -167,7 +172,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
                 produced.append(coeffs.lamb_direct[k, kp])
                 scalar.append(branch_sum(a, 0.0, 0.0).real)
     produced = np.array(produced)
-    gap = float(np.max(np.abs(produced - np.array(scalar))) / np.max(np.abs(produced)))
+    gap = _relative(np.max(np.abs(produced - np.array(scalar))), np.max(np.abs(produced)))
     checks.append(
         _record("lamb_dual_route", gap, 1e-10, detail="exchange and direct cells, relative")
     )
@@ -179,7 +184,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     g_real = radial_convolution(coupling.profile, product, basis.grid)
     real_side = float(4.0 * np.pi * basis.grid.integrate(g_real**2 * basis.grid.nodes**2))
     checks.append(
-        _record("plancherel", abs(momentum_side - real_side) / abs(real_side), 1e-6)
+        _record("plancherel", _relative(abs(momentum_side - real_side), abs(real_side)), 1e-6)
     )
 
     eps_grid = np.geomspace(1.0, 1e-4, 9)
@@ -320,23 +325,6 @@ def dynamics_checks(assets: Assets) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_sweep() -> SweepSetup:
-    """The canonical eta sweep: natural-unit anharmonic trap, four modes."""
-    assets = Assets(SimulationConfig.convergence())
-    config = assets.config
-    return SweepSetup(
-        assets.basis,
-        assets.coupling,
-        assets.pair,
-        config.initial_state(),
-        config.sweep.t_final,
-        config.eta_values(),
-        solver=assets.solver_options,
-        eps_policy=config.conventions.eps_policy,
-        n_samples=config.sweep.samples,
-    )
-
-
 def convergence_checks(
     first: Callable[[], ConvergenceReport], second: Callable[[], ConvergenceReport]
 ) -> list[dict]:
@@ -379,7 +367,8 @@ def run_all_checks(config: SimulationConfig) -> dict:
     are CPUs for them, and the other blocks run here meanwhile.
     """
     assets = Assets(config)
-    sweep = canonical_sweep()
+    # the canonical sweep: natural-unit anharmonic trap, four modes
+    sweep = Assets(SimulationConfig.convergence()).sweep
     with sweep_runs([sweep, sweep]) as (first, second):
         blocks = {
             "spectrum": spectrum_checks(assets),

@@ -182,18 +182,7 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
 
 
 def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
-    assets = Assets(config)
-    report = eta_sweep(
-        assets.basis,
-        assets.coupling,
-        assets.pair,
-        config.initial_state(),
-        config.sweep.t_final,
-        config.eta_values(),
-        solver=assets.solver_options,
-        eps_policy=config.conventions.eps_policy,
-        n_samples=config.sweep.samples,
-    )
+    report = eta_sweep(Assets(config).sweep)
     write_json(
         f"{out_dir}/convergence.json",
         {

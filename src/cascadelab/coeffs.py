@@ -12,9 +12,10 @@ transforms of a; their eps -> 0 limits split into a principal-value part
 
 A branch sum is linear in the density, so the assembly pairs densities
 with one weight vector per gap and eps (``branch_weights``), while the
-scalar Cauchy transforms evaluate one density at a time; the on-shell
-rates also have a fresh single-point quadrature at the resonance
-frequency.  Tests and the check suite pit these routes against each other.
+scalar routes (``cauchy_transform(a, lam, eps)`` at any eps >= 0, and
+``branch_sum``) evaluate one density at a time; the on-shell rates also
+have a fresh single-point quadrature at the resonance frequency.  Tests
+and the check suite pit these routes against each other.
 
 The limit matrix and the prelimit tensor are each read off a table over
 the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
@@ -245,30 +246,19 @@ def _cauchy_weights(momenta: MomentumGrid, lam: float, eps: float) -> np.ndarray
 
 
 def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
-    """int_0^rho_max a(rho) / (rho - lam + i eps) drho with lam interior.
+    """int_0^rho_max a(rho) / (rho - lam + i eps) drho with lam interior and eps >= 0.
 
     The singularity at rho = lam is subtracted and its weight integrated
     in closed form, so the quadrature error does not degrade as eps -> 0.
+    At eps = 0 the endpoint logarithm contributes the on-shell term
+    -i pi a(lam) exactly (upper-edge boundary values); finite-eps
+    transforms converge to it at the Sokhotski-Plemelj rate O(eps log(1/eps)).
     """
-    if eps <= 0:
-        raise ValidationError(f"regularization eps must be positive, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValidationError(f"regularization eps must be finite and non-negative, got {eps}")
     if not _is_interior(a.momenta, lam):
         raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
     return _cauchy_interior(a, lam, eps)
-
-
-def cauchy_transform_limit(a: SpectralDensity, lam: float) -> complex:
-    """The eps -> 0 limit of :func:`cauchy_transform` in closed form.
-
-    The subtracted quadrature is uniformly valid down to eps = 0, where
-    the singular weight's endpoint logarithm contributes the on-shell
-    term -i pi a(lam) exactly (upper-edge boundary values).  Finite-eps
-    transforms converge to this value at the Sokhotski-Plemelj rate
-    O(eps log(1/eps)).
-    """
-    if not _is_interior(a.momenta, lam):
-        raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
-    return _cauchy_interior(a, lam, 0.0)
 
 
 def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
@@ -300,18 +290,6 @@ def branch_weights(momenta: MomentumGrid, mu: float, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pair_density(
-    basis: EigenBasis, coupling: InteractionKernel, k: int, kp: int, j: int, jp: int
-) -> SpectralDensity:
-    """Density of (w*(chi_k chi_k'), w*(chi_j chi_j')) on the kernel's grid."""
-    momenta = coupling.momenta
-    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = grid_transforms(products, basis.grid, momenta)
-    g1 = coupling.transform * hats[0]
-    g2 = coupling.transform * hats[1]
-    return spectral_density(g1, g2, momenta)
-
-
 def gamma_fgr(
     basis: EigenBasis,
     coupling: InteractionKernel,
@@ -341,43 +319,6 @@ def gamma_fgr(
     g_hat = coupling.transform_at([gap])[0] * product_hat
     density_on_shell = DENSITY_PREFACTOR * gap**2 * g_hat**2
     return float(np.pi * density_on_shell)
-
-
-def lambda_hartree(
-    basis: EigenBasis, pair: InteractionKernel, k: int, kp: int, j: int, jp: int
-) -> float:
-    """Mean-field overlap <chi_k chi_k', v * (chi_j chi_j')>.
-
-    Computed in momentum space: (2 pi)^{-3} 4 pi int rho^2 phat_kk'(rho)
-    vhat(rho) phat_jj'(rho) drho.  Real for real kernels and modes.
-    """
-    for idx in (k, kp, j, jp):
-        if not 0 <= idx < basis.size:
-            raise ValidationError(f"mode index {idx} out of range")
-    momenta = pair.momenta
-    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = grid_transforms(products, basis.grid, momenta)
-    integrand = DENSITY_PREFACTOR * momenta.nodes**2 * hats[0] * pair.transform * hats[1]
-    return float(momenta.integrate(integrand))
-
-
-def lambda_lamb_shift(
-    basis: EigenBasis,
-    coupling: InteractionKernel,
-    k: int,
-    kp: int,
-    j: int,
-    jp: int,
-) -> float:
-    """Off-shell energy renormalization for the quadruple (k,k';j,j').
-
-    Principal-value pairing through both resolvent branches,
-    PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j',
-    the real part of the branch sum at eps = 0.
-    """
-    a = _pair_density(basis, coupling, k, kp, j, jp)
-    mu = float(basis.energies[j] - basis.energies[jp])
-    return float(branch_sum(a, mu, 0.0).real)
 
 
 # ---------------------------------------------------------------------------
@@ -670,21 +611,3 @@ def assemble_prelimit_tensor(
     sums = table.cell_sums(0.0 if eps_policy == "limit" else eta**2)
     cells = -1j * (table.hartree[:, table.index] - sums.real) - sums.imag
     return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])
-
-
-def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
-    """Collapse the resonant tensor entries into the K x K limit generator.
-
-    The resonant quadruples all produce terms of the form c |F_j|^2 F_k,
-    so they sum into a single matrix: the diagonal family contributes
-    tensor[k,m,k,m] and the zero-gap family tensor[k,k,m,m] (off the
-    diagonal).  With the tensor evaluated at eps = 0 this reproduces the
-    assembled limit matrix.
-    """
-    size = tensor.size
-    cells = tensor.tensor
-    idx = np.arange(size)
-    matrix = cells[idx[:, None], idx[None, :], idx[:, None], idx[None, :]].copy()
-    off = ~np.eye(size, dtype=bool)
-    matrix[off] += cells[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
-    return matrix

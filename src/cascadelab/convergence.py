@@ -12,8 +12,9 @@ CPUs) of them, smallest eta (the costliest solve, ~ eta^-2) first, and
 yields one finisher per sweep.  The caller works in this process while
 they run; each finisher then integrates its sweep's limit trajectory and
 collects its solves.  Several sweeps share one pool: ``check`` starts both
-runs of the canonical sweep before its other blocks.  ``eta_sweep`` is the
-one-sweep case.  Forked workers start from this process's imported
+runs of the canonical sweep before its other blocks.  ``eta_sweep(setup)``
+is the one-sweep case; ``pipeline.Assets.sweep`` builds the ``SweepSetup``
+of a configuration.  Forked workers start from this process's imported
 modules instead of importing them again.  With one usable CPU, or where
 the "fork" start method is missing, each finisher runs the same per-eta
 function here instead.  Each solve is deterministic and the results are
@@ -58,13 +59,6 @@ class ConvergenceReport:
     monotone_within_noise: bool
     strictly_decreasing: bool
     meta: dict = field(default_factory=dict)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.etas) == 0
-
-    def to_rows(self):
-        return list(zip(self.etas, self.sup_distances, self.terminal_distances, self.mass_drifts))
 
 
 def _usable_cpus() -> int:
@@ -168,26 +162,13 @@ def sweep_runs(setups: Iterable[SweepSetup]) -> Iterator[list[Callable[[], Conve
             pool.shutdown(cancel_futures=True)
 
 
-def eta_sweep(
-    basis: EigenBasis,
-    coupling: InteractionKernel,
-    pair: InteractionKernel,
-    initial_state: np.ndarray,
-    t_final: float,
-    etas,
-    solver: SolverOptions = SolverOptions(),
-    eps_policy: str = "eta2",
-    n_samples: int = 256,
-) -> ConvergenceReport:
-    """Run the sweep and measure sup_T l2 distances on a common sample grid.
+def eta_sweep(setup: SweepSetup) -> ConvergenceReport:
+    """Run one sweep and measure sup_T l2 distances on a common sample grid.
 
     The limit trajectory is integrated once; each prelimit run shares its
     initial data and sample times.  A worker that dies surfaces as a
     NumericalError; errors raised in a worker keep their class and message.
     """
-    setup = SweepSetup(
-        basis, coupling, pair, initial_state, t_final, etas, solver, eps_policy, n_samples
-    )
     with sweep_runs([setup]) as (finish,):
         return finish()
 

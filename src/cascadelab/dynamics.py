@@ -204,10 +204,9 @@ def _solve(
     t_end: float,
     options: SolverOptions,
     t_eval: np.ndarray | None,
-    method: str,
     max_step: float = np.inf,
 ):
-    """One adaptive solve by ``method``; returns (sample times, samples (n, dim), meta).
+    """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
 
     Raises on bad input, solver breakdown or non-finite output instead of
     returning partial data.
@@ -223,7 +222,7 @@ def _solve(
         rhs,
         (0.0, float(t_end)),
         y0,
-        method=method,
+        method=METHOD,
         rtol=options.rtol,
         atol=options.atol,
         t_eval=t_eval,
@@ -235,35 +234,13 @@ def _solve(
         raise NumericalError("integration produced non-finite amplitudes")
 
     meta = {
-        "method": method,
+        "method": METHOD,
         "rtol": options.rtol,
         "atol": options.atol,
         "max_step": None if np.isinf(max_step) else max_step,
         "nfev": int(sol.nfev),
     }
     return np.asarray(t_eval, dtype=float), sol.y.T, meta
-
-
-def integrate(
-    rhs,
-    initial_state: np.ndarray,
-    t_end: float,
-    options: SolverOptions = SolverOptions(),
-    t_eval: np.ndarray | None = None,
-    max_step: float = np.inf,
-    method: str = METHOD,
-) -> Trajectory:
-    """Adaptive integration of a complex system with dense sampling.
-
-    ``rhs`` is a callable (t, state) -> derivative over complex states;
-    ``method`` names a ``solve_ivp`` Runge-Kutta pair.
-    """
-    initial_state = np.asarray(initial_state, dtype=complex)
-    times, samples, meta = _solve(
-        rhs, initial_state, t_end, options, t_eval, method, max_step
-    )
-    states = np.ascontiguousarray(samples.astype(complex))
-    return Trajectory(times=times, states=states, meta=meta)
 
 
 def integrate_limit(
@@ -284,9 +261,7 @@ def integrate_limit(
     state = _require_state(initial_state, coeffs.size)
     size = coeffs.size
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
-    times, samples, meta = _solve(
-        _modulus_occupation_rhs(coeffs), y0, t_end, options, t_eval, METHOD
-    )
+    times, samples, meta = _solve(_modulus_occupation_rhs(coeffs), y0, t_end, options, t_eval)
     phases = np.angle(state) + samples[:, size:] @ coeffs.limit_matrix.imag.T
     states = samples[:, :size] * np.exp(1j * phases)
     meta["system"] = "limit"
@@ -306,17 +281,11 @@ def integrate_prelimit(
     """
     rate = fastest_phase(tensor) / tensor.eta**2
     cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
-    traj = integrate(
-        _prelimit_rhs(tensor),
-        _require_state(initial_state, tensor.size),
-        t_end,
-        options,
-        t_eval,
-        max_step=cap,
-    )
-    traj.meta["system"] = "prelimit"
-    traj.meta["eta"] = tensor.eta
-    return traj
+    state = _require_state(initial_state, tensor.size)
+    times, samples, meta = _solve(_prelimit_rhs(tensor), state, t_end, options, t_eval, cap)
+    meta["system"] = "prelimit"
+    meta["eta"] = tensor.eta
+    return Trajectory(times=times, states=np.ascontiguousarray(samples), meta=meta)
 
 
 def logistic_bound(f0_ground_mass: float, gamma_tilde: float, t) -> float | np.ndarray:

@@ -146,10 +146,10 @@ class InteractionKernel:
     """A radial two-body kernel together with its cached transform.
 
     ``role`` distinguishes the photon-coupling kernel from the classical
-    pair interaction.  The regularity conditions (finite L1/L2/Linf norms
-    and the polynomially weighted L2 norm used by the resolvent bounds)
-    are recorded at construction; a kernel that has not decayed at the box
-    wall is rejected, since its transform would be unreliable.
+    pair interaction.  ``norms()`` computes the regularity norms (L1, L2,
+    Linf and the polynomially weighted L2 norm used by the resolvent
+    bounds) on demand; construction only rejects a kernel that has not
+    decayed at the box wall, since its transform would be unreliable.
     """
 
     role: str  # "coupling" or "pair"

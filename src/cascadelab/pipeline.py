@@ -1,18 +1,20 @@
 """Build simulation assets from a configuration.
 
-One place turns a SimulationConfig into grids, basis, kernels, and
-coefficient sets, so the CLI, the invariant suite, and the tests all run
-through identical construction paths.
+One place turns a SimulationConfig into grids, basis, kernels,
+coefficient sets and the eta sweep setup, so the CLI, the invariant
+suite, and the tests all run through identical construction paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coeffs import CoefficientSet, assemble_limit_matrix, two_mode_coefficients
 from .config import SimulationConfig
+from .convergence import SweepSetup
 from .dynamics import SolverOptions, diagnostics, integrate_limit
 from .errors import ConfigError, ValidationError
 from .grids import MomentumGrid, RadialGrid
@@ -22,41 +24,27 @@ from .spectrum import EigenBasis, Potential, solve_radial_eigenpairs
 
 @dataclass
 class Assets:
-    """Everything derivable from a config, built lazily and cached."""
+    """Everything derivable from a config, each asset built lazily, once."""
 
     config: SimulationConfig
 
-    def __post_init__(self):
-        self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def grid(self) -> RadialGrid:
         t = self.config.trap
-        return self._get("grid", lambda: RadialGrid(t.r_max, t.n_points))
+        return RadialGrid(t.r_max, t.n_points)
 
-    @property
+    @cached_property
     def potential(self) -> Potential:
-        return self._get("potential", lambda: build_potential(self.config, self.grid))
+        return build_potential(self.config, self.grid)
 
-    @property
+    @cached_property
     def basis(self) -> EigenBasis:
-        return self._get(
-            "basis",
-            lambda: solve_radial_eigenpairs(self.potential, self.grid, self.config.trap.modes),
-        )
+        return solve_radial_eigenpairs(self.potential, self.grid, self.config.trap.modes)
 
-    @property
+    @cached_property
     def momenta(self) -> MomentumGrid:
-        def build():
-            max_gap = float(self.basis.energies[-1] - self.basis.energies[0])
-            return MomentumGrid(self.config.rho_max_value(max_gap), self.config.momentum.n_rho)
-
-        return self._get("momenta", build)
+        max_gap = float(self.basis.energies[-1] - self.basis.energies[0])
+        return MomentumGrid(self.config.rho_max_value(max_gap), self.config.momentum.n_rho)
 
     def kernel(self, role: str, momenta: MomentumGrid) -> InteractionKernel:
         """The configured ``coupling`` or ``pair`` kernel on a given momentum grid."""
@@ -67,23 +55,36 @@ class Assets:
         }[role]
         return gaussian_kernel(role, self.grid, momenta, amplitude, width)
 
-    @property
+    @cached_property
     def coupling(self) -> InteractionKernel:
-        return self._get("coupling", lambda: self.kernel("coupling", self.momenta))
+        return self.kernel("coupling", self.momenta)
 
-    @property
+    @cached_property
     def pair(self) -> InteractionKernel:
-        return self._get("pair", lambda: self.kernel("pair", self.momenta))
+        return self.kernel("pair", self.momenta)
 
-    @property
+    @cached_property
     def coeffs(self) -> CoefficientSet:
-        def build():
-            preset = self.config.coefficient_preset()
-            if preset is not None:
-                return two_mode_coefficients(preset, size=self.config.trap.modes)
-            return assemble_limit_matrix(self.basis, self.coupling, self.pair)
+        preset = self.config.coefficient_preset()
+        if preset is not None:
+            return two_mode_coefficients(preset, size=self.config.trap.modes)
+        return assemble_limit_matrix(self.basis, self.coupling, self.pair)
 
-        return self._get("coeffs", build)
+    @cached_property
+    def sweep(self) -> SweepSetup:
+        """The configured eta sweep, on the trap's kernels even under a coefficient preset."""
+        c = self.config
+        return SweepSetup(
+            self.basis,
+            self.coupling,
+            self.pair,
+            c.initial_state(),
+            c.sweep.t_final,
+            c.eta_values(),
+            self.solver_options,
+            c.conventions.eps_policy,
+            c.sweep.samples,
+        )
 
     @property
     def energies(self) -> np.ndarray:

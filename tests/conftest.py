@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import cascadelab.convergence as convergence
-from cascadelab import Assets, SimulationConfig
+from cascadelab.config import SimulationConfig
 from cascadelab.convergence import eta_sweep
 from cascadelab.grids import MomentumGrid, RadialGrid
+from cascadelab.pipeline import Assets
 from cascadelab.spectrum import Potential, solve_radial_eigenpairs
 
 
@@ -56,18 +57,8 @@ def gaussian_pair_density():
 @pytest.fixture(scope="session")
 def sweep_report(sweep_assets):
     """The canonical eta sweep, with its wall time attached."""
-    config = sweep_assets.config
     start = time.perf_counter()
-    report = eta_sweep(
-        sweep_assets.basis,
-        sweep_assets.coupling,
-        sweep_assets.pair,
-        config.initial_state(),
-        config.sweep.t_final,
-        config.eta_values(),
-        solver=sweep_assets.solver_options,
-        n_samples=config.sweep.samples,
-    )
+    report = eta_sweep(sweep_assets.sweep)
     elapsed = time.perf_counter() - start
     return report, elapsed
 

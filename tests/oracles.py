@@ -4,12 +4,28 @@ The complex form of the limit right-hand side, and its modulus/phase form
 with the phases integrated rather than read off the integrated
 occupations, are the oracles of the modulus/occupation flow that
 ``dynamics.integrate_limit`` integrates.
+
+The scalar coefficient routes evaluate one quadruple at a time, each from
+its own transforms: ``lambda_hartree`` and ``lambda_lamb_shift`` are the
+oracles of the assembled Hartree and Lamb-shift cells, and
+``limit_matrix_from_tensor`` collapses a prelimit tensor onto the limit
+generator.
 """
 
 import numpy as np
 
-from cascadelab.coeffs import CoefficientSet
+from cascadelab.coeffs import (
+    DENSITY_PREFACTOR,
+    CoefficientSet,
+    PrelimitTensor,
+    SpectralDensity,
+    branch_sum,
+    spectral_density,
+)
 from cascadelab.dynamics import _require_state
+from cascadelab.errors import ValidationError
+from cascadelab.kernels import InteractionKernel, grid_transforms
+from cascadelab.spectrum import EigenBasis, mode_product
 
 
 def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
@@ -30,3 +46,70 @@ def rhs_modulus_phase(coeffs: CoefficientSet):
         return out
 
     return rhs
+
+
+def _pair_density(
+    basis: EigenBasis, coupling: InteractionKernel, k: int, kp: int, j: int, jp: int
+) -> SpectralDensity:
+    """Density of (w*(chi_k chi_k'), w*(chi_j chi_j')) on the kernel's grid."""
+    momenta = coupling.momenta
+    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
+    hats = grid_transforms(products, basis.grid, momenta)
+    g1 = coupling.transform * hats[0]
+    g2 = coupling.transform * hats[1]
+    return spectral_density(g1, g2, momenta)
+
+
+def lambda_hartree(
+    basis: EigenBasis, pair: InteractionKernel, k: int, kp: int, j: int, jp: int
+) -> float:
+    """Mean-field overlap <chi_k chi_k', v * (chi_j chi_j')>.
+
+    Computed in momentum space: (2 pi)^{-3} 4 pi int rho^2 phat_kk'(rho)
+    vhat(rho) phat_jj'(rho) drho.  Real for real kernels and modes.
+    """
+    for idx in (k, kp, j, jp):
+        if not 0 <= idx < basis.size:
+            raise ValidationError(f"mode index {idx} out of range")
+    momenta = pair.momenta
+    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
+    hats = grid_transforms(products, basis.grid, momenta)
+    integrand = DENSITY_PREFACTOR * momenta.nodes**2 * hats[0] * pair.transform * hats[1]
+    return float(momenta.integrate(integrand))
+
+
+def lambda_lamb_shift(
+    basis: EigenBasis,
+    coupling: InteractionKernel,
+    k: int,
+    kp: int,
+    j: int,
+    jp: int,
+) -> float:
+    """Off-shell energy renormalization for the quadruple (k,k';j,j').
+
+    Principal-value pairing through both resolvent branches,
+    PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j',
+    the real part of the branch sum at eps = 0.
+    """
+    a = _pair_density(basis, coupling, k, kp, j, jp)
+    mu = float(basis.energies[j] - basis.energies[jp])
+    return float(branch_sum(a, mu, 0.0).real)
+
+
+def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
+    """Collapse the resonant tensor entries into the K x K limit generator.
+
+    The resonant quadruples all produce terms of the form c |F_j|^2 F_k,
+    so they sum into a single matrix: the diagonal family contributes
+    tensor[k,m,k,m] and the zero-gap family tensor[k,k,m,m] (off the
+    diagonal).  With the tensor evaluated at eps = 0 this reproduces the
+    assembled limit matrix.
+    """
+    size = tensor.size
+    cells = tensor.tensor
+    idx = np.arange(size)
+    matrix = cells[idx[:, None], idx[None, :], idx[:, None], idx[None, :]].copy()
+    off = ~np.eye(size, dtype=bool)
+    matrix[off] += cells[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
+    return matrix

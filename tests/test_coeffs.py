@@ -1,10 +1,13 @@
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from cascadelab.checks import coefficient_checks
+from cascadelab.config import parse_config
 from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
@@ -12,20 +15,18 @@ from cascadelab.coeffs import (
     assemble_prelimit_tensor,
     branch_sum,
     cauchy_transform,
-    cauchy_transform_limit,
     gamma_fgr,
-    lambda_hartree,
-    lambda_lamb_shift,
-    limit_matrix_from_tensor,
     mode_pair_transforms,
     spectral_density,
     two_mode_coefficients,
-    _pair_density,
 )
 from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import gaussian_kernel, transform_profiles
+from cascadelab.pipeline import Assets
 from cascadelab.spectrum import Potential, resonant_mask, solve_radial_eigenpairs
+
+from oracles import _pair_density, lambda_hartree, lambda_lamb_shift, limit_matrix_from_tensor
 
 
 @pytest.fixture(scope="module")
@@ -123,16 +124,16 @@ def test_sokhotski_plemelj_rate(gaussian_pair_density):
 def test_cauchy_transform_limit_is_on_shell_value(gaussian_pair_density):
     a = gaussian_pair_density
     lam = 1.3
-    value = cauchy_transform_limit(a, lam)
+    value = cauchy_transform(a, lam, 0.0)
     assert value.imag == pytest.approx(-np.pi * a.at(lam), rel=1e-12)
 
 
 def test_cauchy_transform_validation(gaussian_pair_density):
     a = gaussian_pair_density
-    with pytest.raises(ValidationError):
-        cauchy_transform(a, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        cauchy_transform(a, 1.0, -1e-3)
+    assert np.isfinite(cauchy_transform(a, 1.0, 0.0))  # the eps -> 0 limit
+    for eps in (-1e-3, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="eps"):
+            cauchy_transform(a, 1.0, eps)
     with pytest.raises(ValidationError):
         cauchy_transform(a, 9.0, 1e-3)  # outside the grid
     with pytest.raises(ValidationError):
@@ -217,7 +218,7 @@ def test_gamma_dual_route(default_assets):
             delta_route = gamma_fgr(basis, w, k, kp)
             a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
-            resolvent_route = -cauchy_transform_limit(a, lam).imag
+            resolvent_route = -cauchy_transform(a, lam, 0.0).imag
             worst = max(worst, abs(delta_route - resolvent_route) / max(delta_route, 1e-12))
     assert worst < 1e-6
 
@@ -519,3 +520,21 @@ def test_sweep_preset_passes_coefficient_checks(sweep_assets):
     """
     failed = [r for r in coefficient_checks(sweep_assets) if not r["passed"]]
     assert failed == []
+
+
+def test_zero_coupling_coefficient_checks_are_finite_and_quiet():
+    """default.cfg with no photon coupling: every record is a finite number.
+
+    Its Lamb shifts and both Plancherel sides vanish, so the relative
+    records fall back to an absolute floor of 1e-12, as dual_route_fgr
+    does, rather than dividing by zero.
+    """
+    config = parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg"))
+    config.kernels.coupling_amplitude = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = coefficient_checks(Assets(config))
+    measured = {r["name"]: r["measured"] for r in records}
+    assert all(np.isfinite(value) for value in measured.values()), measured
+    assert measured["plancherel"] == 0.0
+    assert measured["lamb_dual_route"] == 0.0

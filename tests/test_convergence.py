@@ -3,22 +3,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import cascadelab.checks as checks
 import cascadelab.convergence as convergence
 from cascadelab.checks import run_all_checks
 from cascadelab.config import SimulationConfig
-from cascadelab.coeffs import assemble_prelimit_tensor, limit_matrix_from_tensor
+from cascadelab.coeffs import assemble_prelimit_tensor
 from cascadelab.convergence import eta_sweep
 from cascadelab.dynamics import (
     SolverOptions,
-    integrate,
     integrate_limit,
     integrate_prelimit,
     rhs_prelimit,
 )
 from cascadelab.errors import ValidationError
 from cascadelab.spectrum import resonant_mask
+
+from oracles import limit_matrix_from_tensor
 
 
 def test_sweep_distances_strictly_decreasing(sweep_report):
@@ -57,17 +59,18 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
     state = config.initial_state()
     t_final = config.sweep.t_final
     t_eval = np.linspace(0.0, t_final, config.sweep.samples)
-    reference = SolverOptions(rtol=1e-13, atol=1e-16)
     for i, (eta, sup) in enumerate(zip(report.etas, report.sup_distances)):
         tensor = assemble_prelimit_tensor(
             sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta,
         )
         capped = integrate_prelimit(tensor, state, t_final, sweep_assets.solver_options, t_eval)
-        exact = integrate(
+        exact = solve_ivp(
             lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor),
-            state, t_final, reference, t_eval, method="DOP853",
+            (0.0, t_final), state, method="DOP853", t_eval=t_eval,
+            rtol=1e-13, atol=1e-16,
         )
-        error = np.max(np.linalg.norm(capped.states - exact.states, axis=1))
+        assert exact.success
+        error = np.max(np.linalg.norm(capped.states - exact.y.T, axis=1))
         assert error <= 1e-3 * sup, eta
         assert report.meta["prelimit_nfev"][i] == capped.meta["nfev"]
         assert report.meta["prelimit_max_step"][i] == capped.meta["max_step"]
@@ -94,53 +97,32 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     assert distance < 10.0 * solver.rtol
 
 
+def _sweep(assets, t_final, etas, **fields):
+    """The assets' sweep setup with another horizon, eta list and fields."""
+    return replace(assets.sweep, t_final=t_final, etas=etas, **fields)
+
+
 def test_empty_eta_list(sweep_assets):
-    report = eta_sweep(
-        sweep_assets.basis,
-        sweep_assets.coupling,
-        sweep_assets.pair,
-        sweep_assets.config.initial_state(),
-        1.0,
-        [],
-    )
-    assert report.is_empty
-    assert report.to_rows() == []
+    report = eta_sweep(_sweep(sweep_assets, 1.0, []))
+    assert report.etas == ()
+    assert report.sup_distances == ()
 
 
 def test_eta_list_must_decrease(sweep_assets):
-    state = sweep_assets.config.initial_state()
     with pytest.raises(ValidationError):
-        eta_sweep(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-            state, 1.0, [0.1, 0.2],
-        )
+        eta_sweep(_sweep(sweep_assets, 1.0, [0.1, 0.2]))
     with pytest.raises(ValidationError):
-        eta_sweep(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-            state, 1.0, [0.2, -0.1],
-        )
+        eta_sweep(_sweep(sweep_assets, 1.0, [0.2, -0.1]))
 
 
 def test_small_sample_count_rejected(sweep_assets):
     with pytest.raises(ValidationError, match="samples"):
-        eta_sweep(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-            sweep_assets.config.initial_state(), 1.0, [0.2], n_samples=5,
-        )
+        eta_sweep(_sweep(sweep_assets, 1.0, [0.2], n_samples=5))
 
 
 def test_sweep_reproducible_bit_for_bit(sweep_assets):
     def run():
-        return eta_sweep(
-            sweep_assets.basis,
-            sweep_assets.coupling,
-            sweep_assets.pair,
-            sweep_assets.config.initial_state(),
-            0.5,
-            [0.2],
-            solver=SolverOptions(rtol=1e-9, atol=1e-12),
-            n_samples=200,
-        )
+        return eta_sweep(_sweep(sweep_assets, 0.5, [0.2], n_samples=200))
 
     first, second = run(), run()
     assert first.sup_distances == second.sup_distances
@@ -149,7 +131,6 @@ def test_sweep_reproducible_bit_for_bit(sweep_assets):
 
 
 def test_non_finite_sweep_input_rejected(sweep_assets):
-    state = sweep_assets.config.initial_state()
     for etas, t_final in (
         ([0.2, np.nan], 1.0),
         ([np.inf, 0.2], 1.0),
@@ -157,10 +138,7 @@ def test_non_finite_sweep_input_rejected(sweep_assets):
         ([0.2], np.nan),
     ):
         with pytest.raises(ValidationError, match="finite"):
-            eta_sweep(
-                sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-                state, t_final, etas,
-            )
+            eta_sweep(_sweep(sweep_assets, t_final, etas))
 
 
 def test_unknown_eps_policy_rejected_before_pool(sweep_assets, usable_cpus, monkeypatch):
@@ -170,10 +148,7 @@ def test_unknown_eps_policy_rejected_before_pool(sweep_assets, usable_cpus, monk
     monkeypatch.setattr(convergence, "ProcessPoolExecutor", refuse)
     usable_cpus(2)
     with pytest.raises(ValidationError, match="eps_policy"):
-        eta_sweep(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair,
-            sweep_assets.config.initial_state(), 0.25, [0.2, 0.1], eps_policy="limt",
-        )
+        eta_sweep(_sweep(sweep_assets, 0.25, [0.2, 0.1], eps_policy="limt"))
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +157,7 @@ def test_unknown_eps_policy_rejected_before_pool(sweep_assets, usable_cpus, monk
 
 
 def _short_sweep(assets, etas):
-    return eta_sweep(
-        assets.basis,
-        assets.coupling,
-        assets.pair,
-        assets.config.initial_state(),
-        0.25,
-        etas,
-        solver=assets.solver_options,
-        n_samples=200,
-    )
+    return eta_sweep(_sweep(assets, 0.25, etas, n_samples=200))
 
 
 def test_pooled_sweep_equals_in_process(sweep_assets, usable_cpus):

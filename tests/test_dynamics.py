@@ -5,15 +5,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cascadelab.coeffs import (
+    CoefficientSet,
     PrelimitTensor,
     assemble_prelimit_tensor,
-    limit_matrix_from_tensor,
     two_mode_coefficients,
 )
 from cascadelab.dynamics import (
     SolverOptions,
     diagnostics,
-    integrate,
     integrate_limit,
     integrate_prelimit,
     logistic_bound,
@@ -22,7 +21,7 @@ from cascadelab.dynamics import (
 from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.spectrum import resonant_mask
 
-from oracles import rhs_limit, rhs_modulus_phase
+from oracles import limit_matrix_from_tensor, rhs_limit, rhs_modulus_phase
 
 EXACT_LOGISTIC_AT_ONE = 1.0 / (1.0 + np.exp(-2.0))  # = 0.8807970779778823
 
@@ -152,9 +151,14 @@ def test_prelimit_rejects_non_finite_input(sweep_assets):
 # ---------------------------------------------------------------------------
 
 
+def _zero_tensor(size):
+    """A prelimit system whose right-hand side vanishes identically."""
+    return PrelimitTensor(0.1, np.zeros((size,) * 4, dtype=complex), np.arange(float(size)))
+
+
 def test_zero_rhs_constant_trajectory():
     state = np.array([0.3 + 0.1j, -0.2j, 0.5])
-    traj = integrate(lambda t, y: np.zeros_like(y), state, 2.0, SolverOptions(n_samples=17))
+    traj = integrate_prelimit(_zero_tensor(3), state, 2.0, SolverOptions(n_samples=17))
     assert np.allclose(traj.states, state[None, :], rtol=0, atol=1e-14)
 
 
@@ -182,9 +186,9 @@ def test_tolerance_halving_self_consistency():
 
 def test_integrator_rejects_bad_input():
     with pytest.raises(ValidationError):
-        integrate(lambda t, y: y, np.array([np.nan + 0j]), 1.0)
+        integrate_prelimit(_zero_tensor(1), np.array([np.nan + 0j]), 1.0)
     with pytest.raises(ValidationError):
-        integrate(lambda t, y: y, np.array([1.0 + 0j]), -1.0)
+        integrate_prelimit(_zero_tensor(1), np.array([1.0 + 0j]), -1.0)
 
 
 def test_limit_integrator_rejects_bad_input(default_assets):
@@ -205,13 +209,20 @@ def test_modulus_phase_flow_matches_complex_rk45(default_assets):
     state = default_assets.config.initial_state()
     options = default_assets.solver_options
     flow = integrate_limit(coeffs, state, 50.0, options)
-    oracle = integrate(
-        lambda _t, y: rhs_limit(y, coeffs), state, 50.0, options, method="RK45"
+    oracle = solve_ivp(
+        lambda _t, y: rhs_limit(y, coeffs),
+        (0.0, 50.0),
+        state,
+        method="RK45",
+        rtol=options.rtol,
+        atol=options.atol,
+        t_eval=flow.times,
     )
-    assert np.array_equal(flow.times, oracle.times)
-    assert np.max(np.abs(flow.states - oracle.states)) < 1e-6
+    assert oracle.success
+    assert np.array_equal(flow.times, oracle.t)
+    assert np.max(np.abs(flow.states - oracle.y.T)) < 1e-6
     assert flow.meta["system"] == "limit"
-    assert flow.meta["nfev"] < oracle.meta["nfev"]
+    assert flow.meta["nfev"] < oracle.nfev
 
 
 def test_limit_route_matches_tight_modulus_phase_reference(default_assets):
@@ -248,11 +259,18 @@ def test_zero_amplitudes_stay_zero(default_assets):
 
 
 def test_non_finite_rhs_aborts():
-    def blow_up(t, y):
-        return y / (0.5 - t)
-
+    # one mode with Re M = 1: r' = r^3 from r = 1 blows up at T = 1/2
+    zeros = np.zeros((1, 1))
+    blow_up = CoefficientSet(
+        fgr=zeros,
+        limit_matrix=np.ones((1, 1), dtype=complex),
+        hartree_exchange=zeros,
+        hartree_direct=zeros,
+        lamb_exchange=zeros,
+        lamb_direct=zeros,
+    )
     with pytest.raises(NumericalError):
-        integrate(blow_up, np.array([1.0 + 0j]), 1.0)
+        integrate_limit(blow_up, np.array([1.0 + 0j]), 1.0)
 
 
 def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
