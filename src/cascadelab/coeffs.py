@@ -245,6 +245,17 @@ def _cauchy_weights(momenta: MomentumGrid, lam: float, eps: float) -> np.ndarray
     return c
 
 
+def _regularization(eps: float) -> float:
+    """eps validated as finite and >= 0, with -0.0 read as +0.0.
+
+    -0.0 passes ``0 <= eps`` but would select the lower-edge logarithm
+    (np.log(complex(-lam, -0.0)) = log(lam) - i pi) and flip the on-shell term.
+    """
+    if not 0.0 <= eps < np.inf:
+        raise ValidationError(f"regularization eps must be finite and non-negative, got {eps}")
+    return abs(eps)
+
+
 def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
     """int_0^rho_max a(rho) / (rho - lam + i eps) drho with lam interior and eps >= 0.
 
@@ -254,8 +265,7 @@ def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
     -i pi a(lam) exactly (upper-edge boundary values); finite-eps
     transforms converge to it at the Sokhotski-Plemelj rate O(eps log(1/eps)).
     """
-    if not 0.0 <= eps < np.inf:
-        raise ValidationError(f"regularization eps must be finite and non-negative, got {eps}")
+    eps = _regularization(eps)
     if not _is_interior(a.momenta, lam):
         raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
     return _cauchy_interior(a, lam, eps)
@@ -268,6 +278,7 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     Its real part carries the energy renormalization, its imaginary part
     the on-shell rate (pi times the density at |mu| as eps -> 0).
     """
+    eps = _regularization(eps)
     minus = np.conj(_cauchy_any(a.conjugated(), mu, eps))
     plus = _cauchy_any(a, -mu, eps)
     return minus + plus
@@ -279,8 +290,7 @@ def branch_weights(momenta: MomentumGrid, mu: float, eps: float) -> np.ndarray:
     W = conj c(mu) + c(-mu) from the Cauchy-route weights; a must vanish at
     the origin, as genuine densities do.  eps = 0 gives the limit pairing.
     """
-    if not 0.0 <= eps < np.inf:
-        raise ValidationError(f"regularization eps must be finite and non-negative, got {eps}")
+    eps = _regularization(eps)
     both = np.conj(_cauchy_weights(momenta, mu, eps)) + _cauchy_weights(momenta, -mu, eps)
     return both[1:]
 

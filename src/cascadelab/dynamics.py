@@ -31,15 +31,20 @@ v = e^{i T E / eta^2}, so one evaluation costs a K^2 x K^2 product and K
 exponentials instead of K^4.
 
 Both systems run on one adaptive embedded Runge-Kutta pair, METHOD, the
-Dormand-Prince 8(5,3) pair.  On default.cfg over T = 50 at rtol 1e-11 the
-limit cascade takes 1,274 RHS evaluations in (r, N) form, against 3,770
-for the 4(5) pair (RK45) and 1,283 for DOP853, both in (r, theta) form;
-its largest distance to a DOP853 reference at rtol 1e-13 is 3.4e-11
-(RK45: 1.4e-10).  Conserved quantities are monitored, never enforced, so their
-drift doubles as a quality statistic.  Prelimit steps are capped at
-PRELIMIT_STEP_CAP = 0.9 of the fastest phase period, the fraction with the
-fewest RHS evaluations that keeps a 2x margin under every bound placed on
-the canonical eta sweep (see the constant).
+Dormand-Prince 8(5,3) pair, stepped by ``rk.dop853`` in this package.  It
+runs the algorithm of scipy's ``solve_ivp(method="DOP853", t_eval=...)``
+on the same arrays, so samples and RHS counts are bit-identical to
+scipy's; tests/test_rk.py keeps solve_ivp as its oracle on both systems.
+Importing the package thus loads no scipy.integrate.  On default.cfg over
+T = 50 at rtol 1e-11 the limit cascade takes 1,274 RHS evaluations in
+(r, N) form, against 3,770 for the 4(5) pair (RK45) and 1,283 for DOP853,
+both in (r, theta) form; its largest distance to a DOP853 reference at
+rtol 1e-13 is 3.4e-11 (RK45: 1.4e-10).  Conserved quantities are
+monitored, never enforced, so their drift doubles as a quality statistic.
+Prelimit steps are capped at PRELIMIT_STEP_CAP = 0.9 of the fastest phase
+period, the fraction with the fewest RHS evaluations that keeps a 2x
+margin under every bound placed on the canonical eta sweep (see the
+constant).
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coeffs import CoefficientSet, PrelimitTensor
 from .errors import NumericalError, ValidationError
+from .rk import dop853
 
 #: Below this rate the ground-row transition is treated as numerically
 #: vanishing and rate-based diagnostics are skipped rather than reported.
@@ -87,7 +92,7 @@ MIN_GROUND_RATE = 1e-14
 #: fractions, and 0.95, 1.4% cheaper than 0.9, sits next to the failing 1.0.
 PRELIMIT_STEP_CAP = 0.9
 
-#: The one Runge-Kutta pair of both systems (the solve_ivp name).
+#: The one Runge-Kutta pair of both systems (run by ``rk.dop853``).
 METHOD = "DOP853"
 
 
@@ -217,30 +222,29 @@ def _solve(
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, options.n_samples)
+    times = np.asarray(t_eval, dtype=float)
+    if (
+        times.ndim != 1
+        or len(times) == 0
+        or not 0.0 <= times[0] <= times[-1] <= t_end
+        or np.any(np.diff(times) <= 0)
+    ):
+        raise ValidationError("sample times must increase strictly within [0, t_end]")
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        y0,
-        method=METHOD,
-        rtol=options.rtol,
-        atol=options.atol,
-        t_eval=t_eval,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise NumericalError(f"integration failed at t = {sol.t[-1] if len(sol.t) else 0.0}: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise NumericalError("integration produced non-finite amplitudes")
+    samples, nfev = dop853(rhs, y0, float(t_end), times, options.rtol, options.atol, max_step)
+    finite = np.all(np.isfinite(samples), axis=1)
+    if not np.all(finite):
+        bad = times[np.argmin(finite)]
+        raise NumericalError(f"integration failed at t = {bad}: non-finite amplitudes")
 
     meta = {
         "method": METHOD,
         "rtol": options.rtol,
         "atol": options.atol,
         "max_step": None if np.isinf(max_step) else max_step,
-        "nfev": int(sol.nfev),
+        "nfev": nfev,
     }
-    return np.asarray(t_eval, dtype=float), sol.y.T, meta
+    return times, samples, meta
 
 
 def integrate_limit(

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import ValidationError
 from .grids import MomentumGrid, RadialGrid
@@ -69,6 +68,19 @@ def transform_profiles(
     return out
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2*3*5*7*11-smooth integer >= n: scipy.fft's fast length for complex input."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _chirp(theta: float, start: int, stop: int) -> np.ndarray:
     """e^{i theta k^2 / 2} for k = start .. stop - 1, from exact integer squares."""
     k = np.arange(start, stop, dtype=np.int64)
@@ -91,12 +103,13 @@ def grid_transforms(
     g = _weighted_profiles(profiles, grid, 1)
     n_r, n_rho = grid.n_points, momenta.n_rho
     theta = grid.spacing * momenta.spacing
-    size = fft.next_fast_len(n_r + n_rho - 1)
+    size = _next_fast_len(n_r + n_rho - 1)
     # lags m = l - i run over 1 - n_r .. n_rho - 1; index m + n_r - 1
     lags = np.conj(_chirp(theta, 1 - n_r, n_rho))
-    spectrum = fft.fft(g * _chirp(theta, 1, n_r + 1), size, axis=1)
-    spectrum *= fft.fft(lags, size)
-    conv = fft.ifft(spectrum, axis=1, overwrite_x=True)[:, n_r - 1 : n_r - 1 + n_rho]
+    spectrum = np.fft.fft(g * _chirp(theta, 1, n_r + 1), size, axis=1)
+    spectrum *= np.fft.fft(lags, size)
+    # in place: one (m, size) complex array fewer at the peak of a check
+    conv = np.fft.ifft(spectrum, axis=1, out=spectrum)[:, n_r - 1 : n_r - 1 + n_rho]
     sines = (conv * _chirp(theta, 1, n_rho + 1)).imag
     return sines * (FOUR_PI / momenta.nodes)
 

@@ -5,13 +5,17 @@ are session-scoped: they are deterministic, read-only, and several test
 modules check different facets of the same objects.
 """
 
+import contextlib
+import io
 import multiprocessing
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import cascadelab.convergence as convergence
+from cascadelab.cli import main as cli_main
 from cascadelab.config import SimulationConfig
 from cascadelab.convergence import eta_sweep
 from cascadelab.grids import MomentumGrid, RadialGrid
@@ -73,3 +77,37 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(convergence, "_usable_cpus", lambda: count)
 
     return set_count
+
+
+class CheckRun(NamedTuple):
+    code: int
+    manifest: bytes | None
+    stdout: str
+    workers_left: list
+
+
+@pytest.fixture(scope="session")
+def check_runs(tmp_path_factory):
+    """Three end-to-end ``check`` runs on the built-in preset, shared by the suite.
+
+    "pooled" and "repeat" run on a two-worker fork pool (in process where
+    fork is missing), "in_process" on one CPU.  Each is a CheckRun: exit
+    code, manifest bytes, printed lines, and the workers still alive after it.
+    """
+    pool_size = 2 if "fork" in multiprocessing.get_all_start_methods() else 1
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, count in (("pooled", pool_size), ("repeat", pool_size), ("in_process", 1)):
+            patch.setattr(convergence, "_usable_cpus", lambda count=count: count)
+            out = tmp_path_factory.mktemp(name)
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli_main(["check", "--out", str(out)])
+            manifest = out / "manifest.json"
+            runs[name] = CheckRun(
+                code,
+                manifest.read_bytes() if manifest.exists() else None,
+                printed.getvalue(),
+                multiprocessing.active_children(),
+            )
+    return runs

@@ -3,7 +3,8 @@
 Each test prints a single pass/fail line (written to the unbuffered
 stream so it stays visible under pytest's capture).  Criteria 7/8 share
 one six-mode run; 10/11 share one finitely-supported run; 12 reuses the
-session sweep; 13 drives the CLI ``check`` command twice end to end.
+session sweep; 13 compares two end-to-end CLI ``check`` runs of the
+session's ``check_runs``.
 """
 
 import sys
@@ -12,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from cascadelab.cli import main as cli_main
 from cascadelab.coeffs import (
     branch_sum,
     cauchy_transform,
@@ -241,11 +241,10 @@ def test_criterion_12_weak_coupling_convergence(sweep_report):
     )
 
 
-def test_criterion_13_determinism(tmp_path):
-    first, second = tmp_path / "a", tmp_path / "b"
-    code1 = cli_main(["check", "--out", str(first)])
-    code2 = cli_main(["check", "--out", str(second)])
-    identical = (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
+def test_criterion_13_determinism(check_runs):
+    first, second = check_runs["pooled"], check_runs["repeat"]
+    code1, code2 = first.code, second.code
+    identical = first.manifest is not None and first.manifest == second.manifest
     announce(
         13,
         "byte-identical check runs",

@@ -1,3 +1,4 @@
+import ast
 import json
 import multiprocessing
 import os
@@ -49,6 +50,44 @@ samples = 201
 
 def run_cli(args):
     return main(args)
+
+
+#: scipy subpackages the CLI does not load: ``rk.dop853`` replaces
+#: scipy.integrate (which pulls in optimize and sparse) and numpy.fft
+#: replaces scipy.fft.
+UNLOADED_AT_START = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft")
+
+
+def test_cli_start_loads_no_integrate_or_fft():
+    """A fresh ``import cascadelab.cli`` loads none of UNLOADED_AT_START."""
+    probe = "import sys, cascadelab.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = done.stdout.split()
+    assert "cascadelab.cli" in loaded
+    assert [m for m in loaded if m.startswith(UNLOADED_AT_START)] == []
+
+
+def test_package_imports_neither_integrate_nor_fft():
+    """No import of scipy.integrate or scipy.fft anywhere in the package, deferred ones included."""
+    found = []
+    for path in sorted((SRC / "cascadelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            banned = ("scipy.integrate", "scipy.fft")
+            found += [(path.name, n) for n in names if n.startswith(banned)]
+    assert found == []
 
 
 def test_spectrum_command_harmonic(tmp_path):
@@ -293,15 +332,15 @@ def test_dead_worker_is_numerical_error(tmp_path, capsys, monkeypatch, usable_cp
 # ---------------------------------------------------------------------------
 
 
-def test_pooled_check_equals_in_process(tmp_path, capsys, usable_cpus):
+def test_pooled_check_equals_in_process(check_runs):
     """Both routes of ``check`` write the same manifest and print the same lines."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
     outputs = []
-    for count in (1, 2):
-        usable_cpus(count)
-        out = tmp_path / f"cpus{count}"
-        assert run_cli(["check", "--out", str(out)]) == 0
-        outputs.append(((out / "manifest.json").read_bytes(), capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
+    for run in (check_runs["in_process"], check_runs["pooled"]):
+        assert run.code == 0
+        outputs.append((run.manifest, run.stdout))
+        assert run.workers_left == []
     assert outputs[0] == outputs[1]
 
 

@@ -14,6 +14,7 @@ from cascadelab.coeffs import (
     SpectralDensity,
     assemble_prelimit_tensor,
     branch_sum,
+    branch_weights,
     cauchy_transform,
     gamma_fgr,
     mode_pair_transforms,
@@ -138,6 +139,19 @@ def test_cauchy_transform_validation(gaussian_pair_density):
         cauchy_transform(a, 9.0, 1e-3)  # outside the grid
     with pytest.raises(ValidationError):
         cauchy_transform(a, 1e-6, 1e-3)  # inside but unresolvable fringe
+
+
+def test_negative_zero_eps_is_the_upper_edge(gaussian_pair_density):
+    """eps = -0.0 gives the eps = +0.0 result bit for bit, on-shell sign included."""
+    a = gaussian_pair_density
+    for route in (
+        lambda eps: cauchy_transform(a, 1.3, eps),
+        lambda eps: branch_sum(a, 1.3, eps),
+        lambda eps: branch_weights(a.momenta, 1.3, eps),
+    ):
+        plus, minus = np.asarray(route(0.0)), np.asarray(route(-0.0))
+        assert plus.tobytes() == minus.tobytes()
+    assert cauchy_transform(a, 1.3, -0.0).imag < 0.0
 
 
 def test_branch_sum_matches_adaptive_quadrature(gaussian_pair_density):

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import (
+    _next_fast_len,
     gaussian_kernel,
     grid_transforms,
     radial_convolution,
     transform_profiles,
 )
+
+
+def test_next_fast_len_is_scipys_complex_rule():
+    assert all(_next_fast_len(n) == next_fast_len(n) for n in range(1, 50_001))
+
 
 #: Chirp-z against dense sinc, relative to each row's peak.
 ROUTE_AGREEMENT = 1e-12

@@ -1,0 +1,129 @@
+"""The in-package DOP853 against its oracle, ``scipy.integrate.solve_ivp``.
+
+``rk.dop853`` runs scipy's DOP853 under ``solve_ivp`` with ``t_eval`` step
+for step, so its samples and evaluation counts must equal scipy's bit for
+bit, with and without a step cap, on both shipped systems.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
+
+from cascadelab.coeffs import assemble_prelimit_tensor
+from cascadelab.dynamics import (
+    _modulus_occupation_rhs,
+    integrate_limit,
+    integrate_prelimit,
+    rhs_prelimit,
+)
+from cascadelab.errors import NumericalError
+from cascadelab.rk import dop853
+
+
+def assert_matches_oracle(rhs, y0, t_end, t_eval, rtol, atol, max_step=np.inf):
+    samples, nfev = dop853(rhs, y0, t_end, t_eval, rtol, atol, max_step)
+    oracle = solve_ivp(
+        rhs,
+        (0.0, t_end),
+        y0,
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        t_eval=t_eval,
+        max_step=max_step,
+    )
+    assert oracle.success
+    assert np.array_equal(samples, oracle.y.T)
+    assert nfev == oracle.nfev
+    return nfev
+
+
+def limit_problem(assets, state):
+    """The (r, N) system of the limit cascade and its initial value."""
+    y0 = np.concatenate([np.abs(state), np.zeros(assets.coeffs.size)])
+    return _modulus_occupation_rhs(assets.coeffs), y0
+
+
+@pytest.mark.parametrize("max_step", [np.inf, 0.5])
+def test_limit_system_matches_solve_ivp(default_assets, max_step):
+    options = default_assets.solver_options
+    t_end = default_assets.config.dynamics.t_end
+    rhs, y0 = limit_problem(default_assets, default_assets.config.initial_state())
+    t_eval = np.linspace(0.0, t_end, options.n_samples)
+    nfev = assert_matches_oracle(rhs, y0, t_end, t_eval, options.rtol, options.atol, max_step)
+    if max_step == np.inf:
+        state = default_assets.config.initial_state()
+        traj = integrate_limit(default_assets.coeffs, state, t_end, options)
+        assert traj.meta["nfev"] == nfev == 1274
+
+
+def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
+    """The shipped step-capped solve, and an uncapped one, at each eta of the sweep."""
+    setup = sweep_assets.sweep
+    options = setup.solver
+    for eta in setup.etas:
+        tensor = assemble_prelimit_tensor(
+            setup.basis, setup.coupling, setup.pair, eta, setup.eps_policy
+        )
+        rhs = lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor)
+        traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options, setup.t_eval)
+        oracle = solve_ivp(
+            rhs,
+            (0.0, setup.t_final),
+            setup.initial_state,
+            method="DOP853",
+            rtol=options.rtol,
+            atol=options.atol,
+            t_eval=setup.t_eval,
+            max_step=traj.meta["max_step"],
+        )
+        assert np.array_equal(traj.states, oracle.y.T)
+        assert traj.meta["nfev"] == oracle.nfev
+        assert_matches_oracle(
+            rhs, setup.initial_state, setup.t_final, setup.t_eval, options.rtol, options.atol
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    rtol=st.floats(min_value=1e-11, max_value=1e-6),
+    t_end=st.floats(min_value=0.1, max_value=20.0),
+)
+def test_random_unit_mass_data_matches_solve_ivp(default_assets, data, rtol, t_end):
+    size = default_assets.coeffs.size
+    parts = st.floats(min_value=-1.0, max_value=1.0)
+    real = np.array(data.draw(st.lists(parts, min_size=size, max_size=size)))
+    imag = np.array(data.draw(st.lists(parts, min_size=size, max_size=size)))
+    state = real + 1j * imag
+    if np.linalg.norm(state) < 1e-3:
+        state[0] = 1.0
+    state = state / np.linalg.norm(state)
+    # sample times: no end, the start or both ends, and interior points in any spacing
+    interior = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=t_end), min_size=0, max_size=20, unique=True)
+    )
+    t_eval = np.unique(np.concatenate([interior, [0.0, t_end][: data.draw(st.integers(0, 2))]]))
+    if len(t_eval) == 0:
+        t_eval = np.array([t_end])
+    rhs, y0 = limit_problem(default_assets, state)
+    assert_matches_oracle(rhs, y0, t_end, t_eval, rtol, rtol * 1e-3)
+
+
+def test_blow_up_raises_numerical_error_where_scipy_fails():
+    """r' = r^3 from r = 1 blows up at T = 1/2; the step dies at scipy's t."""
+
+    def rhs(_t, y):
+        return y**3
+
+    oracle = DOP853(rhs, 0.0, np.array([1.0]), 1.0, rtol=1e-9, atol=1e-12)
+    while oracle.status == "running":
+        oracle.step()
+    assert oracle.status == "failed"
+    failed_at = re.escape(f"integration failed at t = {float(oracle.t)!r}:")
+    with pytest.raises(NumericalError, match=failed_at):
+        dop853(rhs, np.array([1.0]), 1.0, np.linspace(0.0, 1.0, 11), 1e-9, 1e-12)
