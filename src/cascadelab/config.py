@@ -21,6 +21,7 @@ import numpy as np
 from .coeffs import EPS_POLICIES
 from .convergence import MIN_SWEEP_SAMPLES
 from .errors import ConfigError, ValidationError
+from .rk import MIN_RTOL
 
 
 @dataclass
@@ -204,6 +205,8 @@ class SimulationConfig:
         for name in ("t_end", "rtol", "atol", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:
                 raise ValidationError(f"dynamics {name} must be positive and finite")
+        if d.rtol < MIN_RTOL:
+            raise ValidationError(f"dynamics rtol must be at least {MIN_RTOL:.3g}, got {d.rtol}")
         if d.samples < 2:
             raise ValidationError("dynamics samples must be at least 2")
         state = _parse_initial(d.initial, t.modes)

@@ -139,13 +139,17 @@ def sweep_runs(setups: Iterable[SweepSetup]) -> Iterator[list[Callable[[], Conve
     caller works in the with block.  Calling a sweep's finisher integrates
     its limit trajectory here, collects its solves and returns its report;
     on the in-process route the finisher runs the solves itself.  Leaving
-    the block cancels the solves not yet started and waits for the running
-    ones, so no worker outlives it.  A worker that dies surfaces as a
-    NumericalError; errors raised in a worker keep their class and message.
+    the block cancels the solves not yet started; the running ones are
+    waited for when it is left normally and stopped, by terminating the
+    workers, when it is left by an exception.  No worker outlives it.  A
+    worker that dies surfaces as a NumericalError; errors raised in a
+    worker keep their class and message.
     """
     setups = list(setups)
     solves = [[partial(setup.prelimit_run, eta) for eta in setup.etas] for setup in setups]
+    children = set(multiprocessing.active_children())
     pool = _worker_pool(sum(map(len, solves)))
+    workers = set()
     try:
         if pool is not None:
             # smallest eta first across the sweeps: it costs most and sets the makespan
@@ -154,9 +158,15 @@ def sweep_runs(setups: Iterable[SweepSetup]) -> Iterator[list[Callable[[], Conve
             )
             for _, n, i in order:
                 solves[n][i] = pool.submit(solves[n][i]).result
+            # a fork pool starts all its workers on the first submit
+            workers = set(multiprocessing.active_children()) - children
         yield [partial(_finish, setup, runs) for setup, runs in zip(setups, solves)]
-    except BrokenProcessPool as exc:
-        raise NumericalError(f"a prelimit worker process died: {exc}") from exc
+    except BaseException as exc:
+        for worker in workers:
+            worker.terminate()
+        if isinstance(exc, BrokenProcessPool):
+            raise NumericalError(f"a prelimit worker process died: {exc}") from exc
+        raise
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

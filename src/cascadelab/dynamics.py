@@ -55,7 +55,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet, PrelimitTensor
 from .errors import NumericalError, ValidationError
-from .rk import dop853
+from .rk import MIN_RTOL, dop853
 
 #: Below this rate the ground-row transition is treated as numerically
 #: vanishing and rate-based diagnostics are skipped rather than reported.
@@ -214,8 +214,13 @@ def _solve(
     """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
 
     Raises on bad input, solver breakdown or non-finite output instead of
-    returning partial data.
+    returning partial data.  An rtol below MIN_RTOL is rejected rather than
+    raised to it, so ``meta["rtol"]`` is the rtol the solver ran at.
     """
+    if not MIN_RTOL <= options.rtol < np.inf:
+        raise ValidationError(
+            f"rtol must be finite and at least {MIN_RTOL:.3g}, got {options.rtol}"
+        )
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state contains non-finite entries")
     if not 0 < t_end < np.inf:

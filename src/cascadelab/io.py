@@ -25,6 +25,15 @@ def fmt(value) -> str:
     return f"{float(value):.16e}"
 
 
+def _spec(value) -> str:
+    """The %-format that renders ``value`` as ``fmt`` does."""
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    if isinstance(value, str):
+        return "%s"
+    return "%.16e"
+
+
 def to_jsonable(obj):
     """Recursively convert numpy containers to plain Python."""
     if isinstance(obj, dict):
@@ -55,12 +64,19 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
+    """Rows rendered by ``fmt``, each with one %-template built from its values' types."""
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(map(_spec, row)) + "\n"
+            handle.write(template % row)
 
 
 def ensure_dir(path: str) -> str:

@@ -19,10 +19,30 @@ the samples and ``nfev`` equal to scipy's.  It lives here so that
 importing the package does not load ``scipy.integrate``, and with it
 ``scipy.optimize``, ``scipy.sparse`` and ``scipy.spatial``, for one
 Runge-Kutta pair.
+
+What the loop adds to each RHS evaluation is numpy call overhead, so its
+views, casts and buffers are made once per solve, and each keeps scipy's
+bits:
+
+- stage views (k[:s].T, A[s, :s], C[s], k[s]), with the rows of A and
+  B, E5, E3 cast to the state dtype: numpy casts a float vector to
+  complex before a complex matrix-vector product anyway, so BLAS sees the
+  same inputs;
+- each stage input is built in one buffer, dot(k[:s].T, a) * h and then
+  y + that, scipy's operations in scipy's order, written with ``out=``;
+- h is held in a 0-d array of the state dtype, set once per step: numpy
+  runs the multiply loop it runs for a Python float (a complex state is
+  multiplied by h + 0j either way), for about half the call cost;
+- the error norm is np.linalg.norm's own 1-D arithmetic,
+  sqrt(re . re + im . im) on the same strided views, then squared;
+- |y| of an accepted step's end is kept for the next step's scale;
+- the steps that hold samples are found by ``bisect`` over t_eval as a
+  float list, the comparison ``np.searchsorted`` makes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -264,13 +284,9 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 #: -1 / (q + 1) for the order q = 7 of the error estimate.
 ERROR_EXPONENT = -1 / 8
-#: Smallest relative tolerance; a smaller rtol is raised to it.
+#: Smallest relative tolerance; ``dop853`` raises a smaller rtol to it, as
+#: scipy does, and ``dynamics._solve`` rejects one.
 MIN_RTOL = 100 * sys.float_info.epsilon
-
-# (row of A, node) for stages 1 .. 11 and for the dense-output stages
-# 13 .. 15, as views of A so that each dot product sees scipy's layout.
-_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
 def _rms(x: np.ndarray):
@@ -294,25 +310,54 @@ def _initial_step(rhs, y0, f0, t_end, max_step, rtol, atol):
     return min(100 * h0, h1, t_end, max_step)
 
 
-def _error_norm(k: np.ndarray, h: float, scale: np.ndarray):
-    """RMS of the fifth-order estimate over a step h > 0, damped by the third-order one."""
-    err5 = np.dot(k.T, E5) / scale
-    err3 = np.dot(k.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _stage_views(k_ext: np.ndarray, stages: range):
+    """(k[:s].T, A[s, :s] in the state dtype, C[s], k[s]) for each stage s."""
+    return [(k_ext[:s].T, A[s, :s].astype(k_ext.dtype), float(C[s]), k_ext[s]) for s in stages]
+
+
+def _squared_norm(parts) -> float:
+    """np.linalg.norm(x) ** 2 as numpy computes it: sqrt(re . re + im . im), squared.
+
+    ``parts`` are x's real and imaginary views, or x alone when it is real.
+    """
+    total = 0.0
+    for part in parts:
+        total += part.dot(part)
+    return math.sqrt(total) ** 2
+
+
+def _error_norm(k_all, e5, e3, scale, h: float, err, parts):
+    """RMS of the fifth-order estimate over a step h > 0, damped by the third-order one.
+
+    ``err`` is a buffer of the state's shape and ``parts`` its views as in
+    ``_squared_norm``.
+    """
+    np.divide(k_all.dot(e5, out=err), scale, out=err)
+    err5_norm_2 = _squared_norm(parts)
+    np.divide(k_all.dot(e3, out=err), scale, out=err)
+    err3_norm_2 = _squared_norm(parts)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return h * err5_norm_2 / np.sqrt(denom * len(scale))
+    return h * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _interpolate(rhs, k_ext, t_old, h, y_old, y, f, times):
+def _run_stages(rhs, stages, t, h, hs, y, ys):
+    """k[s] = rhs(t + C[s] h, y + (k[:s].T @ A[s, :s]) h) for each of ``stages``, in order.
+
+    ``stages`` come from ``_stage_views``, ``hs`` holds h as a 0-d array
+    of the state dtype and each stage input is built in the buffer ``ys``.
+    """
+    for kt, a, c, ks in stages:
+        np.add(y, np.multiply(kt.dot(a, out=ys), hs, out=ys), out=ys)
+        ks[...] = rhs(t + c * h, ys)
+
+
+def _interpolate(k_ext, t_old, h, y_old, y, f, times):
     """Dense output over the step [t_old, t_old + h] at ``times``, shape (n, m).
 
-    Evaluates the three extra stages into ``k_ext`` first.
+    ``k_ext`` must hold all sixteen stages of the step.
     """
-    for s, (a, c) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
-        k_ext[s] = rhs(t_old + c * h, y_old + np.dot(k_ext[:s].T, a) * h)
     f_old = k_ext[0]
     delta_y = y - y_old
     poly = np.empty((INTERPOLATOR_POWER, len(y)), dtype=y_old.dtype)
@@ -321,13 +366,11 @@ def _interpolate(rhs, k_ext, t_old, h, y_old, y, f, times):
     poly[2] = 2 * delta_y - h * (f + f_old)
     poly[3:] = h * np.dot(D, k_ext)
     x = ((times - t_old) / h)[:, None]
+    factors = (x, 1 - x)
     out = np.zeros((len(times), len(y)), dtype=y_old.dtype)
     for i, row in enumerate(poly[::-1]):
         out += row
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
+        out *= factors[i % 2]
     out += y_old
     return out.T
 
@@ -345,20 +388,38 @@ def dop853(
 
     ``samples`` has shape (len(t_eval), len(y0)) and holds the solution
     at ``t_eval``, float times that must increase within [0, t_end].
-    ``rhs`` must return an array of y0's dtype (float or complex).  An
-    rtol below MIN_RTOL is raised to it, as scipy does.  Raises
-    NumericalError when the step falls below 10 ulp of t.
+    ``rhs`` must return an array of y0's dtype (float or complex); the
+    state it receives may be a buffer that is overwritten after it
+    returns.  An rtol below MIN_RTOL is raised to it, as scipy does; the
+    clamp is kept only for parity with ``solve_ivp``, since
+    ``dynamics._solve`` rejects such an rtol.  Raises NumericalError when
+    the step falls below 10 ulp of t.
     """
     rtol = max(rtol, MIN_RTOL)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     f = rhs(0.0, y)
     h_abs = _initial_step(rhs, y, f, t_end, max_step, rtol, atol)
     nfev = 2
-    k_ext = np.empty((N_STAGES_EXTENDED, len(y)), dtype=y.dtype)
+
+    dtype = y.dtype
+    k_ext = np.empty((N_STAGES_EXTENDED, len(y)), dtype=dtype)
     k = k_ext[: N_STAGES + 1]
+    stages = _stage_views(k_ext, range(1, N_STAGES))
+    extra = _stage_views(k_ext, range(N_STAGES + 1, N_STAGES_EXTENDED))
+    k_all, k_main, k_last = k.T, k[:-1].T, k[-1]
+    b, e5, e3 = (w.astype(dtype) for w in (B, E5, E3))
+    ys = np.empty_like(y)
+    hs = np.empty((), dtype=dtype)
+    err = np.empty_like(y)
+    parts = (err.real, err.imag) if dtype.kind == "c" else (err,)
+    scale = np.empty(len(y))
+    abs_y = np.abs(y)
+
     t = 0.0
+    bounds = t_eval.tolist()
     emitted = 0
-    blocks = []
+    # filled column-wise and returned transposed: the layout solve_ivp returns
+    samples = np.empty((len(y), len(bounds)), dtype=dtype)
     while t < t_end:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
@@ -366,6 +427,7 @@ def dop853(
         elif h_abs < min_step:
             h_abs = min_step
         rejected = False
+        k[0] = f
         while True:
             if h_abs < min_step:
                 raise NumericalError(
@@ -376,17 +438,19 @@ def dop853(
             if t_new > t_end:
                 t_new = t_end
             h_abs = h = t_new - t
+            hs[()] = h
 
-            k[0] = f
-            for s, (a, c) in enumerate(_STAGES, start=1):
-                k[s] = rhs(t + c * h, y + np.dot(k[:s].T, a) * h)
-            y_new = y + h * np.dot(k[:-1].T, B)
+            _run_stages(rhs, stages, t, h, hs, y, ys)
+            y_new = k_main.dot(b)
+            np.add(y, np.multiply(hs, y_new, out=y_new), out=y_new)
             f_new = rhs(t + h, y_new)
-            k[-1] = f_new
+            k_last[...] = f_new
             nfev += N_STAGES
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(k, h, scale)
+            abs_new = np.abs(y_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            np.add(atol, np.multiply(scale, rtol, out=scale), out=scale)
+            error_norm = _error_norm(k_all, e5, e3, scale, h, err, parts)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -400,11 +464,13 @@ def dop853(
             rejected = True
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        stop = int(np.searchsorted(t_eval, t, side="right"))
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        stop = bisect.bisect_right(bounds, t, emitted)
         if stop > emitted:
-            blocks.append(_interpolate(rhs, k_ext, t_old, h, y_old, y, f, t_eval[emitted:stop]))
+            _run_stages(rhs, extra, t_old, h, hs, y_old, ys)
+            samples[:, emitted:stop] = _interpolate(
+                k_ext, t_old, h, y_old, y, f, t_eval[emitted:stop]
+            )
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             emitted = stop
-    # stacked as solve_ivp stacks them, so callers see the same layout
-    return np.hstack(blocks).T, nfev
+    return samples.T, nfev

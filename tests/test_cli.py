@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,16 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert record["error"] == "validation"
 
 
+def test_rtol_below_solver_floor_exits_3(tmp_path, capsys):
+    """The solver would raise such an rtol to its floor; the config names it instead."""
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("[dynamics]\nrtol = 1e-15\n")
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "validation"
+    assert "rtol" in record["message"]
+
+
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     import cascadelab.cli as cli_module
 
@@ -358,6 +369,27 @@ def test_block_error_mid_check_exits_4(tmp_path, capsys, monkeypatch, usable_cpu
     record = json.loads(lines[0])
     assert record["error"] == "numerical"
     assert record["message"] == "synthetic dynamics failure"
+    assert multiprocessing.active_children() == []
+
+
+def test_block_error_mid_check_stops_running_solves(tmp_path, capsys, monkeypatch, usable_cpus):
+    """The error exit terminates the workers instead of waiting for their solves."""
+    usable_cpus(2)
+
+    def stall(*args):
+        time.sleep(60)
+
+    def fail(assets):
+        raise NumericalError("synthetic dynamics failure")
+
+    monkeypatch.setattr(convergence, "integrate_prelimit", stall)
+    monkeypatch.setattr(checks, "dynamics_checks", fail)
+    start = time.monotonic()
+    assert run_cli(["check", "--out", str(tmp_path / "o")]) == 4
+    assert time.monotonic() - start < 10
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"] == "synthetic dynamics failure"
     assert multiprocessing.active_children() == []
 
 

@@ -57,6 +57,13 @@ def test_invalid_values_rejected(tmp_path):
         parse_config(write(tmp_path, "[sweep]\netas = 0.1, 0.2\n"))
 
 
+def test_rtol_below_solver_floor_rejected(tmp_path):
+    """The solver would raise it to 2.2e-14 while the outputs record the configured value."""
+    with pytest.raises(ValidationError, match="dynamics rtol"):
+        parse_config(write(tmp_path, "[dynamics]\nrtol = 1e-15\n"))
+    assert parse_config(write(tmp_path, "[dynamics]\nrtol = 1e-13\n")).dynamics.rtol == 1e-13
+
+
 def test_small_sweep_sample_count_rejected(tmp_path):
     with pytest.raises(ValidationError, match="sweep samples"):
         parse_config(write(tmp_path, "[sweep]\nsamples = 5\n"))

@@ -114,6 +114,42 @@ def test_random_unit_mass_data_matches_solve_ivp(default_assets, data, rtol, t_e
     assert_matches_oracle(rhs, y0, t_end, t_eval, rtol, rtol * 1e-3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(min_value=1, max_value=6),
+    rtol=st.floats(min_value=1e-10, max_value=1e-6),
+    damping=st.floats(min_value=10.0, max_value=300.0),
+    t_end=st.floats(min_value=0.1, max_value=2.0),
+    capped=st.booleans(),
+)
+def test_random_complex_linear_systems_match_solve_ivp(
+    data, size, rtol, damping, t_end, capped
+):
+    """y' = A y with random complex A: the complex dtype off the shipped systems.
+
+    The first mode decays at a rate ``damping``, stiff enough for DOP853
+    that most draws reject steps, so the post-rejection path runs too.
+    """
+    parts = st.floats(min_value=-1.0, max_value=1.0)
+
+    def draw_complex(n):
+        real = data.draw(st.lists(parts, min_size=n, max_size=n))
+        imag = data.draw(st.lists(parts, min_size=n, max_size=n))
+        return np.array(real) + 1j * np.array(imag)
+
+    matrix = draw_complex(size * size).reshape(size, size)
+    matrix[0, 0] -= damping
+    y0 = draw_complex(size)
+    times = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=t_end), min_size=1, max_size=20, unique=True)
+    )
+    max_step = data.draw(st.floats(min_value=1e-2, max_value=t_end)) if capped else np.inf
+    assert_matches_oracle(
+        lambda _t, y: matrix @ y, y0, t_end, np.sort(times), rtol, rtol * 1e-3, max_step
+    )
+
+
 def test_blow_up_raises_numerical_error_where_scipy_fails():
     """r' = r^3 from r = 1 blows up at T = 1/2; the step dies at scipy's t."""
 
