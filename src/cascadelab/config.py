@@ -160,7 +160,7 @@ class SimulationConfig:
             return None
         m = re.fullmatch(r"two-mode\(([^)]+)\)", text)
         if m:
-            return float(m.group(1))
+            return _preset_number("coefficient_preset", text, m.group(1))
         raise ConfigError(f"unknown coefficient preset {text!r}")
 
     # ------------------------------------------------------------------
@@ -212,6 +212,8 @@ class SimulationConfig:
         state = _parse_initial(d.initial, t.modes)
         if len(state) > t.modes:
             raise ValidationError("initial state has more entries than trap modes")
+        if not np.all(np.isfinite(state)):
+            raise ValidationError(f"dynamics initial amplitudes must be finite, got {d.initial!r}")
         self.coefficient_preset()
         etas = self.eta_values()
         if not all(0 < e < np.inf for e in etas):
@@ -227,6 +229,14 @@ class SimulationConfig:
         return self
 
 
+def _preset_number(key: str, text: str, number: str) -> float:
+    """The number inside the preset ``text`` of [dynamics] ``key``."""
+    try:
+        return float(number)
+    except ValueError:
+        raise ConfigError(f"[dynamics] {key}: cannot parse {number!r} in {text!r} as a number")
+
+
 def _parse_initial(text: str, modes: int) -> np.ndarray:
     """Initial amplitudes from a preset name or an explicit complex list."""
     text = text.strip()
@@ -239,7 +249,7 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
         return state
     m = re.fullmatch(r"two-mode\(([^)]+)\)", low)
     if m:
-        x0 = float(m.group(1))
+        x0 = _preset_number("initial", text, m.group(1))
         if not 0.0 < x0 < 1.0:
             raise ValidationError(f"two-mode occupation must be in (0,1), got {x0}")
         if modes < 2:
@@ -258,7 +268,7 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
         return state
     m = re.fullmatch(r"geometric\(([^)]+)\)", low)
     if m:
-        q = float(m.group(1))
+        q = _preset_number("initial", text, m.group(1))
         if not 0.0 < q < 1.0:
             raise ValidationError(f"geometric ratio must be in (0,1), got {q}")
         state = q ** np.arange(modes, dtype=float)

@@ -27,8 +27,12 @@ modeling deviation of this package: those terms vanish in the
 weak-coupling limit but would require the full field propagator to
 evaluate at finite eta.  The quadruple phase factors into one phase per
 mode, e^{iT(g_ab - g_cd)/eta^2} = v_a conj(v_b) conj(v_c) v_d with
-v = e^{i T E / eta^2}, so one evaluation costs a K^2 x K^2 product and K
-exponentials instead of K^4.
+v = e^{i T E / eta^2}, so one evaluation costs a K^2 x K^2 product
+instead of K^4.  Both right-hand sides are written in ``rk.dop853``'s
+stage form: the integrator takes the K exponentials of v once per step
+attempt, for all sixteen stage times, and each evaluation writes into its
+stage row; a prelimit evaluation is six numpy calls into buffers made once
+per solve.
 
 Both systems run on one adaptive embedded Runge-Kutta pair, METHOD, the
 Dormand-Prince 8(5,3) pair, stepped by ``rk.dop853`` in this package.  It
@@ -149,43 +153,68 @@ def _require_state(state: np.ndarray, size: int) -> np.ndarray:
 
 
 def _modulus_occupation_rhs(coeffs: CoefficientSet):
-    """(r, N) -> (r * (Re M r^2), r^2), one K x K product per call."""
+    """(r, N) -> (r * (Re M r^2), r^2), one K x K product per call.
+
+    In ``rk.dop853``'s stage form with no phase rates: the phase rows are
+    empty and ignored.
+    """
     size = coeffs.size
     real = np.ascontiguousarray(coeffs.limit_matrix.real)
 
-    def rhs(_t, y):
-        r = y[:size]
-        occupation = r * r
-        return np.concatenate([r * (real @ occupation), occupation])
+    def rhs(_v, _v_conj, y, out):
+        r, head, occupation = y[:size], out[:size], out[size:]
+        np.multiply(r, r, out=occupation)
+        np.multiply(r, real.dot(occupation, out=head), out=head)
 
     return rhs
 
 
 def _prelimit_rhs(tensor: PrelimitTensor):
-    """The prelimit right-hand side with the quadruple phase factored per mode.
+    """The prelimit right-hand side in ``rk.dop853``'s stage form, and its phase rates.
 
     With v = e^{i t E / eta^2} and G = conj(v) F, the sum over (b, c, d)
     of tensor[a,b,c,d] e^{i t dE / eta^2} F_c conj(F_d) F_b equals
     v_a (S G)_a with S[a,b] = sum_{c,d} tensor[a,b,c,d] G_c conj(G_d).
+    The RHS receives v and conj(v), so a call is six numpy calls into
+    buffers made once: no exponential and no allocation.
     """
     size = tensor.size
     flat = tensor.tensor.reshape(size * size, size * size)
     rates = tensor.energies / tensor.eta**2
+    g = np.empty(size, dtype=complex)
+    g_conj = np.empty_like(g)
+    pairs = np.empty((size, size), dtype=complex)
+    s = np.empty_like(pairs)
+    g_column, pairs_flat, s_flat = g[:, None], pairs.reshape(-1), s.reshape(-1)
+    # S G gets its own buffer: numpy's in-place complex multiply of length
+    # one rounds differently from the out-of-place one
+    sg = np.empty_like(g)
 
-    def rhs(t, y):
-        v = np.exp((1j * t) * rates)
-        g = v.conj() * y
-        s = (flat @ (g[:, None] * g.conj()).ravel()).reshape(size, size)
-        return v * (s @ g)
+    def rhs(v, v_conj, y, out):
+        np.multiply(v_conj, y, out=g)
+        np.multiply(g_column, np.conjugate(g, out=g_conj), out=pairs)
+        flat.dot(pairs_flat, out=s_flat)
+        np.multiply(v, s.dot(g, out=sg), out=out)
 
-    return rhs
+    return rhs, rates
 
 
 def rhs_prelimit(
     t: float, state: np.ndarray, tensor: PrelimitTensor
 ) -> np.ndarray:
-    """Right-hand side of the oscillatory prelimit system (remainders dropped)."""
-    return _prelimit_rhs(tensor)(t, _require_state(state, tensor.size))
+    """Right-hand side of the oscillatory prelimit system (remainders dropped).
+
+    The plain (t, y) form, one exponential and fresh arrays per call: the
+    reference that the stage form of ``_prelimit_rhs`` reproduces bit for
+    bit (tests/test_rk.py).
+    """
+    state = _require_state(state, tensor.size)
+    size = tensor.size
+    flat = tensor.tensor.reshape(size * size, size * size)
+    v = np.exp((1j * t) * (tensor.energies / tensor.eta**2))
+    g = v.conj() * state
+    s = (flat @ (g[:, None] * g.conj()).ravel()).reshape(size, size)
+    return v * (s @ g)
 
 
 def fastest_phase(tensor: PrelimitTensor) -> float:
@@ -205,6 +234,7 @@ def fastest_phase(tensor: PrelimitTensor) -> float:
 
 def _solve(
     rhs,
+    rates: np.ndarray,
     y0: np.ndarray,
     t_end: float,
     options: SolverOptions,
@@ -212,6 +242,8 @@ def _solve(
     max_step: float = np.inf,
 ):
     """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
+
+    ``rhs`` and ``rates`` are in ``rk.dop853``'s stage form.
 
     Raises on bad input, solver breakdown or non-finite output instead of
     returning partial data.  An rtol below MIN_RTOL is rejected rather than
@@ -236,7 +268,9 @@ def _solve(
     ):
         raise ValidationError("sample times must increase strictly within [0, t_end]")
 
-    samples, nfev = dop853(rhs, y0, float(t_end), times, options.rtol, options.atol, max_step)
+    samples, nfev = dop853(
+        rhs, rates, y0, float(t_end), times, options.rtol, options.atol, max_step
+    )
     finite = np.all(np.isfinite(samples), axis=1)
     if not np.all(finite):
         bad = times[np.argmin(finite)]
@@ -270,7 +304,9 @@ def integrate_limit(
     state = _require_state(initial_state, coeffs.size)
     size = coeffs.size
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
-    times, samples, meta = _solve(_modulus_occupation_rhs(coeffs), y0, t_end, options, t_eval)
+    times, samples, meta = _solve(
+        _modulus_occupation_rhs(coeffs), np.empty(0), y0, t_end, options, t_eval
+    )
     phases = np.angle(state) + samples[:, size:] @ coeffs.limit_matrix.imag.T
     states = samples[:, :size] * np.exp(1j * phases)
     meta["system"] = "limit"
@@ -291,7 +327,8 @@ def integrate_prelimit(
     rate = fastest_phase(tensor) / tensor.eta**2
     cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
     state = _require_state(initial_state, tensor.size)
-    times, samples, meta = _solve(_prelimit_rhs(tensor), state, t_end, options, t_eval, cap)
+    rhs, rates = _prelimit_rhs(tensor)
+    times, samples, meta = _solve(rhs, rates, state, t_end, options, t_eval, cap)
     meta["system"] = "prelimit"
     meta["eta"] = tensor.eta
     return Trajectory(times=times, states=np.ascontiguousarray(samples), meta=meta)

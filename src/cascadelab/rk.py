@@ -2,7 +2,8 @@
 
 ``dop853`` runs the algorithm of ``scipy.integrate.solve_ivp`` with
 ``method="DOP853"`` and ``t_eval`` (scipy 1.17) step for step, and its
-samples and evaluation count are bit-identical to scipy's:
+samples and evaluation count are bit-identical to scipy's on the plain
+form f(t, y) of its stage-form RHS (below):
 
 - the starting step of Hairer, Norsett & Wanner (Solving ODEs I, 2nd ed.,
   1993, sec. II.4) for an order-7 error estimate, bounded by ``max_step``;
@@ -20,19 +21,42 @@ importing the package does not load ``scipy.integrate``, and with it
 ``scipy.optimize``, ``scipy.sparse`` and ``scipy.spatial``, for one
 Runge-Kutta pair.
 
+The RHS is called in stage form, ``rhs(v, v_conj, y, out)``: it writes
+f(t, y) into ``out`` and receives the phases v = exp((1j * t) * rates) and
+v_conj = conj(v) of its time t, so an oscillatory system takes no
+exponential per evaluation (``rates`` is empty for a system that does not
+depend on t).  Each attempt fixes its sixteen stage times t + C[s] h, so
+the loop builds their phase table once per attempt and hands stage s its
+rows and its stage row k[s] to write into.  The table keeps scipy's bits:
+
+- the stage times are t + C[s] * h elementwise, the sum scipy forms for
+  each stage;
+- 1j * t is exactly (0, t) and its product with a real rate rounds only
+  t * rate, so the table's (1j * t_s) * rates equals the (1j * t) * rates
+  that a plain RHS computes, and numpy's complex exp is elementwise;
+- it is rebuilt on every attempt, since a rejected attempt changes h and
+  with it every stage time (built once per accepted step, it fails the
+  oracle); the three dense-output stages read rows 13-15 of the accepted
+  attempt, at scipy's t_old + C[s] h, and the two probes before the
+  first step take single rows.
+
 What the loop adds to each RHS evaluation is numpy call overhead, so its
 views, casts and buffers are made once per solve, and each keeps scipy's
 bits:
 
-- stage views (k[:s].T, A[s, :s], C[s], k[s]), with the rows of A and
-  B, E5, E3 cast to the state dtype: numpy casts a float vector to
-  complex before a complex matrix-vector product anyway, so BLAS sees the
-  same inputs;
+- stage views (k[:s].T, A[s, :s], the two phase rows, k[s]), with the
+  rows of A and B, E5, E3 cast to the state dtype: numpy casts a float
+  vector to complex before a complex matrix-vector product anyway, so
+  BLAS sees the same inputs;
 - each stage input is built in one buffer, dot(k[:s].T, a) * h and then
   y + that, scipy's operations in scipy's order, written with ``out=``;
 - h is held in a 0-d array of the state dtype, set once per step: numpy
   runs the multiply loop it runs for a Python float (a complex state is
-  multiplied by h + 0j either way), for about half the call cost;
+  multiplied by h + 0j either way), for about half the call cost.  That
+  product is safe in place; a general complex product is not, because
+  numpy's in-place complex multiply of length one rounds differently
+  from the out-of-place one, so a stage RHS multiplies into a buffer that
+  is not one of its inputs;
 - the error norm is np.linalg.norm's own 1-D arithmetic,
   sqrt(re . re + im . im) on the same strided views, then squared;
 - |y| of an accepted step's end is kept for the next step's scale;
@@ -294,14 +318,14 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(rhs, y0, f0, t_end, max_step, rtol, atol):
-    """The starting step for an order-7 estimate; one more RHS evaluation."""
+def _initial_step(probe, y0, f0, t_end, max_step, rtol, atol):
+    """The starting step for an order-7 estimate; ``probe(t, y)`` is one more RHS evaluation."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = rhs(h0, y0 + h0 * f0)
+    f1 = probe(h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -310,9 +334,17 @@ def _initial_step(rhs, y0, f0, t_end, max_step, rtol, atol):
     return min(100 * h0, h1, t_end, max_step)
 
 
-def _stage_views(k_ext: np.ndarray, stages: range):
-    """(k[:s].T, A[s, :s] in the state dtype, C[s], k[s]) for each stage s."""
-    return [(k_ext[:s].T, A[s, :s].astype(k_ext.dtype), float(C[s]), k_ext[s]) for s in stages]
+def _fill_phases(times, rates, v, v_conj):
+    """v[i] = exp((1j * times[i]) * rates) and v_conj = conj(v), one row per time."""
+    np.exp(np.multiply((1j * times)[:, None], rates, out=v), out=v)
+    np.conjugate(v, out=v_conj)
+
+
+def _stage_views(k_ext: np.ndarray, v, v_conj, stages: range):
+    """(k[:s].T, A[s, :s] in the state dtype, v[s], v_conj[s], k[s]) for each stage s."""
+    return [
+        (k_ext[:s].T, A[s, :s].astype(k_ext.dtype), v[s], v_conj[s], k_ext[s]) for s in stages
+    ]
 
 
 def _squared_norm(parts) -> float:
@@ -342,15 +374,15 @@ def _error_norm(k_all, e5, e3, scale, h: float, err, parts):
     return h * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _run_stages(rhs, stages, t, h, hs, y, ys):
-    """k[s] = rhs(t + C[s] h, y + (k[:s].T @ A[s, :s]) h) for each of ``stages``, in order.
+def _run_stages(rhs, stages, hs, y, ys):
+    """rhs(v[s], v_conj[s], y + (k[:s].T @ A[s, :s]) h, out=k[s]) for each of ``stages``, in order.
 
     ``stages`` come from ``_stage_views``, ``hs`` holds h as a 0-d array
     of the state dtype and each stage input is built in the buffer ``ys``.
     """
-    for kt, a, c, ks in stages:
+    for kt, a, v, v_conj, ks in stages:
         np.add(y, np.multiply(kt.dot(a, out=ys), hs, out=ys), out=ys)
-        ks[...] = rhs(t + c * h, ys)
+        rhs(v, v_conj, ys, ks)
 
 
 def _interpolate(k_ext, t_old, h, y_old, y, f, times):
@@ -377,6 +409,7 @@ def _interpolate(k_ext, t_old, h, y_old, y, f, times):
 
 def dop853(
     rhs,
+    rates: np.ndarray,
     y0: np.ndarray,
     t_end: float,
     t_eval: np.ndarray,
@@ -384,30 +417,45 @@ def dop853(
     atol: float,
     max_step: float = np.inf,
 ):
-    """Integrate y' = rhs(t, y), y(0) = y0, up to t_end; returns (samples, nfev).
+    """Integrate y' = f(t, y), y(0) = y0, up to t_end; returns (samples, nfev).
 
-    ``samples`` has shape (len(t_eval), len(y0)) and holds the solution
-    at ``t_eval``, float times that must increase within [0, t_end].
-    ``rhs`` must return an array of y0's dtype (float or complex); the
-    state it receives may be a buffer that is overwritten after it
-    returns.  An rtol below MIN_RTOL is raised to it, as scipy does; the
-    clamp is kept only for parity with ``solve_ivp``, since
-    ``dynamics._solve`` rejects such an rtol.  Raises NumericalError when
-    the step falls below 10 ulp of t.
+    ``rhs(v, v_conj, y, out)`` writes f(t, y) into ``out``, an array of
+    y0's dtype (float or complex), given the phases v = exp((1j * t) *
+    rates) and v_conj = conj(v) of its time t; ``rates`` is a float vector,
+    empty for a system that does not depend on t.  ``y`` may be a buffer
+    that is overwritten after it returns.  ``samples`` has shape
+    (len(t_eval), len(y0)) and holds the solution at ``t_eval``, float
+    times that must increase within [0, t_end].  An rtol below MIN_RTOL is
+    raised to it, as scipy does; the clamp is kept only for parity with
+    ``solve_ivp``, since ``dynamics._solve`` rejects such an rtol.  Raises
+    NumericalError when the step falls below 10 ulp of t.
     """
     rtol = max(rtol, MIN_RTOL)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    f = rhs(0.0, y)
-    h_abs = _initial_step(rhs, y, f, t_end, max_step, rtol, atol)
+    dtype = y.dtype
+    # the phases of the sixteen stage times of the current attempt, row s at t + C[s] h
+    v = np.empty((N_STAGES_EXTENDED, len(rates)), dtype=complex)
+    v_conj = np.empty_like(v)
+
+    def probe(t, y):
+        """f(t, y) off the stage table: the evaluations before the first step."""
+        _fill_phases(np.array([t]), rates, v[:1], v_conj[:1])
+        out = np.empty_like(y)
+        rhs(v[0], v_conj[0], y, out)
+        return out
+
+    f = probe(0.0, y)
+    h_abs = _initial_step(probe, y, f, t_end, max_step, rtol, atol)
     nfev = 2
 
-    dtype = y.dtype
     k_ext = np.empty((N_STAGES_EXTENDED, len(y)), dtype=dtype)
     k = k_ext[: N_STAGES + 1]
-    stages = _stage_views(k_ext, range(1, N_STAGES))
-    extra = _stage_views(k_ext, range(N_STAGES + 1, N_STAGES_EXTENDED))
+    stages = _stage_views(k_ext, v, v_conj, range(1, N_STAGES))
+    extra = _stage_views(k_ext, v, v_conj, range(N_STAGES + 1, N_STAGES_EXTENDED))
     k_all, k_main, k_last = k.T, k[:-1].T, k[-1]
+    v_last, v_conj_last = v[N_STAGES], v_conj[N_STAGES]
     b, e5, e3 = (w.astype(dtype) for w in (B, E5, E3))
+    stage_times = np.empty(N_STAGES_EXTENDED)
     ys = np.empty_like(y)
     hs = np.empty((), dtype=dtype)
     err = np.empty_like(y)
@@ -439,12 +487,13 @@ def dop853(
                 t_new = t_end
             h_abs = h = t_new - t
             hs[()] = h
+            np.add(t, np.multiply(C, h, out=stage_times), out=stage_times)
+            _fill_phases(stage_times, rates, v, v_conj)
 
-            _run_stages(rhs, stages, t, h, hs, y, ys)
+            _run_stages(rhs, stages, hs, y, ys)
             y_new = k_main.dot(b)
             np.add(y, np.multiply(hs, y_new, out=y_new), out=y_new)
-            f_new = rhs(t + h, y_new)
-            k_last[...] = f_new
+            rhs(v_last, v_conj_last, y_new, k_last)
             nfev += N_STAGES
 
             abs_new = np.abs(y_new)
@@ -464,10 +513,11 @@ def dop853(
             rejected = True
 
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        # f lives in k's last row until the next step copies it to row 0
+        t, y, f, abs_y = t_new, y_new, k_last, abs_new
         stop = bisect.bisect_right(bounds, t, emitted)
         if stop > emitted:
-            _run_stages(rhs, extra, t_old, h, hs, y_old, ys)
+            _run_stages(rhs, extra, hs, y_old, ys)
             samples[:, emitted:stop] = _interpolate(
                 k_ext, t_old, h, y_old, y, f, t_eval[emitted:stop]
             )

@@ -279,6 +279,41 @@ def test_non_finite_input_exits_3_promptly(tmp_path):
     assert all("finite" in r["message"] for r in records)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "initial = geometric(abc)",
+        "initial = two-mode(x)",
+        "coefficient_preset = two-mode(abc)",
+    ],
+)
+def test_malformed_preset_number_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[dynamics]\n{line}\n")
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    key, text = (part.strip() for part in line.split("="))
+    assert key in record["message"] and repr(text) in record["message"]
+
+
+def test_non_finite_amplitudes_exit_3_before_any_work(tmp_path):
+    """Explicit amplitudes are checked at validation, ahead of normalizing by their norm.
+
+    Checked once the eigensolve and transforms had run, they printed
+    numpy's divide warning on stderr ahead of the record.
+    """
+    cases = [("evolve", f"[dynamics]\ninitial = {x}, 1\n") for x in ("nan", "inf", "1+nanj")]
+    done = run_child(tmp_path, cases, timeout=30)
+    assert done.stdout.split() == ["3"] * len(cases), done.stderr
+    # stderr holds the records and nothing else
+    records = [json.loads(line) for line in done.stderr.splitlines()]
+    assert [r["error"] for r in records] == ["validation"] * len(cases)
+    assert all("finite" in r["message"] for r in records)
+
+
 def test_overflowing_coefficients_exit_4_promptly(tmp_path):
     """A coupling so large that the coefficients overflow is a numerical failure.
 
