@@ -23,6 +23,7 @@ from . import __version__
 from .checks import run_all_checks
 from .config import SimulationConfig, config_hash, emit_config, parse_config
 from .convergence import NOISE_FACTOR, eta_sweep
+from .dynamics import invariant_verdicts
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import ensure_dir, fmt, write_csv, write_json
 from .pipeline import Assets, evolve
@@ -157,14 +158,16 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
     ).tolist()
     write_csv(f"{out_dir}/trajectory.csv", comments, header, rows)
 
-    budget = 100.0 * config.dynamics.rtol
+    mass, energy, tails = invariant_verdicts(
+        series, config.dynamics.rtol, config.dynamics.t_end
+    ).values()
     summary = {
-        "mass_drift": series.mass_drift(),
-        "max_energy_increase": series.max_energy_increase(),
-        "max_tail_increase": series.max_tail_increase(),
-        "mass_conserved": series.mass_drift() <= budget * config.dynamics.t_end,
-        "energy_monotone": series.max_energy_increase() <= budget,
-        "tails_monotone": series.max_tail_increase() <= budget,
+        "mass_drift": mass[0],
+        "max_energy_increase": energy[0],
+        "max_tail_increase": tails[0],
+        "mass_conserved": mass[0] <= mass[1],
+        "energy_monotone": energy[0] <= energy[1],
+        "tails_monotone": tails[0] <= tails[1],
         "gamma_tilde": series.gamma_tilde,
         "flags": series.flags,
         "final_ground_occupation": float(series.ground_occupation[-1]),

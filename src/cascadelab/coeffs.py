@@ -13,17 +13,18 @@ transforms of a; their eps -> 0 limits split into a principal-value part
 A branch sum is linear in the density, so the assembly pairs densities
 with one weight vector per gap and eps (``branch_weights``), while the
 scalar routes (``cauchy_transform(a, lam, eps)`` at any eps >= 0, and
-``branch_sum``) evaluate one density at a time; the on-shell rates also
-have a fresh single-point quadrature at the resonance frequency.  Tests
-and the check suite pit these routes against each other.
+``branch_sum``) evaluate one density at a time.  ``gamma_fgr`` takes an
+on-shell rate from a fresh single-point quadrature at the resonance
+frequency, sharing no transform with the assembly.  Tests and the check
+suite pit these routes against the assembled coefficients.
 
 The limit matrix and the prelimit tensor are each read off a table over
 the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
 pass, then the Hartree pairings and the branch sums of every cell as
 matrix products.  The limit generator (``CoefficientSet``) keeps the
-resonant cells at eps = 0 plus one golden-rule rate per pair; the
-tensor (``PrelimitTensor``) is a value of its own, every cell at
-eps = eta^2, and carries no limit part.
+resonant cells at eps = 0, the golden-rule rates included (the on-shell
+part of the exchange cells); the tensor (``PrelimitTensor``) is a value
+of its own, every cell at eps = eta^2, and carries no limit part.
 
 Convention note: the limit coefficients are the eps -> 0 limits of the
 regularized pairings, which is what the prelimit flow converges to.  Two
@@ -310,8 +311,11 @@ def gamma_fgr(
 
     Evaluates the spectral density of w*(chi_k chi_k') exactly at the
     resonance frequency |E_k - E_k'| via fresh single-point quadrature of
-    the radial transforms (no grid interpolation).  Returns exactly 0 for
-    k = k', where emission and absorption cancel.
+    the radial transforms (dense sinc, no grid interpolation).  It shares
+    no transform with the assembly, which reads the rates off its eps = 0
+    cells, and serves as their independent oracle (``check``'s
+    ``dual_route_fgr``).  Returns exactly 0 for k = k', where emission and
+    absorption cancel.
     """
     if not (0 <= k < basis.size and 0 <= kp < basis.size):
         raise ValidationError(f"mode indices ({k}, {kp}) out of range")
@@ -323,10 +327,9 @@ def gamma_fgr(
             f"transition gap {gap} lies beyond the momentum cutoff "
             f"{coupling.momenta.rho_max}"
         )
-    product_hat = transform_profiles(
-        mode_product(basis, k, kp), basis.grid, np.array([gap])
-    )[0, 0]
-    g_hat = coupling.transform_at([gap])[0] * product_hat
+    rho = np.array([gap])
+    product_hat = transform_profiles(mode_product(basis, k, kp), basis.grid, rho)[0, 0]
+    g_hat = transform_profiles(coupling.profile, coupling.grid, rho)[0, 0] * product_hat
     density_on_shell = DENSITY_PREFACTOR * gap**2 * g_hat**2
     return float(np.pi * density_on_shell)
 
@@ -345,11 +348,11 @@ EPS_POLICIES = ("eta2", "limit")
 class CoefficientSet:
     """Limit matrix, its golden-rule rates and its four component matrices.
 
-    The exchange cells (k,k';k,k') give ``hartree_exchange`` and
-    ``lamb_exchange``; the zero-gap cells (k,k;k',k'), off the diagonal,
-    give ``hartree_direct`` and ``lamb_direct``.  Those carry no on-shell
-    rate (emission and absorption cancel at zero gap), only a purely
-    imaginary dressing.  The effective ``hartree`` and ``lamb`` are the
+    The exchange cells (k,k';k,k') give ``hartree_exchange``,
+    ``lamb_exchange`` and, from their on-shell part, ``fgr``; the zero-gap
+    cells (k,k;k',k'), off the diagonal, give ``hartree_direct`` and
+    ``lamb_direct``.  Those carry no on-shell rate (emission and absorption
+    cancel at zero gap), only a purely imaginary dressing.  The effective ``hartree`` and ``lamb`` are the
     sums of both, so
 
         limit_matrix = -i (hartree - lamb) - fgr * sign,
@@ -538,31 +541,36 @@ def assemble_limit_matrix(
     """Assemble the limit transition matrix from the resonant quadruples at eps = 0.
 
     The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
-    entry (k,k'), the direct cells (k,k;k',k') their degenerate dressing,
-    and ``gamma_fgr`` the rate of each unordered pair.  Entries (k,k')
-    and (k',k) are evaluated on their own cells, so Im M, symmetric in
-    exact arithmetic, cross-checks the assembly: max |Im M - Im M^T|
-    is a rounding gap unless a cell is read at the wrong index.
+    entry (k,k') (real part of the branch sum) and the golden-rule rate
+    of the pair (its on-shell part, pi times the density at the gap), the
+    direct cells (k,k;k',k') their degenerate dressing.  Each unordered
+    pair's rate is read once, as the magnitude of its k < k' cell, and
+    mirrored, so ``fgr`` is symmetric, non-negative and zero on the
+    diagonal by construction.  The Lamb terms of entries (k,k') and
+    (k',k) are evaluated on their own cells, so Im M, symmetric in exact
+    arithmetic, cross-checks the assembly: max |Im M - Im M^T| is a
+    rounding gap unless a cell is read at the wrong index.
     """
     table = _pairing_table(basis, coupling, pair)
     index = table.index
     size = basis.size
-    sums = table.cell_sums(0.0).real
+    sums = table.cell_sums(0.0)
     k, kp = np.indices((size, size))
 
     # exchange cells (k,k'; k,k'), each order read off its own cell
+    exchange = sums[index, k, kp]
     har_ex = table.hartree[index, index]
-    lamb_ex = sums[index, k, kp]
+    lamb_ex = exchange.real
     # direct cells (k,k; k',k') at zero gap, off the diagonal only
     diag = np.diag(index)
     har_dir = table.hartree[diag[:, None], diag[None, :]]
     np.fill_diagonal(har_dir, 0.0)
-    lamb_dir = sums[diag[:, None], kp, kp]
+    lamb_dir = sums.real[diag[:, None], kp, kp]
     np.fill_diagonal(lamb_dir, 0.0)
 
-    fgr = np.zeros((size, size))
-    for a, b in zip(*np.triu_indices(size, 1)):
-        fgr[a, b] = fgr[b, a] = gamma_fgr(basis, coupling, a, b)
+    # on-shell part of the k < k' exchange cells, mirrored onto k > k'
+    upper = np.triu(np.abs(exchange.imag), 1)
+    fgr = upper + upper.T
     limit_matrix = -1j * ((har_ex + har_dir) - (lamb_ex + lamb_dir)) - fgr * _sign_matrix(size)
 
     momenta = table.momenta

@@ -65,6 +65,10 @@ from .rk import MIN_RTOL, dop853
 #: vanishing and rate-based diagnostics are skipped rather than reported.
 MIN_GROUND_RATE = 1e-14
 
+#: A solve at tolerance rtol may move an invariant by this many rtol (the
+#: mass drift by this many rtol per unit time; see ``invariant_verdicts``).
+BUDGET_PER_RTOL = 100.0
+
 #: Prelimit steps are capped at this fraction of the fastest phase period
 #: 2 pi eta^2 / max|dE|, with METHOD, the Dormand-Prince 8(5,3) pair,
 #: which suits this smooth oscillatory system at rtol 1e-9 (Hairer,
@@ -199,24 +203,6 @@ def _prelimit_rhs(tensor: PrelimitTensor):
     return rhs, rates
 
 
-def rhs_prelimit(
-    t: float, state: np.ndarray, tensor: PrelimitTensor
-) -> np.ndarray:
-    """Right-hand side of the oscillatory prelimit system (remainders dropped).
-
-    The plain (t, y) form, one exponential and fresh arrays per call: the
-    reference that the stage form of ``_prelimit_rhs`` reproduces bit for
-    bit (tests/test_rk.py).
-    """
-    state = _require_state(state, tensor.size)
-    size = tensor.size
-    flat = tensor.tensor.reshape(size * size, size * size)
-    v = np.exp((1j * t) * (tensor.energies / tensor.eta**2))
-    g = v.conj() * state
-    s = (flat @ (g[:, None] * g.conj()).ravel()).reshape(size, size)
-    return v * (s @ g)
-
-
 def fastest_phase(tensor: PrelimitTensor) -> float:
     """Largest |dE| among quadruples that actually contribute.
 
@@ -349,6 +335,22 @@ def logistic_bound(f0_ground_mass: float, gamma_tilde: float, t) -> float | np.n
     t = np.asarray(t, dtype=float)
     out = 1.0 / (1.0 + (1.0 - x0) / x0 * np.exp(-2.0 * gamma_tilde * t))
     return float(out) if out.ndim == 0 else out
+
+
+def invariant_verdicts(
+    series: DiagnosticsSeries, rtol: float, t_end: float
+) -> dict[str, tuple[float, float]]:
+    """Measured defect and budget of the mass, energy and tail invariants of a run.
+
+    The largest energy and tail increases may reach BUDGET_PER_RTOL * rtol;
+    the mass drift, which accumulates over the run, that times t_end.
+    """
+    budget = BUDGET_PER_RTOL * rtol
+    return {
+        "mass_conservation": (series.mass_drift(), budget * t_end),
+        "energy_monotonicity": (series.max_energy_increase(), budget),
+        "tail_monotonicity": (series.max_tail_increase(), budget),
+    }
 
 
 def diagnostics(

@@ -13,10 +13,11 @@ uniform trapezoid rule superalgebraically accurate for decayed profiles.
 The same trapezoid sum has two evaluation routes.  On a full
 MomentumGrid, rho_l r_i = l*i*theta with theta = h_rho*h_r, so the sum
 is a chirp z-transform (Rabiner, Schafer & Rader 1969) and
-``grid_transforms`` computes it as one FFT convolution (Bluestein).  At
-explicit points (on-shell rates, ``transform_at``) ``transform_profiles``
-sums the dense sinc quadrature, which also serves as the oracle of the
-FFT route.
+``grid_transforms`` computes it as one FFT convolution (Bluestein); every
+coefficient assembly runs on it.  At explicit points
+``transform_profiles`` sums the dense sinc quadrature: the oracle of the
+FFT route, and the transform of the single-point on-shell rates
+(``coeffs.gamma_fgr``) that check the assembled ones.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .grids import MomentumGrid, RadialGrid
 FOUR_PI = 4.0 * np.pi
 
 
-#: Row block size of the dense sinc quadrature, which serves explicit points
-#: (on-shell rates) and is the oracle of the chirp-z route; keeps its
-#: working set around ~20 MB even when it is given a whole grid's nodes.
+#: Row block size of the dense sinc quadrature, the oracle route at explicit
+#: points; keeps its working set around ~20 MB even when it is given a
+#: whole grid's nodes.
 _RHO_BLOCK = 1024
 
 
@@ -55,7 +56,7 @@ def transform_profiles(
     Dense quadrature: out[p, l] = 4*pi * sum_i sinc(rho_l r_i) *
     profiles[p, i] * r_i^2 * w_i, evaluated blockwise in rho to bound
     memory.  Full momentum grids go through ``grid_transforms``; this
-    route serves single points and is its oracle.
+    route is its oracle and serves the single-point on-shell rates.
     """
     r = grid.nodes
     weighted = _weighted_profiles(profiles, grid, 2)
@@ -159,10 +160,8 @@ class InteractionKernel:
     """A radial two-body kernel together with its cached transform.
 
     ``role`` distinguishes the photon-coupling kernel from the classical
-    pair interaction.  ``norms()`` computes the regularity norms (L1, L2,
-    Linf and the polynomially weighted L2 norm used by the resolvent
-    bounds) on demand; construction only rejects a kernel that has not
-    decayed at the box wall, since its transform would be unreliable.
+    pair interaction.  Construction rejects a kernel that has not decayed
+    at the box wall, since its transform would be unreliable.
     """
 
     role: str  # "coupling" or "pair"
@@ -188,28 +187,6 @@ class InteractionKernel:
         object.__setattr__(
             self, "transform", grid_transforms(profile, self.grid, self.momenta)[0]
         )
-
-    def norms(self, weight_exponent: float = 1.0) -> dict[str, float]:
-        """L1, L2, Linf and the (1+r^2)^s weighted L2 norm of the profile."""
-        r = self.grid.nodes
-        w = self.grid.weights
-        absf = np.abs(self.profile)
-        return {
-            "l1": float(FOUR_PI * np.dot(absf * r**2, w)),
-            "l2": float(np.sqrt(FOUR_PI * np.dot(absf**2 * r**2, w))),
-            "linf": float(np.max(absf)),
-            "weighted_l2": float(
-                np.sqrt(
-                    FOUR_PI
-                    * np.dot((1.0 + r**2) ** weight_exponent * absf**2 * r**2, w)
-                )
-            ),
-        }
-
-    def transform_at(self, rho) -> np.ndarray:
-        """Transform evaluated at arbitrary frequencies by dense sinc quadrature."""
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        return transform_profiles(self.profile, self.grid, rho)[0]
 
 
 def gaussian_kernel(

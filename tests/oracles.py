@@ -5,6 +5,10 @@ with the phases integrated rather than read off the integrated
 occupations, are the oracles of the modulus/occupation flow that
 ``dynamics.integrate_limit`` integrates.
 
+``rhs_prelimit`` is the prelimit right-hand side in the plain (t, y)
+form, the reference that ``dynamics``'s stage form reproduces bit for bit
+and the ``fun(t, y)`` that ``solve_ivp`` integrates in tests/test_rk.py.
+
 The scalar coefficient routes evaluate one quadruple at a time, each from
 its own transforms: ``lambda_hartree`` and ``lambda_lamb_shift`` are the
 oracles of the assembled Hartree and Lamb-shift cells, and
@@ -46,6 +50,24 @@ def rhs_modulus_phase(coeffs: CoefficientSet):
         return out
 
     return rhs
+
+
+def rhs_prelimit(
+    t: float, state: np.ndarray, tensor: PrelimitTensor
+) -> np.ndarray:
+    """Right-hand side of the oscillatory prelimit system (remainders dropped).
+
+    The plain (t, y) form, one exponential and fresh arrays per call: the
+    reference that the stage form of ``_prelimit_rhs`` reproduces bit for
+    bit (tests/test_rk.py).
+    """
+    state = _require_state(state, tensor.size)
+    size = tensor.size
+    flat = tensor.tensor.reshape(size * size, size * size)
+    v = np.exp((1j * t) * (tensor.energies / tensor.eta**2))
+    g = v.conj() * state
+    s = (flat @ (g[:, None] * g.conj()).ravel()).reshape(size, size)
+    return v * (s @ g)
 
 
 def _pair_density(

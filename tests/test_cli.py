@@ -91,6 +91,80 @@ def test_package_imports_neither_integrate_nor_fft():
     assert found == []
 
 
+def _unreferenced_module_names(package):
+    """Module-level functions, classes and constants that no code in ``package`` refers to.
+
+    A reference is a Name or an Attribute outside the name's own
+    definition; an import alone is none.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert "coeffs" in trees, package
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[(module, node.name)] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[(module, target.id)] = node
+    used = set()
+    for module, tree in trees.items():
+        own = {}
+        for (defining, name), node in defined.items():
+            if defining == module:
+                for inner in ast.walk(node):
+                    own[id(inner)] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if own.get(id(node)) != name:
+                used.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_every_package_name_has_a_use_in_the_package():
+    """A name that only tests call belongs in tests/oracles.py, not in the package."""
+    assert _unreferenced_module_names(SRC / "cascadelab") == []
+
+
+ONE_MODE_CFG = """
+[trap]
+modes = 1
+
+[dynamics]
+t_end = 1.0
+bec_horizon = 2.0
+{preset}
+[sweep]
+etas = 0.2, 0.1
+"""
+
+
+def test_one_mode_check_passes_quietly(tmp_path):
+    """A one-mode trap, real or under a rate preset, has no excited mode and no pair.
+
+    ``check`` once exited 3 on the Plancherel record's fixed product
+    chi_0 chi_1, and past that with a numpy traceback on the empty ground
+    row of ``bec_formation``.
+    """
+    presets = ("", "coefficient_preset = two-mode(1.0)\n")
+    cases = [("check", ONE_MODE_CFG.format(preset=p)) for p in presets]
+    done = run_child(tmp_path, cases, timeout=120)
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 * 24
+    for printed in (lines[:24], lines[24:]):
+        assert printed[-1] == "0"
+        assert all(line.startswith("[PASS] ") for line in printed[:-1])
+    assert "[PASS] dynamics.bec_formation" in lines
+
+
 def test_spectrum_command_harmonic(tmp_path):
     cfg = tmp_path / "h.cfg"
     cfg.write_text(HARMONIC_CFG)

@@ -361,9 +361,16 @@ def test_limit_matrix_structure(default_assets):
 
 
 def test_limit_matrix_fgr_entries_match_operation(default_assets):
+    """Every assembled rate is the scalar eps = 0 resolvent route's on-shell part."""
     coeffs = default_assets.coeffs
     basis, w = default_assets.basis, default_assets.coupling
-    assert coeffs.fgr[1, 3] == gamma_fgr(basis, w, 1, 3)
+    ghat = w.transform * mode_pair_transforms(basis, w.momenta)
+    for k in range(basis.size):
+        for kp in range(k + 1, basis.size):
+            a = spectral_density(ghat[k, kp], ghat[k, kp], w.momenta)
+            lam = abs(float(basis.energies[k] - basis.energies[kp]))
+            resolvent_route = -cauchy_transform(a, lam, 0.0).imag
+            assert abs(coeffs.fgr[k, kp] - resolvent_route) <= 1e-12 * resolvent_route, (k, kp)
 
 
 def test_assembly_symmetry_exploitation_consistent(sweep_assets):
@@ -453,11 +460,11 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
     """The resonant tensor entries at eps = 0 collapse onto the limit matrix.
 
-    The limit matrix takes its rates from gamma_fgr, the tensor from the
-    on-shell part of its table.  The sweep preset's rates are ~0;
-    default.cfg cascades (rates 0.12-1.91), measured at 1.2e-9 of max |M|.
+    Both take their rates from the on-shell part of their pairing table,
+    so they agree to rounding.  The sweep preset's rates are ~0;
+    default.cfg cascades (rates 0.12-1.91), measured at 2e-16 of max |M|.
     """
-    for assets, bound in ((sweep_assets, 1e-11), (default_assets, 1e-8)):
+    for assets, bound in ((sweep_assets, 1e-11), (default_assets, 1e-12)):
         full = assemble_prelimit_tensor(
             assets.basis, assets.coupling, assets.pair, eta=0.1, eps_policy="limit"
         )
@@ -470,16 +477,17 @@ def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
 
 
 def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
-    """The tensor needs no golden-rule rate and no on-shell transform.
+    """Neither assembly calls the single-point on-shell route.
 
-    Its cells all come from its pairing table; the limit generator's
-    single-point rates are not part of it under either eps policy.
+    Every cell, the golden-rule rates of the limit matrix included, comes
+    from the pairing table on the chirp-z transforms; ``gamma_fgr`` and
+    the dense sinc quadrature are the oracle only.
     """
     import cascadelab.coeffs as coeffs_module
     import cascadelab.kernels as kernels_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("limit-generator work inside the tensor assembly")
+        raise AssertionError("on-shell oracle work inside an assembly")
 
     monkeypatch.setattr(coeffs_module, "gamma_fgr", forbidden)
     monkeypatch.setattr(coeffs_module, "transform_profiles", forbidden)
@@ -489,6 +497,8 @@ def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
         tensor = assemble_prelimit_tensor(basis, w, v, 0.1, policy)
         assert tensor.eta == 0.1
         assert tensor.tensor.shape == (basis.size,) * 4
+    limit = coeffs_module.assemble_limit_matrix(basis, w, v)
+    assert limit.fgr.shape == (basis.size, basis.size)
 
 
 def test_two_mode_synthetic_preset():

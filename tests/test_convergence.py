@@ -11,16 +11,11 @@ from cascadelab.checks import run_all_checks
 from cascadelab.config import SimulationConfig
 from cascadelab.coeffs import assemble_prelimit_tensor
 from cascadelab.convergence import eta_sweep
-from cascadelab.dynamics import (
-    SolverOptions,
-    integrate_limit,
-    integrate_prelimit,
-    rhs_prelimit,
-)
+from cascadelab.dynamics import SolverOptions, integrate_limit, integrate_prelimit
 from cascadelab.errors import ValidationError
 from cascadelab.spectrum import resonant_mask
 
-from oracles import limit_matrix_from_tensor
+from oracles import limit_matrix_from_tensor, rhs_prelimit
 
 
 def test_sweep_distances_strictly_decreasing(sweep_report):

@@ -16,12 +16,11 @@ from cascadelab.dynamics import (
     integrate_limit,
     integrate_prelimit,
     logistic_bound,
-    rhs_prelimit,
 )
 from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.spectrum import resonant_mask
 
-from oracles import limit_matrix_from_tensor, rhs_limit, rhs_modulus_phase
+from oracles import limit_matrix_from_tensor, rhs_limit, rhs_modulus_phase, rhs_prelimit
 
 EXACT_LOGISTIC_AT_ONE = 1.0 / (1.0 + np.exp(-2.0))  # = 0.8807970779778823
 

@@ -72,11 +72,6 @@ def test_gaussian_kernel_closed_form_transform(grid, momenta):
     kernel = gaussian_kernel("coupling", grid, momenta, amplitude=2.5, width=0.8)
     exact = 2.5 * (2.0 * np.pi * 0.8**2) ** 1.5 * np.exp(-(0.8 * momenta.nodes) ** 2 / 2.0)
     assert np.max(np.abs(kernel.transform - exact)) < 1e-10 * exact[0]
-    norms = kernel.norms()
-    # grid norms see the first node at r = h, not the origin
-    assert norms["linf"] == pytest.approx(2.5, rel=1e-4)
-    assert norms["l1"] == pytest.approx(2.5 * (2 * np.pi * 0.64) ** 1.5, rel=1e-10)
-    assert np.isfinite(norms["weighted_l2"])
 
 
 def test_kernel_must_decay(momenta):
@@ -87,7 +82,7 @@ def test_kernel_must_decay(momenta):
 
 def test_transform_at_matches_grid_nodes(grid, momenta):
     kernel = gaussian_kernel("pair", grid, momenta, amplitude=1.0, width=1.0)
-    sample = kernel.transform_at(momenta.nodes[100:103])
+    sample = transform_profiles(kernel.profile, grid, momenta.nodes[100:103])[0]
     # dense sinc at explicit points against the chirp-z transform on the grid
     assert np.allclose(sample, kernel.transform[100:103], rtol=1e-13, atol=0)
 

@@ -1,9 +1,10 @@
-"""Property tests of the cascade right-hand sides and the branch-sum weights.
+"""Property tests of the cascade right-hand sides, the branch-sum weights and the generator.
 
 The einsum over index quadruples with the explicit phase
 e^{i t dE / eta^2} is kept here as the oracle of the factored prelimit
 right-hand side; the scalar ``branch_sum`` is the oracle of the weight
-vectors the assembly pairs with every density.
+vectors the assembly pairs with every density, and of the golden-rule
+rates it reads off them on random traps.
 """
 
 from dataclasses import replace
@@ -14,14 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadelab.coeffs import (
+    assemble_limit_matrix,
     assemble_prelimit_tensor,
     branch_sum,
     branch_weights,
+    mode_pair_transforms,
+    spectral_density,
 )
-from cascadelab.dynamics import SolverOptions, integrate_limit, rhs_prelimit
+from cascadelab.dynamics import SolverOptions, integrate_limit
 from cascadelab.errors import ValidationError
+from cascadelab.grids import MomentumGrid, RadialGrid
+from cascadelab.kernels import gaussian_kernel
+from cascadelab.spectrum import Potential, solve_radial_eigenpairs
 
-from oracles import rhs_limit
+from oracles import rhs_limit, rhs_prelimit
 
 ETA = 0.1
 
@@ -198,3 +205,46 @@ def test_branch_weights_reject_fringe_gaps(gaussian_pair_density, data):
         branch_weights(a.momenta, mu, 1e-2)
     with pytest.raises(ValidationError):
         branch_sum(a, mu, 1e-2)
+
+
+#: The structural defects of the limit generator that hold exactly by construction.
+EXACT_DEFECTS = (
+    "fgr_symmetry",
+    "fgr_negativity",
+    "fgr_diagonal",
+    "re_m_antisymmetry",
+    "re_m_diagonal",
+)
+
+widths = st.floats(min_value=0.3, max_value=1.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=6),
+    beta=st.floats(min_value=0.0, max_value=1.0),
+    scale=st.floats(min_value=1.0, max_value=4.0),
+    coupling=st.tuples(st.floats(min_value=0.1, max_value=5.0), widths),
+    pair=st.tuples(st.floats(min_value=-2.0, max_value=2.0), widths),
+)
+def test_generator_structure_on_random_traps(size, beta, scale, coupling, pair):
+    """Rates symmetric, non-negative and zero on the diagonal, Re M antisymmetric: exactly.
+
+    Each rate is the on-shell part of the scalar eps = 0 branch sum of
+    its pair's density, for either order of the pair.
+    """
+    grid = RadialGrid(10.0 * max(scale, 1.2), 400)
+    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta, scale), grid, size)
+    energies = basis.energies
+    momenta = MomentumGrid(4.0 * float(energies[-1] - energies[0]) + 8.0, 1024)
+    w = gaussian_kernel("coupling", grid, momenta, *coupling)
+    v = gaussian_kernel("pair", grid, momenta, *pair)
+    coeffs = assemble_limit_matrix(basis, w, v)
+
+    defects = coeffs.symmetry_defects()
+    assert {name: defects[name] for name in EXACT_DEFECTS} == dict.fromkeys(EXACT_DEFECTS, 0.0)
+    ghat = w.transform * mode_pair_transforms(basis, momenta)
+    for k, kp in np.ndindex(size, size):
+        a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
+        expected = abs(branch_sum(a, float(energies[k] - energies[kp]), 0.0).imag)
+        assert abs(coeffs.fgr[k, kp] - expected) <= 1e-12 * expected, (k, kp)

@@ -7,7 +7,7 @@ takes its RHS in stage form, with the phases of each stage time read from
 a table built once per step attempt; ``plain`` turns such an RHS into
 scipy's fun(t, y), which takes its phases at t on every call, so scipy
 runs unchanged.  The prelimit system is also held to the plain
-``rhs_prelimit``, the RHS as written before the stage form.
+``oracles.rhs_prelimit``, the RHS as written before the stage form.
 """
 
 import re
@@ -25,10 +25,11 @@ from cascadelab.dynamics import (
     _prelimit_rhs,
     integrate_limit,
     integrate_prelimit,
-    rhs_prelimit,
 )
 from cascadelab.errors import NumericalError
 from cascadelab.rk import dop853
+
+from oracles import rhs_prelimit
 
 
 #: The phase rates of a system that does not depend on t.
