@@ -102,7 +102,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
         )
     )
 
-    report = check_gap_independence(basis, assets.config.conventions.gap_tol)
+    report = check_gap_independence(basis)
     checks.append(
         _record(
             "spectral_genericity",

@@ -26,8 +26,9 @@ from .convergence import NOISE_FACTOR, eta_sweep
 from .dynamics import invariant_verdicts
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import ensure_dir, fmt, write_csv, write_json
+from .kernels import FOURIER_CONVENTION
 from .pipeline import Assets, evolve
-from .spectrum import check_gap_independence
+from .spectrum import GAP_TOL, check_gap_independence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,10 +41,7 @@ def _provenance(config: SimulationConfig) -> dict:
         "package": "cascadelab",
         "version": __version__,
         "config_sha256": config_hash(config),
-        "conventions": {
-            "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
-            "eps_policy": config.conventions.eps_policy,
-        },
+        "conventions": {"fourier": FOURIER_CONVENTION},
     }
 
 
@@ -52,8 +50,7 @@ def _csv_comments(config: SimulationConfig, extra: list[str] | None = None) -> l
     lines = [
         f"package=cascadelab version={prov['version']}",
         f"config_sha256={prov['config_sha256']}",
-        "fourier=forward e^{-ix.xi}, inverse (2pi)^-3",
-        f"eps_policy={config.conventions.eps_policy}",
+        f"fourier={FOURIER_CONVENTION}",
     ]
     return lines + (extra or [])
 
@@ -73,7 +70,7 @@ def _write_manifest(out_dir: str, command: str, config: SimulationConfig, output
 def cmd_spectrum(config: SimulationConfig, out_dir: str) -> int:
     assets = Assets(config)
     basis, grid = assets.basis, assets.grid
-    report = check_gap_independence(basis, config.conventions.gap_tol)
+    report = check_gap_independence(basis)
 
     comments = _csv_comments(
         config, ["energies: " + " ".join(fmt(e) for e in basis.energies)]
@@ -87,7 +84,7 @@ def cmd_spectrum(config: SimulationConfig, out_dir: str) -> int:
     write_json(
         f"{out_dir}/resonance_report.json",
         {
-            "gap_tol": report.gap_tol,
+            "gap_tol": GAP_TOL,
             "collisions": report.collisions,
             "min_offdiagonal_gap": report.min_offdiagonal_gap,
             "is_generic": report.is_generic,

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .grids import MomentumGrid
-from .kernels import InteractionKernel, grid_transforms, transform_profiles
+from .kernels import FOURIER_CONVENTION, InteractionKernel, grid_transforms, transform_profiles
 from .spectrum import EigenBasis, mode_product
 
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
@@ -339,11 +339,6 @@ def gamma_fgr(
 # ---------------------------------------------------------------------------
 
 
-#: Regularizations a prelimit tensor is evaluated at: the physical eps = eta^2,
-#: or eps = 0, where the cells take their limit values.
-EPS_POLICIES = ("eta2", "limit")
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """Limit matrix, its golden-rule rates and its four component matrices.
@@ -584,7 +579,7 @@ def assemble_limit_matrix(
         "coupling_width": coupling.width,
         "pair_amplitude": pair.amplitude,
         "pair_width": pair.width,
-        "fourier": "forward e^{-ix.xi}, inverse (2pi)^{-3}",
+        "fourier": FOURIER_CONVENTION,
     }
     return CoefficientSet(
         fgr=fgr,
@@ -604,21 +599,19 @@ def assemble_prelimit_tensor(
     coupling: InteractionKernel,
     pair: InteractionKernel,
     eta: float,
-    eps_policy: str = "eta2",
 ) -> PrelimitTensor:
-    """The full quadruple tensor at regularization eta^2, from its own pairing table.
+    """The full quadruple tensor at regularization eps = eta^2, from its own pairing table.
 
     Entry (k,k';j,j') is -i (H - Re S) - Im S, with H the mean-field
     pairing of the pairs {k,k'} and {j,j'} and S the branch sum of the
-    cell at eps = eta^2 (or at eps = 0 under ``eps_policy = "limit"``).  The energy mismatch
-    dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the stored
-    ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
+    cell at eps = eta^2, the regularization the weak-coupling limit fixes;
+    as eta -> 0 its resonant cells tend to the limit matrix's.  The energy
+    mismatch dE = (E_k - E_k') - (E_j - E_j') of its phase follows from the
+    stored ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
     against accidents.
     """
     if not 0 < eta < np.inf:
         raise ValidationError(f"eta must be positive and finite, got {eta}")
-    if eps_policy not in EPS_POLICIES:
-        raise ValidationError(f"unknown eps_policy {eps_policy!r}")
     size = basis.size
     if size > TENSOR_MODE_CAP:
         raise ValidationError(
@@ -626,6 +619,6 @@ def assemble_prelimit_tensor(
             f"{TENSOR_MODE_CAP} modes"
         )
     table = _pairing_table(basis, coupling, pair)
-    sums = table.cell_sums(0.0 if eps_policy == "limit" else eta**2)
+    sums = table.cell_sums(eta**2)
     cells = -1j * (table.hartree[:, table.index] - sums.real) - sums.imag
     return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])

@@ -6,6 +6,12 @@ into the canonical emission, which is what gets hashed into output
 provenance.  Two built-in presets cover the standard runs: the cascade
 default (length-rescaled anharmonic trap, six modes) and the convergence
 sweep (natural-unit anharmonic trap, four modes).
+
+A config holds only the inputs a run varies.  The trap is the anharmonic
+r^2 + beta r^4 of length ``scale`` (harmonic at beta = 0), or the table
+in ``file`` when that is set.  What the paper fixes is no key: the
+prelimit tensor is evaluated at eps = eta^2 and spectral genericity is
+judged at ``spectrum.GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coeffs import EPS_POLICIES
 from .convergence import MIN_SWEEP_SAMPLES
 from .errors import ConfigError, ValidationError
 from .rk import MIN_RTOL
@@ -26,13 +31,12 @@ from .rk import MIN_RTOL
 
 @dataclass
 class TrapConfig:
-    kind: str = "anharmonic"
     beta: float = 0.2
     scale: float = 6.0
     r_max: float = 36.0
     n_points: int = 2400
     modes: int = 6
-    file: str = ""
+    file: str = ""  # non-empty: the tabulated trap, which beta and scale do not enter
 
 
 @dataclass
@@ -47,12 +51,6 @@ class KernelConfig:
 class MomentumConfig:
     rho_max: str = "auto"  # "auto" = 4 * largest gap + 8, or a number
     n_rho: int = 8192
-
-
-@dataclass
-class ConventionConfig:
-    eps_policy: str = "eta2"
-    gap_tol: float = 1e-8
 
 
 @dataclass
@@ -84,7 +82,6 @@ _SECTIONS = {
     "trap": TrapConfig,
     "kernels": KernelConfig,
     "momentum": MomentumConfig,
-    "conventions": ConventionConfig,
     "dynamics": DynamicsConfig,
     "sweep": SweepConfig,
     "output": OutputConfig,
@@ -96,7 +93,6 @@ class SimulationConfig:
     trap: TrapConfig = field(default_factory=TrapConfig)
     kernels: KernelConfig = field(default_factory=KernelConfig)
     momentum: MomentumConfig = field(default_factory=MomentumConfig)
-    conventions: ConventionConfig = field(default_factory=ConventionConfig)
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -169,8 +165,6 @@ class SimulationConfig:
 
     def validate(self) -> "SimulationConfig":
         t = self.trap
-        if t.kind not in ("harmonic", "anharmonic", "custom"):
-            raise ValidationError(f"unknown trap kind {t.kind!r}")
         if t.n_points < 16:
             raise ValidationError(f"trap n_points must be >= 16, got {t.n_points}")
         if t.n_points % 2 != 0:
@@ -196,11 +190,6 @@ class SimulationConfig:
                 raise ValidationError("momentum rho_max must be positive")
         if m.n_rho < 16:
             raise ValidationError(f"momentum n_rho must be >= 16, got {m.n_rho}")
-        c = self.conventions
-        if c.eps_policy not in EPS_POLICIES:
-            raise ValidationError(f"unknown eps_policy {c.eps_policy!r}")
-        if not c.gap_tol > 0:
-            raise ValidationError("gap_tol must be positive")
         d = self.dynamics
         for name in ("t_end", "rtol", "atol", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:

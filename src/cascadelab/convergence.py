@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .coeffs import EPS_POLICIES, assemble_limit_matrix, assemble_prelimit_tensor
+from .coeffs import assemble_limit_matrix, assemble_prelimit_tensor
 from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
 from .kernels import InteractionKernel
@@ -80,10 +80,11 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
 class SweepSetup:
     """The inputs of one eta sweep, validated on construction.
 
-    Raises ValidationError for an unknown eps_policy, for eta values that
-    are not positive, finite and strictly decreasing, for a non-finite or
-    non-positive t_final and for fewer than MIN_SWEEP_SAMPLES samples.  An
-    empty eta list is a valid sweep with nothing to run.
+    Each eta's tensor is evaluated at eps = eta^2.  Raises ValidationError
+    for eta values that are not positive, finite and strictly decreasing,
+    for a non-finite or non-positive t_final and for fewer than
+    MIN_SWEEP_SAMPLES samples.  An empty eta list is a valid sweep with
+    nothing to run.
     """
 
     basis: EigenBasis
@@ -93,12 +94,9 @@ class SweepSetup:
     t_final: float
     etas: tuple
     solver: SolverOptions
-    eps_policy: str
     n_samples: int
 
     def __post_init__(self):
-        if self.eps_policy not in EPS_POLICIES:
-            raise ValidationError(f"unknown eps_policy {self.eps_policy!r}")
         etas = tuple(float(e) for e in self.etas)
         object.__setattr__(self, "etas", etas)
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=complex))
@@ -122,9 +120,7 @@ class SweepSetup:
 
     def prelimit_run(self, eta: float) -> Trajectory:
         """One eta of the sweep: assemble its tensor and integrate the prelimit system."""
-        tensor = assemble_prelimit_tensor(
-            self.basis, self.coupling, self.pair, eta, self.eps_policy
-        )
+        tensor = assemble_prelimit_tensor(self.basis, self.coupling, self.pair, eta)
         return integrate_prelimit(
             tensor, self.initial_state, self.t_final, self.solver, self.t_eval
         )
@@ -215,7 +211,6 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
         "n_samples": setup.n_samples,
         "rtol": solver.rtol,
         "atol": solver.atol,
-        "eps_policy": setup.eps_policy,
         "modes": setup.basis.size,
         # the prelimit integrator, and what each eta cost under it: RHS
         # evaluations and the step cap it ran under

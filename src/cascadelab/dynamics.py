@@ -356,7 +356,7 @@ def invariant_verdicts(
 def diagnostics(
     traj: Trajectory,
     energies: np.ndarray,
-    coeffs: CoefficientSet | None = None,
+    coeffs: CoefficientSet,
 ) -> DiagnosticsSeries:
     """Mass, energy, ground occupation, tail masses, and the logistic trace.
 
@@ -388,8 +388,6 @@ def diagnostics(
         flags["logistic_skipped"] = "zero initial ground occupation"
     elif abs(mass[0] - 1.0) > 1e-9:
         flags["logistic_skipped"] = "initial data not unit mass"
-    elif coeffs is None:
-        flags["logistic_skipped"] = "no coefficient set supplied"
     elif len(support) == 1 and support[0] == 0:
         logistic = np.ones_like(traj.times)
         flags["logistic_note"] = "ground-only data; bound is identically 1"

@@ -31,6 +31,9 @@ from .grids import MomentumGrid, RadialGrid
 
 FOUR_PI = 4.0 * np.pi
 
+#: The Fourier convention of every transform, as written into output provenance.
+FOURIER_CONVENTION = "forward e^{-ix.xi}, inverse (2pi)^{-3}"
+
 
 #: Row block size of the dense sinc quadrature, the oracle route at explicit
 #: points; keeps its working set around ~20 MB even when it is given a

@@ -82,7 +82,6 @@ class Assets:
             c.sweep.t_final,
             c.eta_values(),
             self.solver_options,
-            c.conventions.eps_policy,
             c.sweep.samples,
         )
 
@@ -100,14 +99,11 @@ class Assets:
 
 
 def build_potential(config: SimulationConfig, grid: RadialGrid) -> Potential:
+    """The tabulated trap of ``trap.file`` when it is set, else the anharmonic one."""
     t = config.trap
-    if t.kind == "custom":
-        if not t.file:
-            raise ConfigError("custom trap requires trap.file")
-        values = _read_tabulated(t.file, grid)
-        return Potential.tabulated(grid, values)
-    beta = 0.0 if t.kind == "harmonic" else t.beta
-    return Potential.anharmonic(grid, beta=beta, scale=t.scale)
+    if t.file:
+        return Potential.tabulated(grid, _read_tabulated(t.file, grid))
+    return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
 
 
 def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:

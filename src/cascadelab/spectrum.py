@@ -29,7 +29,7 @@ FOUR_PI = 4.0 * np.pi
 #: otherwise the box is too small (or the potential is not confining).
 DECAY_TOL = 1e-8
 
-#: Default tolerance below which two gap differences count as colliding.
+#: Tolerance below which two gap differences count as colliding.
 GAP_TOL = 1e-8
 
 
@@ -139,13 +139,12 @@ class ResonanceReport:
     """Spectral-genericity diagnostics over all index quadruples.
 
     A quadruple (k,k';j,j') collides when its gap difference
-    |(E_k - E_k') - (E_j - E_j')| falls below the tolerance.  Quadruples
+    |(E_k - E_k') - (E_j - E_j')| falls below GAP_TOL.  Quadruples
     that are resonant by construction (``resonant_mask``) are excluded:
     the diagonal family (k,k';k,k') and the zero-gap family with k = k'
     and j = j', whose gap difference vanishes identically for any spectrum.
     """
 
-    gap_tol: float
     collisions: list[tuple[int, int, int, int]]
     min_offdiagonal_gap: float
 
@@ -176,7 +175,8 @@ def solve_radial_eigenpairs(
     grid.
 
     Raises a dimension error when the grid cannot resolve ``count`` modes
-    and a domain-truncation error when the highest mode has not decayed
+    or has an odd number of points (before any eigensolve), and a
+    domain-truncation error when the highest mode has not decayed
     at the wall (non-confining potential or r_max too small).
     """
     if count < 1:
@@ -188,14 +188,12 @@ def solve_radial_eigenpairs(
     if potential.grid is not grid and len(potential.values) != grid.n_points:
         raise ValidationError("potential was sampled on a different grid")
 
+    # the 2h grid must nest in this one; coarsened() rejects an odd n_points
+    coarse = grid.coarsened()
     n_interior = grid.n_points - 1
     energies, vectors = _tridiagonal_eigenpairs(
         potential.values, grid.spacing, n_interior, count
     )
-
-    if grid.n_points % 2 != 0:
-        raise ValidationError("Richardson eigenvalue correction requires even n_points")
-    coarse = grid.coarsened()
     coarse_vals, _ = _tridiagonal_eigenpairs(
         potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count
     )
@@ -252,8 +250,8 @@ def resonant_mask(size: int) -> np.ndarray:
     return diag | zero_gap
 
 
-def check_gap_independence(basis: EigenBasis, gap_tol: float = GAP_TOL) -> ResonanceReport:
-    """Enumerate all K^4 quadruples and report near-coincident gap differences.
+def check_gap_independence(basis: EigenBasis) -> ResonanceReport:
+    """Enumerate all K^4 quadruples and report gap differences below GAP_TOL.
 
     Returns the collision list and the minimum |gap difference| over
     quadruples that are not resonant by construction.  With a single mode
@@ -264,12 +262,12 @@ def check_gap_independence(basis: EigenBasis, gap_tol: float = GAP_TOL) -> Reson
     magnitudes = np.abs(delta)
     informative = ~resonant_mask(basis.size)
     if not np.any(informative):
-        return ResonanceReport(gap_tol, [], float("inf"))
+        return ResonanceReport([], float("inf"))
 
-    colliding = informative & (magnitudes < gap_tol)
+    colliding = informative & (magnitudes < GAP_TOL)
     collisions = [tuple(int(i) for i in q) for q in np.argwhere(colliding)]
     min_gap = float(np.min(magnitudes[informative]))
-    return ResonanceReport(gap_tol, collisions, min_gap)
+    return ResonanceReport(collisions, min_gap)
 
 
 def mode_product(basis: EigenBasis, k: int, kp: int) -> np.ndarray:

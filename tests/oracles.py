@@ -13,7 +13,8 @@ The scalar coefficient routes evaluate one quadruple at a time, each from
 its own transforms: ``lambda_hartree`` and ``lambda_lamb_shift`` are the
 oracles of the assembled Hartree and Lamb-shift cells, and
 ``limit_matrix_from_tensor`` collapses a prelimit tensor onto the limit
-generator.
+generator; ``resonant_limit_cells`` gives it the eps = 0 resonant cells
+that production never assembles.
 """
 
 import numpy as np
@@ -24,12 +25,13 @@ from cascadelab.coeffs import (
     PrelimitTensor,
     SpectralDensity,
     branch_sum,
+    mode_pair_transforms,
     spectral_density,
 )
 from cascadelab.dynamics import _require_state
 from cascadelab.errors import ValidationError
 from cascadelab.kernels import InteractionKernel, grid_transforms
-from cascadelab.spectrum import EigenBasis, mode_product
+from cascadelab.spectrum import EigenBasis, mode_product, resonant_mask
 
 
 def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
@@ -119,19 +121,42 @@ def lambda_lamb_shift(
     return float(branch_sum(a, mu, 0.0).real)
 
 
-def limit_matrix_from_tensor(tensor: PrelimitTensor) -> np.ndarray:
-    """Collapse the resonant tensor entries into the K x K limit generator.
+def limit_matrix_from_tensor(cells: np.ndarray) -> np.ndarray:
+    """Collapse the resonant entries of K^4 tensor cells into the K x K limit generator.
 
     The resonant quadruples all produce terms of the form c |F_j|^2 F_k,
     so they sum into a single matrix: the diagonal family contributes
-    tensor[k,m,k,m] and the zero-gap family tensor[k,k,m,m] (off the
-    diagonal).  With the tensor evaluated at eps = 0 this reproduces the
+    cells[k,m,k,m] and the zero-gap family cells[k,k,m,m] (off the
+    diagonal).  With the cells evaluated at eps = 0 this reproduces the
     assembled limit matrix.
     """
-    size = tensor.size
-    cells = tensor.tensor
+    size = len(cells)
     idx = np.arange(size)
     matrix = cells[idx[:, None], idx[None, :], idx[:, None], idx[None, :]].copy()
     off = ~np.eye(size, dtype=bool)
     matrix[off] += cells[idx[:, None], idx[:, None], idx[None, :], idx[None, :]][off]
     return matrix
+
+
+def resonant_limit_cells(
+    basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
+) -> np.ndarray:
+    """The K^4 tensor cells at eps = 0 on the resonant quadruples, zero elsewhere.
+
+    Each cell (k,k';j,j') is -i (H - Re S) - Im S, as in the assembly, but
+    one quadruple at a time: S is the scalar ``branch_sum`` of its density
+    at the gap E_j - E_j' and H the mean-field pairing by quadrature on
+    the momentum grid.
+    """
+    momenta = coupling.momenta
+    phat = mode_pair_transforms(basis, momenta)
+    ghat = coupling.transform * phat
+    cells = np.zeros((basis.size,) * 4, dtype=complex)
+    for k, kp, j, jp in np.argwhere(resonant_mask(basis.size)):
+        a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
+        s = branch_sum(a, float(basis.energies[j] - basis.energies[jp]), 0.0)
+        har = momenta.integrate(
+            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * pair.transform * phat[j, jp]
+        )
+        cells[k, kp, j, jp] = -1j * (har - s.real) - s.imag
+    return cells

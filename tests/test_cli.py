@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HARMONIC_CFG = """
 [trap]
-kind = harmonic
 beta = 0.0
 scale = 1.0
 r_max = 12.0
@@ -527,7 +526,7 @@ def test_custom_tabulated_trap(tmp_path):
             handle.write(f"{float(r)!r},{float(r * r)!r}\n")
     cfg = tmp_path / "custom.cfg"
     cfg.write_text(
-        "[trap]\nkind = custom\nfile = %s\nr_max = 12.0\nn_points = 2000\nmodes = 3\n"
+        "[trap]\nfile = %s\nr_max = 12.0\nn_points = 2000\nmodes = 3\n"
         "[kernels]\ncoupling_amplitude = 1.0\n" % table
     )
     out = tmp_path / "out"
@@ -543,6 +542,18 @@ def test_custom_trap_grid_mismatch(tmp_path):
     table.write_text("1.0,1.0\n2.0,4.0\n")
     cfg = tmp_path / "custom.cfg"
     cfg.write_text(
-        "[trap]\nkind = custom\nfile = %s\nr_max = 12.0\nn_points = 2000\nmodes = 3\n" % table
+        "[trap]\nfile = %s\nr_max = 12.0\nn_points = 2000\nmodes = 3\n" % table
     )
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_missing_trap_file_exits_2(tmp_path, capsys):
+    """A trap file that cannot be read is a config error, never a fall-back to the default trap."""
+    missing = tmp_path / "absent.csv"
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("[trap]\nfile = %s\n" % missing)
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert str(missing) in record["message"]
+    assert not (tmp_path / "o" / "basis.csv").exists()

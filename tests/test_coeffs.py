@@ -27,7 +27,13 @@ from cascadelab.kernels import gaussian_kernel, transform_profiles
 from cascadelab.pipeline import Assets
 from cascadelab.spectrum import Potential, resonant_mask, solve_radial_eigenpairs
 
-from oracles import _pair_density, lambda_hartree, lambda_lamb_shift, limit_matrix_from_tensor
+from oracles import (
+    _pair_density,
+    lambda_hartree,
+    lambda_lamb_shift,
+    limit_matrix_from_tensor,
+    resonant_limit_cells,
+)
 
 
 @pytest.fixture(scope="module")
@@ -414,19 +420,18 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
     ghat = w.transform * phat
     energies = basis.energies
     eta = 0.2
-    for eps_policy in ("eta2", "limit"):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta, eps_policy).tensor
-        worst = 0.0
-        for k, kp, j, jp in np.ndindex(tensor.shape):
-            a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
-            mu = float(energies[j] - energies[jp])
-            s = branch_sum(a, mu, 0.0 if eps_policy == "limit" else eta**2)
-            har = momenta.integrate(
-                DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
-            )
-            expected = -1j * (har - s.real) - s.imag
-            worst = max(worst, abs(tensor[k, kp, j, jp] - expected))
-        assert worst < 1e-12
+    tensor = assemble_prelimit_tensor(basis, w, v, eta).tensor
+    worst = 0.0
+    for k, kp, j, jp in np.ndindex(tensor.shape):
+        a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
+        mu = float(energies[j] - energies[jp])
+        s = branch_sum(a, mu, eta**2)
+        har = momenta.integrate(
+            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
+        )
+        expected = -1j * (har - s.real) - s.imag
+        worst = max(worst, abs(tensor[k, kp, j, jp] - expected))
+    assert worst < 1e-12
 
 
 def test_tensor_mode_cap():
@@ -458,21 +463,20 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 
 
 def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
-    """The resonant tensor entries at eps = 0 collapse onto the limit matrix.
+    """The resonant tensor cells at eps = 0 collapse onto the limit matrix.
 
-    Both take their rates from the on-shell part of their pairing table,
-    so they agree to rounding.  The sweep preset's rates are ~0;
-    default.cfg cascades (rates 0.12-1.91), measured at 2e-16 of max |M|.
+    The cells come one quadruple at a time from the scalar branch sum and
+    Hartree quadrature, not from a pairing table, yet they take the same
+    on-shell rates, so they agree to rounding.  The sweep preset's rates
+    are ~0; default.cfg cascades (rates 0.12-1.91), measured at 4e-16 of
+    max |M|.
     """
     for assets, bound in ((sweep_assets, 1e-11), (default_assets, 1e-12)):
-        full = assemble_prelimit_tensor(
-            assets.basis, assets.coupling, assets.pair, eta=0.1, eps_policy="limit"
-        )
-        tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-        # oscillatory entries are gone
-        assert tensor.tensor[0, 1, 0, 2] == 0.0
+        cells = resonant_limit_cells(assets.basis, assets.coupling, assets.pair)
+        # oscillatory entries are absent
+        assert cells[0, 1, 0, 2] == 0.0
         limit = assets.coeffs.limit_matrix
-        collapsed = limit_matrix_from_tensor(tensor)
+        collapsed = limit_matrix_from_tensor(cells)
         assert np.max(np.abs(collapsed - limit)) <= bound * np.max(np.abs(limit))
 
 
@@ -493,10 +497,9 @@ def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
     monkeypatch.setattr(coeffs_module, "transform_profiles", forbidden)
     monkeypatch.setattr(kernels_module, "transform_profiles", forbidden)
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
-    for policy in ("eta2", "limit"):
-        tensor = assemble_prelimit_tensor(basis, w, v, 0.1, policy)
-        assert tensor.eta == 0.1
-        assert tensor.tensor.shape == (basis.size,) * 4
+    tensor = assemble_prelimit_tensor(basis, w, v, 0.1)
+    assert tensor.eta == 0.1
+    assert tensor.tensor.shape == (basis.size,) * 4
     limit = coeffs_module.assemble_limit_matrix(basis, w, v)
     assert limit.fgr.shape == (basis.size, basis.size)
 
@@ -527,13 +530,6 @@ def test_non_finite_coefficients_rejected(sweep_assets):
     cells[0, 1, 0, 1] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         replace(tensor, tensor=cells)
-
-
-def test_unknown_eps_policy_rejected(sweep_assets):
-    with pytest.raises(ValidationError, match="eps_policy"):
-        assemble_prelimit_tensor(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 0.1, "limt"
-        )
 
 
 def test_sweep_preset_passes_coefficient_checks(sweep_assets):

@@ -139,11 +139,25 @@ def test_rho_max_policy():
     assert config.rho_max_value(1.0) == 25.0
 
 
-@pytest.mark.parametrize("key", ["fgr_pi_factor", "include_degenerate"])
-def test_removed_convention_key_exits_2(tmp_path, capsys, key):
-    """Both conventions are fixed; a config that sets one is rejected like any unknown key."""
-    path = write(tmp_path, f"[conventions]\n{key} = true\n")
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param("[conventions]\nfgr_pi_factor = true\n", "[conventions]", id="fgr_pi_factor"),
+        pytest.param(
+            "[conventions]\ninclude_degenerate = true\n", "[conventions]", id="include_degenerate"
+        ),
+        pytest.param("[conventions]\neps_policy = limit\n", "[conventions]", id="eps_policy"),
+        pytest.param("[conventions]\ngap_tol = 1e-8\n", "[conventions]", id="gap_tol"),
+        pytest.param("[trap]\nkind = harmonic\n", "'kind'", id="kind"),
+    ],
+)
+def test_removed_convention_key_exits_2(tmp_path, capsys, text, named):
+    """Fixed conventions and derived inputs are no keys; setting one is a config error.
+
+    The message names the unknown section, or the unknown key of a known one.
+    """
+    path = write(tmp_path, text)
     assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
-    assert key in record["message"]
+    assert named in record["message"]

@@ -83,7 +83,7 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-    collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor))
+    collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor.tensor))
     state = sweep_assets.config.initial_state()
     t_eval = np.linspace(0.0, 1.0, 200)
     traj = integrate_prelimit(tensor, state, 1.0, solver, t_eval)
@@ -134,16 +134,6 @@ def test_non_finite_sweep_input_rejected(sweep_assets):
     ):
         with pytest.raises(ValidationError, match="finite"):
             eta_sweep(_sweep(sweep_assets, t_final, etas))
-
-
-def test_unknown_eps_policy_rejected_before_pool(sweep_assets, usable_cpus, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started for an unknown eps_policy")
-
-    monkeypatch.setattr(convergence, "ProcessPoolExecutor", refuse)
-    usable_cpus(2)
-    with pytest.raises(ValidationError, match="eps_policy"):
-        eta_sweep(_sweep(sweep_assets, 0.25, [0.2, 0.1], eps_policy="limt"))
 
 
 # ---------------------------------------------------------------------------

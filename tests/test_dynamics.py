@@ -95,7 +95,7 @@ def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-    matrix = limit_matrix_from_tensor(tensor)
+    matrix = limit_matrix_from_tensor(tensor.tensor)
     rng = np.random.default_rng(13)
     state = rng.normal(size=tensor.size) + 1j * rng.normal(size=tensor.size)
     restricted = rhs_prelimit(0.83, state, tensor)

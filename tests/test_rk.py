@@ -92,9 +92,7 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
     setup = sweep_assets.sweep
     options = setup.solver
     for eta in setup.etas:
-        tensor = assemble_prelimit_tensor(
-            setup.basis, setup.coupling, setup.pair, eta, setup.eps_policy
-        )
+        tensor = assemble_prelimit_tensor(setup.basis, setup.coupling, setup.pair, eta)
         rhs = lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor)
         traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options, setup.t_eval)
         oracle = solve_ivp(

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import cascadelab.spectrum as spectrum
 from cascadelab.errors import ValidationError
 from cascadelab.grids import RadialGrid
 from cascadelab.spectrum import (
+    GAP_TOL,
     Potential,
     check_gap_independence,
     mode_product,
@@ -42,6 +44,18 @@ def test_mode_count_dimension_error():
         solve_radial_eigenpairs(pot, grid, 64)
 
 
+def test_odd_grid_rejected_before_any_eigensolve(monkeypatch):
+    """The Richardson 2h grid must nest, so an odd n_points fails before the fine solve."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolve on an odd grid")
+
+    monkeypatch.setattr(spectrum, "_tridiagonal_eigenpairs", forbidden)
+    grid = RadialGrid(12.0, 401)
+    with pytest.raises(ValidationError, match="even"):
+        solve_radial_eigenpairs(Potential.harmonic(grid), grid, 3)
+
+
 def test_undecayed_modes_rejected():
     # a trap this shallow cannot hold six bound modes inside r <= 12
     grid = RadialGrid(12.0, 600)
@@ -72,13 +86,13 @@ def test_sign_convention(harmonic_basis):
 
 
 def test_equally_spaced_spectrum_collides(harmonic_basis):
-    report = check_gap_independence(harmonic_basis, 1e-8)
+    report = check_gap_independence(harmonic_basis)
     assert (0, 1, 1, 2) in report.collisions
     assert not report.is_generic
 
 
 def test_anharmonic_gaps_generic_brute_force(natural_basis):
-    report = check_gap_independence(natural_basis, 1e-8)
+    report = check_gap_independence(natural_basis)
     assert report.collisions == []
     # independent brute-force enumeration of all K^4 quadruples
     energies = natural_basis.energies
@@ -88,14 +102,14 @@ def test_anharmonic_gaps_generic_brute_force(natural_basis):
             continue
         gap = abs((energies[k] - energies[kp]) - (energies[j] - energies[jp]))
         smallest = min(smallest, gap)
-        assert gap >= 1e-8
+        assert gap >= GAP_TOL
     assert report.min_offdiagonal_gap == pytest.approx(smallest, rel=1e-12)
 
 
 def test_single_mode_report_is_vacuous():
     grid = RadialGrid(12.0, 512)
     basis = solve_radial_eigenpairs(Potential.harmonic(grid), grid, 1)
-    report = check_gap_independence(basis, 1e-8)
+    report = check_gap_independence(basis)
     assert report.collisions == []
     assert report.min_offdiagonal_gap == np.inf
 
