@@ -9,9 +9,9 @@ sweep (natural-unit anharmonic trap, four modes).
 
 A config holds only the inputs a run varies.  The trap is the anharmonic
 r^2 + beta r^4 of length ``scale`` (harmonic at beta = 0), or the table
-in ``file`` when that is set.  What the paper fixes is no key: the
-prelimit tensor is evaluated at eps = eta^2 and spectral genericity is
-judged at ``spectrum.GAP_TOL``.
+in ``file`` when that is set, and then beta and scale may not be.  What
+the paper fixes is no key: the prelimit tensor is evaluated at
+eps = eta^2 and spectral genericity is judged at ``spectrum.GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class TrapConfig:
     r_max: float = 36.0
     n_points: int = 2400
     modes: int = 6
-    file: str = ""  # non-empty: the tabulated trap, which beta and scale do not enter
+    file: str = ""  # non-empty: the tabulated trap; beta and scale may then not be set
 
 
 @dataclass
@@ -324,6 +324,14 @@ def parse_config(path: str) -> SimulationConfig:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(target, key, _coerce(raw, known[key], section, key))
+    if config.trap.file:
+        # the table alone is the trap: these would change the hash and nothing else
+        ignored = [key for key in ("beta", "scale") if parser.has_option("trap", key)]
+        if ignored:
+            raise ConfigError(
+                f"[trap] {' and '.join(ignored)} cannot be set with a trap file, "
+                "which they do not enter"
+            )
     return config.validate()
 
 

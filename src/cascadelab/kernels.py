@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import ValidationError
 from .grids import MomentumGrid, RadialGrid
@@ -123,9 +124,15 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
 
     Uses the shell-average reduction (f*g)(r) = (2 pi / r) *
     int_0^inf s f(s) [G(r+s) - G(|r-s|)] ds with G the antiderivative of
-    t g(t).  G comes from the antiderivative of a cubic spline, so the
-    inner integral is O(h^4) accurate; the integrand's kink at s = r sits
-    exactly on a grid node, keeping the outer trapezoid rule clean.
+    t g(t).  G integrates the natural cubic spline through t g(t) on the
+    knots k*h, k = 0 .. n, so the inner integral is O(h^4) accurate; the
+    integrand's kink at s = r sits exactly on a grid node, keeping the
+    outer trapezoid rule clean.  The natural end conditions (zero second
+    derivative) are exact at the origin, where t g(t) is odd for the even
+    profiles of this package, and hold at the wall, where g has decayed.
+    With y_k = t_k g(t_k), the spline's second derivatives M solve one
+    (1, 4, 1) tridiagonal system, and each interval [t_k, t_{k+1}]
+    contributes h (y_k + y_{k+1}) / 2 - h^3 (M_k + M_{k+1}) / 24 to G.
 
     On the uniform grid r_i = i*h both arguments lie on the lattice k*h:
     G is evaluated once at k = 0 .. 2n, and the sums over s become one
@@ -135,21 +142,24 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
     This is the real-space route: it shares no machinery with the
     momentum-space transforms and serves as their independent oracle.
     """
-    from scipy.interpolate import CubicSpline
-
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     n = grid.n_points
     if len(f) != n or len(g) != n:
         raise ValidationError("profiles do not match the radial grid")
 
-    r = grid.nodes
-    # extend through the origin: t*g(t) vanishes there
-    t_ext = np.concatenate(([0.0], r))
-    tg_ext = np.concatenate(([0.0], r * g))
-    big_g = CubicSpline(t_ext, tg_ext).antiderivative()
+    r, h = grid.nodes, grid.spacing
+    # t*g(t) on the knots k*h, k = 0 .. n; it vanishes at the origin
+    tg = np.concatenate(([0.0], r * g))
+    band = np.ones((3, n - 1))
+    band[1] = 4.0
+    curvature = np.zeros(n + 1)
+    curvature[1:-1] = solve_banded((1, 1), band, (6.0 / h**2) * np.diff(tg, 2))
+    pieces = 0.5 * h * (tg[:-1] + tg[1:]) - (h**3 / 24.0) * (curvature[:-1] + curvature[1:])
     # G(k h) for k = 0 .. 2n; beyond the wall g has decayed, so G is constant there
-    lattice = big_g(np.minimum(grid.spacing * np.arange(2 * n + 1), grid.r_max))
+    lattice = np.zeros(2 * n + 1)
+    np.cumsum(pieces, out=lattice[1 : n + 1])
+    lattice[n + 1 :] = lattice[n]
 
     sf = r * f * grid.weights
     # node i = p + 1: upper[p] = sum_q sf[q] G(p + q + 2), lower[p] = sum_q sf[q] G(|p - q|)

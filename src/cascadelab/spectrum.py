@@ -153,12 +153,13 @@ class ResonanceReport:
         return len(self.collisions) == 0
 
 
-def _tridiagonal_eigenpairs(potential_values, spacing, n_interior, count):
+def _tridiagonal_eigenpairs(potential_values, spacing, n_interior, count, eigvals_only=False):
     inv_h2 = 1.0 / spacing**2
     diag = 2.0 * inv_h2 + potential_values[:n_interior]
     off = np.full(n_interior - 1, -inv_h2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    return vals, vecs
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=eigvals_only, select="i", select_range=(0, count - 1)
+    )
 
 
 def solve_radial_eigenpairs(
@@ -191,11 +192,10 @@ def solve_radial_eigenpairs(
     # the 2h grid must nest in this one; coarsened() rejects an odd n_points
     coarse = grid.coarsened()
     n_interior = grid.n_points - 1
-    energies, vectors = _tridiagonal_eigenpairs(
-        potential.values, grid.spacing, n_interior, count
-    )
-    coarse_vals, _ = _tridiagonal_eigenpairs(
-        potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count
+    energies, vectors = _tridiagonal_eigenpairs(potential.values, grid.spacing, n_interior, count)
+    # the 2h solve only corrects the energies: its eigenvectors are never formed
+    coarse_vals = _tridiagonal_eigenpairs(
+        potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count, eigvals_only=True
     )
     energies = (4.0 * energies - coarse_vals) / 3.0
 

@@ -13,8 +13,10 @@ import pytest
 import cascadelab.checks as checks
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
-from cascadelab.config import SimulationConfig, emit_config
+from cascadelab.config import SimulationConfig, TrapConfig, emit_config
 from cascadelab.errors import NumericalError, ValidationError
+from cascadelab.grids import RadialGrid
+from cascadelab.pipeline import Assets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -87,6 +89,62 @@ def test_package_imports_neither_integrate_nor_fft():
                 continue
             banned = ("scipy.integrate", "scipy.fft")
             found += [(path.name, n) for n in names if n.startswith(banned)]
+    assert found == []
+
+
+#: scipy subpackages a whole ``check`` leaves unloaded: its real-space
+#: Plancherel oracle integrates its own natural spline, not
+#: scipy.interpolate's, which would pull in optimize, sparse and fft.
+UNLOADED_AFTER_CHECK = ("scipy.interpolate",) + UNLOADED_AT_START
+
+
+def test_check_loads_no_interpolate_integrate_or_fft(tmp_path):
+    """A fresh ``check`` on a shipped config runs its Plancherel oracle and
+    leaves every module of UNLOADED_AFTER_CHECK unloaded."""
+    probe = (
+        "import sys\n"
+        "from cascadelab.cli import main\n"
+        "code = main(['check', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, ' '.join(sorted(sys.modules)))\n"
+    )
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC.parent / "configs" / "default.cfg"), str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    records = json.loads((out / "manifest.json").read_text())["checks"]["coefficients"]
+    assert [r["passed"] for r in records if r["name"] == "plancherel"] == [True]
+    assert [m for m in loaded if m.startswith(UNLOADED_AFTER_CHECK)] == []
+
+
+def test_package_defers_no_import():
+    """Every import in the package sits outside its functions, and none is of scipy.interpolate."""
+    found = []
+    for path in sorted((SRC / "cascadelab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_functions = {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if id(node) in in_functions:
+                found.append((path.name, node.lineno, "inside a function"))
+            found += [(path.name, node.lineno, n) for n in names if n.startswith("scipy.interpolate")]
     assert found == []
 
 
@@ -535,6 +593,58 @@ def test_custom_tabulated_trap(tmp_path):
     energy_line = next(l for l in lines if l.startswith("# energies:"))
     energies = np.array([float(tok) for tok in energy_line.split(":")[1].split()])
     assert np.max(np.abs(energies - np.array([3.0, 7.0, 11.0]))) < 1e-4
+
+
+def anharmonic_table(tmp_path):
+    """A tabulated trap r^2 + 0.2 r^4 on RadialGrid(12.0, 2000), and its [trap] lines."""
+    nodes = RadialGrid(12.0, 2000).nodes
+    table = tmp_path / "trap.csv"
+    table.write_text("".join(f"{float(r)!r},{float(r**2 + 0.2 * r**4)!r}\n" for r in nodes))
+    return table, "[trap]\nfile = %s\nr_max = 12.0\nn_points = 2000\nmodes = 3\n" % table
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("beta = 5.0\n", "beta"),
+        ("scale = 0.3\n", "scale"),
+        ("beta = 0.2\nscale = 6.0\n", "beta and scale"),
+    ],
+    ids=["beta", "scale", "both_at_defaults"],
+)
+def test_trap_shape_next_to_file_exits_2(tmp_path, capsys, extra, named):
+    """beta and scale do not enter a tabulated trap, so setting either next to ``file``
+    is a config error: accepted, they would give one spectrum a second config hash."""
+    _, trap = anharmonic_table(tmp_path)
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(trap)
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    cfg.write_text(trap + extra)
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert f"[trap] {named} cannot be set" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_tabulated_trap_records_why_doubling_is_skipped(tmp_path):
+    """A table cannot be resampled onto the doubled grid: the spectrum block says so
+    in a skipped record and still lists five records."""
+    table, _ = anharmonic_table(tmp_path)
+    config = SimulationConfig()
+    config.trap = TrapConfig(r_max=12.0, n_points=2000, modes=3, file=str(table))
+    records = checks.spectrum_checks(Assets(config.validate()))
+    assert [r["name"] for r in records] == [
+        "orthonormality",
+        "spectral_convergence_doubling",
+        "sign_convention",
+        "harmonic_oracle",
+        "spectral_genericity",
+    ]
+    assert all(r["passed"] for r in records)
+    reason = "a tabulated trap cannot be resampled onto the doubled grid"
+    assert records[1]["detail"] == f"skipped: {reason}"
 
 
 def test_custom_trap_grid_mismatch(tmp_path):

@@ -87,15 +87,27 @@ def test_transform_at_matches_grid_nodes(grid, momenta):
     assert np.allclose(sample, kernel.transform[100:103], rtol=1e-13, atol=0)
 
 
-def test_radial_convolution_gaussian_closed_form():
-    grid = RadialGrid(24.0, 2400)
+def gaussian_convolution_error(n_points):
+    """Largest error of radial_convolution against the Gaussian closed form, relative to its peak."""
+    grid = RadialGrid(24.0, n_points)
     s1, s2 = 1.0, 0.7
     f = np.exp(-grid.nodes**2 / (2 * s1**2))
     g = np.exp(-grid.nodes**2 / (2 * s2**2))
     s12 = np.hypot(s1, s2)
     exact = (2 * np.pi) ** 1.5 * (s1 * s2 / s12) ** 3 * np.exp(-grid.nodes**2 / (2 * s12**2))
-    conv = radial_convolution(f, g, grid)
-    assert np.max(np.abs(conv - exact)) < 1e-9 * exact.max()
+    return np.max(np.abs(radial_convolution(f, g, grid) - exact)) / exact.max()
+
+
+def test_radial_convolution_gaussian_closed_form():
+    assert gaussian_convolution_error(2400) < 1e-9
+
+
+def test_radial_convolution_is_fourth_order():
+    """The error falls ~16x per doubling; an end condition that is wrong at the
+    origin or the wall would cost the spline its h^4 there and the factor with it."""
+    errors = [gaussian_convolution_error(n) for n in (600, 1200, 2400)]
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
 
 
 def test_radial_convolution_commutes():
