@@ -72,7 +72,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
     basis = assets.basis
     checks = [_record("orthonormality", basis.orthonormality_defect(), 1e-8)]
 
-    if assets.potential.kind == "custom":
+    if not assets.potential.analytic:
         reason = "a tabulated trap cannot be resampled onto the doubled grid"
         checks.append(
             _record("spectral_convergence_doubling", 0.0, 0.0, True, detail=f"skipped: {reason}")

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .convergence import MIN_SWEEP_SAMPLES
+from .convergence import validate_sweep
 from .errors import ConfigError, ValidationError
+from .grids import COVER_FACTOR
 from .rk import MIN_RTOL
 
 
@@ -49,7 +50,7 @@ class KernelConfig:
 
 @dataclass
 class MomentumConfig:
-    rho_max: str = "auto"  # "auto" = 4 * largest gap + 8, or a number
+    rho_max: str = "auto"  # "auto" = COVER_FACTOR * largest gap + 8, or a number
     n_rho: int = 8192
 
 
@@ -137,7 +138,7 @@ class SimulationConfig:
 
     def rho_max_value(self, max_gap: float) -> float:
         if self.momentum.rho_max == "auto":
-            return 4.0 * max_gap + 8.0
+            return COVER_FACTOR * max_gap + 8.0
         return float(self.momentum.rho_max)
 
     def initial_state(self) -> np.ndarray:
@@ -204,17 +205,7 @@ class SimulationConfig:
         if not np.all(np.isfinite(state)):
             raise ValidationError(f"dynamics initial amplitudes must be finite, got {d.initial!r}")
         self.coefficient_preset()
-        etas = self.eta_values()
-        if not all(0 < e < np.inf for e in etas):
-            raise ValidationError("sweep etas must be positive and finite")
-        if any(b >= a for a, b in zip(etas, etas[1:])):
-            raise ValidationError("sweep etas must be strictly decreasing")
-        if not 0 < self.sweep.t_final < np.inf:
-            raise ValidationError("sweep t_final must be positive and finite")
-        if self.sweep.samples < MIN_SWEEP_SAMPLES:
-            raise ValidationError(
-                f"sweep samples must be at least {MIN_SWEEP_SAMPLES}, got {self.sweep.samples}"
-            )
+        validate_sweep(self.eta_values(), self.sweep.t_final, self.sweep.samples)
         return self
 
 

@@ -51,14 +51,43 @@ NOISE_FACTOR = 1.2
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Per-eta distances of one sweep; its two verdicts read ``sup_distances``."""
+
     etas: tuple
     sup_distances: tuple
     terminal_distances: tuple
     mass_drifts: tuple
     initial_distance: float
-    monotone_within_noise: bool
-    strictly_decreasing: bool
     meta: dict = field(default_factory=dict)
+
+    @property
+    def monotone_within_noise(self) -> bool:
+        """Each sup distance is at most NOISE_FACTOR times the one before it."""
+        sups = self.sup_distances
+        return all(b <= NOISE_FACTOR * a for a, b in zip(sups, sups[1:]))
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        """Each sup distance is below the one before it."""
+        sups = self.sup_distances
+        return all(b < a for a, b in zip(sups, sups[1:]))
+
+
+def validate_sweep(etas: tuple, t_final: float, samples: int):
+    """The sweep rules, for a config's [sweep] section and a SweepSetup alike.
+
+    Raises ValidationError for eta values that are not positive, finite
+    and strictly decreasing, for a non-finite or non-positive t_final and
+    for fewer than MIN_SWEEP_SAMPLES samples.
+    """
+    if not all(0 < e < np.inf for e in etas):
+        raise ValidationError(f"sweep etas must be positive and finite, got {etas}")
+    if any(b >= a for a, b in zip(etas, etas[1:])):
+        raise ValidationError(f"sweep etas must be strictly decreasing, got {etas}")
+    if not 0 < t_final < np.inf:
+        raise ValidationError(f"sweep t_final must be positive and finite, got {t_final}")
+    if samples < MIN_SWEEP_SAMPLES:
+        raise ValidationError(f"sweep samples must be at least {MIN_SWEEP_SAMPLES}, got {samples}")
 
 
 def _usable_cpus() -> int:
@@ -78,13 +107,12 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
 
 @dataclass(frozen=True)
 class SweepSetup:
-    """The inputs of one eta sweep, validated on construction.
+    """The inputs of one eta sweep, validated on construction by ``validate_sweep``.
 
-    Each eta's tensor is evaluated at eps = eta^2.  Raises ValidationError
-    for eta values that are not positive, finite and strictly decreasing,
-    for a non-finite or non-positive t_final and for fewer than
-    MIN_SWEEP_SAMPLES samples.  An empty eta list is a valid sweep with
-    nothing to run.
+    Each eta's tensor is evaluated at eps = eta^2.  ``solver`` sets the
+    tolerances and, in ``n_samples``, the evenly spaced sample times on
+    [0, t_final] of every solve, on which each sup distance is measured.
+    An empty eta list is a valid sweep with nothing to run.
     """
 
     basis: EigenBasis
@@ -94,36 +122,16 @@ class SweepSetup:
     t_final: float
     etas: tuple
     solver: SolverOptions
-    n_samples: int
 
     def __post_init__(self):
-        etas = tuple(float(e) for e in self.etas)
-        object.__setattr__(self, "etas", etas)
+        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=complex))
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        if len(etas) == 0:
-            return
-        if not all(0 < e < np.inf for e in etas):
-            raise ValidationError(f"eta values must be positive and finite, got {etas}")
-        if any(b >= a for a, b in zip(etas, etas[1:])):
-            raise ValidationError(f"eta values must be strictly decreasing, got {etas}")
-        if not 0 < self.t_final < np.inf:
-            raise ValidationError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.n_samples < MIN_SWEEP_SAMPLES:
-            raise ValidationError(
-                f"sweep needs at least {MIN_SWEEP_SAMPLES} samples, got {self.n_samples}"
-            )
-
-    @property
-    def t_eval(self) -> np.ndarray:
-        return np.linspace(0.0, float(self.t_final), self.n_samples)
+        validate_sweep(self.etas, self.t_final, self.solver.n_samples)
 
     def prelimit_run(self, eta: float) -> Trajectory:
         """One eta of the sweep: assemble its tensor and integrate the prelimit system."""
         tensor = assemble_prelimit_tensor(self.basis, self.coupling, self.pair, eta)
-        return integrate_prelimit(
-            tensor, self.initial_state, self.t_final, self.solver, self.t_eval
-        )
+        return integrate_prelimit(tensor, self.initial_state, self.t_final, self.solver)
 
 
 @contextmanager
@@ -183,9 +191,9 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
     """Integrate the limit trajectory, collect the prelimit runs and measure them."""
     etas, initial_state, solver = setup.etas, setup.initial_state, setup.solver
     if len(etas) == 0:
-        return ConvergenceReport((), (), (), (), 0.0, True, True)
+        return ConvergenceReport((), (), (), (), 0.0)
     limit_coeffs = assemble_limit_matrix(setup.basis, setup.coupling, setup.pair)
-    limit_traj = integrate_limit(limit_coeffs, initial_state, setup.t_final, solver, setup.t_eval)
+    limit_traj = integrate_limit(limit_coeffs, initial_state, setup.t_final, solver)
     # smallest eta first, as dispatched: its error is the one reported
     trajs = [solve() for solve in solves[::-1]][::-1]
     mass0 = float(np.sum(np.abs(initial_state) ** 2))
@@ -197,27 +205,17 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
         drift = float(np.max(np.abs(traj.masses() - mass0)))
         return sup, terminal, drift, float(distances[0]), traj.meta
 
-    results = [measure(traj) for traj in trajs]
-
-    sups = tuple(r[0] for r in results)
-    terminals = tuple(r[1] for r in results)
-    drifts = tuple(r[2] for r in results)
-    initial_distance = max(r[3] for r in results)
-
-    monotone = all(b <= NOISE_FACTOR * a for a, b in zip(sups, sups[1:]))
-    strict = all(b < a for a, b in zip(sups, sups[1:]))
+    sups, terminals, drifts, starts, metas = zip(*map(measure, trajs))
     meta = {
         "t_final": float(setup.t_final),
-        "n_samples": setup.n_samples,
+        "n_samples": solver.n_samples,
         "rtol": solver.rtol,
         "atol": solver.atol,
         "modes": setup.basis.size,
         # the prelimit integrator, and what each eta cost under it: RHS
         # evaluations and the step cap it ran under
-        "prelimit_method": results[0][4]["method"],
-        "prelimit_nfev": [r[4]["nfev"] for r in results],
-        "prelimit_max_step": [r[4]["max_step"] for r in results],
+        "prelimit_method": metas[0]["method"],
+        "prelimit_nfev": [m["nfev"] for m in metas],
+        "prelimit_max_step": [m["max_step"] for m in metas],
     }
-    return ConvergenceReport(
-        etas, sups, terminals, drifts, initial_distance, monotone, strict, meta
-    )
+    return ConvergenceReport(etas, sups, terminals, drifts, max(starts), meta)

@@ -127,7 +127,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DiagnosticsSeries:
-    times: np.ndarray
+    """Diagnostics of a trajectory, one entry per sample at its ``times``."""
+
     mass: np.ndarray
     energy: np.ndarray
     ground_occupation: np.ndarray
@@ -403,7 +404,6 @@ def diagnostics(
             logistic = logistic_bound(float(ground[0]), gamma_tilde, traj.times)
 
     return DiagnosticsSeries(
-        times=traj.times,
         mass=mass,
         energy=energy,
         ground_occupation=ground,

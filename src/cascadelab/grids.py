@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: The momentum cutoff must exceed the largest transition gap in use by
+#: this factor; the ``auto`` cutoff of a config is this factor times it, plus 8.
+COVER_FACTOR = 4.0
+
 
 def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     """Trapezoid weights for nodes h, 2h, ..., n*h of an integral over [0, n*h].
@@ -85,18 +89,19 @@ class MomentumGrid:
     def integrate(self, values: np.ndarray) -> float | complex:
         return np.dot(values, self.weights)
 
-    def require_covers(self, gap: float, factor: float = 4.0):
+    def require_covers(self, gap: float):
         """Check the resolvent evaluation point sits well inside the grid.
 
         Transition gaps must be covered with margin: the cutoff has to
-        exceed the largest |Delta E| in use by the given factor, otherwise
+        exceed the largest |Delta E| in use by COVER_FACTOR, otherwise
         on-shell evaluations would sit in the badly-resolved tail.
         """
         if abs(gap) >= self.rho_max:
             raise ValidationError(
                 f"energy gap {gap} reaches beyond the momentum cutoff {self.rho_max}"
             )
-        if factor * abs(gap) > self.rho_max:
+        need = COVER_FACTOR * abs(gap)
+        if need > self.rho_max:
             raise ValidationError(
-                f"momentum cutoff {self.rho_max} is below {factor} x |gap| = {factor * abs(gap)}"
+                f"momentum cutoff {self.rho_max} is below {COVER_FACTOR} x |gap| = {need}"
             )

@@ -7,7 +7,7 @@ suite, and the tests all run through identical construction paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,7 +72,10 @@ class Assets:
 
     @cached_property
     def sweep(self) -> SweepSetup:
-        """The configured eta sweep, on the trap's kernels even under a coefficient preset."""
+        """The configured eta sweep, on the trap's kernels even under a coefficient preset.
+
+        Its solver takes the [dynamics] tolerances and the [sweep] samples.
+        """
         c = self.config
         return SweepSetup(
             self.basis,
@@ -81,8 +84,7 @@ class Assets:
             c.initial_state(),
             c.sweep.t_final,
             c.eta_values(),
-            self.solver_options,
-            c.sweep.samples,
+            replace(self.solver_options, n_samples=c.sweep.samples),
         )
 
     @property

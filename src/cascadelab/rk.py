@@ -371,6 +371,8 @@ def _error_norm(k_all, e5, e3, scale, h: float, err, parts):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
+    if denom == 0:
+        return math.nan  # 0.01 * err3_norm_2 underflowed: scipy's 0 / 0, which rejects the step
     return h * err5_norm_2 / math.sqrt(denom * len(scale))
 
 

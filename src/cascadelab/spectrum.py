@@ -15,7 +15,7 @@ tridiagonal solve as the work horse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -37,22 +37,19 @@ GAP_TOL = 1e-8
 class Potential:
     """Radial confining potential sampled on a grid.
 
-    ``kind`` is one of ``harmonic`` (c2*r^2), ``anharmonic``
-    (length-rescaled r^2 + beta*r^4) or ``custom`` (tabulated values).
-    The anharmonic trap with scale L is V(r) = (1/L^2) * Vt(r/L) with
+    The analytic trap is the length-rescaled anharmonic one, harmonic at
+    beta = 0: with scale L, V(r) = (1/L^2) * Vt(r/L) with
     Vt(x) = x^2 + beta*x^4, i.e. energies shrink by L^2 and modes widen
-    by L relative to the natural-unit trap.
+    by L relative to the natural-unit trap.  A tabulated trap holds only
+    its values, with beta and scale None; ``analytic`` tells the two apart.
     """
 
-    kind: str
     grid: RadialGrid
     values: np.ndarray
-    beta: float = 0.0
-    scale: float = 1.0
+    beta: float | None = None
+    scale: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("harmonic", "anharmonic", "custom"):
-            raise ValidationError(f"unknown potential kind {self.kind!r}")
         if len(self.values) != self.grid.n_points:
             raise ValidationError("potential values do not match the grid")
         if not np.all(np.isfinite(self.values)):
@@ -60,8 +57,8 @@ class Potential:
         self.validate_confining()
 
     @staticmethod
-    def harmonic(grid: RadialGrid, scale: float = 1.0) -> "Potential":
-        return Potential.anharmonic(grid, beta=0.0, scale=scale)
+    def harmonic(grid: RadialGrid) -> "Potential":
+        return Potential.anharmonic(grid, beta=0.0)
 
     @staticmethod
     def anharmonic(grid: RadialGrid, beta: float, scale: float = 1.0) -> "Potential":
@@ -71,12 +68,16 @@ class Potential:
             raise ValidationError(f"trap scale must be positive, got {scale}")
         x = grid.nodes / scale
         values = (x**2 + beta * x**4) / scale**2
-        kind = "harmonic" if beta == 0.0 else "anharmonic"
-        return Potential(kind, grid, values, beta=beta, scale=scale)
+        return Potential(grid, values, beta=beta, scale=scale)
 
     @staticmethod
     def tabulated(grid: RadialGrid, values: np.ndarray) -> "Potential":
-        return Potential("custom", grid, np.asarray(values, dtype=float))
+        return Potential(grid, np.asarray(values, dtype=float))
+
+    @property
+    def analytic(self) -> bool:
+        """True for the anharmonic trap, False for a table of values."""
+        return self.scale is not None
 
     def validate_confining(self):
         """Linear-coercivity proxy: V must grow towards the wall.
@@ -94,12 +95,12 @@ class Potential:
             )
 
     def on_grid(self, grid: RadialGrid) -> np.ndarray:
-        """Resample analytic kinds on another grid (used for Richardson)."""
-        if self.kind == "custom":
-            # tabulated potentials can only be coarsened onto nested grids
+        """Resample the trap on another grid (used for Richardson)."""
+        if not self.analytic:
+            # a table can only be coarsened onto nested grids
             stride = self.grid.n_points // grid.n_points
             if stride * grid.n_points != self.grid.n_points:
-                raise ValidationError("custom potential cannot be resampled to this grid")
+                raise ValidationError("tabulated potential cannot be resampled to this grid")
             return self.values[stride - 1 :: stride]
         x = grid.nodes / self.scale
         return (x**2 + self.beta * x**4) / self.scale**2
@@ -112,12 +113,12 @@ class EigenBasis:
     ``modes[k]`` samples chi_k on the grid; the normalization is the
     three-dimensional one, 4*pi * integral chi_j chi_k r^2 dr = delta_jk,
     so inner products of radial functions f, g read 4*pi*int f g r^2 dr.
+    The basis keeps the grid it was solved on, not the potential.
     """
 
     energies: np.ndarray
     modes: np.ndarray  # shape (K, n_points)
     grid: RadialGrid
-    potential: Potential = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -230,7 +231,7 @@ def solve_radial_eigenpairs(
             psi[k] = -psi[k]
 
     modes = psi / grid.nodes
-    return EigenBasis(energies=energies, modes=modes, grid=grid, potential=potential)
+    return EigenBasis(energies=energies, modes=modes, grid=grid)
 
 
 def resonant_mask(size: int) -> np.ndarray:

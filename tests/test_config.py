@@ -1,4 +1,6 @@
 import json
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,55 @@ def test_small_sweep_sample_count_rejected(tmp_path):
     with pytest.raises(ValidationError, match="sweep samples"):
         parse_config(write(tmp_path, "[sweep]\nsamples = 5\n"))
     assert parse_config(write(tmp_path, "[sweep]\nsamples = 200\n")).sweep.samples == 200
+
+
+@pytest.mark.parametrize(
+    "line, setup_fields, message",
+    [
+        pytest.param("etas = 0.2, 0.0", {"etas": (0.2, 0.0)}, "positive and finite", id="eta-zero"),
+        pytest.param("etas = -0.1", {"etas": (-0.1,)}, "positive and finite", id="eta-negative"),
+        pytest.param("etas = inf, 0.2", {"etas": (np.inf, 0.2)}, "and finite", id="eta-inf"),
+        pytest.param("etas = 0.1, 0.2", {"etas": (0.1, 0.2)}, "strictly decreasing", id="eta-up"),
+        pytest.param("etas = 0.2, 0.2", {"etas": (0.2, 0.2)}, "strictly decreasing", id="eta-flat"),
+        pytest.param("t_final = 0", {"t_final": 0.0}, "t_final must be positive", id="t-zero"),
+        pytest.param("t_final = inf", {"t_final": np.inf}, "t_final must be positive", id="t-inf"),
+        pytest.param(
+            "samples = 199", {"n_samples": 199}, "sweep samples must be at least 200, got 199",
+            id="samples",
+        ),
+    ],
+)
+def test_config_and_sweep_setup_share_the_sweep_rules(
+    tmp_path, sweep_assets, line, setup_fields, message
+):
+    """A [sweep] section and a SweepSetup fail the same rule with the same error.
+
+    Both start from the same sweep (etas 0.2, 0.1, 0.05, t_final 1, 256
+    samples) and change the one input named.
+    """
+    with pytest.raises(ValidationError, match=message) as from_config:
+        parse_config(write(tmp_path, f"[sweep]\n{line}\n"))
+    setup = sweep_assets.sweep
+    solver = replace(setup.solver, n_samples=setup_fields.pop("n_samples", setup.solver.n_samples))
+    with pytest.raises(ValidationError) as from_setup:
+        replace(setup, solver=solver, **setup_fields)
+    assert type(from_setup.value) is type(from_config.value)
+    assert str(from_setup.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize(
+    "name, preset",
+    [
+        pytest.param("default.cfg", SimulationConfig.default, id="default"),
+        pytest.param("convergence.cfg", SimulationConfig.convergence, id="convergence"),
+    ],
+)
+def test_shipped_config_equals_its_preset(name, preset):
+    """Each shipped config is its preset in every section but [output]."""
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    shipped, expected = asdict(parse_config(str(path))), asdict(preset())
+    del shipped["output"], expected["output"]
+    assert shipped == expected
 
 
 def test_round_trip(tmp_path):

@@ -10,7 +10,7 @@ import cascadelab.convergence as convergence
 from cascadelab.checks import run_all_checks
 from cascadelab.config import SimulationConfig
 from cascadelab.coeffs import assemble_prelimit_tensor
-from cascadelab.convergence import eta_sweep
+from cascadelab.convergence import NOISE_FACTOR, ConvergenceReport, eta_sweep
 from cascadelab.dynamics import SolverOptions, integrate_limit, integrate_prelimit
 from cascadelab.errors import ValidationError
 from cascadelab.spectrum import resonant_mask
@@ -92,9 +92,38 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     assert distance < 10.0 * solver.rtol
 
 
-def _sweep(assets, t_final, etas, **fields):
-    """The assets' sweep setup with another horizon, eta list and fields."""
-    return replace(assets.sweep, t_final=t_final, etas=etas, **fields)
+def _sweep(assets, t_final, etas, **solver):
+    """The assets' sweep setup with another horizon, eta list and solver fields."""
+    setup = assets.sweep
+    return replace(setup, t_final=t_final, etas=etas, solver=replace(setup.solver, **solver))
+
+
+def test_sweep_solver_takes_the_sweep_samples(default_assets):
+    """The sweep's solves sample at [sweep] samples, not at [dynamics] samples."""
+    config = default_assets.config
+    assert config.dynamics.samples != config.sweep.samples
+    solver = default_assets.sweep.solver
+    assert solver.n_samples == config.sweep.samples
+    assert (solver.rtol, solver.atol) == (config.dynamics.rtol, config.dynamics.atol)
+
+
+@pytest.mark.parametrize(
+    "sups, monotone, strict",
+    [
+        pytest.param((0.5, 0.25), True, True, id="halving"),
+        pytest.param((0.5, NOISE_FACTOR * 0.5), True, False, id="at-noise"),
+        pytest.param((0.5, 0.5), True, False, id="equal"),
+        pytest.param((0.5, 0.25, 0.26), True, False, id="uptick"),
+        pytest.param((0.5, 0.61), False, False, id="above-noise"),
+        pytest.param((0.5,), True, True, id="one-eta"),
+        pytest.param((), True, True, id="empty"),
+    ],
+)
+def test_report_verdicts_read_sup_distances(sups, monotone, strict):
+    etas = tuple(0.2 / 2**i for i in range(len(sups)))
+    report = ConvergenceReport(etas, sups, sups, (0.0,) * len(sups), 0.0)
+    assert report.monotone_within_noise is monotone
+    assert report.strictly_decreasing is strict
 
 
 def test_empty_eta_list(sweep_assets):

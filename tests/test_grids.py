@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cascadelab.config import SimulationConfig
 from cascadelab.errors import ValidationError
-from cascadelab.grids import MomentumGrid, RadialGrid
+from cascadelab.grids import COVER_FACTOR, MomentumGrid, RadialGrid
 
 
 def test_radial_grid_nodes():
@@ -42,3 +43,10 @@ def test_momentum_cutoff_guard():
         momenta.require_covers(11.0)  # beyond the grid entirely
     with pytest.raises(ValidationError):
         momenta.require_covers(3.0)  # inside, but without the safety factor
+    momenta.require_covers(10.0 / COVER_FACTOR)  # exactly at the factor
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.3, 2.5, 40.0])
+def test_auto_cutoff_covers_the_largest_gap(gap):
+    """The config's ``auto`` cutoff passes the guard that the coefficients apply."""
+    MomentumGrid(SimulationConfig.default().rho_max_value(gap), 64).require_covers(gap)

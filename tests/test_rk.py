@@ -50,16 +50,19 @@ def plain(rhs, rates):
 
 def assert_matches_oracle(rhs, rates, y0, t_end, t_eval, rtol, atol, max_step=np.inf):
     samples, nfev = dop853(rhs, rates, y0, t_end, t_eval, rtol, atol, max_step)
-    oracle = solve_ivp(
-        plain(rhs, rates),
-        (0.0, t_end),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        max_step=max_step,
-    )
+    # scipy's error norm reads 0 / 0 = nan, with numpy's warning, when 0.01 * err3^2
+    # underflows; the step is then rejected, as in rk.dop853
+    with np.errstate(invalid="ignore"):
+        oracle = solve_ivp(
+            plain(rhs, rates),
+            (0.0, t_end),
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            t_eval=t_eval,
+            max_step=max_step,
+        )
     assert oracle.success
     assert np.array_equal(samples, oracle.y.T)
     assert nfev == oracle.nfev
@@ -91,10 +94,12 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
     """The shipped step-capped solve, and an uncapped one, at each eta of the sweep."""
     setup = sweep_assets.sweep
     options = setup.solver
+    t_eval = np.linspace(0.0, setup.t_final, options.n_samples)
     for eta in setup.etas:
         tensor = assemble_prelimit_tensor(setup.basis, setup.coupling, setup.pair, eta)
         rhs = lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor)
-        traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options, setup.t_eval)
+        traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options)
+        assert np.array_equal(traj.times, t_eval)
         oracle = solve_ivp(
             rhs,
             (0.0, setup.t_final),
@@ -102,7 +107,7 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
             method="DOP853",
             rtol=options.rtol,
             atol=options.atol,
-            t_eval=setup.t_eval,
+            t_eval=t_eval,
             max_step=traj.meta["max_step"],
         )
         assert np.array_equal(traj.states, oracle.y.T)
@@ -111,7 +116,7 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
             *_prelimit_rhs(tensor),
             setup.initial_state,
             setup.t_final,
-            setup.t_eval,
+            t_eval,
             options.rtol,
             options.atol,
         )
@@ -141,6 +146,25 @@ def test_random_unit_mass_data_matches_solve_ivp(default_assets, data, rtol, t_e
         t_eval = np.array([t_end])
     rhs, y0 = limit_problem(default_assets, state)
     assert_matches_oracle(rhs, NO_RATES, y0, t_end, t_eval, rtol, rtol * 1e-3)
+
+
+@pytest.mark.parametrize(
+    "damping, amplitude, max_step",
+    [(198.0, 1.0, 0.01171875), (145.0, 1.401298464324817e-45, 0.03125)],
+)
+def test_error_norm_underflow_rejects_the_step_like_scipy(damping, amplitude, max_step):
+    """y' = -damping y decays until 0.01 * err3^2 underflows to 0 with err5^2 = 0.
+
+    scipy's norm is then 0 / 0 = nan and rejects the step; rk.dop853 does the
+    same, where it used to divide by zero.
+    """
+
+    def rhs(_v, _v_conj, y, out):
+        np.multiply(y, -damping, out=out)
+
+    rtol = 8.097695797963075e-07
+    y0 = np.array([1j * amplitude])
+    assert_matches_oracle(rhs, NO_RATES, y0, 2.0, np.array([0.0]), rtol, rtol * 1e-3, max_step)
 
 
 @settings(max_examples=40, deadline=None)
