@@ -82,7 +82,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
         fine_pot = Potential.anharmonic(
             fine_grid, beta=assets.potential.beta, scale=assets.potential.scale
         )
-        fine = solve_radial_eigenpairs(fine_pot, fine_grid, basis.size)
+        fine = solve_radial_eigenpairs(fine_pot, basis.size)
         drift = float(np.max(np.abs(basis.energies - fine.energies) / fine.energies))
         checks.append(_record("spectral_convergence_doubling", drift, 1e-6))
 
@@ -95,8 +95,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
         _record("sign_convention", int(sum(first_nonzero)), basis.size, all(first_nonzero))
     )
 
-    osc_grid = RadialGrid(12.0, 2000)
-    osc = solve_radial_eigenpairs(Potential.harmonic(osc_grid), osc_grid, 6)
+    osc = solve_radial_eigenpairs(Potential.harmonic(RadialGrid(12.0, 2000)), 6)
     exact = 4.0 * np.arange(6) + 3.0
     checks.append(
         _record(
@@ -251,7 +250,7 @@ def dynamics_checks(assets: Assets) -> list[dict]:
     t_end = config.dynamics.t_end
     budget = BUDGET_PER_RTOL * solver.rtol
 
-    traj, series, _ = evolve(config, assets)
+    traj, series = evolve(assets)
     verdicts = invariant_verdicts(series, solver.rtol, t_end)
     checks = [_record(name, measured, bound) for name, (measured, bound) in verdicts.items()]
 

@@ -129,7 +129,7 @@ def cmd_coeffs(config: SimulationConfig, out_dir: str) -> int:
 
 
 def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
-    traj, series, assets = evolve(config)
+    traj, series = evolve(Assets(config))
     size = traj.size
     comments = _csv_comments(
         config,

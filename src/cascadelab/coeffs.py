@@ -506,12 +506,16 @@ class _PairingTable:
 def _pairing_table(
     basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
 ) -> _PairingTable:
-    """One transform pass and one matrix product shared by every cell of an assembly."""
+    """One transform pass and one matrix product shared by every cell of an assembly.
+
+    Both kernels must sit on the basis's radial grid and share one momentum
+    grid, which every transform and branch sum reads; grids that differ in
+    value are rejected, not read off one kernel.
+    """
     if coupling.role != "coupling" or pair.role != "pair":
         raise ValidationError("expected a coupling kernel and a pair-interaction kernel")
-    for kernel in (coupling, pair):
-        if kernel.grid.n_points != basis.grid.n_points or kernel.grid.r_max != basis.grid.r_max:
-            raise ValidationError("kernel and basis grids do not match")
+    if not (coupling.grid == pair.grid == basis.grid and pair.momenta == coupling.momenta):
+        raise ValidationError("kernels and basis are on different grids")
     momenta = coupling.momenta
     momenta.require_covers(float(basis.energies[-1] - basis.energies[0]))
     rows, cols = np.triu_indices(basis.size)

@@ -200,8 +200,6 @@ class SimulationConfig:
         if d.samples < 2:
             raise ValidationError("dynamics samples must be at least 2")
         state = _parse_initial(d.initial, t.modes)
-        if len(state) > t.modes:
-            raise ValidationError("initial state has more entries than trap modes")
         if not np.all(np.isfinite(state)):
             raise ValidationError(f"dynamics initial amplitudes must be finite, got {d.initial!r}")
         self.coefficient_preset()

@@ -36,9 +36,10 @@ per solve.
 
 Both systems run on one adaptive embedded Runge-Kutta pair, METHOD, the
 Dormand-Prince 8(5,3) pair, stepped by ``rk.dop853`` in this package.  It
-runs the algorithm of scipy's ``solve_ivp(method="DOP853", t_eval=...)``
-on the same arrays, so samples and RHS counts are bit-identical to
-scipy's; tests/test_rk.py keeps solve_ivp as its oracle on both systems.
+runs the algorithm of scipy's ``solve_ivp(method="DOP853")`` at the same
+sample times on the same arrays, so samples and RHS counts are
+bit-identical to scipy's; tests/test_rk.py keeps solve_ivp as its oracle
+on both systems.
 Importing the package thus loads no scipy.integrate.  On default.cfg over
 T = 50 at rtol 1e-11 the limit cascade takes 1,274 RHS evaluations in
 (r, N) form, against 3,770 for the 4(5) pair (RK45) and 1,283 for DOP853,
@@ -60,6 +61,7 @@ import numpy as np
 from .coeffs import CoefficientSet, PrelimitTensor
 from .errors import NumericalError, ValidationError
 from .rk import MIN_RTOL, dop853
+from .spectrum import gap_differences
 
 #: Below this rate the ground-row transition is treated as numerically
 #: vanishing and rate-based diagnostics are skipped rather than reported.
@@ -106,9 +108,15 @@ METHOD = "DOP853"
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances of a solve, and where it samples: n_samples evenly spaced times on [0, t_end]."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
     n_samples: int = 256
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -214,9 +222,7 @@ def fastest_phase(tensor: PrelimitTensor) -> float:
     active = tensor.tensor != 0.0
     if not np.any(active):
         return 0.0
-    gaps = tensor.energies[:, None] - tensor.energies[None, :]
-    quadruple = gaps[:, :, None, None] - gaps[None, None, :, :]
-    return float(np.max(np.abs(quadruple[active])))
+    return float(np.max(np.abs(gap_differences(tensor.energies)[active])))
 
 
 def _solve(
@@ -225,12 +231,12 @@ def _solve(
     y0: np.ndarray,
     t_end: float,
     options: SolverOptions,
-    t_eval: np.ndarray | None,
     max_step: float = np.inf,
 ):
     """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
 
-    ``rhs`` and ``rates`` are in ``rk.dop853``'s stage form.
+    ``rhs`` and ``rates`` are in ``rk.dop853``'s stage form; the samples
+    sit where ``options`` say.
 
     Raises on bad input, solver breakdown or non-finite output instead of
     returning partial data.  An rtol below MIN_RTOL is rejected rather than
@@ -244,16 +250,7 @@ def _solve(
         raise ValidationError("initial state contains non-finite entries")
     if not 0 < t_end < np.inf:
         raise ValidationError(f"t_end must be positive and finite, got {t_end}")
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, options.n_samples)
-    times = np.asarray(t_eval, dtype=float)
-    if (
-        times.ndim != 1
-        or len(times) == 0
-        or not 0.0 <= times[0] <= times[-1] <= t_end
-        or np.any(np.diff(times) <= 0)
-    ):
-        raise ValidationError("sample times must increase strictly within [0, t_end]")
+    times = np.linspace(0.0, t_end, options.n_samples)
 
     samples, nfev = dop853(
         rhs, rates, y0, float(t_end), times, options.rtol, options.atol, max_step
@@ -278,9 +275,8 @@ def integrate_limit(
     initial_state: np.ndarray,
     t_end: float,
     options: SolverOptions = SolverOptions(),
-    t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the limit cascade over moduli and integrated occupations.
+    """Integrate the limit cascade, sampled where ``options`` say, over moduli and occupations.
 
     The real system y = (r, N) of size 2K runs by METHOD; the returned
     states are r e^{i theta} with theta = theta(0) + Im M N, exact because
@@ -292,7 +288,7 @@ def integrate_limit(
     size = coeffs.size
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
     times, samples, meta = _solve(
-        _modulus_occupation_rhs(coeffs), np.empty(0), y0, t_end, options, t_eval
+        _modulus_occupation_rhs(coeffs), np.empty(0), y0, t_end, options
     )
     phases = np.angle(state) + samples[:, size:] @ coeffs.limit_matrix.imag.T
     states = samples[:, :size] * np.exp(1j * phases)
@@ -305,9 +301,8 @@ def integrate_prelimit(
     initial_state: np.ndarray,
     t_end: float,
     options: SolverOptions = SolverOptions(),
-    t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the prelimit system by METHOD.
+    """Integrate the prelimit system by METHOD, sampled where ``options`` say.
 
     Steps are capped at PRELIMIT_STEP_CAP of the fastest phase period.
     """
@@ -315,7 +310,7 @@ def integrate_prelimit(
     cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
     state = _require_state(initial_state, tensor.size)
     rhs, rates = _prelimit_rhs(tensor)
-    times, samples, meta = _solve(rhs, rates, state, t_end, options, t_eval, cap)
+    times, samples, meta = _solve(rhs, rates, state, t_end, options, cap)
     meta["system"] = "prelimit"
     meta["eta"] = tensor.eta
     return Trajectory(times=times, states=np.ascontiguousarray(samples), meta=meta)

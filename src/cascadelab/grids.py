@@ -33,11 +33,15 @@ def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform discretization of the radial coordinate on (0, r_max]."""
+    """Uniform discretization of the radial coordinate on (0, r_max].
+
+    Two grids are equal, and hash alike, when r_max and n_points are; the
+    nodes follow from them and take no part in the comparison.
+    """
 
     r_max: float
     n_points: int
-    nodes: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     spacing: float = field(init=False)
 
     def __post_init__(self):
@@ -66,11 +70,14 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniform discretization of the photon frequency axis on (0, rho_max]."""
+    """Uniform discretization of the photon frequency axis on (0, rho_max].
+
+    Compared and hashed by rho_max and n_rho, like RadialGrid.
+    """
 
     rho_max: float
     n_rho: int
-    nodes: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     spacing: float = field(init=False)
 
     def __post_init__(self):

@@ -39,7 +39,7 @@ class Assets:
 
     @cached_property
     def basis(self) -> EigenBasis:
-        return solve_radial_eigenpairs(self.potential, self.grid, self.config.trap.modes)
+        return solve_radial_eigenpairs(self.potential, self.config.trap.modes)
 
     @cached_property
     def momenta(self) -> MomentumGrid:
@@ -121,15 +121,10 @@ def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
     return v
 
 
-def evolve(config: SimulationConfig, assets: Assets | None = None):
-    """Integrate the limit cascade for the configured run.
-
-    Returns (trajectory, diagnostics series, assets).
-    """
-    assets = assets or Assets(config)
-    state = config.initial_state()
+def evolve(assets: Assets):
+    """Integrate the limit cascade of ``assets.config``; returns (trajectory, series)."""
+    config = assets.config
     traj = integrate_limit(
-        assets.coeffs, state, config.dynamics.t_end, assets.solver_options
+        assets.coeffs, config.initial_state(), config.dynamics.t_end, assets.solver_options
     )
-    series = diagnostics(traj, assets.energies, assets.coeffs)
-    return traj, series, assets
+    return traj, diagnostics(traj, assets.energies, assets.coeffs)

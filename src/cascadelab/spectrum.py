@@ -94,17 +94,6 @@ class Potential:
                 f"potential is not coercive on the grid (outer slope {slope:.3e} <= 0)"
             )
 
-    def on_grid(self, grid: RadialGrid) -> np.ndarray:
-        """Resample the trap on another grid (used for Richardson)."""
-        if not self.analytic:
-            # a table can only be coarsened onto nested grids
-            stride = self.grid.n_points // grid.n_points
-            if stride * grid.n_points != self.grid.n_points:
-                raise ValidationError("tabulated potential cannot be resampled to this grid")
-            return self.values[stride - 1 :: stride]
-        x = grid.nodes / self.scale
-        return (x**2 + self.beta * x**4) / self.scale**2
-
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -129,10 +118,6 @@ class EigenBasis:
         r2w = self.grid.nodes**2 * self.grid.weights
         gram = FOUR_PI * (self.modes * r2w) @ self.modes.T
         return float(np.max(np.abs(gram - np.eye(self.size))))
-
-    def gaps(self) -> np.ndarray:
-        """Matrix of energy differences E_k - E_k'."""
-        return self.energies[:, None] - self.energies[None, :]
 
 
 @dataclass(frozen=True)
@@ -163,32 +148,29 @@ def _tridiagonal_eigenpairs(potential_values, spacing, n_interior, count, eigval
     )
 
 
-def solve_radial_eigenpairs(
-    potential: Potential,
-    grid: RadialGrid,
-    count: int,
-) -> EigenBasis:
-    """Compute the lowest ``count`` s-wave eigenpairs of -Laplacian + V.
+def solve_radial_eigenpairs(potential: Potential, count: int) -> EigenBasis:
+    """Compute the lowest ``count`` s-wave eigenpairs of -Laplacian + V on ``potential.grid``.
 
     The Dirichlet problem for psi = r*chi lives on the interior nodes;
     psi(r_max) = 0 pins the last grid node.  The eigenvalues are corrected
     with a second solve on the 2h grid, E = (4*E_h - E_2h)/3, which cancels
     the O(h^2) finite-difference bias; the eigenvectors come from the fine
-    grid.
+    grid.  The 2h grid's nodes are the odd-indexed fine nodes, bit for bit
+    (h_2h = 2h exactly), so the trap there is ``potential.values[1::2]``
+    for an analytic and a tabulated trap alike.
 
     Raises a dimension error when the grid cannot resolve ``count`` modes
     or has an odd number of points (before any eigensolve), and a
     domain-truncation error when the highest mode has not decayed
     at the wall (non-confining potential or r_max too small).
     """
+    grid = potential.grid
     if count < 1:
         raise ValidationError(f"mode count must be positive, got {count}")
     if count >= grid.n_points / 4:
         raise ValidationError(
             f"mode count {count} too large for a grid of {grid.n_points} points"
         )
-    if potential.grid is not grid and len(potential.values) != grid.n_points:
-        raise ValidationError("potential was sampled on a different grid")
 
     # the 2h grid must nest in this one; coarsened() rejects an odd n_points
     coarse = grid.coarsened()
@@ -196,7 +178,7 @@ def solve_radial_eigenpairs(
     energies, vectors = _tridiagonal_eigenpairs(potential.values, grid.spacing, n_interior, count)
     # the 2h solve only corrects the energies: its eigenvectors are never formed
     coarse_vals = _tridiagonal_eigenpairs(
-        potential.on_grid(coarse), coarse.spacing, coarse.n_points - 1, count, eigvals_only=True
+        potential.values[1::2], coarse.spacing, coarse.n_points - 1, count, eigvals_only=True
     )
     energies = (4.0 * energies - coarse_vals) / 3.0
 
@@ -251,6 +233,12 @@ def resonant_mask(size: int) -> np.ndarray:
     return diag | zero_gap
 
 
+def gap_differences(energies: np.ndarray) -> np.ndarray:
+    """The K^4 array of (E_a - E_b) - (E_c - E_d): the phase rate, times eta^2, of (a,b;c,d)."""
+    gaps = energies[:, None] - energies[None, :]
+    return gaps[:, :, None, None] - gaps[None, None, :, :]
+
+
 def check_gap_independence(basis: EigenBasis) -> ResonanceReport:
     """Enumerate all K^4 quadruples and report gap differences below GAP_TOL.
 
@@ -258,9 +246,7 @@ def check_gap_independence(basis: EigenBasis) -> ResonanceReport:
     quadruples that are not resonant by construction.  With a single mode
     there is nothing to compare and the minimum is +inf.
     """
-    gaps = basis.gaps()
-    delta = gaps[:, :, None, None] - gaps[None, None, :, :]
-    magnitudes = np.abs(delta)
+    magnitudes = np.abs(gap_differences(basis.energies))
     informative = ~resonant_mask(basis.size)
     if not np.any(informative):
         return ResonanceReport([], float("inf"))

@@ -38,14 +38,14 @@ def sweep_assets():
 @pytest.fixture(scope="session")
 def harmonic_basis():
     grid = RadialGrid(12.0, 2000)
-    return solve_radial_eigenpairs(Potential.harmonic(grid), grid, 6)
+    return solve_radial_eigenpairs(Potential.harmonic(grid), 6)
 
 
 @pytest.fixture(scope="session")
 def natural_basis():
     """Natural-unit anharmonic basis used by unit-scale oracles."""
     grid = RadialGrid(12.0, 1600)
-    return solve_radial_eigenpairs(Potential.anharmonic(grid, beta=0.2), grid, 6)
+    return solve_radial_eigenpairs(Potential.anharmonic(grid, beta=0.2), 6)
 
 
 @pytest.fixture(scope="session")

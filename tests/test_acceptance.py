@@ -56,7 +56,7 @@ def finitely_supported_run(default_assets):
 def test_criterion_01_harmonic_oracle():
     start = time.perf_counter()
     grid = RadialGrid(12.0, 2000)
-    basis = solve_radial_eigenpairs(Potential.harmonic(grid), grid, 6)
+    basis = solve_radial_eigenpairs(Potential.harmonic(grid), 6)
     elapsed = time.perf_counter() - start
     exact = 4.0 * np.arange(6) + 3.0
     worst = float(np.max(np.abs(basis.energies - exact) / exact))

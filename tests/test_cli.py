@@ -190,6 +190,59 @@ def test_every_package_name_has_a_use_in_the_package():
     assert _unreferenced_module_names(SRC / "cascadelab") == []
 
 
+def _defaults_no_call_passes(package):
+    """Defaulted parameters of package functions that no call in ``package`` passes.
+
+    Calls match functions by name.  A call passes a parameter by keyword,
+    by position (not counting a method's self or cls), or through a
+    starred argument.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert "coeffs" in trees, package
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+
+    def passes(call, name, index):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return index is not None and (starred or len(call.args) > index)
+
+    missing = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = [(name, i) for i, name in enumerate(positional)]
+            defaulted = defaulted[len(defaulted) - len(fn.args.defaults) :]
+            defaulted += [
+                (a.arg, None)
+                for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            for name, index in defaulted:
+                if not any(passes(c, name, index) for c in calls.get(fn.name, [])):
+                    missing.append(f"{module}.{fn.name}({name})")
+    return sorted(missing)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    """A default that no package call overrides is a constant posing as an option.
+
+    ``cli.main(argv)`` is the one exception: the console script and the
+    tests are its callers.
+    """
+    missing = _defaults_no_call_passes(SRC / "cascadelab")
+    assert [m for m in missing if m != "cli.main(argv)"] == []
+
+
 ONE_MODE_CFG = """
 [trap]
 modes = 1

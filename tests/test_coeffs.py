@@ -12,6 +12,7 @@ from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
     SpectralDensity,
+    assemble_limit_matrix,
     assemble_prelimit_tensor,
     branch_sum,
     branch_weights,
@@ -436,12 +437,35 @@ def test_tensor_matches_quadruple_formula(sweep_assets):
 
 def test_tensor_mode_cap():
     grid = RadialGrid(12.0, 400)
-    basis = solve_radial_eigenpairs(Potential.harmonic(grid), grid, TENSOR_MODE_CAP + 1)
+    basis = solve_radial_eigenpairs(Potential.harmonic(grid), TENSOR_MODE_CAP + 1)
     momenta = MomentumGrid(4.0 * float(basis.energies[-1] - basis.energies[0]), 256)
     w = gaussian_kernel("coupling", grid, momenta, 1.0, 1.0)
     v = gaussian_kernel("pair", grid, momenta, 1.0, 1.0)
     with pytest.raises(ValidationError, match="tensor"):
         assemble_prelimit_tensor(basis, w, v, eta=0.1)
+
+
+def test_assembly_rejects_kernels_on_different_grids(sweep_assets):
+    """The kernels and the basis share one radial and one momentum grid.
+
+    A pair kernel on MomentumGrid(1.5 rho_max, n_rho) once moved M of the
+    sweep preset by 0.234 against max |M| = 8.67, with no error.
+    """
+    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
+    momenta = w.momenta
+    wide = sweep_assets.kernel("pair", MomentumGrid(1.5 * momenta.rho_max, momenta.n_rho))
+    coarse = RadialGrid(basis.grid.r_max, basis.grid.n_points // 2)
+    shifted = gaussian_kernel("coupling", coarse, momenta, w.amplitude, w.width)
+    for coupling, pair in ((w, wide), (shifted, v)):
+        with pytest.raises(ValidationError, match="different grids"):
+            assemble_limit_matrix(basis, coupling, pair)
+        with pytest.raises(ValidationError, match="different grids"):
+            assemble_prelimit_tensor(basis, coupling, pair, 0.1)
+    # equal grids built apart are the same grid
+    twin = sweep_assets.kernel("pair", MomentumGrid(momenta.rho_max, momenta.n_rho))
+    assert np.array_equal(
+        assemble_limit_matrix(basis, w, twin).limit_matrix, sweep_assets.coeffs.limit_matrix
+    )
 
 
 def test_tensor_diagonal_converges_to_limit(sweep_assets):

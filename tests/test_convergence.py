@@ -53,15 +53,14 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
     config = sweep_assets.config
     state = config.initial_state()
     t_final = config.sweep.t_final
-    t_eval = np.linspace(0.0, t_final, config.sweep.samples)
     for i, (eta, sup) in enumerate(zip(report.etas, report.sup_distances)):
         tensor = assemble_prelimit_tensor(
             sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta,
         )
-        capped = integrate_prelimit(tensor, state, t_final, sweep_assets.solver_options, t_eval)
+        capped = integrate_prelimit(tensor, state, t_final, sweep_assets.sweep.solver)
         exact = solve_ivp(
             lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor),
-            (0.0, t_final), state, method="DOP853", t_eval=t_eval,
+            (0.0, t_final), state, method="DOP853", t_eval=capped.times,
             rtol=1e-13, atol=1e-16,
         )
         assert exact.success
@@ -78,16 +77,15 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     Its phases are constant, so its flow must match the generator
     collapsed from the same tensor entries up to integrator noise.
     """
-    solver = SolverOptions(rtol=1e-9, atol=1e-12)
+    solver = SolverOptions(rtol=1e-9, atol=1e-12, n_samples=200)
     full = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor.tensor))
     state = sweep_assets.config.initial_state()
-    t_eval = np.linspace(0.0, 1.0, 200)
-    traj = integrate_prelimit(tensor, state, 1.0, solver, t_eval)
-    reference = integrate_limit(collapsed, state, 1.0, solver, t_eval)
+    traj = integrate_prelimit(tensor, state, 1.0, solver)
+    reference = integrate_limit(collapsed, state, 1.0, solver)
     distance = np.max(np.linalg.norm(traj.states - reference.states, axis=1))
     assert distance < 10.0 * solver.rtol
 

@@ -36,6 +36,17 @@ def test_coarsened_grid_is_nested():
         RadialGrid(8.0, 63).coarsened()
 
 
+def test_grids_compare_and_hash_by_value():
+    """Grids built apart with equal parameters are equal; the nodes take no part."""
+    assert RadialGrid(12.0, 64) == RadialGrid(12.0, 64)
+    assert hash(RadialGrid(12.0, 64)) == hash(RadialGrid(12.0, 64))
+    assert RadialGrid(12.0, 64) != RadialGrid(12.0, 32)
+    assert RadialGrid(12.0, 64) != RadialGrid(8.0, 64)
+    assert MomentumGrid(10.0, 64) == MomentumGrid(10.0, 64)
+    assert hash(MomentumGrid(10.0, 64)) == hash(MomentumGrid(10.0, 64))
+    assert MomentumGrid(10.0, 64) != MomentumGrid(15.0, 64)
+
+
 def test_momentum_cutoff_guard():
     momenta = MomentumGrid(10.0, 64)
     momenta.require_covers(2.0)

@@ -234,7 +234,7 @@ def test_generator_structure_on_random_traps(size, beta, scale, coupling, pair):
     its pair's density, for either order of the pair.
     """
     grid = RadialGrid(10.0 * max(scale, 1.2), 400)
-    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta, scale), grid, size)
+    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta, scale), size)
     energies = basis.energies
     momenta = MomentumGrid(4.0 * float(energies[-1] - energies[0]) + 8.0, 1024)
     w = gaussian_kernel("coupling", grid, momenta, *coupling)

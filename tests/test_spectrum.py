@@ -30,18 +30,45 @@ def test_harmonic_oracle_six_modes(harmonic_basis):
 
 def test_anharmonic_energies_stable_under_doubling():
     grid = RadialGrid(12.0, 1200)
-    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta=0.2), grid, 6)
+    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta=0.2), 6)
     fine_grid = RadialGrid(12.0, 2400)
-    fine = solve_radial_eigenpairs(Potential.anharmonic(fine_grid, beta=0.2), fine_grid, 6)
+    fine = solve_radial_eigenpairs(Potential.anharmonic(fine_grid, beta=0.2), 6)
     assert np.all(np.diff(basis.energies) > 0)
     assert np.max(np.abs(basis.energies - fine.energies) / fine.energies) < 1e-6
+
+
+def test_eigensolve_runs_on_the_potential_grid():
+    """The solve reads its grid off the potential, which no second argument can contradict.
+
+    With a same-sized grid of r_max = 16 passed next to this potential, the
+    eigensolver once returned E_0 = 2.249 for this trap instead of 3.539.
+    """
+    grid = RadialGrid(12.0, 1600)
+    basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta=0.2), 4)
+    assert basis.grid is grid
+    assert basis.energies[0] == pytest.approx(3.539, abs=1e-3)
+
+
+def test_tabulated_trap_solves_like_the_analytic_one():
+    """A table of the anharmonic trap's values gives the same basis, bit for bit.
+
+    Both Richardson 2h solves read the fine values at the odd-indexed nodes.
+    """
+    grid = RadialGrid(12.0, 1200)
+    analytic = Potential.anharmonic(grid, beta=0.2, scale=1.3)
+    table = Potential.tabulated(grid, analytic.values.copy())
+    assert not table.analytic
+    a = solve_radial_eigenpairs(analytic, 6)
+    b = solve_radial_eigenpairs(table, 6)
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.modes, b.modes)
 
 
 def test_mode_count_dimension_error():
     grid = RadialGrid(12.0, 64)
     pot = Potential.harmonic(grid)
     with pytest.raises(ValidationError):
-        solve_radial_eigenpairs(pot, grid, 64)
+        solve_radial_eigenpairs(pot, 64)
 
 
 def test_odd_grid_rejected_before_any_eigensolve(monkeypatch):
@@ -53,7 +80,7 @@ def test_odd_grid_rejected_before_any_eigensolve(monkeypatch):
     monkeypatch.setattr(spectrum, "_tridiagonal_eigenpairs", forbidden)
     grid = RadialGrid(12.0, 401)
     with pytest.raises(ValidationError, match="even"):
-        solve_radial_eigenpairs(Potential.harmonic(grid), grid, 3)
+        solve_radial_eigenpairs(Potential.harmonic(grid), 3)
 
 
 def test_undecayed_modes_rejected():
@@ -61,7 +88,7 @@ def test_undecayed_modes_rejected():
     grid = RadialGrid(12.0, 600)
     pot = Potential.anharmonic(grid, beta=0.0, scale=40.0)
     with pytest.raises(ValidationError, match="decayed"):
-        solve_radial_eigenpairs(pot, grid, 6)
+        solve_radial_eigenpairs(pot, 6)
 
 
 def test_potential_validation():
@@ -108,7 +135,7 @@ def test_anharmonic_gaps_generic_brute_force(natural_basis):
 
 def test_single_mode_report_is_vacuous():
     grid = RadialGrid(12.0, 512)
-    basis = solve_radial_eigenpairs(Potential.harmonic(grid), grid, 1)
+    basis = solve_radial_eigenpairs(Potential.harmonic(grid), 1)
     report = check_gap_independence(basis)
     assert report.collisions == []
     assert report.min_offdiagonal_gap == np.inf
