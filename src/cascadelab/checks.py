@@ -42,7 +42,7 @@ from .dynamics import (
 from .grids import MomentumGrid, RadialGrid
 from .io import to_jsonable
 from .kernels import radial_convolution
-from .pipeline import Assets, evolve
+from .pipeline import Assets, build_potential, evolve
 from .spectrum import Potential, check_gap_independence, mode_product, solve_radial_eigenpairs
 
 
@@ -72,17 +72,14 @@ def spectrum_checks(assets: Assets) -> list[dict]:
     basis = assets.basis
     checks = [_record("orthonormality", basis.orthonormality_defect(), 1e-8)]
 
-    if not assets.potential.analytic:
+    if assets.config.trap.file:
         reason = "a tabulated trap cannot be resampled onto the doubled grid"
         checks.append(
             _record("spectral_convergence_doubling", 0.0, 0.0, True, detail=f"skipped: {reason}")
         )
     else:
         fine_grid = RadialGrid(assets.grid.r_max, 2 * assets.grid.n_points)
-        fine_pot = Potential.anharmonic(
-            fine_grid, beta=assets.potential.beta, scale=assets.potential.scale
-        )
-        fine = solve_radial_eigenpairs(fine_pot, basis.size)
+        fine = solve_radial_eigenpairs(build_potential(assets.config, fine_grid), basis.size)
         drift = float(np.max(np.abs(basis.energies - fine.energies) / fine.energies))
         checks.append(_record("spectral_convergence_doubling", drift, 1e-6))
 
@@ -256,7 +253,7 @@ def dynamics_checks(assets: Assets) -> list[dict]:
 
     rng = np.random.default_rng(20260810)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeffs.size))
-    rotated = integrate_limit(coeffs, phases * state, t_end, solver)
+    rotated = integrate_limit(coeffs.limit_matrix, phases * state, t_end, solver)
     equivariance = float(np.max(np.abs(rotated.states - phases[None, :] * traj.states)))
     checks.append(_record("phase_equivariance", equivariance, budget * max(t_end, 1.0)))
 
@@ -292,7 +289,7 @@ def dynamics_checks(assets: Assets) -> list[dict]:
     else:
         horizon = config.dynamics.bec_horizon
         threshold = config.dynamics.bec_threshold
-        long_traj = integrate_limit(coeffs, state, horizon, solver)
+        long_traj = integrate_limit(coeffs.limit_matrix, state, horizon, solver)
         excited = np.sum(np.abs(long_traj.states[:, 1:]) ** 2, axis=1)
         reached = bool(np.any(excited < threshold))
         first = float(long_traj.times[np.argmax(excited < threshold)]) if reached else float("inf")
@@ -307,7 +304,7 @@ def dynamics_checks(assets: Assets) -> list[dict]:
         )
 
     exact = 1.0 / (1.0 + np.exp(-2.0))
-    two_mode = two_mode_coefficients(1.0)
+    two_mode = two_mode_coefficients(1.0).limit_matrix
     f0 = np.sqrt(np.array([0.5, 0.5], dtype=complex))
     logi = integrate_limit(two_mode, f0, 1.0, SolverOptions(rtol=1e-11, atol=1e-14, n_samples=201))
     curve = logistic_bound(0.5, 1.0, logi.times)

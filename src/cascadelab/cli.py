@@ -96,25 +96,46 @@ def cmd_spectrum(config: SimulationConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _assembly(assets: Assets) -> dict:
+    """What the coefficients of ``assets`` were assembled from: its config's trap and kernels."""
+    gamma = assets.config.coefficient_preset()
+    if gamma is not None:
+        return {"synthetic": "uniform-rate preset", "gamma": gamma}
+    t, k, momenta = assets.config.trap, assets.config.kernels, assets.momenta
+    return {
+        "n_points": t.n_points,
+        "r_max": t.r_max,
+        "n_rho": momenta.n_rho,
+        "rho_max": momenta.rho_max,
+        "modes": t.modes,
+        "coupling_amplitude": k.coupling_amplitude,
+        "coupling_width": k.coupling_width,
+        "pair_amplitude": k.pair_amplitude,
+        "pair_width": k.pair_width,
+        "fourier": FOURIER_CONVENTION,
+    }
+
+
 def cmd_coeffs(config: SimulationConfig, out_dir: str) -> int:
     assets = Assets(config)
     coeffs = assets.coeffs
+    matrix = coeffs.limit_matrix
     document = {
         "size": coeffs.size,
         "hartree": coeffs.hartree,
         "lamb": coeffs.lamb,
         "fgr": coeffs.fgr,
-        "limit_matrix": coeffs.limit_matrix,
+        "limit_matrix": matrix,
         "hartree_exchange": coeffs.hartree_exchange,
         "hartree_direct": coeffs.hartree_direct,
         "lamb_exchange": coeffs.lamb_exchange,
         "lamb_direct": coeffs.lamb_direct,
-        "assembly": coeffs.provenance,
+        "assembly": _assembly(assets),
         "provenance": _provenance(config),
     }
     write_json(f"{out_dir}/coefficients.json", document)
     rows = [
-        [k, kp, coeffs.limit_matrix[k, kp].real, coeffs.limit_matrix[k, kp].imag]
+        [k, kp, matrix[k, kp].real, matrix[k, kp].imag]
         for k in range(coeffs.size)
         for kp in range(coeffs.size)
     ]

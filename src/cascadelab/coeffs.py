@@ -36,13 +36,13 @@ zero-gap quadruples (k,k;j,j) next to the exchange ones (k,k';k,k').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .grids import MomentumGrid
-from .kernels import FOURIER_CONVENTION, InteractionKernel, grid_transforms, transform_profiles
+from .kernels import InteractionKernel, grid_transforms, transform_profiles
 from .spectrum import EigenBasis, mode_product
 
 #: (2 pi)^{-3} * 4 pi, the radial collapse of the angular average.
@@ -341,32 +341,30 @@ def gamma_fgr(
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Limit matrix, its golden-rule rates and its four component matrices.
+    """The golden-rule rates and the four component matrices of the limit generator.
 
     The exchange cells (k,k';k,k') give ``hartree_exchange``,
     ``lamb_exchange`` and, from their on-shell part, ``fgr``; the zero-gap
     cells (k,k;k',k'), off the diagonal, give ``hartree_direct`` and
     ``lamb_direct``.  Those carry no on-shell rate (emission and absorption
-    cancel at zero gap), only a purely imaginary dressing.  The effective ``hartree`` and ``lamb`` are the
-    sums of both, so
+    cancel at zero gap), only a purely imaginary dressing.  The effective
+    ``hartree`` and ``lamb`` are the sums of both, and the generator is
+    computed from the parts on each read:
 
         limit_matrix = -i (hartree - lamb) - fgr * sign,
         sign[k,k'] = 1 if k > k' else -1 if k < k' else 0
 
-    holds exactly by construction.  ``fgr`` stores the rates including the
-    Sokhotski-Plemelj factor pi.
+    ``fgr`` stores the rates including the Sokhotski-Plemelj factor pi.
     """
 
     fgr: np.ndarray
-    limit_matrix: np.ndarray
     hartree_exchange: np.ndarray
     hartree_direct: np.ndarray
     lamb_exchange: np.ndarray
     lamb_direct: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.fgr)) and np.all(np.isfinite(self.limit_matrix))):
+        if not all(np.all(np.isfinite(getattr(self, f.name))) for f in fields(self)):
             raise NumericalError("limit coefficients contain non-finite values")
 
     @property
@@ -380,6 +378,11 @@ class CoefficientSet:
     @property
     def lamb(self) -> np.ndarray:
         return self.lamb_exchange + self.lamb_direct
+
+    @property
+    def limit_matrix(self) -> np.ndarray:
+        """The generator M = -i (hartree - lamb) - fgr * sign of the limit cascade."""
+        return -1j * (self.hartree - self.lamb) - self.fgr * _sign_matrix(self.size)
 
     def symmetry_defects(self) -> dict[str, float]:
         """Measured violations of the structural invariants (0 when exact)."""
@@ -437,17 +440,14 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     """
     if not 0 < gamma < np.inf:
         raise ValidationError(f"synthetic rate must be positive and finite, got {gamma}")
-    fgr = gamma * (1.0 - np.eye(size))
     zeros = np.zeros((size, size))
-    return CoefficientSet(
-        fgr=fgr,
-        limit_matrix=(-fgr * _sign_matrix(size)).astype(complex),
-        hartree_exchange=zeros,
-        hartree_direct=zeros,
-        lamb_exchange=zeros,
-        lamb_direct=zeros,
-        provenance={"synthetic": "uniform-rate preset", "gamma": gamma},
-    )
+    return CoefficientSet(gamma * (1.0 - np.eye(size)), zeros, zeros, zeros, zeros)
+
+
+def _triangle_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
+    """Transforms of the K(K+1)/2 products chi_k chi_k' with k <= k', in np.triu_indices order."""
+    rows, cols = np.triu_indices(basis.size)
+    return grid_transforms(basis.modes[rows] * basis.modes[cols], basis.grid, momenta)
 
 
 def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
@@ -455,9 +455,7 @@ def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray
 
     One transform pass over the K(K+1)/2 products chi_k chi_k' with k <= k'.
     """
-    rows, cols = np.triu_indices(basis.size)
-    hats = grid_transforms(basis.modes[rows] * basis.modes[cols], basis.grid, momenta)
-    return hats[_pair_index(basis.size)]
+    return _triangle_transforms(basis, momenta)[_pair_index(basis.size)]
 
 
 def _pair_index(size: int) -> np.ndarray:
@@ -518,8 +516,7 @@ def _pairing_table(
         raise ValidationError("kernels and basis are on different grids")
     momenta = coupling.momenta
     momenta.require_covers(float(basis.energies[-1] - basis.energies[0]))
-    rows, cols = np.triu_indices(basis.size)
-    phat = mode_pair_transforms(basis, momenta)[rows, cols]
+    phat = _triangle_transforms(basis, momenta)
     weights = DENSITY_PREFACTOR * momenta.nodes**2 * pair.transform * momenta.weights
     return _PairingTable(
         basis=basis,
@@ -569,31 +566,7 @@ def assemble_limit_matrix(
 
     # on-shell part of the k < k' exchange cells, mirrored onto k > k'
     upper = np.triu(np.abs(exchange.imag), 1)
-    fgr = upper + upper.T
-    limit_matrix = -1j * ((har_ex + har_dir) - (lamb_ex + lamb_dir)) - fgr * _sign_matrix(size)
-
-    momenta = table.momenta
-    provenance = {
-        "n_points": basis.grid.n_points,
-        "r_max": basis.grid.r_max,
-        "n_rho": momenta.n_rho,
-        "rho_max": momenta.rho_max,
-        "modes": size,
-        "coupling_amplitude": coupling.amplitude,
-        "coupling_width": coupling.width,
-        "pair_amplitude": pair.amplitude,
-        "pair_width": pair.width,
-        "fourier": FOURIER_CONVENTION,
-    }
-    return CoefficientSet(
-        fgr=fgr,
-        limit_matrix=limit_matrix,
-        hartree_exchange=har_ex,
-        hartree_direct=har_dir,
-        lamb_exchange=lamb_ex,
-        lamb_direct=lamb_dir,
-        provenance=provenance,
-    )
+    return CoefficientSet(upper + upper.T, har_ex, har_dir, lamb_ex, lamb_dir)
 
 
 # Quiet for the same reason as assemble_limit_matrix.

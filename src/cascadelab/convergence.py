@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .coeffs import assemble_limit_matrix, assemble_prelimit_tensor
-from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
+from .dynamics import METHOD, SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
 from .kernels import InteractionKernel
 from .spectrum import EigenBasis
@@ -193,7 +193,7 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
     if len(etas) == 0:
         return ConvergenceReport((), (), (), (), 0.0)
     limit_coeffs = assemble_limit_matrix(setup.basis, setup.coupling, setup.pair)
-    limit_traj = integrate_limit(limit_coeffs, initial_state, setup.t_final, solver)
+    limit_traj = integrate_limit(limit_coeffs.limit_matrix, initial_state, setup.t_final, solver)
     # smallest eta first, as dispatched: its error is the one reported
     trajs = [solve() for solve in solves[::-1]][::-1]
     mass0 = float(np.sum(np.abs(initial_state) ** 2))
@@ -214,7 +214,7 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
         "modes": setup.basis.size,
         # the prelimit integrator, and what each eta cost under it: RHS
         # evaluations and the step cap it ran under
-        "prelimit_method": metas[0]["method"],
+        "prelimit_method": METHOD,
         "prelimit_nfev": [m["nfev"] for m in metas],
         "prelimit_max_step": [m["max_step"] for m in metas],
     }

@@ -121,6 +121,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Samples of one solve; ``meta`` holds its ``nfev`` and ``max_step`` (see ``_solve``)."""
+
     times: np.ndarray
     states: np.ndarray  # shape (n_samples, K), complex
     meta: dict = field(default_factory=dict)
@@ -165,14 +167,14 @@ def _require_state(state: np.ndarray, size: int) -> np.ndarray:
     return state
 
 
-def _modulus_occupation_rhs(coeffs: CoefficientSet):
-    """(r, N) -> (r * (Re M r^2), r^2), one K x K product per call.
+def _modulus_occupation_rhs(matrix: np.ndarray):
+    """(r, N) -> (r * (Re M r^2), r^2) for the generator M, one K x K product per call.
 
     In ``rk.dop853``'s stage form with no phase rates: the phase rows are
     empty and ignored.
     """
-    size = coeffs.size
-    real = np.ascontiguousarray(coeffs.limit_matrix.real)
+    size = len(matrix)
+    real = np.ascontiguousarray(matrix.real)
 
     def rhs(_v, _v_conj, y, out):
         r, head, occupation = y[:size], out[:size], out[size:]
@@ -236,11 +238,12 @@ def _solve(
     """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
 
     ``rhs`` and ``rates`` are in ``rk.dop853``'s stage form; the samples
-    sit where ``options`` say.
+    sit where ``options`` say.  ``meta`` holds what the solve produced:
+    its RHS evaluations ``nfev`` and the step cap ``max_step`` it ran
+    under (None when uncapped); the inputs stay with the caller.
 
-    Raises on bad input, solver breakdown or non-finite output instead of
-    returning partial data.  An rtol below MIN_RTOL is rejected rather than
-    raised to it, so ``meta["rtol"]`` is the rtol the solver ran at.
+    Raises on bad input (an rtol below MIN_RTOL included), solver breakdown
+    or non-finite output instead of returning partial data.
     """
     if not MIN_RTOL <= options.rtol < np.inf:
         raise ValidationError(
@@ -260,39 +263,34 @@ def _solve(
         bad = times[np.argmin(finite)]
         raise NumericalError(f"integration failed at t = {bad}: non-finite amplitudes")
 
-    meta = {
-        "method": METHOD,
-        "rtol": options.rtol,
-        "atol": options.atol,
-        "max_step": None if np.isinf(max_step) else max_step,
-        "nfev": nfev,
-    }
+    meta = {"max_step": None if np.isinf(max_step) else max_step, "nfev": nfev}
     return times, samples, meta
 
 
 def integrate_limit(
-    coeffs: CoefficientSet,
+    matrix: np.ndarray,
     initial_state: np.ndarray,
     t_end: float,
     options: SolverOptions = SolverOptions(),
 ) -> Trajectory:
-    """Integrate the limit cascade, sampled where ``options`` say, over moduli and occupations.
+    """Integrate dF_k/dT = sum_k' M[k,k'] |F_k'|^2 F_k for the K x K generator ``matrix``.
 
-    The real system y = (r, N) of size 2K runs by METHOD; the returned
-    states are r e^{i theta} with theta = theta(0) + Im M N, exact because
-    theta' = Im M r^2 does not involve theta.  N starts at zero and Im M
-    never enters the solver, so it takes the same steps, and returns the
-    same moduli, for every choice of initial phases and of Im M.
+    The generator is ``CoefficientSet.limit_matrix`` in production.  The
+    real system y = (r, N) of size 2K runs by METHOD, sampled where
+    ``options`` say; the returned states are r e^{i theta} with
+    theta = theta(0) + Im M N, exact because theta' = Im M r^2 does not
+    involve theta.  N starts at zero and Im M never enters the solver, so
+    it takes the same steps, and returns the same moduli, for every choice
+    of initial phases and of Im M.
     """
-    state = _require_state(initial_state, coeffs.size)
-    size = coeffs.size
+    size = len(matrix)
+    state = _require_state(initial_state, size)
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
     times, samples, meta = _solve(
-        _modulus_occupation_rhs(coeffs), np.empty(0), y0, t_end, options
+        _modulus_occupation_rhs(matrix), np.empty(0), y0, t_end, options
     )
-    phases = np.angle(state) + samples[:, size:] @ coeffs.limit_matrix.imag.T
+    phases = np.angle(state) + samples[:, size:] @ matrix.imag.T
     states = samples[:, :size] * np.exp(1j * phases)
-    meta["system"] = "limit"
     return Trajectory(times=times, states=np.ascontiguousarray(states), meta=meta)
 
 
@@ -311,8 +309,6 @@ def integrate_prelimit(
     state = _require_state(initial_state, tensor.size)
     rhs, rates = _prelimit_rhs(tensor)
     times, samples, meta = _solve(rhs, rates, state, t_end, options, cap)
-    meta["system"] = "prelimit"
-    meta["eta"] = tensor.eta
     return Trajectory(times=times, states=np.ascontiguousarray(samples), meta=meta)
 
 

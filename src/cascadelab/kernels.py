@@ -173,8 +173,10 @@ class InteractionKernel:
     """A radial two-body kernel together with its cached transform.
 
     ``role`` distinguishes the photon-coupling kernel from the classical
-    pair interaction.  Construction rejects a kernel that has not decayed
-    at the box wall, since its transform would be unreliable.
+    pair interaction.  The sampled profile is the kernel: the parameters
+    that built it (a Gaussian's amplitude and width) stay with the config.
+    Construction rejects a kernel that has not decayed at the box wall,
+    since its transform would be unreliable.
     """
 
     role: str  # "coupling" or "pair"
@@ -182,8 +184,6 @@ class InteractionKernel:
     profile: np.ndarray
     momenta: MomentumGrid
     transform: np.ndarray = field(init=False, repr=False)
-    amplitude: float = 0.0
-    width: float = 0.0
 
     def __post_init__(self):
         if self.role not in ("coupling", "pair"):
@@ -219,11 +219,4 @@ def gaussian_kernel(
     if width <= 0:
         raise ValidationError(f"kernel width must be positive, got {width}")
     profile = amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))
-    return InteractionKernel(
-        role=role,
-        grid=grid,
-        profile=profile,
-        momenta=momenta,
-        amplitude=amplitude,
-        width=width,
-    )
+    return InteractionKernel(role=role, grid=grid, profile=profile, momenta=momenta)

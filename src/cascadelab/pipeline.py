@@ -109,11 +109,17 @@ def build_potential(config: SimulationConfig, grid: RadialGrid) -> Potential:
 
 
 def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
+    """V(r) of a two-column CSV table whose radii are the grid's nodes.
+
+    A file that cannot be read or parsed (a non-numeric entry, rows of
+    unequal length) is a ConfigError; a table of another width, or on other
+    radii, a ValidationError.
+    """
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#")
-    except OSError as exc:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trap file {path}: {exc}")
-    if data.ndim != 2 or data.shape[1] < 2:
+    if data.shape[1] != 2:
         raise ValidationError("trap file must have two columns: r, V(r)")
     r, v = data[:, 0], data[:, 1]
     if len(r) != grid.n_points or not np.allclose(r, grid.nodes, rtol=0, atol=1e-12):
@@ -123,8 +129,8 @@ def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
 
 def evolve(assets: Assets):
     """Integrate the limit cascade of ``assets.config``; returns (trajectory, series)."""
-    config = assets.config
+    config, coeffs = assets.config, assets.coeffs
     traj = integrate_limit(
-        assets.coeffs, config.initial_state(), config.dynamics.t_end, assets.solver_options
+        coeffs.limit_matrix, config.initial_state(), config.dynamics.t_end, assets.solver_options
     )
-    return traj, diagnostics(traj, assets.energies, assets.coeffs)
+    return traj, diagnostics(traj, assets.energies, coeffs)

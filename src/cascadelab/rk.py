@@ -308,8 +308,8 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 #: -1 / (q + 1) for the order q = 7 of the error estimate.
 ERROR_EXPONENT = -1 / 8
-#: Smallest relative tolerance; ``dop853`` raises a smaller rtol to it, as
-#: scipy does, and ``dynamics._solve`` rejects one.
+#: Smallest relative tolerance ``dop853`` is run at; ``dynamics._solve`` and
+#: ``SimulationConfig.validate`` reject a smaller one.
 MIN_RTOL = 100 * sys.float_info.epsilon
 
 
@@ -427,12 +427,9 @@ def dop853(
     empty for a system that does not depend on t.  ``y`` may be a buffer
     that is overwritten after it returns.  ``samples`` has shape
     (len(t_eval), len(y0)) and holds the solution at ``t_eval``, float
-    times that must increase within [0, t_end].  An rtol below MIN_RTOL is
-    raised to it, as scipy does; the clamp is kept only for parity with
-    ``solve_ivp``, since ``dynamics._solve`` rejects such an rtol.  Raises
-    NumericalError when the step falls below 10 ulp of t.
+    times that must increase within [0, t_end]; ``rtol`` is at least
+    MIN_RTOL.  Raises NumericalError when the step falls below 10 ulp of t.
     """
-    rtol = max(rtol, MIN_RTOL)
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     dtype = y.dtype
     # the phases of the sixteen stage times of the current attempt, row s at t + C[s] h

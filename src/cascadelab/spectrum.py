@@ -40,14 +40,13 @@ class Potential:
     The analytic trap is the length-rescaled anharmonic one, harmonic at
     beta = 0: with scale L, V(r) = (1/L^2) * Vt(r/L) with
     Vt(x) = x^2 + beta*x^4, i.e. energies shrink by L^2 and modes widen
-    by L relative to the natural-unit trap.  A tabulated trap holds only
-    its values, with beta and scale None; ``analytic`` tells the two apart.
+    by L relative to the natural-unit trap.  A potential holds only its
+    samples, whichever constructor made them; ``pipeline.build_potential``
+    builds the configured trap on any grid.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    beta: float | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         if len(self.values) != self.grid.n_points:
@@ -67,17 +66,11 @@ class Potential:
         if scale <= 0:
             raise ValidationError(f"trap scale must be positive, got {scale}")
         x = grid.nodes / scale
-        values = (x**2 + beta * x**4) / scale**2
-        return Potential(grid, values, beta=beta, scale=scale)
+        return Potential(grid, (x**2 + beta * x**4) / scale**2)
 
     @staticmethod
     def tabulated(grid: RadialGrid, values: np.ndarray) -> "Potential":
         return Potential(grid, np.asarray(values, dtype=float))
-
-    @property
-    def analytic(self) -> bool:
-        """True for the anharmonic trap, False for a table of values."""
-        return self.scale is not None
 
     def validate_confining(self):
         """Linear-coercivity proxy: V must grow towards the wall.

@@ -39,7 +39,7 @@ def k6_run(default_assets):
     """Limit-cascade run of the default config: K = 6, T_end = 50."""
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=501)
     state = default_assets.config.initial_state()
-    traj = integrate_limit(default_assets.coeffs, state, 50.0, options)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 50.0, options)
     return diagnostics(traj, default_assets.energies, default_assets.coeffs)
 
 
@@ -49,7 +49,7 @@ def finitely_supported_run(default_assets):
     state = np.zeros(6, dtype=complex)
     state[:4] = 0.5
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=801)
-    traj = integrate_limit(default_assets.coeffs, state, 200.0, options)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 200.0, options)
     return traj, diagnostics(traj, default_assets.energies, default_assets.coeffs)
 
 
@@ -185,10 +185,10 @@ def test_criterion_08_energy_and_tail_monotonicity(k6_run):
 
 
 def test_criterion_09_two_mode_logistic():
-    coeffs = two_mode_coefficients(1.0)
+    matrix = two_mode_coefficients(1.0).limit_matrix
     state = np.sqrt(np.array([0.5, 0.5], dtype=complex))
     traj = integrate_limit(
-        coeffs, state, 1.0, SolverOptions(rtol=1e-11, atol=1e-14, n_samples=201)
+        matrix, state, 1.0, SolverOptions(rtol=1e-11, atol=1e-14, n_samples=201)
     )
     occupation = np.abs(traj.states[:, 0]) ** 2
     curve = logistic_bound(0.5, 1.0, traj.times)

@@ -720,3 +720,31 @@ def test_missing_trap_file_exits_2(tmp_path, capsys):
     assert record["error"] == "config"
     assert str(missing) in record["message"]
     assert not (tmp_path / "o" / "basis.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, code, kind",
+    [
+        ("0.1,abc\n0.2,1.0\n", 2, "config"),
+        ("0.1,1.0\n0.2,4.0,0.0\n", 2, "config"),
+        (None, 3, "validation"),
+    ],
+    ids=["non_numeric", "ragged", "three_columns"],
+)
+def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, kind):
+    """A table numpy cannot parse is a config error; a third column is not silently dropped."""
+    table, trap = anharmonic_table(tmp_path)
+    if rows is None:
+        lines = table.read_text().splitlines()
+        rows = "".join(line + ",0.0\n" for line in lines)
+    table.write_text(rows)
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(trap)
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == kind
+    if kind == "config":
+        assert str(table) in record["message"]
+    else:
+        assert "two columns" in record["message"]
+    assert not (tmp_path / "o" / "basis.csv").exists()

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +360,7 @@ def test_limit_matrix_structure(default_assets):
     assert defects["fgr_diagonal"] == 0.0
     assert defects["fgr_negativity"] == 0.0
     assert np.isfinite(defects["im_m_max"])
-    # the stored component matrices reproduce the matrix exactly
+    # the generator is its parts under this sign convention, exactly
     idx = np.arange(coeffs.size)
     sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
     rebuilt = -1j * (coeffs.hartree - coeffs.lamb) - coeffs.fgr * sign
@@ -455,7 +455,8 @@ def test_assembly_rejects_kernels_on_different_grids(sweep_assets):
     momenta = w.momenta
     wide = sweep_assets.kernel("pair", MomentumGrid(1.5 * momenta.rho_max, momenta.n_rho))
     coarse = RadialGrid(basis.grid.r_max, basis.grid.n_points // 2)
-    shifted = gaussian_kernel("coupling", coarse, momenta, w.amplitude, w.width)
+    k = sweep_assets.config.kernels
+    shifted = gaussian_kernel("coupling", coarse, momenta, k.coupling_amplitude, k.coupling_width)
     for coupling, pair in ((w, wide), (shifted, v)):
         with pytest.raises(ValidationError, match="different grids"):
             assemble_limit_matrix(basis, coupling, pair)
@@ -504,28 +505,48 @@ def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
         assert np.max(np.abs(collapsed - limit)) <= bound * np.max(np.abs(limit))
 
 
-def test_tensor_assembly_does_no_limit_work(sweep_assets, monkeypatch):
-    """Neither assembly calls the single-point on-shell route.
+def test_tensor_assembly_does_no_limit_work(sweep_assets, tmp_path, monkeypatch):
+    """Production runs no oracle code.
 
     Every cell, the golden-rule rates of the limit matrix included, comes
-    from the pairing table on the chirp-z transforms; ``gamma_fgr`` and
-    the dense sinc quadrature are the oracle only.
+    from the pairing table on the chirp-z transforms.  The single-point
+    on-shell route (``gamma_fgr`` and the dense sinc quadrature), the
+    real-space convolution and the scalar density and Cauchy routes serve
+    ``check`` and the tests only: both assemblies, and ``coeffs``, ``evolve``
+    and ``converge`` on the shipped configs, run with each of them stubbed out
+    wherever the package binds it.
     """
+    import cascadelab.checks as checks_module
     import cascadelab.coeffs as coeffs_module
     import cascadelab.kernels as kernels_module
+    from cascadelab.cli import main
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("on-shell oracle work inside an assembly")
+        raise AssertionError("oracle work in a production run")
 
-    monkeypatch.setattr(coeffs_module, "gamma_fgr", forbidden)
-    monkeypatch.setattr(coeffs_module, "transform_profiles", forbidden)
-    monkeypatch.setattr(kernels_module, "transform_profiles", forbidden)
+    oracles = (
+        "gamma_fgr",
+        "transform_profiles",
+        "radial_convolution",
+        "branch_sum",
+        "cauchy_transform",
+        "spectral_density",
+    )
+    for module in (coeffs_module, kernels_module, checks_module):
+        for name in oracles:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
     tensor = assemble_prelimit_tensor(basis, w, v, 0.1)
     assert tensor.eta == 0.1
     assert tensor.tensor.shape == (basis.size,) * 4
     limit = coeffs_module.assemble_limit_matrix(basis, w, v)
     assert limit.fgr.shape == (basis.size, basis.size)
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for command, name in (("coeffs", "default"), ("evolve", "default"), ("converge", "convergence")):
+        out = tmp_path / command
+        assert main([command, "--config", str(configs / f"{name}.cfg"), "--out", str(out)]) == 0
 
 
 def test_two_mode_synthetic_preset():
@@ -541,12 +562,19 @@ def test_two_mode_synthetic_preset():
 
 def test_non_finite_coefficients_rejected(sweep_assets):
     coeffs = two_mode_coefficients(1.0)
-    bad = coeffs.limit_matrix.copy()
-    bad[0, 1] = complex(np.nan, np.inf)
-    with pytest.raises(NumericalError, match="non-finite"):
-        replace(coeffs, limit_matrix=bad)
-    with pytest.raises(NumericalError, match="non-finite"):
-        replace(coeffs, fgr=np.full((2, 2), np.inf))
+    assert [f.name for f in fields(coeffs)] == [
+        "fgr",
+        "hartree_exchange",
+        "hartree_direct",
+        "lamb_exchange",
+        "lamb_direct",
+    ]
+    for part in fields(coeffs):
+        for value in (np.nan, np.inf):
+            bad = np.zeros((2, 2))
+            bad[0, 1] = value
+            with pytest.raises(NumericalError, match="non-finite"):
+                replace(coeffs, **{part.name: bad})
     tensor = assemble_prelimit_tensor(
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2
     )

@@ -82,7 +82,7 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
         sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
     )
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
-    collapsed = replace(sweep_assets.coeffs, limit_matrix=limit_matrix_from_tensor(tensor.tensor))
+    collapsed = limit_matrix_from_tensor(tensor.tensor)
     state = sweep_assets.config.initial_state()
     traj = integrate_prelimit(tensor, state, 1.0, solver)
     reference = integrate_limit(collapsed, state, 1.0, solver)

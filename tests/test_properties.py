@@ -7,8 +7,6 @@ vectors the assembly pairs with every density, and of the golden-rule
 rates it reads off them on random traps.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,12 +126,10 @@ def test_limit_steps_and_moduli_ignore_phases(default_assets, data, scale):
         weights[0] = 1.0
     theta = np.array(data.draw(st.lists(angle, min_size=size, max_size=size)))
     state = np.sqrt(weights / np.sum(weights)) * np.exp(1j * theta)
-    rescaled = replace(
-        coeffs,
-        limit_matrix=coeffs.limit_matrix.real + 1j * scale * coeffs.limit_matrix.imag,
-    )
+    matrix = coeffs.limit_matrix
+    rescaled = matrix.real + 1j * scale * matrix.imag
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=17)
-    plain = integrate_limit(coeffs, np.abs(state), 1.0, options)
+    plain = integrate_limit(matrix, np.abs(state), 1.0, options)
     turned = integrate_limit(rescaled, state, 1.0, options)
     assert turned.meta["nfev"] == plain.meta["nfev"]
     expected, found = np.abs(plain.states), np.abs(turned.states)

@@ -72,7 +72,7 @@ def assert_matches_oracle(rhs, rates, y0, t_end, t_eval, rtol, atol, max_step=np
 def limit_problem(assets, state):
     """The (r, N) system of the limit cascade and its initial value."""
     y0 = np.concatenate([np.abs(state), np.zeros(assets.coeffs.size)])
-    return _modulus_occupation_rhs(assets.coeffs), y0
+    return _modulus_occupation_rhs(assets.coeffs.limit_matrix), y0
 
 
 @pytest.mark.parametrize("max_step", [np.inf, 0.5])
@@ -86,7 +86,7 @@ def test_limit_system_matches_solve_ivp(default_assets, max_step):
     )
     if max_step == np.inf:
         state = default_assets.config.initial_state()
-        traj = integrate_limit(default_assets.coeffs, state, t_end, options)
+        traj = integrate_limit(default_assets.coeffs.limit_matrix, state, t_end, options)
         assert traj.meta["nfev"] == nfev == 1274
 
 
