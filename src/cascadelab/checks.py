@@ -63,6 +63,11 @@ def _record(name, measured, tolerance, passed=None, detail=""):
     }
 
 
+def _skipped(name, reason):
+    """A passing record of a check that does not apply, with the reason in its detail."""
+    return _record(name, 0.0, 0.0, True, detail=f"skipped: {reason}")
+
+
 # ---------------------------------------------------------------------------
 # spectrum block
 # ---------------------------------------------------------------------------
@@ -74,9 +79,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
 
     if assets.config.trap.file:
         reason = "a tabulated trap cannot be resampled onto the doubled grid"
-        checks.append(
-            _record("spectral_convergence_doubling", 0.0, 0.0, True, detail=f"skipped: {reason}")
-        )
+        checks.append(_skipped("spectral_convergence_doubling", reason))
     else:
         fine_grid = RadialGrid(assets.grid.r_max, 2 * assets.grid.n_points)
         fine = solve_radial_eigenpairs(build_potential(assets.config, fine_grid), basis.size)
@@ -148,16 +151,22 @@ def coefficient_checks(assets: Assets) -> list[dict]:
         _record("independent_recomputation", agreement, 1e-10, detail="max |Im M - Im M^T|")
     )
 
-    # the production rates against the single-point on-shell quadrature and
-    # the scalar eps = 0 resolvent route, one density at a time
+    # the transforms are symmetric in (k, k'): one density per unordered pair serves both orders
     ghat = coupling.transform * mode_pair_transforms(basis, momenta)
+    density = {}
+    for k in range(basis.size):
+        for kp in range(k, basis.size):
+            density[k, kp] = density[kp, k] = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
+
+    # the production rates against the single-point on-shell quadrature and
+    # the scalar eps = 0 resolvent route
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
             rate = coeffs.fgr[k, kp]
-            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
-            for route in (gamma_fgr(basis, coupling, k, kp), -cauchy_transform(a, lam, 0.0).imag):
+            onshell = -cauchy_transform(density[k, kp], lam, 0.0).imag
+            for route in (gamma_fgr(basis, coupling, k, kp), onshell):
                 worst = max(worst, _relative(abs(rate - route), rate))
     checks.append(
         _record("dual_route_fgr", worst, 1e-6, detail="assembled rates against both routes")
@@ -170,9 +179,8 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     for k in range(basis.size):
         for kp in range(basis.size):
             mu = float(energies[k] - energies[kp])
-            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             produced.append(coeffs.lamb_exchange[k, kp])
-            scalar.append(branch_sum(a, mu, 0.0).real)
+            scalar.append(branch_sum(density[k, kp], mu, 0.0).real)
             if k != kp:
                 a = spectral_density(ghat[k, k], ghat[kp, kp], momenta)
                 produced.append(coeffs.lamb_direct[k, kp])
@@ -186,8 +194,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     # the momentum side is the production transform; the real side shares none of it
     other = min(1, basis.size - 1)
     product = mode_product(basis, 0, other)
-    a01 = spectral_density(ghat[0, other], ghat[0, other], momenta)
-    momentum_side = float(a01.integrate().real)
+    momentum_side = float(density[0, other].integrate().real)
     g_real = radial_convolution(coupling.profile, product, basis.grid)
     real_side = float(4.0 * np.pi * basis.grid.integrate(g_real**2 * basis.grid.nodes**2))
     checks.append(
@@ -199,12 +206,11 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     sup_abs = 0.0
     for k in range(basis.size):
         for kp in range(k, basis.size):
-            a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
             mu = float(basis.energies[k] - basis.energies[kp])
             har = coeffs.hartree_exchange[k, kp]
             values = []
             for eps in eps_grid:
-                s = branch_sum(a, mu, float(eps))
+                s = branch_sum(density[k, kp], mu, float(eps))
                 values.append(abs(-1j * (har - s.real) - s.imag))
             sup_abs = max(sup_abs, max(values))
             worst_ratio = max(worst_ratio, values[-1] / values[-2])
@@ -268,24 +274,14 @@ def dynamics_checks(assets: Assets) -> list[dict]:
             )
         )
     else:
-        checks.append(
-            _record(
-                "logistic_domination",
-                0.0,
-                0.0,
-                True,
-                detail="skipped: " + series.flags.get("logistic_skipped", "not applicable"),
-            )
-        )
+        reason = series.flags.get("logistic_skipped", "not applicable")
+        checks.append(_skipped("logistic_domination", reason))
 
     ground_rates = coeffs.fgr[0, 1:]
-    if ground_rates.size == 0 or np.min(ground_rates) < MIN_GROUND_RATE:
-        reason = (
-            "no excited mode"
-            if ground_rates.size == 0
-            else f"some ground-row rate below {MIN_GROUND_RATE:g}"
-        )
-        checks.append(_record("bec_formation", 0.0, 0.0, True, detail=f"skipped: {reason}"))
+    if ground_rates.size == 0:
+        checks.append(_skipped("bec_formation", "no excited mode"))
+    elif np.min(ground_rates) < MIN_GROUND_RATE:
+        checks.append(_skipped("bec_formation", f"some ground-row rate below {MIN_GROUND_RATE:g}"))
     else:
         horizon = config.dynamics.bec_horizon
         threshold = config.dynamics.bec_threshold

@@ -247,14 +247,18 @@ def cmd_check(config: SimulationConfig, out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
+    commands = {
+        "spectrum": cmd_spectrum,
+        "coeffs": cmd_coeffs,
+        "evolve": cmd_evolve,
+        "converge": cmd_converge,
+        "check": cmd_check,
+    }
     parser = argparse.ArgumentParser(
         prog="cascadelab",
         description="Resonance-cascade numerical laboratory",
     )
-    parser.add_argument(
-        "command",
-        choices=["spectrum", "coeffs", "evolve", "converge", "check"],
-    )
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", help="configuration file (defaults to built-in preset)")
     parser.add_argument("--out", help="output directory (overrides [output] section)")
     args = parser.parse_args(argv)
@@ -265,16 +269,7 @@ def main(argv=None) -> int:
         else:
             config = SimulationConfig.default().validate()
         out_dir = ensure_dir(args.out or config.output.directory)
-
-        if args.command == "spectrum":
-            return cmd_spectrum(config, out_dir)
-        if args.command == "coeffs":
-            return cmd_coeffs(config, out_dir)
-        if args.command == "evolve":
-            return cmd_evolve(config, out_dir)
-        if args.command == "converge":
-            return cmd_converge(config, out_dir)
-        return cmd_check(config, out_dir)
+        return commands[args.command](config, out_dir)
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

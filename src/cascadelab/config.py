@@ -24,10 +24,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .coeffs import two_mode_coefficients
 from .convergence import validate_sweep
+from .dynamics import SolverOptions
 from .errors import ConfigError, ValidationError
-from .grids import COVER_FACTOR
-from .rk import MIN_RTOL
+from .grids import COVER_FACTOR, MomentumGrid, RadialGrid
+from .kernels import gaussian_profile
+from .spectrum import Potential, validate_mode_count
 
 
 @dataclass
@@ -137,12 +140,21 @@ class SimulationConfig:
             raise ConfigError(f"cannot parse sweep etas {self.sweep.etas!r}: {exc}")
 
     def rho_max_value(self, max_gap: float) -> float:
-        if self.momentum.rho_max == "auto":
+        """The rho_max given, or the ``auto`` cutoff for a largest gap ``max_gap``."""
+        text = self.momentum.rho_max
+        if text == "auto":
             return COVER_FACTOR * max_gap + 8.0
-        return float(self.momentum.rho_max)
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"momentum rho_max must be 'auto' or a number, got {text!r}")
 
     def initial_state(self) -> np.ndarray:
-        state = _parse_initial(self.dynamics.initial, self.trap.modes)
+        """The finite [dynamics] amplitudes; ``normalize`` scales a nonzero mass to one."""
+        text = self.dynamics.initial
+        state = _parse_initial(text, self.trap.modes)
+        if not np.all(np.isfinite(state)):
+            raise ValidationError(f"dynamics initial amplitudes must be finite, got {text!r}")
         if self.dynamics.normalize:
             norm = np.linalg.norm(state)
             if norm == 0:
@@ -165,44 +177,29 @@ class SimulationConfig:
     # ------------------------------------------------------------------
 
     def validate(self) -> "SimulationConfig":
-        t = self.trap
-        if t.n_points < 16:
-            raise ValidationError(f"trap n_points must be >= 16, got {t.n_points}")
-        if t.n_points % 2 != 0:
-            raise ValidationError("trap n_points must be even (Richardson pairing)")
-        for name, value in (("r_max", t.r_max), ("scale", t.scale)):
-            if not value > 0:
-                raise ValidationError(f"trap {name} must be positive, got {value}")
-        if t.beta < 0:
-            raise ValidationError(f"trap beta must be non-negative, got {t.beta}")
-        if not 1 <= t.modes < t.n_points / 4:
-            raise ValidationError(f"trap modes = {t.modes} invalid for n_points = {t.n_points}")
-        k = self.kernels
-        for name in ("coupling_width", "pair_width"):
-            if not getattr(k, name) > 0:
-                raise ValidationError(f"kernel {name} must be positive")
-        m = self.momentum
-        if m.rho_max != "auto":
-            try:
-                value = float(m.rho_max)
-            except ValueError:
-                raise ConfigError(f"momentum rho_max must be 'auto' or a number, got {m.rho_max!r}")
-            if not value > 0:
-                raise ValidationError("momentum rho_max must be positive")
-        if m.n_rho < 16:
-            raise ValidationError(f"momentum n_rho must be >= 16, got {m.n_rho}")
-        d = self.dynamics
-        for name in ("t_end", "rtol", "atol", "bec_horizon", "bec_threshold"):
+        """Check every input by building the cheap value that owns its rule; none is restated.
+
+        Only t_end, bec_horizon, bec_threshold and samples >= 2 have no owner; nothing is solved.
+        """
+        t, k, d = self.trap, self.kernels, self.dynamics
+        grid = RadialGrid(t.r_max, t.n_points)
+        grid.coarsened()
+        # with a trap file set, beta and scale keep their defaults (parsing rejects them)
+        Potential.anharmonic(grid, t.beta, t.scale)
+        validate_mode_count(t.modes, grid)
+        MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
+        gaussian_profile("coupling", grid, k.coupling_amplitude, k.coupling_width)
+        gaussian_profile("pair", grid, k.pair_amplitude, k.pair_width)
+        for name in ("t_end", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:
                 raise ValidationError(f"dynamics {name} must be positive and finite")
-        if d.rtol < MIN_RTOL:
-            raise ValidationError(f"dynamics rtol must be at least {MIN_RTOL:.3g}, got {d.rtol}")
         if d.samples < 2:
             raise ValidationError("dynamics samples must be at least 2")
-        state = _parse_initial(d.initial, t.modes)
-        if not np.all(np.isfinite(state)):
-            raise ValidationError(f"dynamics initial amplitudes must be finite, got {d.initial!r}")
-        self.coefficient_preset()
+        SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
+        self.initial_state()
+        gamma = self.coefficient_preset()
+        if gamma is not None:
+            two_mode_coefficients(gamma, t.modes)
         validate_sweep(self.eta_values(), self.sweep.t_final, self.sweep.samples)
         return self
 
@@ -219,8 +216,6 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
     """Initial amplitudes from a preset name or an explicit complex list."""
     text = text.strip()
     low = text.lower()
-    if low == "uniform":
-        return np.full(modes, 1.0 / np.sqrt(modes), dtype=complex)
     if low == "ground-only":
         state = np.zeros(modes, dtype=complex)
         state[0] = 1.0
@@ -236,9 +231,9 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
         state[0] = np.sqrt(x0)
         state[1] = np.sqrt(1.0 - x0)
         return state
-    m = re.fullmatch(r"uniform\((\d+)\)", low)
+    m = re.fullmatch(r"uniform(?:\((\d+)\))?", low)
     if m:
-        count = int(m.group(1))
+        count = int(m.group(1) or modes)
         if not 1 <= count <= modes:
             raise ValidationError(f"uniform preset count {count} exceeds {modes} modes")
         state = np.zeros(modes, dtype=complex)
@@ -278,11 +273,7 @@ def _coerce(raw: str, template_value, section: str, key: str):
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)  # int, float or str
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}")
 

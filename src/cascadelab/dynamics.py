@@ -108,13 +108,21 @@ METHOD = "DOP853"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of a solve, and where it samples: n_samples evenly spaced times on [0, t_end]."""
+    """Tolerances of a solve, and where it samples: n_samples evenly spaced times on [0, t_end].
+
+    rtol is finite and at least MIN_RTOL, the floor of ``rk.dop853``; atol positive and finite.
+    """
 
     rtol: float = 1e-9
     atol: float = 1e-12
     n_samples: int = 256
 
     def __post_init__(self):
+        rtol, atol = self.rtol, self.atol
+        if not MIN_RTOL <= rtol < np.inf:
+            raise ValidationError(f"rtol must be finite and at least {MIN_RTOL:.3g}, got {rtol}")
+        if not 0 < atol < np.inf:
+            raise ValidationError(f"atol must be positive and finite, got {atol}")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
 
@@ -242,13 +250,9 @@ def _solve(
     its RHS evaluations ``nfev`` and the step cap ``max_step`` it ran
     under (None when uncapped); the inputs stay with the caller.
 
-    Raises on bad input (an rtol below MIN_RTOL included), solver breakdown
-    or non-finite output instead of returning partial data.
+    Raises on bad input, solver breakdown or non-finite output instead of
+    returning partial data; the tolerances are ``SolverOptions``' to check.
     """
-    if not MIN_RTOL <= options.rtol < np.inf:
-        raise ValidationError(
-            f"rtol must be finite and at least {MIN_RTOL:.3g}, got {options.rtol}"
-        )
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state contains non-finite entries")
     if not 0 < t_end < np.inf:

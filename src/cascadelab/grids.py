@@ -18,6 +18,9 @@ from .errors import ValidationError
 #: this factor; the ``auto`` cutoff of a config is this factor times it, plus 8.
 COVER_FACTOR = 4.0
 
+#: Fewest nodes of a radial or momentum grid.
+MIN_NODES = 16
+
 
 def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     """Trapezoid weights for nodes h, 2h, ..., n*h of an integral over [0, n*h].
@@ -47,8 +50,8 @@ class RadialGrid:
     def __post_init__(self):
         if not np.isfinite(self.r_max) or self.r_max <= 0:
             raise ValidationError(f"r_max must be positive and finite, got {self.r_max}")
-        if self.n_points < 16:
-            raise ValidationError(f"n_points must be at least 16, got {self.n_points}")
+        if self.n_points < MIN_NODES:
+            raise ValidationError(f"n_points must be at least {MIN_NODES}, got {self.n_points}")
         h = self.r_max / self.n_points
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "nodes", h * np.arange(1, self.n_points + 1))
@@ -62,9 +65,10 @@ class RadialGrid:
         return np.dot(values, self.weights)
 
     def coarsened(self) -> "RadialGrid":
-        """Grid with every other node removed (requires even n_points)."""
-        if self.n_points % 2 != 0:
-            raise ValidationError("coarsening requires an even number of points")
+        """The 2h grid: every other node removed, which needs an even n_points >= 2 * MIN_NODES."""
+        n, least = self.n_points, 2 * MIN_NODES
+        if n % 2 != 0 or n < least:
+            raise ValidationError(f"n_points must be even and >= {least} for the 2h grid, got {n}")
         return RadialGrid(self.r_max, self.n_points // 2)
 
 
@@ -83,8 +87,8 @@ class MomentumGrid:
     def __post_init__(self):
         if not np.isfinite(self.rho_max) or self.rho_max <= 0:
             raise ValidationError(f"rho_max must be positive and finite, got {self.rho_max}")
-        if self.n_rho < 16:
-            raise ValidationError(f"n_rho must be at least 16, got {self.n_rho}")
+        if self.n_rho < MIN_NODES:
+            raise ValidationError(f"n_rho must be at least {MIN_NODES}, got {self.n_rho}")
         h = self.rho_max / self.n_rho
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "nodes", h * np.arange(1, self.n_rho + 1))

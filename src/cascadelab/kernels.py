@@ -216,7 +216,14 @@ def gaussian_kernel(
     transform A * (2 pi sigma^2)^{3/2} * exp(-sigma^2 rho^2 / 2) used by
     the quadrature oracles.
     """
-    if width <= 0:
-        raise ValidationError(f"kernel width must be positive, got {width}")
-    profile = amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))
+    profile = gaussian_profile(role, grid, amplitude, width)
     return InteractionKernel(role=role, grid=grid, profile=profile, momenta=momenta)
+
+
+def gaussian_profile(role: str, grid: RadialGrid, amplitude: float, width: float) -> np.ndarray:
+    """The profile of ``gaussian_kernel``; amplitude finite, width positive and finite."""
+    if not np.isfinite(amplitude):
+        raise ValidationError(f"{role} kernel amplitude must be finite, got {amplitude}")
+    if not 0 < width < np.inf:
+        raise ValidationError(f"{role} kernel width must be positive and finite, got {width}")
+    return amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))

@@ -7,6 +7,7 @@ suite, and the tests all run through identical construction paths.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -112,13 +113,17 @@ def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
     """V(r) of a two-column CSV table whose radii are the grid's nodes.
 
     A file that cannot be read or parsed (a non-numeric entry, rows of
-    unequal length) is a ConfigError; a table of another width, or on other
-    radii, a ValidationError.
+    unequal length) is a ConfigError; a table with no rows, of another
+    width, or on other radii, a ValidationError.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's on no rows, reported below
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trap file {path}: {exc}")
+    if data.size == 0:
+        raise ValidationError(f"trap file {path} holds no rows")
     if data.shape[1] != 2:
         raise ValidationError("trap file must have two columns: r, V(r)")
     r, v = data[:, 0], data[:, 1]

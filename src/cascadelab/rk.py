@@ -308,8 +308,8 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 #: -1 / (q + 1) for the order q = 7 of the error estimate.
 ERROR_EXPONENT = -1 / 8
-#: Smallest relative tolerance ``dop853`` is run at; ``dynamics._solve`` and
-#: ``SimulationConfig.validate`` reject a smaller one.
+#: Smallest relative tolerance ``dop853`` is run at; ``dynamics.SolverOptions``
+#: rejects a smaller one.
 MIN_RTOL = 100 * sys.float_info.epsilon
 
 

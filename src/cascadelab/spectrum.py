@@ -49,11 +49,19 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.grid.n_points:
+        v, r = self.values, self.grid.nodes
+        if len(v) != self.grid.n_points:
             raise ValidationError("potential values do not match the grid")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(v)):
             raise ValidationError("potential contains non-finite values")
-        self.validate_confining()
+        # linear-coercivity proxy: a confining V has a positive slope c in
+        # V(r) >= c*r - C0 between the midpoint and the wall
+        mid = self.grid.n_points // 2
+        slope = (v[-1] - v[mid]) / (r[-1] - r[mid])
+        if slope <= 0:
+            raise ValidationError(
+                f"potential is not coercive on the grid (outer slope {slope:.3e} <= 0)"
+            )
 
     @staticmethod
     def harmonic(grid: RadialGrid) -> "Potential":
@@ -61,31 +69,17 @@ class Potential:
 
     @staticmethod
     def anharmonic(grid: RadialGrid, beta: float, scale: float = 1.0) -> "Potential":
-        if beta < 0:
-            raise ValidationError(f"quartic strength must be non-negative, got {beta}")
-        if scale <= 0:
-            raise ValidationError(f"trap scale must be positive, got {scale}")
+        """The analytic trap on ``grid``; beta non-negative and scale positive, both finite."""
+        if not 0 <= beta < np.inf:
+            raise ValidationError(f"trap beta must be non-negative and finite, got {beta}")
+        if not 0 < scale < np.inf:
+            raise ValidationError(f"trap scale must be positive and finite, got {scale}")
         x = grid.nodes / scale
         return Potential(grid, (x**2 + beta * x**4) / scale**2)
 
     @staticmethod
     def tabulated(grid: RadialGrid, values: np.ndarray) -> "Potential":
         return Potential(grid, np.asarray(values, dtype=float))
-
-    def validate_confining(self):
-        """Linear-coercivity proxy: V must grow towards the wall.
-
-        Measures the empirical slope c in V(r) >= c*r - C0 between the
-        midpoint and the wall; a confining trap has c > 0.
-        """
-        v = self.values
-        r = self.grid.nodes
-        mid = self.grid.n_points // 2
-        slope = (v[-1] - v[mid]) / (r[-1] - r[mid])
-        if slope <= 0:
-            raise ValidationError(
-                f"potential is not coercive on the grid (outer slope {slope:.3e} <= 0)"
-            )
 
 
 @dataclass(frozen=True)
@@ -141,6 +135,14 @@ def _tridiagonal_eigenpairs(potential_values, spacing, n_interior, count, eigval
     )
 
 
+def validate_mode_count(count: int, grid: RadialGrid):
+    """The rule 1 <= count < n_points / 4, for a [trap] section and an eigensolve alike."""
+    if count < 1:
+        raise ValidationError(f"mode count must be positive, got {count}")
+    if count >= grid.n_points / 4:
+        raise ValidationError(f"mode count {count} too large for a grid of {grid.n_points} points")
+
+
 def solve_radial_eigenpairs(potential: Potential, count: int) -> EigenBasis:
     """Compute the lowest ``count`` s-wave eigenpairs of -Laplacian + V on ``potential.grid``.
 
@@ -153,19 +155,14 @@ def solve_radial_eigenpairs(potential: Potential, count: int) -> EigenBasis:
     for an analytic and a tabulated trap alike.
 
     Raises a dimension error when the grid cannot resolve ``count`` modes
-    or has an odd number of points (before any eigensolve), and a
+    or has too few or an odd number of points (before any eigensolve), and a
     domain-truncation error when the highest mode has not decayed
     at the wall (non-confining potential or r_max too small).
     """
     grid = potential.grid
-    if count < 1:
-        raise ValidationError(f"mode count must be positive, got {count}")
-    if count >= grid.n_points / 4:
-        raise ValidationError(
-            f"mode count {count} too large for a grid of {grid.n_points} points"
-        )
+    validate_mode_count(count, grid)
 
-    # the 2h grid must nest in this one; coarsened() rejects an odd n_points
+    # the 2h grid must nest in this one; coarsened() rejects an odd or too small n_points
     coarse = grid.coarsened()
     n_interior = grid.n_points - 1
     energies, vectors = _tridiagonal_eigenpairs(potential.values, grid.spacing, n_interior, count)

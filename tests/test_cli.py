@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,12 @@ NON_FINITE_CASES = (
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(nan)\n"),
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(inf)\n"),
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(1e400)\n"),
+    ("spectrum", "[kernels]\ncoupling_amplitude = nan\n"),
+    ("spectrum", "[kernels]\npair_width = inf\n"),
+    ("spectrum", "[momentum]\nrho_max = inf\n"),
+    ("spectrum", "[trap]\nscale = inf\n"),
+    ("evolve", TWO_MODE_CFG.replace("modes = 2\n", "modes = 2\nr_max = inf\n")),
+    ("evolve", TWO_MODE_CFG + "\n[kernels]\ncoupling_amplitude = nan\n"),
 )
 
 #: Runs ``main(command, path)`` for each (command, path) argument pair and
@@ -450,9 +457,11 @@ def run_child(tmp_path, cases, timeout):
 
 
 def test_non_finite_input_exits_3_promptly(tmp_path):
-    """A non-finite eta, horizon, end time or synthetic rate is rejected, not integrated.
+    """A non-finite eta, horizon, end time, synthetic rate, trap, cutoff or kernel input
+    is rejected at parse, not computed with.
 
-    Such inputs once ran past a 60 s timeout without exiting.  One child
+    Some once ran past a 60 s timeout without exiting; others ran through,
+    even on the synthetic preset, and hashed the value into the outputs.  One child
     interpreter runs every case and is stopped after 30 s, so a hang fails
     the test instead of stalling the suite.
     """
@@ -496,6 +505,18 @@ def test_non_finite_amplitudes_exit_3_before_any_work(tmp_path):
     records = [json.loads(line) for line in done.stderr.splitlines()]
     assert [r["error"] for r in records] == ["validation"] * len(cases)
     assert all("finite" in r["message"] for r in records)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "coeffs"])
+def test_zero_mass_initial_state_exits_3_at_parse(tmp_path, capsys, command):
+    """Data that cannot be normalized fails every command, not only those that integrate."""
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[dynamics]\ninitial = 0, 0\n")
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "zero mass" in json.loads(lines[0])["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_overflowing_coefficients_exit_4_promptly(tmp_path):
@@ -723,16 +744,20 @@ def test_missing_trap_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rows, code, kind",
+    "rows, code, named",
     [
-        ("0.1,abc\n0.2,1.0\n", 2, "config"),
-        ("0.1,1.0\n0.2,4.0,0.0\n", 2, "config"),
-        (None, 3, "validation"),
+        ("0.1,abc\n0.2,1.0\n", 2, None),
+        ("0.1,1.0\n0.2,4.0,0.0\n", 2, None),
+        (None, 3, "two columns"),
+        ("", 3, "no rows"),
+        ("# r, V(r)\n# to be filled in\n", 3, "no rows"),
     ],
-    ids=["non_numeric", "ragged", "three_columns"],
+    ids=["non_numeric", "ragged", "three_columns", "empty", "comments_only"],
 )
-def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, kind):
-    """A table numpy cannot parse is a config error; a third column is not silently dropped."""
+def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, named):
+    """A table numpy cannot parse is a config error; a third column is not silently
+    dropped, and a table with no rows is named as such.  Stderr holds the record alone:
+    no numpy warning escapes to be printed ahead of it."""
     table, trap = anharmonic_table(tmp_path)
     if rows is None:
         lines = table.read_text().splitlines()
@@ -740,11 +765,13 @@ def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, kind
     table.write_text(rows)
     cfg = tmp_path / "custom.cfg"
     cfg.write_text(trap)
-    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == kind
-    if kind == "config":
-        assert str(table) in record["message"]
-    else:
-        assert "two columns" in record["message"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == ("config" if code == 2 else "validation")
+    assert (named or str(table)) in record["message"]
     assert not (tmp_path / "o" / "basis.csv").exists()

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -12,7 +13,13 @@ from cascadelab.config import (
     emit_config,
     parse_config,
 )
+from cascadelab.dynamics import SolverOptions
 from cascadelab.errors import ConfigError, ValidationError
+from cascadelab.grids import MomentumGrid, RadialGrid
+from cascadelab.kernels import gaussian_kernel
+from cascadelab.spectrum import Potential, solve_radial_eigenpairs
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(tmp_path, text):
@@ -61,7 +68,7 @@ def test_invalid_values_rejected(tmp_path):
 
 def test_rtol_below_solver_floor_rejected(tmp_path):
     """The solver would raise it to 2.2e-14 while the outputs record the configured value."""
-    with pytest.raises(ValidationError, match="dynamics rtol"):
+    with pytest.raises(ValidationError, match="rtol must be finite and at least 2.22e-14"):
         parse_config(write(tmp_path, "[dynamics]\nrtol = 1e-15\n"))
     assert parse_config(write(tmp_path, "[dynamics]\nrtol = 1e-13\n")).dynamics.rtol == 1e-13
 
@@ -72,38 +79,144 @@ def test_small_sweep_sample_count_rejected(tmp_path):
     assert parse_config(write(tmp_path, "[sweep]\nsamples = 200\n")).sweep.samples == 200
 
 
+def sweep_with(**fields):
+    """The owner of a sweep rule: the canonical SweepSetup with ``fields`` changed."""
+
+    def build(assets):
+        setup, changes = assets.sweep, dict(fields)
+        solver = replace(setup.solver, n_samples=changes.pop("n_samples", setup.solver.n_samples))
+        return replace(setup, solver=solver, **changes)
+
+    return build
+
+
+def default_grid():
+    """The radial grid of the [trap] defaults."""
+    return RadialGrid(36.0, 2400)
+
+
 @pytest.mark.parametrize(
-    "line, setup_fields, message",
+    "text, owner, message",
     [
-        pytest.param("etas = 0.2, 0.0", {"etas": (0.2, 0.0)}, "positive and finite", id="eta-zero"),
-        pytest.param("etas = -0.1", {"etas": (-0.1,)}, "positive and finite", id="eta-negative"),
-        pytest.param("etas = inf, 0.2", {"etas": (np.inf, 0.2)}, "and finite", id="eta-inf"),
-        pytest.param("etas = 0.1, 0.2", {"etas": (0.1, 0.2)}, "strictly decreasing", id="eta-up"),
-        pytest.param("etas = 0.2, 0.2", {"etas": (0.2, 0.2)}, "strictly decreasing", id="eta-flat"),
-        pytest.param("t_final = 0", {"t_final": 0.0}, "t_final must be positive", id="t-zero"),
-        pytest.param("t_final = inf", {"t_final": np.inf}, "t_final must be positive", id="t-inf"),
         pytest.param(
-            "samples = 199", {"n_samples": 199}, "sweep samples must be at least 200, got 199",
-            id="samples",
+            "[sweep]\netas = 0.2, 0.0", sweep_with(etas=(0.2, 0.0)), "positive and finite",
+            id="eta-zero",
+        ),
+        pytest.param(
+            "[sweep]\netas = -0.1", sweep_with(etas=(-0.1,)), "positive and finite",
+            id="eta-negative",
+        ),
+        pytest.param(
+            "[sweep]\netas = inf, 0.2", sweep_with(etas=(np.inf, 0.2)), "and finite", id="eta-inf"
+        ),
+        pytest.param(
+            "[sweep]\netas = 0.1, 0.2", sweep_with(etas=(0.1, 0.2)), "strictly decreasing",
+            id="eta-up",
+        ),
+        pytest.param(
+            "[sweep]\netas = 0.2, 0.2", sweep_with(etas=(0.2, 0.2)), "strictly decreasing",
+            id="eta-flat",
+        ),
+        pytest.param(
+            "[sweep]\nt_final = 0", sweep_with(t_final=0.0), "t_final must be positive",
+            id="t-zero",
+        ),
+        pytest.param(
+            "[sweep]\nt_final = inf", sweep_with(t_final=np.inf), "t_final must be positive",
+            id="t-inf",
+        ),
+        pytest.param(
+            "[sweep]\nsamples = 199", sweep_with(n_samples=199),
+            "sweep samples must be at least 200, got 199", id="samples",
+        ),
+        pytest.param(
+            "[trap]\nn_points = 8", lambda _: RadialGrid(36.0, 8), "n_points must be at least 16",
+            id="n_points-few",
+        ),
+        pytest.param(
+            "[trap]\nn_points = 2401", lambda _: RadialGrid(36.0, 2401).coarsened(),
+            "n_points must be even", id="n_points-odd",
+        ),
+        pytest.param(
+            "[trap]\nr_max = inf", lambda _: RadialGrid(np.inf, 2400),
+            "r_max must be positive and finite", id="r_max",
+        ),
+        pytest.param(
+            "[trap]\nbeta = -1", lambda _: Potential.anharmonic(default_grid(), -1.0, 6.0),
+            "beta must be non-negative and finite", id="beta",
+        ),
+        pytest.param(
+            "[trap]\nscale = inf", lambda _: Potential.anharmonic(default_grid(), 0.2, np.inf),
+            "scale must be positive and finite", id="scale",
+        ),
+        pytest.param(
+            "[momentum]\nrho_max = -1", lambda _: MomentumGrid(-1.0, 8192),
+            "rho_max must be positive and finite", id="rho_max",
+        ),
+        pytest.param(
+            "[momentum]\nn_rho = 8", lambda _: MomentumGrid(8.0, 8), "n_rho must be at least 16",
+            id="n_rho",
+        ),
+        pytest.param(
+            "[dynamics]\nrtol = 1e-15", lambda _: SolverOptions(1e-15, 1e-14, 501),
+            "rtol must be finite and at least", id="rtol",
+        ),
+        pytest.param(
+            "[dynamics]\natol = 0", lambda _: SolverOptions(1e-11, 0.0, 501),
+            "atol must be positive and finite", id="atol",
+        ),
+        pytest.param(
+            "[trap]\nmodes = 600",
+            lambda _: solve_radial_eigenpairs(Potential.anharmonic(default_grid(), 0.2, 6.0), 600),
+            "mode count 600 too large", id="modes",
+        ),
+        pytest.param(
+            "[kernels]\ncoupling_amplitude = nan",
+            lambda assets: gaussian_kernel("coupling", assets.grid, assets.momenta, np.nan, 1.0),
+            "coupling kernel amplitude must be finite", id="amplitude",
         ),
     ],
 )
 def test_config_and_sweep_setup_share_the_sweep_rules(
-    tmp_path, sweep_assets, line, setup_fields, message
+    tmp_path, sweep_assets, text, owner, message
 ):
-    """A [sweep] section and a SweepSetup fail the same rule with the same error.
+    """A config and the type that owns a rule fail it with the same error.
 
-    Both start from the same sweep (etas 0.2, 0.1, 0.05, t_final 1, 256
-    samples) and change the one input named.
+    The config changes the one input named from the defaults; the owner is
+    built from the same values: a SweepSetup from the canonical sweep (etas
+    0.2, 0.1, 0.05, t_final 1, 256 samples), a grid, trap or solver options
+    from the [trap], [momentum] or [dynamics] defaults, an eigensolve
+    asking for the modes, a kernel on the sweep's grids.
     """
     with pytest.raises(ValidationError, match=message) as from_config:
-        parse_config(write(tmp_path, f"[sweep]\n{line}\n"))
-    setup = sweep_assets.sweep
-    solver = replace(setup.solver, n_samples=setup_fields.pop("n_samples", setup.solver.n_samples))
-    with pytest.raises(ValidationError) as from_setup:
-        replace(setup, solver=solver, **setup_fields)
-    assert type(from_setup.value) is type(from_config.value)
-    assert str(from_setup.value) == str(from_config.value)
+        parse_config(write(tmp_path, f"{text}\n"))
+    with pytest.raises(ValidationError) as from_owner:
+        owner(sweep_assets)
+    assert type(from_owner.value) is type(from_config.value)
+    assert str(from_owner.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize("name", ["default.cfg", "convergence.cfg", "two_mode.cfg"])
+def test_parse_runs_no_eigensolve_or_transform(monkeypatch, name):
+    """Parsing asks the grids, trap and solver options, never a spectrum or a transform.
+
+    Every module of the package that binds one of the expensive routines
+    gets a stub that raises, so import plus parse stays a setup cost.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config ran an eigensolve or a transform")
+
+    expensive = ("solve_radial_eigenpairs", "grid_transforms", "transform_profiles")
+    stubbed = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cascadelab."):
+            for attr in expensive:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+                    stubbed.add(attr)
+    assert stubbed == set(expensive)
+    parse_config(str(CONFIGS / name))
 
 
 @pytest.mark.parametrize(
@@ -115,7 +228,7 @@ def test_config_and_sweep_setup_share_the_sweep_rules(
 )
 def test_shipped_config_equals_its_preset(name, preset):
     """Each shipped config is its preset in every section but [output]."""
-    path = Path(__file__).resolve().parents[1] / "configs" / name
+    path = CONFIGS / name
     shipped, expected = asdict(parse_config(str(path))), asdict(preset())
     del shipped["output"], expected["output"]
     assert shipped == expected
