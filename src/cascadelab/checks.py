@@ -42,7 +42,7 @@ from .dynamics import (
 from .grids import MomentumGrid, RadialGrid
 from .io import to_jsonable
 from .kernels import radial_convolution
-from .pipeline import Assets, build_potential, evolve
+from .pipeline import Assets, evolve
 from .spectrum import Potential, check_gap_independence, mode_product, solve_radial_eigenpairs
 
 
@@ -82,7 +82,7 @@ def spectrum_checks(assets: Assets) -> list[dict]:
         checks.append(_skipped("spectral_convergence_doubling", reason))
     else:
         fine_grid = RadialGrid(assets.grid.r_max, 2 * assets.grid.n_points)
-        fine = solve_radial_eigenpairs(build_potential(assets.config, fine_grid), basis.size)
+        fine = solve_radial_eigenpairs(assets.config.potential(fine_grid), basis.size)
         drift = float(np.max(np.abs(basis.energies - fine.energies) / fine.energies))
         checks.append(_record("spectral_convergence_doubling", drift, 1e-6))
 
@@ -144,7 +144,8 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     )
     checks.append(_record("coefficient_symmetries", structural, 0.0, structural == 0.0))
 
-    # entries (k,k') and (k',k) are assembled from their own cells
+    # the (k',k) exchange cell is the exact conjugate of (k,k'), so this gap measures
+    # the direct cells (k,k;k',k') against (k',k';k,k) and the mean-field table
     im_m = coeffs.limit_matrix.imag
     agreement = float(np.max(np.abs(im_m - im_m.T)))
     checks.append(

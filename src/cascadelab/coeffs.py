@@ -21,10 +21,12 @@ suite pit these routes against the assembled coefficients.
 The limit matrix and the prelimit tensor are each read off a table over
 the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
 pass, then the Hartree pairings and the branch sums of every cell as
-matrix products.  The limit generator (``CoefficientSet``) keeps the
-resonant cells at eps = 0, the golden-rule rates included (the on-shell
-part of the exchange cells); the tensor (``PrelimitTensor``) is a value
-of its own, every cell at eps = eta^2, and carries no limit part.
+matrix products; the branch sums are computed for the cells j <= j'
+alone, whose conjugates give the other order exactly.  The limit
+generator (``CoefficientSet``) keeps the resonant cells at eps = 0, the
+golden-rule rates included (the on-shell part of the exchange cells);
+the tensor (``PrelimitTensor``) is a value of its own, every cell at
+eps = eta^2, and carries no limit part.
 
 Convention note: the limit coefficients are the eps -> 0 limits of the
 regularized pairings, which is what the prelimit flow converges to.  Two
@@ -487,17 +489,27 @@ class _PairingTable:
     def cell_sums(self, eps: float) -> np.ndarray:
         """Branch sums of every cell (p; j, jp), shape (P, K, K), at eps >= 0.
 
-        Block j is ghat @ B with B[:, jp] = rho^2/(2 pi^2) conj(ghat of {j, jp}) W(E_j - E_jp).
+        One complex product ghat @ B^T over the P = K(K+1)/2 cells j <= jp, with
+        row {j, jp} of B = rho^2/(2 pi^2) (ghat of {j, jp}) W(E_j - E_jp); the K
+        zero-gap cells share W(0), so K(K-1)/2 + 1 weight vectors serve an assembly.
+        ghat is real (its conjugate is itself) and W(-mu) = conj W(mu) bit for
+        bit, so each cell (p; jp, j) with j < jp is the exact conjugate of
+        (p; j, jp) and is filled as such.
         """
-        energies, size = self.basis.energies, self.basis.size
-        scale = DENSITY_PREFACTOR * self.momenta.nodes**2
-        out = np.empty((len(self.ghat), size, size), dtype=complex)
-        block = np.empty((self.momenta.n_rho, size), dtype=complex)
-        for j in range(size):
-            for jp in range(size):
-                weights = branch_weights(self.momenta, float(energies[j] - energies[jp]), eps)
-                block[:, jp] = scale * np.conj(self.ghat[self.index[j, jp]]) * weights
-            out[:, j, :] = self.ghat @ block
+        energies, momenta = self.basis.energies, self.momenta
+        rows, cols = np.triu_indices(self.basis.size)
+        scale = DENSITY_PREFACTOR * momenta.nodes**2
+        zero_gap = branch_weights(momenta, 0.0, eps)
+        # row c of B and of ghat belong to the pair {rows[c], cols[c]}
+        block = np.empty(self.ghat.shape, dtype=complex)
+        for c, (j, jp) in enumerate(zip(rows, cols)):
+            gap = float(energies[j] - energies[jp])
+            weights = zero_gap if j == jp else branch_weights(momenta, gap, eps)
+            np.multiply(scale * self.ghat[c], weights, out=block[c])
+        upper = self.ghat @ block.T
+        out = np.empty((len(self.ghat), *self.index.shape), dtype=complex)
+        out[:, cols, rows] = np.conj(upper)
+        out[:, rows, cols] = upper  # last, so the zero-gap cells keep the product itself
         return out
 
 
@@ -542,10 +554,14 @@ def assemble_limit_matrix(
     direct cells (k,k;k',k') their degenerate dressing.  Each unordered
     pair's rate is read once, as the magnitude of its k < k' cell, and
     mirrored, so ``fgr`` is symmetric, non-negative and zero on the
-    diagonal by construction.  The Lamb terms of entries (k,k') and
-    (k',k) are evaluated on their own cells, so Im M, symmetric in exact
-    arithmetic, cross-checks the assembly: max |Im M - Im M^T| is a
-    rounding gap unless a cell is read at the wrong index.
+    diagonal by construction.  The (k',k) exchange cell is the exact
+    conjugate of the (k,k') one (``_PairingTable.cell_sums``), so the
+    exchange Lamb and Hartree terms are symmetric by construction too.
+    Im M, symmetric in exact arithmetic, still cross-checks the rest:
+    max |Im M - Im M^T| compares the direct cells (k,k;k',k') and
+    (k',k';k,k), which pair different rows and columns, and the
+    mean-field table; it is a rounding gap unless a cell is read at the
+    wrong index.
     """
     table = _pairing_table(basis, coupling, pair)
     index = table.index
@@ -553,7 +569,7 @@ def assemble_limit_matrix(
     sums = table.cell_sums(0.0)
     k, kp = np.indices((size, size))
 
-    # exchange cells (k,k'; k,k'), each order read off its own cell
+    # exchange cells (k,k'; k,k'); the k > k' order is the conjugate of the k < k' one
     exchange = sums[index, k, kp]
     har_ex = table.hartree[index, index]
     lamb_ex = exchange.real

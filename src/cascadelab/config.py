@@ -20,6 +20,7 @@ import configparser
 import hashlib
 import os
 import re
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from .convergence import validate_sweep
 from .dynamics import SolverOptions
 from .errors import ConfigError, ValidationError
 from .grids import COVER_FACTOR, MomentumGrid, RadialGrid
-from .kernels import gaussian_profile
+from .kernels import decayed_profile, gaussian_profile
 from .spectrum import Potential, validate_mode_count
 
 
@@ -162,6 +163,16 @@ class SimulationConfig:
             state = state / norm
         return state
 
+    def potential(self, grid: RadialGrid) -> Potential:
+        """The configured trap on ``grid``: the ``trap.file`` table if set, else the anharmonic one.
+
+        Config validation builds it on the configured grid, so an unusable table fails at parse.
+        """
+        t = self.trap
+        if t.file:
+            return Potential.tabulated(grid, _read_tabulated(t.file, grid))
+        return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
+
     def coefficient_preset(self) -> float | None:
         """None for trap-derived coefficients, else the synthetic rate."""
         text = self.dynamics.coefficient_preset.strip().lower()
@@ -179,17 +190,19 @@ class SimulationConfig:
     def validate(self) -> "SimulationConfig":
         """Check every input by building the cheap value that owns its rule; none is restated.
 
-        Only t_end, bec_horizon, bec_threshold and samples >= 2 have no owner; nothing is solved.
+        Only t_end, bec_horizon, bec_threshold and samples >= 2 have no owner; a trap table
+        is read, nothing is solved or transformed.
         """
         t, k, d = self.trap, self.kernels, self.dynamics
         grid = RadialGrid(t.r_max, t.n_points)
         grid.coarsened()
-        # with a trap file set, beta and scale keep their defaults (parsing rejects them)
-        Potential.anharmonic(grid, t.beta, t.scale)
+        self.potential(grid)
         validate_mode_count(t.modes, grid)
         MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
-        gaussian_profile("coupling", grid, k.coupling_amplitude, k.coupling_width)
-        gaussian_profile("pair", grid, k.pair_amplitude, k.pair_width)
+        decayed_profile(
+            "coupling", gaussian_profile("coupling", grid, k.coupling_amplitude, k.coupling_width)
+        )
+        decayed_profile("pair", gaussian_profile("pair", grid, k.pair_amplitude, k.pair_width))
         for name in ("t_end", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:
                 raise ValidationError(f"dynamics {name} must be positive and finite")
@@ -260,6 +273,29 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
+
+
+def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
+    """V(r) of a two-column CSV table whose radii are the grid's nodes.
+
+    A file that cannot be read or parsed (a non-numeric entry, rows of
+    unequal length) is a ConfigError; a table with no rows, of another
+    width, or on other radii, a ValidationError.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's on no rows, reported below
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trap file {path}: {exc}")
+    if data.size == 0:
+        raise ValidationError(f"trap file {path} holds no rows")
+    if data.shape[1] != 2:
+        raise ValidationError("trap file must have two columns: r, V(r)")
+    r, v = data[:, 0], data[:, 1]
+    if len(r) != grid.n_points or not np.allclose(r, grid.nodes, rtol=0, atol=1e-12):
+        raise ValidationError("trap file radii do not match the configured grid")
+    return v
 
 
 def _coerce(raw: str, template_value, section: str, key: str):

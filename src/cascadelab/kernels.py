@@ -188,18 +188,27 @@ class InteractionKernel:
     def __post_init__(self):
         if self.role not in ("coupling", "pair"):
             raise ValidationError(f"unknown kernel role {self.role!r}")
-        profile = np.asarray(self.profile, dtype=float)
-        if not np.all(np.isfinite(profile)):
-            raise ValidationError("kernel profile contains non-finite values")
-        peak = np.max(np.abs(profile))
-        if peak == 0.0:
+        profile = decayed_profile(self.role, self.profile)
+        if not np.any(profile):
             object.__setattr__(self, "transform", np.zeros(self.momenta.n_rho))
             return
-        if abs(profile[-1]) > 1e-10 * peak:
-            raise ValidationError("kernel profile has not decayed at r_max")
         object.__setattr__(
             self, "transform", grid_transforms(profile, self.grid, self.momenta)[0]
         )
+
+
+def decayed_profile(role: str, profile: np.ndarray) -> np.ndarray:
+    """``profile`` as floats, once it is finite and has decayed at r_max (a zero one has).
+
+    The rule of every ``InteractionKernel``; config validation applies it
+    without building the kernel's transform.
+    """
+    profile = np.asarray(profile, dtype=float)
+    if not np.all(np.isfinite(profile)):
+        raise ValidationError(f"{role} kernel profile contains non-finite values")
+    if abs(profile[-1]) > 1e-10 * np.max(np.abs(profile)):
+        raise ValidationError(f"{role} kernel profile has not decayed at r_max")
+    return profile
 
 
 def gaussian_kernel(

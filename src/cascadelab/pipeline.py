@@ -7,7 +7,6 @@ suite, and the tests all run through identical construction paths.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -17,7 +16,6 @@ from .coeffs import CoefficientSet, assemble_limit_matrix, two_mode_coefficients
 from .config import SimulationConfig
 from .convergence import SweepSetup
 from .dynamics import SolverOptions, diagnostics, integrate_limit
-from .errors import ConfigError, ValidationError
 from .grids import MomentumGrid, RadialGrid
 from .kernels import InteractionKernel, gaussian_kernel
 from .spectrum import EigenBasis, Potential, solve_radial_eigenpairs
@@ -36,7 +34,7 @@ class Assets:
 
     @cached_property
     def potential(self) -> Potential:
-        return build_potential(self.config, self.grid)
+        return self.config.potential(self.grid)
 
     @cached_property
     def basis(self) -> EigenBasis:
@@ -99,37 +97,6 @@ class Assets:
     def solver_options(self) -> SolverOptions:
         d = self.config.dynamics
         return SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
-
-
-def build_potential(config: SimulationConfig, grid: RadialGrid) -> Potential:
-    """The tabulated trap of ``trap.file`` when it is set, else the anharmonic one."""
-    t = config.trap
-    if t.file:
-        return Potential.tabulated(grid, _read_tabulated(t.file, grid))
-    return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
-
-
-def _read_tabulated(path: str, grid: RadialGrid) -> np.ndarray:
-    """V(r) of a two-column CSV table whose radii are the grid's nodes.
-
-    A file that cannot be read or parsed (a non-numeric entry, rows of
-    unequal length) is a ConfigError; a table with no rows, of another
-    width, or on other radii, a ValidationError.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's on no rows, reported below
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read trap file {path}: {exc}")
-    if data.size == 0:
-        raise ValidationError(f"trap file {path} holds no rows")
-    if data.shape[1] != 2:
-        raise ValidationError("trap file must have two columns: r, V(r)")
-    r, v = data[:, 0], data[:, 1]
-    if len(r) != grid.n_points or not np.allclose(r, grid.nodes, rtol=0, atol=1e-12):
-        raise ValidationError("trap file radii do not match the configured grid")
-    return v
 
 
 def evolve(assets: Assets):

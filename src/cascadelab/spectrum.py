@@ -41,7 +41,7 @@ class Potential:
     beta = 0: with scale L, V(r) = (1/L^2) * Vt(r/L) with
     Vt(x) = x^2 + beta*x^4, i.e. energies shrink by L^2 and modes widen
     by L relative to the natural-unit trap.  A potential holds only its
-    samples, whichever constructor made them; ``pipeline.build_potential``
+    samples, whichever constructor made them; ``SimulationConfig.potential``
     builds the configured trap on any grid.
     """
 

@@ -157,7 +157,8 @@ def test_criterion_06_symmetries(default_assets):
         defects["re_m_antisymmetry"],
         defects["re_m_diagonal"],
     )
-    # entries (k,k') and (k',k) are assembled from their own cells
+    # the (k',k) exchange cell is the exact conjugate of (k,k'), so this gap measures
+    # the direct cells (k,k;k',k') against (k',k';k,k) and the mean-field table
     im_m = coeffs.limit_matrix.imag
     agreement = float(np.max(np.abs(im_m - im_m.T)))
     announce(

@@ -20,6 +20,7 @@ from cascadelab.grids import RadialGrid
 from cascadelab.pipeline import Assets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 HARMONIC_CFG = """
 [trap]
@@ -337,6 +338,28 @@ def test_coeffs_command_and_determinism(tmp_path):
     assert np.all(np.diag(fgr) == 0)
     re_m = np.array(doc["limit_matrix"]["re"])
     assert np.max(np.abs(re_m + re_m.T)) == 0.0
+
+
+def test_coeffs_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``coeffs`` on default.cfg writes the same bytes with one and with two OpenBLAS threads.
+
+    Every branch sum comes from one complex product over all cells, whose
+    tiling OpenBLAS chooses by its thread count.  The count is read when
+    numpy loads, so each run gets a fresh interpreter.
+    """
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "cascadelab.cli", "coeffs"]
+            + ["--config", str(CONFIGS / "default.cfg"), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            check=True,
+            timeout=120,
+        )
+        outs.append(out)
+    for name in ("coefficients.json", "limit_matrix.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 SMALL_SWEEP_CFG = (
@@ -775,3 +798,30 @@ def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, name
     assert record["error"] == ("config" if code == 2 else "validation")
     assert (named or str(table)) in record["message"]
     assert not (tmp_path / "o" / "basis.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "coeffs", "evolve", "converge", "check"])
+@pytest.mark.parametrize("case", ["coupling_width", "empty_trap_file"])
+def test_config_rejected_before_output_directory(tmp_path, capsys, command, case):
+    """Every command rejects the same configs at parse, before it makes the output directory.
+
+    A coupling kernel that has not decayed at r_max once passed ``spectrum``
+    (exit 0) and failed ``coeffs`` (exit 3); an empty trap file exited 3 but
+    left an empty output directory behind.
+    """
+    if case == "coupling_width":
+        text, named = "[kernels]\ncoupling_width = 100\n", "coupling kernel profile has not decayed"
+    else:
+        table, text = anharmonic_table(tmp_path)
+        table.write_text("")
+        named = "holds no rows"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    assert named in record["message"]
+    assert not out.exists()

@@ -360,11 +360,41 @@ def test_limit_matrix_structure(default_assets):
     assert defects["fgr_diagonal"] == 0.0
     assert defects["fgr_negativity"] == 0.0
     assert np.isfinite(defects["im_m_max"])
-    # the generator is its parts under this sign convention, exactly
-    idx = np.arange(coeffs.size)
-    sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
-    rebuilt = -1j * (coeffs.hartree - coeffs.lamb) - coeffs.fgr * sign
-    assert np.array_equal(rebuilt, coeffs.limit_matrix)
+    # entry by entry, the upper mode of each pair loses mass to the lower one at its rate
+    m = coeffs.limit_matrix
+    for k in range(coeffs.size):
+        assert m[k, k].real == 0.0
+        for kp in range(k):
+            assert m[k, kp].real == -coeffs.fgr[k, kp] < 0.0
+            assert m[kp, k].real == coeffs.fgr[k, kp]
+
+
+@pytest.mark.parametrize("name, calls", [("default_assets", 16), ("sweep_assets", 7)])
+def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch, name, calls):
+    """Each assembly builds K(K-1)/2 + 1 branch weight vectors, not K^2.
+
+    One per gap E_j - E_j' with j < j', and one W(0) shared by the K
+    zero-gap cells; the cells with j > j' are the conjugates of their
+    mirrors and need no weights of their own.
+    """
+    import cascadelab.coeffs as coeffs_module
+
+    assets = request.getfixturevalue(name)
+    basis, w, v = assets.basis, assets.coupling, assets.pair
+    assert basis.size * (basis.size - 1) // 2 + 1 == calls
+    gaps = []
+
+    def counted(momenta, mu, eps):
+        gaps.append(mu)
+        return branch_weights(momenta, mu, eps)
+
+    monkeypatch.setattr(coeffs_module, "branch_weights", counted)
+    assemble_limit_matrix(basis, w, v)
+    assert len(gaps) == calls
+    assert sorted(set(gaps)) == sorted(gaps)  # no gap is weighted twice
+    gaps.clear()
+    assemble_prelimit_tensor(basis, w, v, 0.1)
+    assert len(gaps) == calls
 
 
 def test_limit_matrix_fgr_entries_match_operation(default_assets):
@@ -381,7 +411,12 @@ def test_limit_matrix_fgr_entries_match_operation(default_assets):
 
 
 def test_assembly_symmetry_exploitation_consistent(sweep_assets):
-    """Entries (k,k') and (k',k) are assembled from their own cells and agree."""
+    """Im M is symmetric to rounding.
+
+    The (k',k) exchange cell is the exact conjugate of (k,k'), so the gap
+    measures the direct cells (k,k;k',k') against (k',k';k,k) and the
+    mean-field table, not the exchange cells.
+    """
     im_m = sweep_assets.coeffs.limit_matrix.imag
     assert np.max(np.abs(im_m - im_m.T)) < 1e-10
 

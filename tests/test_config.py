@@ -175,6 +175,11 @@ def default_grid():
             lambda assets: gaussian_kernel("coupling", assets.grid, assets.momenta, np.nan, 1.0),
             "coupling kernel amplitude must be finite", id="amplitude",
         ),
+        pytest.param(
+            "[kernels]\ncoupling_width = 100",
+            lambda assets: gaussian_kernel("coupling", default_grid(), assets.momenta, 3.0, 100.0),
+            "coupling kernel profile has not decayed at r_max", id="width-undecayed",
+        ),
     ],
 )
 def test_config_and_sweep_setup_share_the_sweep_rules(
