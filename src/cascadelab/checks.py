@@ -247,6 +247,12 @@ def coefficient_checks(assets: Assets) -> list[dict]:
 
 
 def dynamics_checks(assets: Assets) -> list[dict]:
+    """Records of the limit cascade of ``assets`` and of the two-mode logistic oracle.
+
+    The cascade runs over (r, N), so the ``phase_equivariance`` runs differ
+    only in the rounding of |F(0)| and take the same steps: the record
+    measures that rounding and the phase readout, not the integrator.
+    """
     config = assets.config
     coeffs = assets.coeffs
     solver = assets.solver_options

@@ -23,7 +23,7 @@ from . import __version__
 from .checks import run_all_checks
 from .config import SimulationConfig, config_hash, emit_config, parse_config
 from .convergence import NOISE_FACTOR, eta_sweep
-from .dynamics import invariant_verdicts
+from .dynamics import METHOD, invariant_verdicts
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import ensure_dir, fmt, write_csv, write_json
 from .kernels import FOURIER_CONVENTION
@@ -203,7 +203,14 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
 
 
 def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
-    report = eta_sweep(Assets(config).sweep)
+    setup = Assets(config).sweep
+    report = eta_sweep(setup)
+    solver = setup.solver
+    # the sweep's settings and integrator, next to what each eta cost
+    meta = dict(
+        t_final=float(setup.t_final), n_samples=solver.n_samples, rtol=solver.rtol,
+        atol=solver.atol, modes=setup.basis.size, prelimit_method=METHOD, **report.meta
+    )
     write_json(
         f"{out_dir}/convergence.json",
         {
@@ -216,7 +223,7 @@ def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
             "monotone_within_noise": report.monotone_within_noise,
             "strictly_decreasing": report.strictly_decreasing,
             "noise_factor": NOISE_FACTOR,
-            "meta": report.meta,
+            "meta": meta,
             "provenance": _provenance(config),
         },
     )

@@ -20,9 +20,10 @@ suite pit these routes against the assembled coefficients.
 
 The limit matrix and the prelimit tensor are each read off a table over
 the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
-pass, then the Hartree pairings and the branch sums of every cell as
-matrix products; the branch sums are computed for the cells j <= j'
-alone, whose conjugates give the other order exactly.  The limit
+pass over the two kernel profiles and the mode products, then the
+Hartree pairings and the branch sums of every cell as matrix products;
+the branch sums are computed for the cells j <= j' alone, whose
+conjugates give the other order exactly.  The limit
 generator (``CoefficientSet``) keeps the resonant cells at eps = 0, the
 golden-rule rates included (the on-shell part of the exchange cells);
 the tensor (``PrelimitTensor``) is a value of its own, every cell at
@@ -446,10 +447,10 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     return CoefficientSet(gamma * (1.0 - np.eye(size)), zeros, zeros, zeros, zeros)
 
 
-def _triangle_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
-    """Transforms of the K(K+1)/2 products chi_k chi_k' with k <= k', in np.triu_indices order."""
+def _triangle_products(basis: EigenBasis) -> np.ndarray:
+    """The K(K+1)/2 products chi_k chi_k' with k <= k', in np.triu_indices order."""
     rows, cols = np.triu_indices(basis.size)
-    return grid_transforms(basis.modes[rows] * basis.modes[cols], basis.grid, momenta)
+    return basis.modes[rows] * basis.modes[cols]
 
 
 def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
@@ -457,7 +458,7 @@ def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray
 
     One transform pass over the K(K+1)/2 products chi_k chi_k' with k <= k'.
     """
-    return _triangle_transforms(basis, momenta)[_pair_index(basis.size)]
+    return grid_transforms(_triangle_products(basis), basis.grid, momenta)[_pair_index(basis.size)]
 
 
 def _pair_index(size: int) -> np.ndarray:
@@ -518,9 +519,10 @@ def _pairing_table(
 ) -> _PairingTable:
     """One transform pass and one matrix product shared by every cell of an assembly.
 
-    Both kernels must sit on the basis's radial grid and share one momentum
-    grid, which every transform and branch sum reads; grids that differ in
-    value are rejected, not read off one kernel.
+    The pass covers the coupling profile, the pair profile and the mode
+    products at once.  Both kernels must sit on the basis's radial grid and
+    share one momentum grid, which every transform and branch sum reads;
+    grids that differ in value are rejected, not read off one kernel.
     """
     if coupling.role != "coupling" or pair.role != "pair":
         raise ValidationError("expected a coupling kernel and a pair-interaction kernel")
@@ -528,13 +530,15 @@ def _pairing_table(
         raise ValidationError("kernels and basis are on different grids")
     momenta = coupling.momenta
     momenta.require_covers(float(basis.energies[-1] - basis.energies[0]))
-    phat = _triangle_transforms(basis, momenta)
-    weights = DENSITY_PREFACTOR * momenta.nodes**2 * pair.transform * momenta.weights
+    profiles = np.vstack([coupling.profile, pair.profile, _triangle_products(basis)])
+    hats = grid_transforms(profiles, basis.grid, momenta)
+    coupling_hat, pair_hat, phat = hats[0], hats[1], hats[2:]
+    weights = DENSITY_PREFACTOR * momenta.nodes**2 * pair_hat * momenta.weights
     return _PairingTable(
         basis=basis,
         momenta=momenta,
         index=_pair_index(basis.size),
-        ghat=coupling.transform * phat,
+        ghat=coupling_hat * phat,
         hartree=(phat * weights) @ phat.T,
     )
 

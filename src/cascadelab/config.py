@@ -30,7 +30,7 @@ from .convergence import validate_sweep
 from .dynamics import SolverOptions
 from .errors import ConfigError, ValidationError
 from .grids import COVER_FACTOR, MomentumGrid, RadialGrid
-from .kernels import decayed_profile, gaussian_profile
+from .kernels import InteractionKernel, gaussian_kernel
 from .spectrum import Potential, validate_mode_count
 
 
@@ -173,6 +173,12 @@ class SimulationConfig:
             return Potential.tabulated(grid, _read_tabulated(t.file, grid))
         return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
 
+    def kernel(self, role: str, grid: RadialGrid, momenta: MomentumGrid) -> InteractionKernel:
+        """The configured ``coupling`` or ``pair`` Gaussian kernel; building it computes nothing."""
+        k = self.kernels
+        amplitude, width = getattr(k, f"{role}_amplitude"), getattr(k, f"{role}_width")
+        return gaussian_kernel(role, grid, momenta, amplitude, width)
+
     def coefficient_preset(self) -> float | None:
         """None for trap-derived coefficients, else the synthetic rate."""
         text = self.dynamics.coefficient_preset.strip().lower()
@@ -188,21 +194,19 @@ class SimulationConfig:
     # ------------------------------------------------------------------
 
     def validate(self) -> "SimulationConfig":
-        """Check every input by building the cheap value that owns its rule; none is restated.
+        """Check every input by building the value that owns its rule; none is restated.
 
-        Only t_end, bec_horizon, bec_threshold and samples >= 2 have no owner; a trap table
-        is read, nothing is solved or transformed.
+        The kernels are built too.  Only t_end, bec_horizon, bec_threshold and samples >= 2
+        have no owner; a trap table is read, nothing is solved or transformed.
         """
-        t, k, d = self.trap, self.kernels, self.dynamics
+        t, d = self.trap, self.dynamics
         grid = RadialGrid(t.r_max, t.n_points)
         grid.coarsened()
         self.potential(grid)
         validate_mode_count(t.modes, grid)
-        MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
-        decayed_profile(
-            "coupling", gaussian_profile("coupling", grid, k.coupling_amplitude, k.coupling_width)
-        )
-        decayed_profile("pair", gaussian_profile("pair", grid, k.pair_amplitude, k.pair_width))
+        momenta = MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
+        for role in ("coupling", "pair"):
+            self.kernel(role, grid, momenta)
         for name in ("t_end", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:
                 raise ValidationError(f"dynamics {name} must be positive and finite")

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .coeffs import assemble_limit_matrix, assemble_prelimit_tensor
-from .dynamics import METHOD, SolverOptions, Trajectory, integrate_limit, integrate_prelimit
+from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
 from .kernels import InteractionKernel
 from .spectrum import EigenBasis
@@ -51,7 +51,12 @@ NOISE_FACTOR = 1.2
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-eta distances of one sweep; its two verdicts read ``sup_distances``."""
+    """Per-eta distances of one sweep; its two verdicts read ``sup_distances``.
+
+    ``meta`` holds only what the solves produced, per eta: ``prelimit_nfev``
+    and ``prelimit_max_step``.  The settings they ran under stay with the
+    ``SweepSetup``.
+    """
 
     etas: tuple
     sup_distances: tuple
@@ -206,15 +211,8 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
         return sup, terminal, drift, float(distances[0]), traj.meta
 
     sups, terminals, drifts, starts, metas = zip(*map(measure, trajs))
+    # what each eta cost: RHS evaluations and the step cap it ran under
     meta = {
-        "t_final": float(setup.t_final),
-        "n_samples": solver.n_samples,
-        "rtol": solver.rtol,
-        "atol": solver.atol,
-        "modes": setup.basis.size,
-        # the prelimit integrator, and what each eta cost under it: RHS
-        # evaluations and the step cap it ran under
-        "prelimit_method": METHOD,
         "prelimit_nfev": [m["nfev"] for m in metas],
         "prelimit_max_step": [m["max_step"] for m in metas],
     }

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: The solid angle of the sphere: the angular integral of every radial quadrature.
+FOUR_PI = 4.0 * np.pi
+
 #: The momentum cutoff must exceed the largest transition gap in use by
 #: this factor; the ``auto`` cutoff of a config is this factor times it, plus 8.
 COVER_FACTOR = 4.0

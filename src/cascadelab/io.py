@@ -16,22 +16,18 @@ import numpy as np
 from .errors import ValidationError
 
 
-def fmt(value) -> str:
-    """Render a number for CSV output (17 significant digits)."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.16e}"
-
-
 def _spec(value) -> str:
-    """The %-format that renders ``value`` as ``fmt`` does."""
+    """The %-format that renders ``value``: 17 significant digits for a float."""
     if isinstance(value, (int, np.integer)):
         return "%d"
     if isinstance(value, str):
         return "%s"
     return "%.16e"
+
+
+def fmt(value) -> str:
+    """Render a number for CSV output (17 significant digits)."""
+    return _spec(value) % value
 
 
 def to_jsonable(obj):
@@ -64,7 +60,7 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
-    """Rows rendered by ``fmt``, each with one %-template built from its values' types."""
+    """Rows rendered as ``fmt`` renders, each with one %-template built from its values' types."""
     templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in comments:

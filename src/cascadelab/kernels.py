@@ -14,7 +14,9 @@ The same trapezoid sum has two evaluation routes.  On a full
 MomentumGrid, rho_l r_i = l*i*theta with theta = h_rho*h_r, so the sum
 is a chirp z-transform (Rabiner, Schafer & Rader 1969) and
 ``grid_transforms`` computes it as one FFT convolution (Bluestein); every
-coefficient assembly runs on it.  At explicit points
+coefficient assembly runs on it, in one pass over both kernel profiles
+and the mode products.  An ``InteractionKernel`` holds only its profile
+and grids, so building one transforms nothing.  At explicit points
 ``transform_profiles`` sums the dense sinc quadrature: the oracle of the
 FFT route, and the transform of the single-point on-shell rates
 (``coeffs.gamma_fgr``) that check the assembled ones.
@@ -22,15 +24,14 @@ FFT route, and the transform of the single-point on-shell rates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ValidationError
-from .grids import MomentumGrid, RadialGrid
-
-FOUR_PI = 4.0 * np.pi
+from .grids import FOUR_PI, MomentumGrid, RadialGrid
 
 #: The Fourier convention of every transform, as written into output provenance.
 FOURIER_CONVENTION = "forward e^{-ix.xi}, inverse (2pi)^{-3}"
@@ -170,45 +171,37 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
 
 @dataclass(frozen=True)
 class InteractionKernel:
-    """A radial two-body kernel together with its cached transform.
+    """A radial two-body kernel: its role, its grids and its sampled profile.
 
     ``role`` distinguishes the photon-coupling kernel from the classical
-    pair interaction.  The sampled profile is the kernel: the parameters
-    that built it (a Gaussian's amplitude and width) stay with the config.
-    Construction rejects a kernel that has not decayed at the box wall,
-    since its transform would be unreliable.
+    pair interaction.  The profile is the kernel; the parameters that built
+    it (a Gaussian's amplitude and width) stay with the config.  Building
+    one computes nothing and rejects a profile that is not finite, not on
+    the radial grid or not decayed at the box wall (a zero profile has).
+    Assemblies transform the profile with the mode products; ``transform``
+    is the kernel's own pass, computed on first read.
     """
 
     role: str  # "coupling" or "pair"
     grid: RadialGrid
     profile: np.ndarray
     momenta: MomentumGrid
-    transform: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.role not in ("coupling", "pair"):
             raise ValidationError(f"unknown kernel role {self.role!r}")
-        profile = decayed_profile(self.role, self.profile)
-        if not np.any(profile):
-            object.__setattr__(self, "transform", np.zeros(self.momenta.n_rho))
-            return
-        object.__setattr__(
-            self, "transform", grid_transforms(profile, self.grid, self.momenta)[0]
-        )
+        profile = np.asarray(self.profile, dtype=float)
+        if not np.all(np.isfinite(profile)):
+            raise ValidationError(f"{self.role} kernel profile contains non-finite values")
+        if profile.shape != (self.grid.n_points,):
+            raise ValidationError("profile does not match the radial grid")
+        if abs(profile[-1]) > 1e-10 * np.max(np.abs(profile)):
+            raise ValidationError(f"{self.role} kernel profile has not decayed at r_max")
 
-
-def decayed_profile(role: str, profile: np.ndarray) -> np.ndarray:
-    """``profile`` as floats, once it is finite and has decayed at r_max (a zero one has).
-
-    The rule of every ``InteractionKernel``; config validation applies it
-    without building the kernel's transform.
-    """
-    profile = np.asarray(profile, dtype=float)
-    if not np.all(np.isfinite(profile)):
-        raise ValidationError(f"{role} kernel profile contains non-finite values")
-    if abs(profile[-1]) > 1e-10 * np.max(np.abs(profile)):
-        raise ValidationError(f"{role} kernel profile has not decayed at r_max")
-    return profile
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """The radial transform of the profile on every node of ``momenta``."""
+        return grid_transforms(self.profile, self.grid, self.momenta)[0]
 
 
 def gaussian_kernel(
@@ -218,21 +211,16 @@ def gaussian_kernel(
     amplitude: float,
     width: float,
 ) -> InteractionKernel:
-    """Gaussian kernel A * exp(-r^2 / (2 sigma^2)).
+    """Gaussian kernel A * exp(-r^2 / (2 sigma^2)); amplitude finite, width positive and finite.
 
     Satisfies every regularity condition used by the coefficient bounds
     (smooth, even, all weighted norms finite) and has the closed-form
     transform A * (2 pi sigma^2)^{3/2} * exp(-sigma^2 rho^2 / 2) used by
     the quadrature oracles.
     """
-    profile = gaussian_profile(role, grid, amplitude, width)
-    return InteractionKernel(role=role, grid=grid, profile=profile, momenta=momenta)
-
-
-def gaussian_profile(role: str, grid: RadialGrid, amplitude: float, width: float) -> np.ndarray:
-    """The profile of ``gaussian_kernel``; amplitude finite, width positive and finite."""
     if not np.isfinite(amplitude):
         raise ValidationError(f"{role} kernel amplitude must be finite, got {amplitude}")
     if not 0 < width < np.inf:
         raise ValidationError(f"{role} kernel width must be positive and finite, got {width}")
-    return amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))
+    profile = amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))
+    return InteractionKernel(role=role, grid=grid, profile=profile, momenta=momenta)

@@ -17,7 +17,7 @@ from .config import SimulationConfig
 from .convergence import SweepSetup
 from .dynamics import SolverOptions, diagnostics, integrate_limit
 from .grids import MomentumGrid, RadialGrid
-from .kernels import InteractionKernel, gaussian_kernel
+from .kernels import InteractionKernel
 from .spectrum import EigenBasis, Potential, solve_radial_eigenpairs
 
 
@@ -46,13 +46,8 @@ class Assets:
         return MomentumGrid(self.config.rho_max_value(max_gap), self.config.momentum.n_rho)
 
     def kernel(self, role: str, momenta: MomentumGrid) -> InteractionKernel:
-        """The configured ``coupling`` or ``pair`` kernel on a given momentum grid."""
-        k = self.config.kernels
-        amplitude, width = {
-            "coupling": (k.coupling_amplitude, k.coupling_width),
-            "pair": (k.pair_amplitude, k.pair_width),
-        }[role]
-        return gaussian_kernel(role, self.grid, momenta, amplitude, width)
+        """The configured ``coupling`` or ``pair`` kernel on the trap's grid and ``momenta``."""
+        return self.config.kernel(role, self.grid, momenta)
 
     @cached_property
     def coupling(self) -> InteractionKernel:

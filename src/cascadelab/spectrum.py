@@ -21,9 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
-from .grids import RadialGrid
-
-FOUR_PI = 4.0 * np.pi
+from .grids import FOUR_PI, RadialGrid
 
 #: Modes must have decayed to this fraction of their peak at the wall,
 #: otherwise the box is too small (or the potential is not confining).

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from cascadelab.checks import coefficient_checks
-from cascadelab.config import parse_config
+from cascadelab.config import SimulationConfig, parse_config
 from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
@@ -395,6 +396,42 @@ def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch
     gaps.clear()
     assemble_prelimit_tensor(basis, w, v, 0.1)
     assert len(gaps) == calls
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The profile counts of every ``grid_transforms`` call, wherever the package binds it."""
+    import cascadelab.kernels as kernels_module
+
+    original = kernels_module.grid_transforms
+    calls = []
+
+    def counted(profiles, grid, momenta):
+        calls.append(len(np.atleast_2d(profiles)))
+        return original(profiles, grid, momenta)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cascadelab") and getattr(module, "grid_transforms", None) is original:
+            monkeypatch.setattr(module, "grid_transforms", counted)
+    return calls
+
+
+def test_kernels_transform_nothing_and_each_assembly_makes_one_pass(sweep_assets, transform_calls):
+    """Building a kernel computes nothing.  Each assembly transforms the coupling
+    profile, the pair profile and the K(K+1)/2 mode products in one pass."""
+    basis, grid, momenta = sweep_assets.basis, sweep_assets.grid, sweep_assets.momenta
+    coupling = gaussian_kernel("coupling", grid, momenta, 1.0, 1.0)
+    pair = gaussian_kernel("pair", grid, momenta, 1.0, 1.0)
+    assert transform_calls == []
+    assemble_prelimit_tensor(basis, coupling, pair, 0.1)
+    assert transform_calls == [2 + basis.size * (basis.size + 1) // 2]
+    transform_calls.clear()
+    Assets(SimulationConfig.convergence()).coeffs
+    assert transform_calls == [2 + basis.size * (basis.size + 1) // 2]
+    transform_calls.clear()
+    # a kernel's own transform is computed on first read, once
+    assert coupling.transform is coupling.transform
+    assert transform_calls == [1]
 
 
 def test_limit_matrix_fgr_entries_match_operation(default_assets):

@@ -7,6 +7,7 @@ from scipy.fft import next_fast_len
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import (
+    InteractionKernel,
     _next_fast_len,
     gaussian_kernel,
     grid_transforms,
@@ -80,6 +81,13 @@ def test_kernel_must_decay(momenta):
         gaussian_kernel("coupling", grid, momenta, amplitude=1.0, width=5.0)
 
 
+def test_kernel_profile_must_match_its_grid(grid, momenta):
+    """The length check happens when the kernel is built, not when it is transformed."""
+    short = np.exp(-RadialGrid(grid.r_max, grid.n_points - 1).nodes ** 2)
+    with pytest.raises(ValidationError, match="does not match"):
+        InteractionKernel("pair", grid, short, momenta)
+
+
 def test_transform_at_matches_grid_nodes(grid, momenta):
     kernel = gaussian_kernel("pair", grid, momenta, amplitude=1.0, width=1.0)
     sample = transform_profiles(kernel.profile, grid, momenta.nodes[100:103])[0]
@@ -149,6 +157,20 @@ def test_grid_transforms_match_dense_on_doubled_grid(default_assets):
     fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
     profiles = shipped_profiles(default_assets)
     assert np.max(route_gap(profiles, default_assets.grid, fine)) <= ROUTE_AGREEMENT
+
+
+@pytest.mark.parametrize("preset", ["default_assets", "sweep_assets"])
+def test_stacked_rows_transform_as_single_rows(preset, request):
+    """A row's transform does not depend on the rows stacked with it, bit for bit.
+
+    An assembly transforms both kernels with the mode products; a kernel's
+    own ``transform`` and ``mode_pair_transforms`` must read the same values.
+    """
+    assets = request.getfixturevalue(preset)
+    profiles = shipped_profiles(assets)
+    stacked = grid_transforms(profiles, assets.grid, assets.momenta)
+    for row, hat in zip(profiles, stacked):
+        assert np.array_equal(grid_transforms(row, assets.grid, assets.momenta)[0], hat)
 
 
 @settings(max_examples=60, deadline=None)
