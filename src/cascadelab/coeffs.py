@@ -539,7 +539,8 @@ def _pairing_table(
         momenta=momenta,
         index=_pair_index(basis.size),
         ghat=coupling_hat * phat,
-        hartree=(phat * weights) @ phat.T,
+        # numpy's own summation loop: a BLAS product rounds by how many threads share it
+        hartree=np.einsum("pn,qn->pq", phat * weights, phat),
     )
 
 

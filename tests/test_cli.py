@@ -341,25 +341,38 @@ def test_coeffs_command_and_determinism(tmp_path):
 
 
 def test_coeffs_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``coeffs`` on default.cfg writes the same bytes with one and with two OpenBLAS threads.
+    """The outputs are the same bytes at one and at two OpenBLAS threads.
 
-    Every branch sum comes from one complex product over all cells, whose
-    tiling OpenBLAS chooses by its thread count.  The count is read when
-    numpy loads, so each run gets a fresh interpreter.
+    The runs are ``coeffs`` on default.cfg, and ``coeffs``, ``evolve`` and
+    ``converge`` on it with eight modes.  There the 36 x 36 mean-field
+    table, formed as a BLAS product, moved ``hartree_direct`` by 1.7e-18
+    between the two thread counts.  The count is read when numpy loads, so
+    each run gets a fresh interpreter.
     """
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "cascadelab.cli", "coeffs"]
-            + ["--config", str(CONFIGS / "default.cfg"), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
-            check=True,
-            timeout=120,
-        )
-        outs.append(out)
-    for name in ("coefficients.json", "limit_matrix.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    default = CONFIGS / "default.cfg"
+    eight = tmp_path / "eight_modes.cfg"
+    eight.write_text(default.read_text().replace("modes = 6\n", "modes = 8\n"))
+    runs = [
+        ("coeffs", default, ("coefficients.json", "limit_matrix.csv")),
+        ("coeffs", eight, ("coefficients.json", "limit_matrix.csv")),
+        ("evolve", eight, ("trajectory.csv", "diagnostics.json")),
+        ("converge", eight, ("convergence.json", "convergence.csv")),
+    ]
+    for command, config, names in runs:
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{config.stem}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "cascadelab.cli", command]
+                + ["--config", str(config), "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+                check=True,
+                timeout=120,
+            )
+            outs.append(out)
+        for name in names:
+            same = (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            assert same, (command, config.stem, name)
 
 
 SMALL_SWEEP_CFG = (
