@@ -60,7 +60,7 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
-    """Rows rendered as ``fmt`` renders, each with one %-template built from its values' types."""
+    """Rows rendered by ``fmt``, each with one %-template built from its values' types."""
     templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in comments:
