@@ -7,11 +7,12 @@ modes, T0 = 1), which is what the monotone-decrease and factor-two
 claims refer to; everything else follows the supplied configuration.
 
 The convergence block runs that sweep twice, independently, to certify
-that it reproduces.  All prelimit solves of both runs start first, on one
-pool of forked workers, smallest eta first across the runs; the
-spectrum, coefficient and dynamics blocks run in this process while they
-do, and the convergence block then integrates each run's limit
-trajectory and collects its solves.
+that it reproduces: each run builds its own basis and pairing table.
+All prelimit solves of both runs start first, on one pool of forked
+workers, smallest eta first across the runs; the spectrum, coefficient
+and dynamics blocks run in this process while they do, and the
+convergence block then integrates each run's limit trajectory and
+collects its solves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .coeffs import (
     branch_sum,
     cauchy_transform,
     gamma_fgr,
-    mode_pair_transforms,
+    pairing_table,
     spectral_density,
     two_mode_coefficients,
 )
@@ -125,13 +126,13 @@ def spectrum_checks(assets: Assets) -> list[dict]:
 
 
 def coefficient_checks(assets: Assets) -> list[dict]:
-    basis, coupling, pair = assets.basis, assets.coupling, assets.pair
-    momenta = coupling.momenta
+    basis, coupling, pair, table = assets.basis, assets.coupling, assets.pair, assets.table
+    momenta = table.momenta
     if assets.config.coefficient_preset() is None:
         coeffs = assets.coeffs
     else:
         # synthetic presets bypass the trap pipeline; check the real one
-        coeffs = assemble_limit_matrix(basis, coupling, pair)
+        coeffs = assemble_limit_matrix(table)
     checks = []
 
     defects = coeffs.symmetry_defects()
@@ -152,12 +153,13 @@ def coefficient_checks(assets: Assets) -> list[dict]:
         _record("independent_recomputation", agreement, 1e-10, detail="max |Im M - Im M^T|")
     )
 
-    # the transforms are symmetric in (k, k'): one density per unordered pair serves both orders
-    ghat = coupling.transform * mode_pair_transforms(basis, momenta)
+    # the table's rows are the unordered pairs: one density per pair serves both orders
+    ghat, index = table.ghat, table.index
     density = {}
     for k in range(basis.size):
         for kp in range(k, basis.size):
-            density[k, kp] = density[kp, k] = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
+            row = ghat[index[k, kp]]
+            density[k, kp] = density[kp, k] = spectral_density(row, row, momenta)
 
     # the production rates against the single-point on-shell quadrature and
     # the scalar eps = 0 resolvent route
@@ -183,7 +185,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
             produced.append(coeffs.lamb_exchange[k, kp])
             scalar.append(branch_sum(density[k, kp], mu, 0.0).real)
             if k != kp:
-                a = spectral_density(ghat[k, k], ghat[kp, kp], momenta)
+                a = spectral_density(ghat[index[k, k]], ghat[index[kp, kp]], momenta)
                 produced.append(coeffs.lamb_direct[k, kp])
                 scalar.append(branch_sum(a, 0.0, 0.0).real)
     produced = np.array(produced)
@@ -225,9 +227,7 @@ def coefficient_checks(assets: Assets) -> list[dict]:
     )
 
     fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
-    refined = assemble_limit_matrix(
-        basis, assets.kernel("coupling", fine), assets.kernel("pair", fine)
-    )
+    refined = assemble_limit_matrix(pairing_table(basis, coupling, pair, fine))
     rows = np.sum(np.abs(coeffs.limit_matrix), axis=1)
     rows_fine = np.sum(np.abs(refined.limit_matrix), axis=1)
     checks.append(
@@ -369,9 +369,10 @@ def run_all_checks(config: SimulationConfig) -> dict:
     are CPUs for them, and the other blocks run here meanwhile.
     """
     assets = Assets(config)
-    # the canonical sweep: natural-unit anharmonic trap, four modes
-    sweep = Assets(SimulationConfig.convergence()).sweep
-    with sweep_runs([sweep, sweep]) as (first, second):
+    # the canonical sweep (natural-unit anharmonic trap, four modes), built twice
+    # from the config up, so the repeat also redoes its eigensolve and table
+    runs = [Assets(SimulationConfig.convergence()).sweep for _ in range(2)]
+    with sweep_runs(runs) as (first, second):
         blocks = {
             "spectrum": spectrum_checks(assets),
             "coefficients": coefficient_checks(assets),

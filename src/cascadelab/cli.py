@@ -101,7 +101,7 @@ def _assembly(assets: Assets) -> dict:
     gamma = assets.config.coefficient_preset()
     if gamma is not None:
         return {"synthetic": "uniform-rate preset", "gamma": gamma}
-    t, k, momenta = assets.config.trap, assets.config.kernels, assets.momenta
+    t, k, momenta = assets.config.trap, assets.config.kernels, assets.table.momenta
     return {
         "n_points": t.n_points,
         "r_max": t.r_max,
@@ -209,7 +209,7 @@ def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
     # the sweep's settings and integrator, next to what each eta cost
     meta = dict(
         t_final=float(setup.t_final), n_samples=solver.n_samples, rtol=solver.rtol,
-        atol=solver.atol, modes=setup.basis.size, prelimit_method=METHOD, **report.meta
+        atol=solver.atol, modes=setup.table.basis.size, prelimit_method=METHOD, **report.meta
     )
     write_json(
         f"{out_dir}/convergence.json",

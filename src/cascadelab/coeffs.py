@@ -18,15 +18,18 @@ on-shell rate from a fresh single-point quadrature at the resonance
 frequency, sharing no transform with the assembly.  Tests and the check
 suite pit these routes against the assembled coefficients.
 
-The limit matrix and the prelimit tensor are each read off a table over
-the K(K+1)/2 mode products chi_k chi_k' (k <= k'): one radial transform
-pass over the two kernel profiles and the mode products, then the
-Hartree pairings and the branch sums of every cell as matrix products;
-the branch sums are computed for the cells j <= j' alone, whose
-conjugates give the other order exactly.  The limit
-generator (``CoefficientSet``) keeps the resonant cells at eps = 0, the
-golden-rule rates included (the on-shell part of the exchange cells);
-the tensor (``PrelimitTensor``) is a value of its own, every cell at
+The limit matrix and every prelimit tensor are read off one table over
+the K(K+1)/2 mode products chi_k chi_k' (k <= k'), a ``PairingTable``
+that ``pairing_table`` builds once per basis and momentum grid: one
+radial transform pass over the two kernel profiles and the mode
+products, then the Hartree pairings as one matrix product.  The table
+owns the momentum grid.  Only its branch sums (``PairingTable.cell_sums``)
+depend on eps; they are computed for the cells j <= j' alone, whose
+conjugates give the other order exactly.  The limit generator
+(``CoefficientSet``, ``assemble_limit_matrix``) keeps the resonant cells
+at eps = 0, the golden-rule rates included (the on-shell part of the
+exchange cells); the tensor (``PrelimitTensor``,
+``assemble_prelimit_tensor``) is a value of its own, every cell at
 eps = eta^2, and carries no limit part.
 
 Convention note: the limit coefficients are the eps -> 0 limits of the
@@ -314,22 +317,17 @@ def gamma_fgr(
 
     Evaluates the spectral density of w*(chi_k chi_k') exactly at the
     resonance frequency |E_k - E_k'| via fresh single-point quadrature of
-    the radial transforms (dense sinc, no grid interpolation).  It shares
-    no transform with the assembly, which reads the rates off its eps = 0
-    cells, and serves as their independent oracle (``check``'s
-    ``dual_route_fgr``).  Returns exactly 0 for k = k', where emission and
-    absorption cancel.
+    the radial transforms (dense sinc, no grid interpolation, so no
+    momentum grid and any gap).  It shares no transform with the assembly,
+    which reads the rates off its eps = 0 cells, and serves as their
+    independent oracle (``check``'s ``dual_route_fgr``).  Returns exactly 0
+    for k = k', where emission and absorption cancel.
     """
     if not (0 <= k < basis.size and 0 <= kp < basis.size):
         raise ValidationError(f"mode indices ({k}, {kp}) out of range")
     if k == kp:
         return 0.0
     gap = abs(float(basis.energies[k] - basis.energies[kp]))
-    if gap >= coupling.momenta.rho_max:
-        raise ValidationError(
-            f"transition gap {gap} lies beyond the momentum cutoff "
-            f"{coupling.momenta.rho_max}"
-        )
     rho = np.array([gap])
     product_hat = transform_profiles(mode_product(basis, k, kp), basis.grid, rho)[0, 0]
     g_hat = transform_profiles(coupling.profile, coupling.grid, rho)[0, 0] * product_hat
@@ -447,45 +445,32 @@ def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
     return CoefficientSet(gamma * (1.0 - np.eye(size)), zeros, zeros, zeros, zeros)
 
 
-def _triangle_products(basis: EigenBasis) -> np.ndarray:
-    """The K(K+1)/2 products chi_k chi_k' with k <= k', in np.triu_indices order."""
-    rows, cols = np.triu_indices(basis.size)
-    return basis.modes[rows] * basis.modes[cols]
-
-
-def mode_pair_transforms(basis: EigenBasis, momenta: MomentumGrid) -> np.ndarray:
-    """Transforms of all mode products, indexed [k, kp, :] (symmetric).
-
-    One transform pass over the K(K+1)/2 products chi_k chi_k' with k <= k'.
-    """
-    return grid_transforms(_triangle_products(basis), basis.grid, momenta)[_pair_index(basis.size)]
-
-
-def _pair_index(size: int) -> np.ndarray:
-    """Row of the unordered pair {k, k'} in the upper-triangle order of np.triu_indices."""
-    rows, cols = np.triu_indices(size)
-    index = np.empty((size, size), dtype=int)
-    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
-    return index
-
-
 @dataclass(frozen=True)
-class _PairingTable:
+class PairingTable:
     """Pairings of the mode products chi_k chi_k', one row per pair k <= k'.
 
-    ``index[k, kp]`` is the row of the pair {k, kp}, ``ghat[p]`` the
-    coupling-smoothed transform of row p and ``hartree[p, q]`` the
-    mean-field pairing of rows p and q.  A cell (p; j, jp) pairs row p
-    with the ordered pair (j, jp); its branch sum sits at the gap
-    mu = E_j - E_jp, so the two orders of a pair put the pole on opposite
-    sides of the origin.
+    Rows follow np.triu_indices order.  ``momenta`` is the grid of every
+    transform and branch sum, ``ghat[p]`` the coupling-smoothed transform
+    of row p and ``hartree[p, q]`` the mean-field pairing of rows p and q.
+    A cell (p; j, jp) pairs row p with the ordered pair (j, jp); its branch
+    sum sits at the gap mu = E_j - E_jp, so the two orders of a pair put
+    the pole on opposite sides of the origin.  Nothing here depends on eps:
+    the limit matrix and every eta's tensor read the same table.
     """
 
     basis: EigenBasis
     momenta: MomentumGrid
-    index: np.ndarray
     ghat: np.ndarray
     hartree: np.ndarray
+
+    @property
+    def index(self) -> np.ndarray:
+        """``index[k, kp]``, the row of the pair {k, kp}."""
+        size = self.basis.size
+        rows, cols = np.triu_indices(size)
+        index = np.empty((size, size), dtype=int)
+        index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+        return index
 
     def cell_sums(self, eps: float) -> np.ndarray:
         """Branch sums of every cell (p; j, jp), shape (P, K, K), at eps >= 0.
@@ -508,36 +493,37 @@ class _PairingTable:
             weights = zero_gap if j == jp else branch_weights(momenta, gap, eps)
             np.multiply(scale * self.ghat[c], weights, out=block[c])
         upper = self.ghat @ block.T
-        out = np.empty((len(self.ghat), *self.index.shape), dtype=complex)
+        out = np.empty((len(self.ghat), self.basis.size, self.basis.size), dtype=complex)
         out[:, cols, rows] = np.conj(upper)
         out[:, rows, cols] = upper  # last, so the zero-gap cells keep the product itself
         return out
 
 
-def _pairing_table(
-    basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
-) -> _PairingTable:
-    """One transform pass and one matrix product shared by every cell of an assembly.
+def pairing_table(
+    basis: EigenBasis,
+    coupling: InteractionKernel,
+    pair: InteractionKernel,
+    momenta: MomentumGrid,
+) -> PairingTable:
+    """The pairing table of ``basis`` on ``momenta``: one transform pass and one matrix product.
 
     The pass covers the coupling profile, the pair profile and the mode
-    products at once.  Both kernels must sit on the basis's radial grid and
-    share one momentum grid, which every transform and branch sum reads;
-    grids that differ in value are rejected, not read off one kernel.
+    products at once.  Both kernels must sit on the basis's radial grid,
+    and ``momenta`` must cover the largest gap of the basis.
     """
     if coupling.role != "coupling" or pair.role != "pair":
         raise ValidationError("expected a coupling kernel and a pair-interaction kernel")
-    if not (coupling.grid == pair.grid == basis.grid and pair.momenta == coupling.momenta):
+    if not coupling.grid == pair.grid == basis.grid:
         raise ValidationError("kernels and basis are on different grids")
-    momenta = coupling.momenta
     momenta.require_covers(float(basis.energies[-1] - basis.energies[0]))
-    profiles = np.vstack([coupling.profile, pair.profile, _triangle_products(basis)])
+    rows, cols = np.triu_indices(basis.size)
+    profiles = np.vstack([coupling.profile, pair.profile, basis.modes[rows] * basis.modes[cols]])
     hats = grid_transforms(profiles, basis.grid, momenta)
     coupling_hat, pair_hat, phat = hats[0], hats[1], hats[2:]
     weights = DENSITY_PREFACTOR * momenta.nodes**2 * pair_hat * momenta.weights
-    return _PairingTable(
+    return PairingTable(
         basis=basis,
         momenta=momenta,
-        index=_pair_index(basis.size),
         ghat=coupling_hat * phat,
         # numpy's own summation loop: a BLAS product rounds by how many threads share it
         hartree=np.einsum("pn,qn->pq", phat * weights, phat),
@@ -546,11 +532,7 @@ def _pairing_table(
 
 # An overflowing assembly fails its non-finite check; numpy need not warn first.
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_limit_matrix(
-    basis: EigenBasis,
-    coupling: InteractionKernel,
-    pair: InteractionKernel,
-) -> CoefficientSet:
+def assemble_limit_matrix(table: PairingTable) -> CoefficientSet:
     """Assemble the limit transition matrix from the resonant quadruples at eps = 0.
 
     The exchange cells (k,k';k,k') give the Hartree and Lamb terms of
@@ -560,7 +542,7 @@ def assemble_limit_matrix(
     pair's rate is read once, as the magnitude of its k < k' cell, and
     mirrored, so ``fgr`` is symmetric, non-negative and zero on the
     diagonal by construction.  The (k',k) exchange cell is the exact
-    conjugate of the (k,k') one (``_PairingTable.cell_sums``), so the
+    conjugate of the (k,k') one (``PairingTable.cell_sums``), so the
     exchange Lamb and Hartree terms are symmetric by construction too.
     Im M, symmetric in exact arithmetic, still cross-checks the rest:
     max |Im M - Im M^T| compares the direct cells (k,k;k',k') and
@@ -568,9 +550,8 @@ def assemble_limit_matrix(
     mean-field table; it is a rounding gap unless a cell is read at the
     wrong index.
     """
-    table = _pairing_table(basis, coupling, pair)
     index = table.index
-    size = basis.size
+    size = table.basis.size
     sums = table.cell_sums(0.0)
     k, kp = np.indices((size, size))
 
@@ -592,13 +573,8 @@ def assemble_limit_matrix(
 
 # Quiet for the same reason as assemble_limit_matrix.
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_prelimit_tensor(
-    basis: EigenBasis,
-    coupling: InteractionKernel,
-    pair: InteractionKernel,
-    eta: float,
-) -> PrelimitTensor:
-    """The full quadruple tensor at regularization eps = eta^2, from its own pairing table.
+def assemble_prelimit_tensor(table: PairingTable, eta: float) -> PrelimitTensor:
+    """The full quadruple tensor at regularization eps = eta^2, read off ``table``.
 
     Entry (k,k';j,j') is -i (H - Re S) - Im S, with H the mean-field
     pairing of the pairs {k,k'} and {j,j'} and S the branch sum of the
@@ -610,13 +586,13 @@ def assemble_prelimit_tensor(
     """
     if not 0 < eta < np.inf:
         raise ValidationError(f"eta must be positive and finite, got {eta}")
-    size = basis.size
-    if size > TENSOR_MODE_CAP:
+    basis = table.basis
+    if basis.size > TENSOR_MODE_CAP:
         raise ValidationError(
-            f"{size} modes would need {size**4} tensor entries; cap is "
+            f"{basis.size} modes would need {basis.size**4} tensor entries; cap is "
             f"{TENSOR_MODE_CAP} modes"
         )
-    table = _pairing_table(basis, coupling, pair)
+    index = table.index
     sums = table.cell_sums(eta**2)
-    cells = -1j * (table.hartree[:, table.index] - sums.real) - sums.imag
-    return PrelimitTensor(eta, cells[table.index], basis.energies - basis.energies[0])
+    cells = -1j * (table.hartree[:, index] - sums.real) - sums.imag
+    return PrelimitTensor(eta, cells[index], basis.energies - basis.energies[0])

@@ -173,11 +173,11 @@ class SimulationConfig:
             return Potential.tabulated(grid, _read_tabulated(t.file, grid))
         return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
 
-    def kernel(self, role: str, grid: RadialGrid, momenta: MomentumGrid) -> InteractionKernel:
+    def kernel(self, role: str, grid: RadialGrid) -> InteractionKernel:
         """The configured ``coupling`` or ``pair`` Gaussian kernel; building it computes nothing."""
         k = self.kernels
         amplitude, width = getattr(k, f"{role}_amplitude"), getattr(k, f"{role}_width")
-        return gaussian_kernel(role, grid, momenta, amplitude, width)
+        return gaussian_kernel(role, grid, amplitude, width)
 
     def coefficient_preset(self) -> float | None:
         """None for trap-derived coefficients, else the synthetic rate."""
@@ -204,9 +204,9 @@ class SimulationConfig:
         grid.coarsened()
         self.potential(grid)
         validate_mode_count(t.modes, grid)
-        momenta = MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
+        MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
         for role in ("coupling", "pair"):
-            self.kernel(role, grid, momenta)
+            self.kernel(role, grid)
         for name in ("t_end", "bec_horizon", "bec_threshold"):
             if not 0 < getattr(d, name) < np.inf:
                 raise ValidationError(f"dynamics {name} must be positive and finite")

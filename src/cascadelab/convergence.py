@@ -6,20 +6,24 @@ the limit cascade started from the same initial data.  The theorem under
 test claims strong convergence on [0, T0] but no rate, so the report
 asserts monotone decrease of the sup distance, nothing more.
 
+A sweep reads one pairing table (``coeffs.PairingTable``), built before
+the sweep starts: each eta's tensor is that table's branch sums at
+eps = eta^2, and the limit matrix is the same table read at eps = 0.
 The prelimit solves are independent of each other, so ``sweep_runs``
 starts them on forked worker processes, min(number of solves, usable
 CPUs) of them, smallest eta (the costliest solve, ~ eta^-2) first, and
-yields one finisher per sweep.  The caller works in this process while
-they run; each finisher then integrates its sweep's limit trajectory and
-collects its solves.  Several sweeps share one pool: ``check`` starts both
-runs of the canonical sweep before its other blocks.  ``eta_sweep(setup)``
-is the one-sweep case; ``pipeline.Assets.sweep`` builds the ``SweepSetup``
-of a configuration.  Forked workers start from this process's imported
-modules instead of importing them again.  With one usable CPU, or where
-the "fork" start method is missing, each finisher runs the same per-eta
-function here instead.  Each solve is deterministic and the results are
-collected in input order, so the report does not depend on which route
-ran it.
+yields one finisher per sweep.  Each worker receives the table with its
+setup and runs only the tensor's branch sums and the solve.  The caller
+works in this process while they run; each finisher then integrates its
+sweep's limit trajectory and collects its solves.  Several sweeps share
+one pool: ``check`` starts both runs of the canonical sweep before its
+other blocks.  ``eta_sweep(setup)`` is the one-sweep case;
+``pipeline.Assets.sweep`` builds the ``SweepSetup`` of a configuration.
+Forked workers start from this process's imported modules instead of
+importing them again.  With one usable CPU, or where the "fork" start
+method is missing, each finisher runs the same per-eta function here
+instead.  Each solve is deterministic and the results are collected in
+input order, so the report does not depend on which route ran it.
 """
 
 from __future__ import annotations
@@ -35,11 +39,9 @@ from functools import partial
 
 import numpy as np
 
-from .coeffs import assemble_limit_matrix, assemble_prelimit_tensor
+from .coeffs import PairingTable, assemble_limit_matrix, assemble_prelimit_tensor
 from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
-from .kernels import InteractionKernel
-from .spectrum import EigenBasis
 
 #: Fewest sample times on which a sup distance is measured.
 MIN_SWEEP_SAMPLES = 200
@@ -114,15 +116,14 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
 class SweepSetup:
     """The inputs of one eta sweep, validated on construction by ``validate_sweep``.
 
-    Each eta's tensor is evaluated at eps = eta^2.  ``solver`` sets the
+    Each eta's tensor is ``table`` read at eps = eta^2, and the limit
+    matrix is ``table`` read at eps = 0.  ``solver`` sets the
     tolerances and, in ``n_samples``, the evenly spaced sample times on
     [0, t_final] of every solve, on which each sup distance is measured.
     An empty eta list is a valid sweep with nothing to run.
     """
 
-    basis: EigenBasis
-    coupling: InteractionKernel
-    pair: InteractionKernel
+    table: PairingTable
     initial_state: np.ndarray
     t_final: float
     etas: tuple
@@ -134,8 +135,8 @@ class SweepSetup:
         validate_sweep(self.etas, self.t_final, self.solver.n_samples)
 
     def prelimit_run(self, eta: float) -> Trajectory:
-        """One eta of the sweep: assemble its tensor and integrate the prelimit system."""
-        tensor = assemble_prelimit_tensor(self.basis, self.coupling, self.pair, eta)
+        """One eta of the sweep: read its tensor off the table and integrate the prelimit system."""
+        tensor = assemble_prelimit_tensor(self.table, eta)
         return integrate_prelimit(tensor, self.initial_state, self.t_final, self.solver)
 
 
@@ -197,7 +198,7 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
     etas, initial_state, solver = setup.etas, setup.initial_state, setup.solver
     if len(etas) == 0:
         return ConvergenceReport((), (), (), (), 0.0)
-    limit_coeffs = assemble_limit_matrix(setup.basis, setup.coupling, setup.pair)
+    limit_coeffs = assemble_limit_matrix(setup.table)
     limit_traj = integrate_limit(limit_coeffs.limit_matrix, initial_state, setup.t_final, solver)
     # smallest eta first, as dispatched: its error is the one reported
     trajs = [solve() for solve in solves[::-1]][::-1]

@@ -13,10 +13,11 @@ uniform trapezoid rule superalgebraically accurate for decayed profiles.
 The same trapezoid sum has two evaluation routes.  On a full
 MomentumGrid, rho_l r_i = l*i*theta with theta = h_rho*h_r, so the sum
 is a chirp z-transform (Rabiner, Schafer & Rader 1969) and
-``grid_transforms`` computes it as one FFT convolution (Bluestein); every
-coefficient assembly runs on it, in one pass over both kernel profiles
-and the mode products.  An ``InteractionKernel`` holds only its profile
-and grids, so building one transforms nothing.  At explicit points
+``grid_transforms`` computes it as one FFT convolution (Bluestein).  Its
+one caller is ``coeffs.pairing_table``, which transforms both kernel
+profiles and the mode products in one pass.  An ``InteractionKernel``
+holds only its role, radial grid and profile; the momentum grid belongs to
+the pairing table, so building a kernel transforms nothing.  At explicit points
 ``transform_profiles`` sums the dense sinc quadrature: the oracle of the
 FFT route, and the transform of the single-point on-shell rates
 (``coeffs.gamma_fgr``) that check the assembled ones.
@@ -25,7 +26,6 @@ FFT route, and the transform of the single-point on-shell rates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -171,21 +171,19 @@ def radial_convolution(f: np.ndarray, g: np.ndarray, grid: RadialGrid) -> np.nda
 
 @dataclass(frozen=True)
 class InteractionKernel:
-    """A radial two-body kernel: its role, its grids and its sampled profile.
+    """A radial two-body kernel: its role, its radial grid and its sampled profile.
 
     ``role`` distinguishes the photon-coupling kernel from the classical
     pair interaction.  The profile is the kernel; the parameters that built
     it (a Gaussian's amplitude and width) stay with the config.  Building
     one computes nothing and rejects a profile that is not finite, not on
     the radial grid or not decayed at the box wall (a zero profile has).
-    Assemblies transform the profile with the mode products; ``transform``
-    is the kernel's own pass, computed on first read.
+    The pairing table transforms the profile with the mode products.
     """
 
     role: str  # "coupling" or "pair"
     grid: RadialGrid
     profile: np.ndarray
-    momenta: MomentumGrid
 
     def __post_init__(self):
         if self.role not in ("coupling", "pair"):
@@ -198,16 +196,10 @@ class InteractionKernel:
         if abs(profile[-1]) > 1e-10 * np.max(np.abs(profile)):
             raise ValidationError(f"{self.role} kernel profile has not decayed at r_max")
 
-    @cached_property
-    def transform(self) -> np.ndarray:
-        """The radial transform of the profile on every node of ``momenta``."""
-        return grid_transforms(self.profile, self.grid, self.momenta)[0]
-
 
 def gaussian_kernel(
     role: str,
     grid: RadialGrid,
-    momenta: MomentumGrid,
     amplitude: float,
     width: float,
 ) -> InteractionKernel:
@@ -223,4 +215,4 @@ def gaussian_kernel(
     if not 0 < width < np.inf:
         raise ValidationError(f"{role} kernel width must be positive and finite, got {width}")
     profile = amplitude * np.exp(-(grid.nodes**2) / (2.0 * width**2))
-    return InteractionKernel(role=role, grid=grid, profile=profile, momenta=momenta)
+    return InteractionKernel(role=role, grid=grid, profile=profile)

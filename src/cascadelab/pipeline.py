@@ -1,8 +1,10 @@
 """Build simulation assets from a configuration.
 
-One place turns a SimulationConfig into grids, basis, kernels,
-coefficient sets and the eta sweep setup, so the CLI, the invariant
-suite, and the tests all run through identical construction paths.
+One place turns a SimulationConfig into grids, basis, kernels, the
+pairing table, coefficient sets and the eta sweep setup, so the CLI, the
+invariant suite, and the tests all run through identical construction
+paths.  The table is built once and read by both the limit coefficients
+and the sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import CoefficientSet, assemble_limit_matrix, two_mode_coefficients
+from .coeffs import (
+    CoefficientSet,
+    PairingTable,
+    assemble_limit_matrix,
+    pairing_table,
+    two_mode_coefficients,
+)
 from .config import SimulationConfig
 from .convergence import SweepSetup
 from .dynamics import SolverOptions, diagnostics, integrate_limit
@@ -41,40 +49,36 @@ class Assets:
         return solve_radial_eigenpairs(self.potential, self.config.trap.modes)
 
     @cached_property
-    def momenta(self) -> MomentumGrid:
-        max_gap = float(self.basis.energies[-1] - self.basis.energies[0])
-        return MomentumGrid(self.config.rho_max_value(max_gap), self.config.momentum.n_rho)
-
-    def kernel(self, role: str, momenta: MomentumGrid) -> InteractionKernel:
-        """The configured ``coupling`` or ``pair`` kernel on the trap's grid and ``momenta``."""
-        return self.config.kernel(role, self.grid, momenta)
-
-    @cached_property
     def coupling(self) -> InteractionKernel:
-        return self.kernel("coupling", self.momenta)
+        return self.config.kernel("coupling", self.grid)
 
     @cached_property
     def pair(self) -> InteractionKernel:
-        return self.kernel("pair", self.momenta)
+        return self.config.kernel("pair", self.grid)
+
+    @cached_property
+    def table(self) -> PairingTable:
+        """The pairing table of the trap's basis and kernels, on the configured momentum grid."""
+        max_gap = float(self.basis.energies[-1] - self.basis.energies[0])
+        momenta = MomentumGrid(self.config.rho_max_value(max_gap), self.config.momentum.n_rho)
+        return pairing_table(self.basis, self.coupling, self.pair, momenta)
 
     @cached_property
     def coeffs(self) -> CoefficientSet:
         preset = self.config.coefficient_preset()
         if preset is not None:
             return two_mode_coefficients(preset, size=self.config.trap.modes)
-        return assemble_limit_matrix(self.basis, self.coupling, self.pair)
+        return assemble_limit_matrix(self.table)
 
     @cached_property
     def sweep(self) -> SweepSetup:
-        """The configured eta sweep, on the trap's kernels even under a coefficient preset.
+        """The configured eta sweep, on the trap's table even under a coefficient preset.
 
         Its solver takes the [dynamics] tolerances and the [sweep] samples.
         """
         c = self.config
         return SweepSetup(
-            self.basis,
-            self.coupling,
-            self.pair,
+            self.table,
             c.initial_state(),
             c.sweep.t_final,
             c.eta_values(),

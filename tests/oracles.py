@@ -10,11 +10,13 @@ form, the reference that ``dynamics``'s stage form reproduces bit for bit
 and the ``fun(t, y)`` that ``solve_ivp`` integrates in tests/test_rk.py.
 
 The scalar coefficient routes evaluate one quadruple at a time, each from
-its own transforms: ``lambda_hartree`` and ``lambda_lamb_shift`` are the
+its own transforms on a momentum grid they are given, never from a
+pairing table: ``lambda_hartree`` and ``lambda_lamb_shift`` are the
 oracles of the assembled Hartree and Lamb-shift cells, and
 ``limit_matrix_from_tensor`` collapses a prelimit tensor onto the limit
 generator; ``resonant_limit_cells`` gives it the eps = 0 resonant cells
-that production never assembles.
+that production never assembles.  ``pair_transforms`` transforms kernels
+with every ordered mode product, K^2 rows where the table has K(K+1)/2.
 """
 
 import numpy as np
@@ -25,11 +27,11 @@ from cascadelab.coeffs import (
     PrelimitTensor,
     SpectralDensity,
     branch_sum,
-    mode_pair_transforms,
     spectral_density,
 )
 from cascadelab.dynamics import _require_state
 from cascadelab.errors import ValidationError
+from cascadelab.grids import MomentumGrid
 from cascadelab.kernels import InteractionKernel, grid_transforms
 from cascadelab.spectrum import EigenBasis, mode_product, resonant_mask
 
@@ -72,20 +74,49 @@ def rhs_prelimit(
     return v * (s @ g)
 
 
+def pair_transforms(basis: EigenBasis, momenta: MomentumGrid, *kernels: InteractionKernel):
+    """Transforms of ``kernels``, then of the K^2 products chi_k chi_k' indexed [k, kp].
+
+    One ``grid_transforms`` pass of its own over every ordered pair.
+    """
+    size = basis.size
+    products = [mode_product(basis, k, kp) for k, kp in np.ndindex(size, size)]
+    hats = grid_transforms(
+        np.vstack([*(kernel.profile for kernel in kernels), *products]), basis.grid, momenta
+    )
+    return (*hats[: len(kernels)], hats[len(kernels) :].reshape(size, size, momenta.n_rho))
+
+
+def _quadruple_transforms(
+    basis: EigenBasis, kernel: InteractionKernel, momenta: MomentumGrid, k, kp, j, jp
+):
+    """Transforms of the kernel, chi_k chi_k' and chi_j chi_j' in one pass of their own."""
+    profiles = np.vstack([kernel.profile, mode_product(basis, k, kp), mode_product(basis, j, jp)])
+    return grid_transforms(profiles, basis.grid, momenta)
+
+
 def _pair_density(
-    basis: EigenBasis, coupling: InteractionKernel, k: int, kp: int, j: int, jp: int
+    basis: EigenBasis,
+    coupling: InteractionKernel,
+    momenta: MomentumGrid,
+    k: int,
+    kp: int,
+    j: int,
+    jp: int,
 ) -> SpectralDensity:
-    """Density of (w*(chi_k chi_k'), w*(chi_j chi_j')) on the kernel's grid."""
-    momenta = coupling.momenta
-    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = grid_transforms(products, basis.grid, momenta)
-    g1 = coupling.transform * hats[0]
-    g2 = coupling.transform * hats[1]
-    return spectral_density(g1, g2, momenta)
+    """Density of (w*(chi_k chi_k'), w*(chi_j chi_j')) on ``momenta``."""
+    what, hat1, hat2 = _quadruple_transforms(basis, coupling, momenta, k, kp, j, jp)
+    return spectral_density(what * hat1, what * hat2, momenta)
 
 
 def lambda_hartree(
-    basis: EigenBasis, pair: InteractionKernel, k: int, kp: int, j: int, jp: int
+    basis: EigenBasis,
+    pair: InteractionKernel,
+    momenta: MomentumGrid,
+    k: int,
+    kp: int,
+    j: int,
+    jp: int,
 ) -> float:
     """Mean-field overlap <chi_k chi_k', v * (chi_j chi_j')>.
 
@@ -95,16 +126,15 @@ def lambda_hartree(
     for idx in (k, kp, j, jp):
         if not 0 <= idx < basis.size:
             raise ValidationError(f"mode index {idx} out of range")
-    momenta = pair.momenta
-    products = np.vstack([mode_product(basis, k, kp), mode_product(basis, j, jp)])
-    hats = grid_transforms(products, basis.grid, momenta)
-    integrand = DENSITY_PREFACTOR * momenta.nodes**2 * hats[0] * pair.transform * hats[1]
+    vhat, hat1, hat2 = _quadruple_transforms(basis, pair, momenta, k, kp, j, jp)
+    integrand = DENSITY_PREFACTOR * momenta.nodes**2 * hat1 * vhat * hat2
     return float(momenta.integrate(integrand))
 
 
 def lambda_lamb_shift(
     basis: EigenBasis,
     coupling: InteractionKernel,
+    momenta: MomentumGrid,
     k: int,
     kp: int,
     j: int,
@@ -116,7 +146,7 @@ def lambda_lamb_shift(
     PV int a(rho) [1/(rho - dE) + 1/(rho + dE)] drho with dE = E_j - E_j',
     the real part of the branch sum at eps = 0.
     """
-    a = _pair_density(basis, coupling, k, kp, j, jp)
+    a = _pair_density(basis, coupling, momenta, k, kp, j, jp)
     mu = float(basis.energies[j] - basis.energies[jp])
     return float(branch_sum(a, mu, 0.0).real)
 
@@ -139,7 +169,7 @@ def limit_matrix_from_tensor(cells: np.ndarray) -> np.ndarray:
 
 
 def resonant_limit_cells(
-    basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel
+    basis: EigenBasis, coupling: InteractionKernel, pair: InteractionKernel, momenta: MomentumGrid
 ) -> np.ndarray:
     """The K^4 tensor cells at eps = 0 on the resonant quadruples, zero elsewhere.
 
@@ -148,15 +178,14 @@ def resonant_limit_cells(
     at the gap E_j - E_j' and H the mean-field pairing by quadrature on
     the momentum grid.
     """
-    momenta = coupling.momenta
-    phat = mode_pair_transforms(basis, momenta)
-    ghat = coupling.transform * phat
+    what, vhat, phat = pair_transforms(basis, momenta, coupling, pair)
+    ghat = what * phat
     cells = np.zeros((basis.size,) * 4, dtype=complex)
     for k, kp, j, jp in np.argwhere(resonant_mask(basis.size)):
         a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
         s = branch_sum(a, float(basis.energies[j] - basis.energies[jp]), 0.0)
         har = momenta.integrate(
-            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * pair.transform * phat[j, jp]
+            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * vhat * phat[j, jp]
         )
         cells[k, kp, j, jp] = -1j * (har - s.real) - s.imag
     return cells

@@ -17,7 +17,6 @@ from cascadelab.coeffs import (
     branch_sum,
     cauchy_transform,
     gamma_fgr,
-    mode_pair_transforms,
     spectral_density,
     two_mode_coefficients,
 )
@@ -69,10 +68,12 @@ def test_criterion_01_harmonic_oracle():
 
 
 def test_criterion_02_plancherel(default_assets):
-    basis, w = default_assets.basis, default_assets.coupling
+    basis, w, momenta = default_assets.basis, default_assets.coupling, default_assets.table.momenta
     product = mode_product(basis, 0, 1)
-    ghat = w.transform * transform_profiles(product, basis.grid, w.momenta.nodes)[0]
-    momentum_side = float(spectral_density(ghat, ghat, w.momenta).integrate().real)
+    # dense sinc quadrature for both factors, apart from the table's chirp-z pass
+    hats = transform_profiles(np.vstack([w.profile, product]), basis.grid, momenta.nodes)
+    ghat = hats[0] * hats[1]
+    momentum_side = float(spectral_density(ghat, ghat, momenta).integrate().real)
     g_real = radial_convolution(w.profile, product, basis.grid)
     real_side = float(
         4.0 * np.pi * basis.grid.integrate(g_real**2 * basis.grid.nodes**2)
@@ -103,9 +104,9 @@ def test_criterion_03_sokhotski_plemelj(gaussian_pair_density):
 
 
 def test_criterion_04_dual_route_fgr(default_assets):
-    basis, w = default_assets.basis, default_assets.coupling
-    momenta = w.momenta
-    ghat = w.transform * mode_pair_transforms(basis, momenta)
+    basis, w, table = default_assets.basis, default_assets.coupling, default_assets.table
+    momenta = table.momenta
+    ghat = table.ghat[table.index]
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
@@ -123,9 +124,9 @@ def test_criterion_04_dual_route_fgr(default_assets):
 
 
 def test_criterion_05_eps_uniformity(default_assets):
-    basis, w = default_assets.basis, default_assets.coupling
-    momenta = w.momenta
-    ghat = w.transform * mode_pair_transforms(basis, momenta)
+    basis, table = default_assets.basis, default_assets.table
+    momenta = table.momenta
+    ghat = table.ghat[table.index]
     coeffs = default_assets.coeffs
     eps_grid = np.geomspace(1.0, 1e-4, 9)
     worst = 0.0

@@ -245,6 +245,30 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     assert [m for m in missing if m != "cli.main(argv)"] == []
 
 
+def _call_sites(package, callee):
+    """The enclosing ``module.function`` (or ``module.Class.method``) of each call to ``callee``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                if getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
+                    sites.append(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_grid_transforms_has_one_call_site():
+    """The pairing table is the one caller of the momentum-grid transform in the package."""
+    assert _call_sites(SRC / "cascadelab", "grid_transforms") == ["coeffs.pairing_table"]
+
+
 ONE_MODE_CFG = """
 [trap]
 modes = 1
@@ -629,6 +653,32 @@ def test_pooled_check_equals_in_process(check_runs):
         outputs.append((run.manifest, run.stdout))
         assert run.workers_left == []
     assert outputs[0] == outputs[1]
+
+
+def test_check_builds_the_canonical_sweep_twice(monkeypatch):
+    """``check`` hands its pool two canonical setups built apart, tables equal in bytes.
+
+    So ``sweep_reproducibility`` covers the eigensolve and the table too,
+    not only the solves.
+    """
+    handed = []
+
+    class Handed(Exception):
+        pass
+
+    def record(setups):
+        handed.extend(setups)
+        raise Handed
+
+    monkeypatch.setattr(checks, "sweep_runs", record)
+    with pytest.raises(Handed):
+        checks.run_all_checks(SimulationConfig.default())
+    first, second = handed
+    assert first is not second and first.table is not second.table
+    assert first.table.basis is not second.table.basis
+    assert first.table.momenta == second.table.momenta
+    for name in ("ghat", "hartree"):
+        assert getattr(first.table, name).tobytes() == getattr(second.table, name).tobytes()
 
 
 def test_block_error_mid_check_exits_4(tmp_path, capsys, monkeypatch, usable_cpus):

@@ -19,7 +19,7 @@ from cascadelab.coeffs import (
     branch_weights,
     cauchy_transform,
     gamma_fgr,
-    mode_pair_transforms,
+    pairing_table,
     spectral_density,
     two_mode_coefficients,
 )
@@ -34,6 +34,7 @@ from oracles import (
     lambda_hartree,
     lambda_lamb_shift,
     limit_matrix_from_tensor,
+    pair_transforms,
     resonant_limit_cells,
 )
 
@@ -231,9 +232,9 @@ def test_gamma_symmetric(default_assets):
 
 def test_gamma_dual_route(default_assets):
     """Delta-pairing route vs the eps -> 0 resolvent route, all pairs."""
-    basis, w = default_assets.basis, default_assets.coupling
-    momenta = w.momenta
-    ghat = w.transform * mode_pair_transforms(basis, momenta)
+    basis, w, table = default_assets.basis, default_assets.coupling, default_assets.table
+    momenta = table.momenta
+    ghat = table.ghat[table.index]
     worst = 0.0
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
@@ -246,28 +247,32 @@ def test_gamma_dual_route(default_assets):
 
 
 def test_gamma_gap_beyond_grid(default_assets):
-    basis = default_assets.basis
-    narrow = MomentumGrid(0.05, 64)
-    w = gaussian_kernel("coupling", basis.grid, narrow, amplitude=1.0, width=1.0)
-    with pytest.raises(ValidationError):
-        gamma_fgr(basis, w, 0, 5)
+    """A gap beyond the momentum grid fails where a grid is read: building the table.
+
+    ``gamma_fgr`` reads none (its dense transform is exact at any rho), so it
+    still gives that gap's rate.
+    """
+    basis, w, v = default_assets.basis, default_assets.coupling, default_assets.pair
+    with pytest.raises(ValidationError, match="beyond the momentum cutoff"):
+        pairing_table(basis, w, v, MomentumGrid(0.05, 64))
+    assert gamma_fgr(basis, w, 0, 5) > 0.0
 
 
 def test_lamb_shift_zero_gap_is_half_wave_moment(default_assets):
     # dE = 0 merges the branches into 2 * PV int a(rho)/rho drho, which is
     # an ordinary integral because the density vanishes like rho^2
-    basis, w = default_assets.basis, default_assets.coupling
-    a = _pair_density(basis, w, 0, 1, 2, 2)
+    basis, w, momenta = default_assets.basis, default_assets.coupling, default_assets.table.momenta
+    a = _pair_density(basis, w, momenta, 0, 1, 2, 2)
     direct = 2.0 * float(
         np.dot(a.momenta.weights, np.asarray(a.values) / a.momenta.nodes)
     )
-    value = lambda_lamb_shift(basis, w, 0, 1, 2, 2)
+    value = lambda_lamb_shift(basis, w, momenta, 0, 1, 2, 2)
     assert value == pytest.approx(direct, rel=1e-6)
 
 
 def test_lamb_shift_branches_cancel_imaginary_part(default_assets):
-    basis, w = default_assets.basis, default_assets.coupling
-    a = _pair_density(basis, w, 0, 1, 1, 1)
+    basis, w, momenta = default_assets.basis, default_assets.coupling, default_assets.table.momenta
+    a = _pair_density(basis, w, momenta, 0, 1, 1, 1)
     assert branch_sum(a, 0.0, 1e-3).imag == 0.0
 
 
@@ -277,11 +282,11 @@ def test_lamb_shift_limit_matches_small_eps(default_assets):
     Within one grid eps = 1e-7 sits 1.3e-10 to 1.3e-9 (relative) from the
     limit on these cells.
     """
-    basis, w = default_assets.basis, default_assets.coupling
+    basis, w, momenta = default_assets.basis, default_assets.coupling, default_assets.table.momenta
     energies = basis.energies
     for quad in ((0, 1, 0, 1), (1, 3, 1, 3), (2, 5, 2, 5)):
-        limit = lambda_lamb_shift(basis, w, *quad)
-        a = _pair_density(basis, w, *quad)
+        limit = lambda_lamb_shift(basis, w, momenta, *quad)
+        a = _pair_density(basis, w, momenta, *quad)
         small = branch_sum(a, float(energies[quad[2]] - energies[quad[3]]), 1e-7).real
         assert abs(limit - small) / abs(limit) < 1e-8, quad
 
@@ -294,29 +299,28 @@ def test_lamb_shift_zero_gap_grid_doubling(default_assets):
     ones (k,k;j,j)); without it they move by 3.0e-5 absolute under doubling.
     Measured 2.5e-10 to 1.3e-9 relative.
     """
-    basis, w = default_assets.basis, default_assets.coupling
-    momenta = w.momenta
-    fine = default_assets.kernel("coupling", MomentumGrid(momenta.rho_max, 2 * momenta.n_rho))
+    basis, w, momenta = default_assets.basis, default_assets.coupling, default_assets.table.momenta
+    fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
     for quad in ((0, 1, 2, 2), (2, 3, 4, 4), (0, 0, 1, 1), (2, 2, 4, 4)):
-        coarse = lambda_lamb_shift(basis, w, *quad)
-        refined = lambda_lamb_shift(basis, fine, *quad)
+        coarse = lambda_lamb_shift(basis, w, momenta, *quad)
+        refined = lambda_lamb_shift(basis, w, fine, *quad)
         assert abs(coarse - refined) / abs(refined) < 1e-8, quad
 
 
 def test_hartree_symmetries(natural_basis):
     grid = natural_basis.grid
     momenta = MomentumGrid(8.0, 2048)
-    v = gaussian_kernel("pair", grid, momenta, amplitude=1.0, width=1.0)
-    base = lambda_hartree(natural_basis, v, 0, 2, 1, 3)
-    assert lambda_hartree(natural_basis, v, 2, 0, 1, 3) == pytest.approx(base, rel=1e-12)
-    assert lambda_hartree(natural_basis, v, 0, 2, 3, 1) == pytest.approx(base, rel=1e-12)
+    v = gaussian_kernel("pair", grid, amplitude=1.0, width=1.0)
+    base = lambda_hartree(natural_basis, v, momenta, 0, 2, 1, 3)
+    assert lambda_hartree(natural_basis, v, momenta, 2, 0, 1, 3) == pytest.approx(base, rel=1e-12)
+    assert lambda_hartree(natural_basis, v, momenta, 0, 2, 3, 1) == pytest.approx(base, rel=1e-12)
 
 
 def test_hartree_zero_kernel(natural_basis):
     grid = natural_basis.grid
     momenta = MomentumGrid(8.0, 2048)
-    v = gaussian_kernel("pair", grid, momenta, amplitude=0.0, width=1.0)
-    assert lambda_hartree(natural_basis, v, 0, 1, 0, 1) == 0.0
+    v = gaussian_kernel("pair", grid, amplitude=0.0, width=1.0)
+    assert lambda_hartree(natural_basis, v, momenta, 0, 1, 0, 1) == 0.0
 
 
 def test_hartree_narrow_kernel_approaches_overlap(natural_basis, default_assets):
@@ -329,8 +333,8 @@ def test_hartree_narrow_kernel_approaches_overlap(natural_basis, default_assets)
     def relerr(width):
         momenta = MomentumGrid(4.0 / width, 4096)
         amp = (2.0 * np.pi * width**2) ** -1.5  # unit-integral kernel
-        v = gaussian_kernel("pair", grid, momenta, amplitude=amp, width=width)
-        return abs(lambda_hartree(natural_basis, v, 0, 1, 1, 2) - overlap) / abs(overlap)
+        v = gaussian_kernel("pair", grid, amplitude=amp, width=width)
+        return abs(lambda_hartree(natural_basis, v, momenta, 0, 1, 1, 2) - overlap) / abs(overlap)
 
     # O(width^2) convergence on the natural-unit basis
     assert relerr(0.05) < relerr(0.2) / 4.0
@@ -342,8 +346,8 @@ def test_hartree_narrow_kernel_approaches_overlap(natural_basis, default_assets)
     )
     momenta = MomentumGrid(80.0, 8192)
     amp = (2.0 * np.pi * 0.05**2) ** -1.5
-    v = gaussian_kernel("pair", soft.grid, momenta, amplitude=amp, width=0.05)
-    soft_value = lambda_hartree(soft, v, 0, 1, 1, 2)
+    v = gaussian_kernel("pair", soft.grid, amplitude=amp, width=0.05)
+    soft_value = lambda_hartree(soft, v, momenta, 0, 1, 1, 2)
     assert abs(soft_value - soft_overlap) / abs(soft_overlap) < 0.01
 
 
@@ -381,7 +385,7 @@ def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch
     import cascadelab.coeffs as coeffs_module
 
     assets = request.getfixturevalue(name)
-    basis, w, v = assets.basis, assets.coupling, assets.pair
+    basis, table = assets.basis, assets.table
     assert basis.size * (basis.size - 1) // 2 + 1 == calls
     gaps = []
 
@@ -390,11 +394,11 @@ def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch
         return branch_weights(momenta, mu, eps)
 
     monkeypatch.setattr(coeffs_module, "branch_weights", counted)
-    assemble_limit_matrix(basis, w, v)
+    assemble_limit_matrix(table)
     assert len(gaps) == calls
     assert sorted(set(gaps)) == sorted(gaps)  # no gap is weighted twice
     gaps.clear()
-    assemble_prelimit_tensor(basis, w, v, 0.1)
+    assemble_prelimit_tensor(table, 0.1)
     assert len(gaps) == calls
 
 
@@ -417,31 +421,72 @@ def transform_calls(monkeypatch):
 
 
 def test_kernels_transform_nothing_and_each_assembly_makes_one_pass(sweep_assets, transform_calls):
-    """Building a kernel computes nothing.  Each assembly transforms the coupling
-    profile, the pair profile and the K(K+1)/2 mode products in one pass."""
-    basis, grid, momenta = sweep_assets.basis, sweep_assets.grid, sweep_assets.momenta
-    coupling = gaussian_kernel("coupling", grid, momenta, 1.0, 1.0)
-    pair = gaussian_kernel("pair", grid, momenta, 1.0, 1.0)
+    """Building a kernel computes nothing.  The pairing table transforms the
+    coupling profile, the pair profile and the K(K+1)/2 mode products in one
+    pass, and the assemblies that read it transform nothing."""
+    basis, grid, momenta = sweep_assets.basis, sweep_assets.grid, sweep_assets.table.momenta
+    transform_calls.clear()  # the session's table may have been built just now
+    coupling = gaussian_kernel("coupling", grid, 1.0, 1.0)
+    pair = gaussian_kernel("pair", grid, 1.0, 1.0)
     assert transform_calls == []
-    assemble_prelimit_tensor(basis, coupling, pair, 0.1)
+    table = pairing_table(basis, coupling, pair, momenta)
+    assert transform_calls == [2 + basis.size * (basis.size + 1) // 2]
+    for eta in (0.2, 0.1):
+        assemble_prelimit_tensor(table, eta)
+    assemble_limit_matrix(table)
     assert transform_calls == [2 + basis.size * (basis.size + 1) // 2]
     transform_calls.clear()
     Assets(SimulationConfig.convergence()).coeffs
     assert transform_calls == [2 + basis.size * (basis.size + 1) // 2]
-    transform_calls.clear()
-    # a kernel's own transform is computed on first read, once
-    assert coupling.transform is coupling.transform
-    assert transform_calls == [1]
+
+
+def _table_rows(config: SimulationConfig) -> int:
+    """Rows of the configured pairing table's transform pass: both kernels and K(K+1)/2 products."""
+    modes = config.trap.modes
+    return 2 + modes * (modes + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "command, name, tables",
+    [
+        pytest.param("coeffs", "default", ["default"], id="coeffs"),
+        pytest.param("evolve", "default", ["default"], id="evolve"),
+        pytest.param("converge", "convergence", ["convergence"], id="converge"),
+        # two canonical runs, then the configured table and its 2 n_rho refinement
+        pytest.param(
+            "check", "default", ["convergence", "convergence", "default", "default"], id="check"
+        ),
+    ],
+)
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "in_process"])
+def test_each_command_builds_its_tables_once(
+    tmp_path, transform_calls, usable_cpus, cpus, command, name, tables
+):
+    """Transform passes per command, counted through ``cli.main``.
+
+    Every pass builds a pairing table; the limit matrix and every eta's
+    tensor read one.  With the pool on, the count is this process's; on one
+    CPU the per-eta solves run here too and add none, so workers, which run
+    the same per-eta function, make none either.
+    """
+    from cascadelab.cli import main
+
+    usable_cpus(cpus)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    args = [command, "--config", str(configs / f"{name}.cfg"), "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    expected = [_table_rows(parse_config(str(configs / f"{t}.cfg"))) for t in tables]
+    assert transform_calls == expected
 
 
 def test_limit_matrix_fgr_entries_match_operation(default_assets):
     """Every assembled rate is the scalar eps = 0 resolvent route's on-shell part."""
-    coeffs = default_assets.coeffs
-    basis, w = default_assets.basis, default_assets.coupling
-    ghat = w.transform * mode_pair_transforms(basis, w.momenta)
+    coeffs, table = default_assets.coeffs, default_assets.table
+    basis = table.basis
+    ghat = table.ghat[table.index]
     for k in range(basis.size):
         for kp in range(k + 1, basis.size):
-            a = spectral_density(ghat[k, kp], ghat[k, kp], w.momenta)
+            a = spectral_density(ghat[k, kp], ghat[k, kp], table.momenta)
             lam = abs(float(basis.energies[k] - basis.energies[kp]))
             resolvent_route = -cauchy_transform(a, lam, 0.0).imag
             assert abs(coeffs.fgr[k, kp] - resolvent_route) <= 1e-12 * resolvent_route, (k, kp)
@@ -468,9 +513,7 @@ def test_degenerate_dressing_is_imaginary(default_assets):
 
 
 def test_tensor_shape_and_diagonal_gaps(sweep_assets):
-    tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2
-    )
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     size = sweep_assets.basis.size
     assert tensor.tensor.shape == (size,) * 4
     assert tensor.tensor.size == size**4
@@ -487,20 +530,19 @@ def test_tensor_shape_and_diagonal_gaps(sweep_assets):
 
 def test_tensor_matches_quadruple_formula(sweep_assets):
     """Every K^4 tensor entry against a plain loop over the quadruples."""
-    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
-    momenta = w.momenta
-    phat = mode_pair_transforms(basis, momenta)
-    ghat = w.transform * phat
+    basis, momenta = sweep_assets.basis, sweep_assets.table.momenta
+    what, vhat, phat = pair_transforms(basis, momenta, sweep_assets.coupling, sweep_assets.pair)
+    ghat = what * phat
     energies = basis.energies
     eta = 0.2
-    tensor = assemble_prelimit_tensor(basis, w, v, eta).tensor
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta).tensor
     worst = 0.0
     for k, kp, j, jp in np.ndindex(tensor.shape):
         a = spectral_density(ghat[k, kp], ghat[j, jp], momenta)
         mu = float(energies[j] - energies[jp])
         s = branch_sum(a, mu, eta**2)
         har = momenta.integrate(
-            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * v.transform * phat[j, jp]
+            DENSITY_PREFACTOR * momenta.nodes**2 * phat[k, kp] * vhat * phat[j, jp]
         )
         expected = -1j * (har - s.real) - s.imag
         worst = max(worst, abs(tensor[k, kp, j, jp] - expected))
@@ -511,39 +553,32 @@ def test_tensor_mode_cap():
     grid = RadialGrid(12.0, 400)
     basis = solve_radial_eigenpairs(Potential.harmonic(grid), TENSOR_MODE_CAP + 1)
     momenta = MomentumGrid(4.0 * float(basis.energies[-1] - basis.energies[0]), 256)
-    w = gaussian_kernel("coupling", grid, momenta, 1.0, 1.0)
-    v = gaussian_kernel("pair", grid, momenta, 1.0, 1.0)
+    w = gaussian_kernel("coupling", grid, 1.0, 1.0)
+    v = gaussian_kernel("pair", grid, 1.0, 1.0)
+    table = pairing_table(basis, w, v, momenta)
     with pytest.raises(ValidationError, match="tensor"):
-        assemble_prelimit_tensor(basis, w, v, eta=0.1)
+        assemble_prelimit_tensor(table, eta=0.1)
 
 
 def test_assembly_rejects_kernels_on_different_grids(sweep_assets):
-    """The kernels and the basis share one radial and one momentum grid.
-
-    A pair kernel on MomentumGrid(1.5 rho_max, n_rho) once moved M of the
-    sweep preset by 0.234 against max |M| = 8.67, with no error.
-    """
+    """The kernels and the basis share one radial grid; the table owns the momentum grid."""
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
-    momenta = w.momenta
-    wide = sweep_assets.kernel("pair", MomentumGrid(1.5 * momenta.rho_max, momenta.n_rho))
+    momenta, config = sweep_assets.table.momenta, sweep_assets.config
     coarse = RadialGrid(basis.grid.r_max, basis.grid.n_points // 2)
-    k = sweep_assets.config.kernels
-    shifted = gaussian_kernel("coupling", coarse, momenta, k.coupling_amplitude, k.coupling_width)
-    for coupling, pair in ((w, wide), (shifted, v)):
+    shifted = [(config.kernel("coupling", coarse), v), (w, config.kernel("pair", coarse))]
+    for coupling, pair in shifted:
         with pytest.raises(ValidationError, match="different grids"):
-            assemble_limit_matrix(basis, coupling, pair)
-        with pytest.raises(ValidationError, match="different grids"):
-            assemble_prelimit_tensor(basis, coupling, pair, 0.1)
+            pairing_table(basis, coupling, pair, momenta)
     # equal grids built apart are the same grid
-    twin = sweep_assets.kernel("pair", MomentumGrid(momenta.rho_max, momenta.n_rho))
+    twin = config.kernel("pair", RadialGrid(basis.grid.r_max, basis.grid.n_points))
+    table = pairing_table(basis, w, twin, MomentumGrid(momenta.rho_max, momenta.n_rho))
     assert np.array_equal(
-        assemble_limit_matrix(basis, w, twin).limit_matrix, sweep_assets.coeffs.limit_matrix
+        assemble_limit_matrix(table).limit_matrix, sweep_assets.coeffs.limit_matrix
     )
 
 
 def test_tensor_diagonal_converges_to_limit(sweep_assets):
     """Diagonal quadruples approach the limit entries at rate eta^2 log(1/eta)."""
-    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
     limit = sweep_assets.coeffs
     idx = np.arange(limit.size)
     sign = np.sign(idx[:, None] - idx[None, :]).astype(float)
@@ -551,7 +586,7 @@ def test_tensor_diagonal_converges_to_limit(sweep_assets):
 
     previous = np.inf
     for eta in (0.4, 0.2, 0.1, 0.05):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta)
+        tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
         diag = tensor.tensor[idx[:, None], idx[None, :], idx[:, None], idx[None, :]]
         distance = float(np.max(np.abs(diag - exchange_matrix)))
         assert distance <= 10.0 * eta**2 * np.log(1.0 / eta)
@@ -569,7 +604,8 @@ def test_resonant_restriction_and_collapse(sweep_assets, default_assets):
     max |M|.
     """
     for assets, bound in ((sweep_assets, 1e-11), (default_assets, 1e-12)):
-        cells = resonant_limit_cells(assets.basis, assets.coupling, assets.pair)
+        momenta = assets.table.momenta
+        cells = resonant_limit_cells(assets.basis, assets.coupling, assets.pair, momenta)
         # oscillatory entries are absent
         assert cells[0, 1, 0, 2] == 0.0
         limit = assets.coeffs.limit_matrix
@@ -609,10 +645,11 @@ def test_tensor_assembly_does_no_limit_work(sweep_assets, tmp_path, monkeypatch)
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
-    tensor = assemble_prelimit_tensor(basis, w, v, 0.1)
+    table = pairing_table(basis, w, v, sweep_assets.table.momenta)
+    tensor = assemble_prelimit_tensor(table, 0.1)
     assert tensor.eta == 0.1
     assert tensor.tensor.shape == (basis.size,) * 4
-    limit = coeffs_module.assemble_limit_matrix(basis, w, v)
+    limit = coeffs_module.assemble_limit_matrix(table)
     assert limit.fgr.shape == (basis.size, basis.size)
 
     configs = Path(__file__).resolve().parents[1] / "configs"
@@ -647,9 +684,7 @@ def test_non_finite_coefficients_rejected(sweep_assets):
             bad[0, 1] = value
             with pytest.raises(NumericalError, match="non-finite"):
                 replace(coeffs, **{part.name: bad})
-    tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2
-    )
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     cells = tensor.tensor.copy()
     cells[0, 1, 0, 1] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):

@@ -172,12 +172,12 @@ def default_grid():
         ),
         pytest.param(
             "[kernels]\ncoupling_amplitude = nan",
-            lambda assets: gaussian_kernel("coupling", assets.grid, assets.momenta, np.nan, 1.0),
+            lambda assets: gaussian_kernel("coupling", assets.grid, np.nan, 1.0),
             "coupling kernel amplitude must be finite", id="amplitude",
         ),
         pytest.param(
             "[kernels]\ncoupling_width = 100",
-            lambda assets: gaussian_kernel("coupling", default_grid(), assets.momenta, 3.0, 100.0),
+            lambda assets: gaussian_kernel("coupling", default_grid(), 3.0, 100.0),
             "coupling kernel profile has not decayed at r_max", id="width-undecayed",
         ),
     ],
@@ -191,7 +191,7 @@ def test_config_and_sweep_setup_share_the_sweep_rules(
     built from the same values: a SweepSetup from the canonical sweep (etas
     0.2, 0.1, 0.05, t_final 1, 256 samples), a grid, trap or solver options
     from the [trap], [momentum] or [dynamics] defaults, an eigensolve
-    asking for the modes, a kernel on the sweep's grids.
+    asking for the modes, a kernel on the sweep's radial grid.
     """
     with pytest.raises(ValidationError, match=message) as from_config:
         parse_config(write(tmp_path, f"{text}\n"))

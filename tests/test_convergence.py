@@ -54,9 +54,7 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
     state = config.initial_state()
     t_final = config.sweep.t_final
     for i, (eta, sup) in enumerate(zip(report.etas, report.sup_distances)):
-        tensor = assemble_prelimit_tensor(
-            sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta,
-        )
+        tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
         capped = integrate_prelimit(tensor, state, t_final, sweep_assets.sweep.solver)
         exact = solve_ivp(
             lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor),
@@ -78,9 +76,7 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     collapsed from the same tensor entries up to integrator noise.
     """
     solver = SolverOptions(rtol=1e-9, atol=1e-12, n_samples=200)
-    full = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, 1e-3,
-    )
+    full = assemble_prelimit_tensor(sweep_assets.table, 1e-3)
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     collapsed = limit_matrix_from_tensor(tensor.tensor)
     state = sweep_assets.config.initial_state()

@@ -68,9 +68,7 @@ def test_two_mode_rhs_matches_logistic_slope():
 
 
 def test_prelimit_phases_at_time_zero(sweep_assets):
-    tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-    )
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     # both routes sum at most n = K^3 products, so each is within
     # gamma_n * sum_bcd |T_abcd||F_b||F_c||F_d| of the exact value
     terms = tensor.size**3
@@ -90,9 +88,7 @@ def test_prelimit_phases_at_time_zero(sweep_assets):
 
 
 def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
-    full = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.1,
-    )
+    full = assemble_prelimit_tensor(sweep_assets.table, eta=0.1)
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     matrix = limit_matrix_from_tensor(tensor.tensor)
     rng = np.random.default_rng(13)
@@ -103,9 +99,7 @@ def test_prelimit_resonant_restriction_equals_matrix_rhs(sweep_assets):
 
 
 def test_prelimit_rejects_bad_input(sweep_assets):
-    tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-    )
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     state = sweep_assets.config.initial_state()
     short = state[:-1]
     with pytest.raises(ValidationError):
@@ -126,9 +120,7 @@ def test_prelimit_rejects_bad_input(sweep_assets):
 
 
 def test_prelimit_rejects_non_finite_input(sweep_assets):
-    tensor = assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=0.2,
-    )
+    tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     state = sweep_assets.config.initial_state()
     for t_end in (np.inf, np.nan):
         with pytest.raises(ValidationError, match="finite"):
@@ -139,9 +131,7 @@ def test_prelimit_rejects_non_finite_input(sweep_assets):
         with pytest.raises(ValidationError, match="finite"):
             replace(tensor, eta=eta)
         with pytest.raises(ValidationError, match="finite"):
-            assemble_prelimit_tensor(
-                sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta
-            )
+            assemble_prelimit_tensor(sweep_assets.table, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +260,10 @@ def test_non_finite_rhs_aborts():
 
 
 def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
-    basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
     state = sweep_assets.config.initial_state()
     drifts = {}
     for eta in (0.1, 0.05):
-        tensor = assemble_prelimit_tensor(basis, w, v, eta)
+        tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
         traj = integrate_prelimit(tensor, state, 1.0, SolverOptions())
         drifts[eta] = np.max(np.abs(traj.masses() - 1.0))
     # the oscillatory system conserves mass up to integrator error, which

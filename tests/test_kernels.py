@@ -70,29 +70,31 @@ def test_non_finite_profile_rejected(grid, momenta):
 
 
 def test_gaussian_kernel_closed_form_transform(grid, momenta):
-    kernel = gaussian_kernel("coupling", grid, momenta, amplitude=2.5, width=0.8)
+    kernel = gaussian_kernel("coupling", grid, amplitude=2.5, width=0.8)
     exact = 2.5 * (2.0 * np.pi * 0.8**2) ** 1.5 * np.exp(-(0.8 * momenta.nodes) ** 2 / 2.0)
-    assert np.max(np.abs(kernel.transform - exact)) < 1e-10 * exact[0]
+    hat = grid_transforms(kernel.profile, grid, momenta)[0]
+    assert np.max(np.abs(hat - exact)) < 1e-10 * exact[0]
 
 
-def test_kernel_must_decay(momenta):
+def test_kernel_must_decay():
     grid = RadialGrid(2.0, 64)
     with pytest.raises(ValidationError, match="decayed"):
-        gaussian_kernel("coupling", grid, momenta, amplitude=1.0, width=5.0)
+        gaussian_kernel("coupling", grid, amplitude=1.0, width=5.0)
 
 
-def test_kernel_profile_must_match_its_grid(grid, momenta):
+def test_kernel_profile_must_match_its_grid(grid):
     """The length check happens when the kernel is built, not when it is transformed."""
     short = np.exp(-RadialGrid(grid.r_max, grid.n_points - 1).nodes ** 2)
     with pytest.raises(ValidationError, match="does not match"):
-        InteractionKernel("pair", grid, short, momenta)
+        InteractionKernel("pair", grid, short)
 
 
 def test_transform_at_matches_grid_nodes(grid, momenta):
-    kernel = gaussian_kernel("pair", grid, momenta, amplitude=1.0, width=1.0)
+    kernel = gaussian_kernel("pair", grid, amplitude=1.0, width=1.0)
     sample = transform_profiles(kernel.profile, grid, momenta.nodes[100:103])[0]
     # dense sinc at explicit points against the chirp-z transform on the grid
-    assert np.allclose(sample, kernel.transform[100:103], rtol=1e-13, atol=0)
+    hat = grid_transforms(kernel.profile, grid, momenta)[0]
+    assert np.allclose(sample, hat[100:103], rtol=1e-13, atol=0)
 
 
 def gaussian_convolution_error(n_points):
@@ -148,12 +150,12 @@ def shipped_profiles(assets):
 def test_grid_transforms_match_dense_on_shipped_grids(preset, request):
     assets = request.getfixturevalue(preset)
     profiles = shipped_profiles(assets)
-    assert np.max(route_gap(profiles, assets.grid, assets.coupling.momenta)) <= ROUTE_AGREEMENT
+    assert np.max(route_gap(profiles, assets.grid, assets.table.momenta)) <= ROUTE_AGREEMENT
 
 
 def test_grid_transforms_match_dense_on_doubled_grid(default_assets):
     # the refined momentum grid of the row-sum stability check
-    momenta = default_assets.coupling.momenta
+    momenta = default_assets.table.momenta
     fine = MomentumGrid(momenta.rho_max, 2 * momenta.n_rho)
     profiles = shipped_profiles(default_assets)
     assert np.max(route_gap(profiles, default_assets.grid, fine)) <= ROUTE_AGREEMENT
@@ -163,14 +165,14 @@ def test_grid_transforms_match_dense_on_doubled_grid(default_assets):
 def test_stacked_rows_transform_as_single_rows(preset, request):
     """A row's transform does not depend on the rows stacked with it, bit for bit.
 
-    An assembly transforms both kernels with the mode products; a kernel's
-    own ``transform`` and ``mode_pair_transforms`` must read the same values.
+    The pairing table transforms both kernels with the mode products; the
+    test oracles transform other row sets and must read the same values.
     """
     assets = request.getfixturevalue(preset)
     profiles = shipped_profiles(assets)
-    stacked = grid_transforms(profiles, assets.grid, assets.momenta)
+    stacked = grid_transforms(profiles, assets.grid, assets.table.momenta)
     for row, hat in zip(profiles, stacked):
-        assert np.array_equal(grid_transforms(row, assets.grid, assets.momenta)[0], hat)
+        assert np.array_equal(grid_transforms(row, assets.grid, assets.table.momenta)[0], hat)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from cascadelab.coeffs import (
     assemble_prelimit_tensor,
     branch_sum,
     branch_weights,
-    mode_pair_transforms,
+    pairing_table,
     spectral_density,
 )
 from cascadelab.dynamics import SolverOptions, integrate_limit
@@ -41,9 +41,7 @@ def states(size):
 
 @pytest.fixture(scope="module")
 def prelimit_tensor(sweep_assets):
-    return assemble_prelimit_tensor(
-        sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair, eta=ETA,
-    )
+    return assemble_prelimit_tensor(sweep_assets.table, eta=ETA)
 
 
 def einsum_prelimit(t, state, tensor, eta):
@@ -233,13 +231,14 @@ def test_generator_structure_on_random_traps(size, beta, scale, coupling, pair):
     basis = solve_radial_eigenpairs(Potential.anharmonic(grid, beta, scale), size)
     energies = basis.energies
     momenta = MomentumGrid(4.0 * float(energies[-1] - energies[0]) + 8.0, 1024)
-    w = gaussian_kernel("coupling", grid, momenta, *coupling)
-    v = gaussian_kernel("pair", grid, momenta, *pair)
-    coeffs = assemble_limit_matrix(basis, w, v)
+    w = gaussian_kernel("coupling", grid, *coupling)
+    v = gaussian_kernel("pair", grid, *pair)
+    table = pairing_table(basis, w, v, momenta)
+    coeffs = assemble_limit_matrix(table)
 
     defects = coeffs.symmetry_defects()
     assert {name: defects[name] for name in EXACT_DEFECTS} == dict.fromkeys(EXACT_DEFECTS, 0.0)
-    ghat = w.transform * mode_pair_transforms(basis, momenta)
+    ghat = table.ghat[table.index]
     for k, kp in np.ndindex(size, size):
         a = spectral_density(ghat[k, kp], ghat[k, kp], momenta)
         expected = abs(branch_sum(a, float(energies[k] - energies[kp]), 0.0).imag)

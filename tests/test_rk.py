@@ -96,7 +96,7 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
     options = setup.solver
     t_eval = np.linspace(0.0, setup.t_final, options.n_samples)
     for eta in setup.etas:
-        tensor = assemble_prelimit_tensor(setup.basis, setup.coupling, setup.pair, eta)
+        tensor = assemble_prelimit_tensor(setup.table, eta)
         rhs = lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor)
         traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options)
         assert np.array_equal(traj.times, t_eval)
