@@ -425,7 +425,7 @@ def test_kernels_transform_nothing_and_each_assembly_makes_one_pass(sweep_assets
     coupling profile, the pair profile and the K(K+1)/2 mode products in one
     pass, and the assemblies that read it transform nothing."""
     basis, grid, momenta = sweep_assets.basis, sweep_assets.grid, sweep_assets.table.momenta
-    transform_calls.clear()  # the session's table may have been built just now
+    transform_calls.clear()  # reading the session's table may have built it
     coupling = gaussian_kernel("coupling", grid, 1.0, 1.0)
     pair = gaussian_kernel("pair", grid, 1.0, 1.0)
     assert transform_calls == []
