@@ -7,8 +7,10 @@ invariant suite; exit 0 only if everything passes).
 
 Exit codes: 0 success, 2 configuration parse error, 3 validation error,
 4 numerical failure.  Errors also land as machine-readable JSON on
-stderr.  Outputs for a run live in one directory with manifest.json at
-its root; all files are byte-reproducible for a fixed configuration.
+stderr.  Each ``cmd_*`` computes its ``Run`` from the config alone;
+only once it has returned does ``_write`` make the output directory and
+write the run's files and ``manifest.json``, so a failed run leaves no
+directory.  All files are byte-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,15 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 
+class Run(NamedTuple):
+    """A command's documents by file name (a dict for ``.json``, ``(comments,
+    header, rows)`` for ``.csv``), the manifest's extra keys and its exit code."""
+
+    documents: dict
+    extra: dict
+    code: int
+
+
 def _provenance(config: SimulationConfig) -> dict:
     return {
         "package": "cascadelab",
@@ -45,55 +57,53 @@ def _provenance(config: SimulationConfig) -> dict:
     }
 
 
-def _csv_comments(config: SimulationConfig, extra: list[str] | None = None) -> list[str]:
-    prov = _provenance(config)
-    lines = [
-        f"package=cascadelab version={prov['version']}",
-        f"config_sha256={prov['config_sha256']}",
+def _write(out_dir: str, command: str, config: SimulationConfig, run: Run) -> None:
+    """Make ``out_dir`` and write the run's documents, each stamped with the
+    provenance, then the manifest; an unwritable path is a validation error."""
+    provenance = _provenance(config)
+    stamp = [
+        f"package=cascadelab version={__version__}",
+        f"config_sha256={provenance['config_sha256']}",
         f"fourier={FOURIER_CONVENTION}",
     ]
-    return lines + (extra or [])
-
-
-def _write_manifest(out_dir: str, command: str, config: SimulationConfig, outputs: list[str], extra=None):
     manifest = {
         "command": command,
         "config_echo": emit_config(config),
-        "outputs": sorted(outputs),
-        "provenance": _provenance(config),
+        "outputs": sorted(run.documents),
+        **run.extra,
     }
-    if extra:
-        manifest.update(extra)
-    write_json(f"{out_dir}/manifest.json", manifest)
+    ensure_dir(out_dir)
+    for name, document in {**run.documents, "manifest.json": manifest}.items():
+        path = f"{out_dir}/{name}"
+        try:
+            if name.endswith(".csv"):
+                comments, header, rows = document
+                write_csv(path, stamp + comments, header, rows)
+            else:
+                write_json(path, {**document, "provenance": provenance})
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {path}: {exc}") from exc
 
 
-def cmd_spectrum(config: SimulationConfig, out_dir: str) -> int:
+def cmd_spectrum(config: SimulationConfig) -> Run:
     assets = Assets(config)
     basis, grid = assets.basis, assets.grid
     report = check_gap_independence(basis)
-
-    comments = _csv_comments(
-        config, ["energies: " + " ".join(fmt(e) for e in basis.energies)]
-    )
-    header = ["r", "V"] + [f"chi_{k}" for k in range(basis.size)]
     rows = (
         [grid.nodes[i], assets.potential.values[i]] + list(basis.modes[:, i])
         for i in range(grid.n_points)
     )
-    write_csv(f"{out_dir}/basis.csv", comments, header, rows)
-    write_json(
-        f"{out_dir}/resonance_report.json",
-        {
-            "gap_tol": GAP_TOL,
-            "collisions": report.collisions,
-            "min_offdiagonal_gap": report.min_offdiagonal_gap,
-            "is_generic": report.is_generic,
-            "energies": basis.energies,
-            "provenance": _provenance(config),
-        },
-    )
-    _write_manifest(out_dir, "spectrum", config, ["basis.csv", "resonance_report.json"])
-    return EXIT_OK
+    energies = ["energies: " + " ".join(fmt(e) for e in basis.energies)]
+    header = ["r", "V"] + [f"chi_{k}" for k in range(basis.size)]
+    resonance_report = {
+        "gap_tol": GAP_TOL,
+        "collisions": report.collisions,
+        "min_offdiagonal_gap": report.min_offdiagonal_gap,
+        "is_generic": report.is_generic,
+        "energies": basis.energies,
+    }
+    documents = {"basis.csv": (energies, header, rows), "resonance_report.json": resonance_report}
+    return Run(documents, {}, EXIT_OK)
 
 
 def _assembly(assets: Assets) -> dict:
@@ -116,7 +126,7 @@ def _assembly(assets: Assets) -> dict:
     }
 
 
-def cmd_coeffs(config: SimulationConfig, out_dir: str) -> int:
+def cmd_coeffs(config: SimulationConfig) -> Run:
     assets = Assets(config)
     coeffs = assets.coeffs
     matrix = coeffs.limit_matrix
@@ -131,34 +141,23 @@ def cmd_coeffs(config: SimulationConfig, out_dir: str) -> int:
         "lamb_exchange": coeffs.lamb_exchange,
         "lamb_direct": coeffs.lamb_direct,
         "assembly": _assembly(assets),
-        "provenance": _provenance(config),
     }
-    write_json(f"{out_dir}/coefficients.json", document)
     rows = [
         [k, kp, matrix[k, kp].real, matrix[k, kp].imag]
         for k in range(coeffs.size)
         for kp in range(coeffs.size)
     ]
-    write_csv(
-        f"{out_dir}/limit_matrix.csv",
-        _csv_comments(config),
-        ["k", "kp", "re_m", "im_m"],
-        rows,
-    )
-    _write_manifest(out_dir, "coeffs", config, ["coefficients.json", "limit_matrix.csv"])
-    return EXIT_OK
+    matrix_csv = ([], ["k", "kp", "re_m", "im_m"], rows)
+    return Run({"coefficients.json": document, "limit_matrix.csv": matrix_csv}, {}, EXIT_OK)
 
 
-def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
+def cmd_evolve(config: SimulationConfig) -> Run:
     traj, series = evolve(Assets(config))
     size = traj.size
-    comments = _csv_comments(
-        config,
-        [
-            f"modes={size} system=limit",
-            "columns hold Re/Im amplitudes, then mass, energy, ground occupation, tail masses",
-        ],
-    )
+    comments = [
+        f"modes={size} system=limit",
+        "columns hold Re/Im amplitudes, then mass, energy, ground occupation, tail masses",
+    ]
     header = ["T"]
     for k in range(size):
         header += [f"re_f_{k}", f"im_f_{k}"]
@@ -174,7 +173,6 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
             series.tail_masses[1:].T,
         ]
     ).tolist()
-    write_csv(f"{out_dir}/trajectory.csv", comments, header, rows)
 
     mass, energy, tails = invariant_verdicts(
         series, config.dynamics.rtol, config.dynamics.t_end
@@ -191,18 +189,16 @@ def cmd_evolve(config: SimulationConfig, out_dir: str) -> int:
         "final_ground_occupation": float(series.ground_occupation[-1]),
         "final_excited_mass": float(series.mass[-1] - series.ground_occupation[-1]),
         "nfev": traj.meta["nfev"],
-        "provenance": _provenance(config),
     }
     if series.logistic is not None:
         summary["min_logistic_margin"] = float(
             np.min(series.ground_occupation - series.logistic)
         )
-    write_json(f"{out_dir}/diagnostics.json", summary)
-    _write_manifest(out_dir, "evolve", config, ["trajectory.csv", "diagnostics.json"])
-    return EXIT_OK
+    documents = {"trajectory.csv": (comments, header, rows), "diagnostics.json": summary}
+    return Run(documents, {}, EXIT_OK)
 
 
-def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
+def cmd_converge(config: SimulationConfig) -> Run:
     setup = Assets(config).sweep
     report = eta_sweep(setup)
     solver = setup.solver
@@ -211,46 +207,30 @@ def cmd_converge(config: SimulationConfig, out_dir: str) -> int:
         t_final=float(setup.t_final), n_samples=solver.n_samples, rtol=solver.rtol,
         atol=solver.atol, modes=setup.table.basis.size, prelimit_method=METHOD, **report.meta
     )
-    write_json(
-        f"{out_dir}/convergence.json",
-        {
-            "config_echo": emit_config(config),
-            "etas": report.etas,
-            "sup_distances": report.sup_distances,
-            "terminal_distances": report.terminal_distances,
-            "mass_drifts": report.mass_drifts,
-            "initial_distance": report.initial_distance,
-            "monotone_within_noise": report.monotone_within_noise,
-            "strictly_decreasing": report.strictly_decreasing,
-            "noise_factor": NOISE_FACTOR,
-            "meta": meta,
-            "provenance": _provenance(config),
-        },
-    )
-    write_csv(
-        f"{out_dir}/convergence.csv",
-        _csv_comments(config),
-        ["eta", "sup_distance"],
-        list(zip(report.etas, report.sup_distances)),
-    )
-    _write_manifest(out_dir, "converge", config, ["convergence.json", "convergence.csv"])
-    return EXIT_OK
+    document = {
+        "config_echo": emit_config(config),
+        "etas": report.etas,
+        "sup_distances": report.sup_distances,
+        "terminal_distances": report.terminal_distances,
+        "mass_drifts": report.mass_drifts,
+        "initial_distance": report.initial_distance,
+        "monotone_within_noise": report.monotone_within_noise,
+        "strictly_decreasing": report.strictly_decreasing,
+        "noise_factor": NOISE_FACTOR,
+        "meta": meta,
+    }
+    sweep_csv = ([], ["eta", "sup_distance"], list(zip(report.etas, report.sup_distances)))
+    return Run({"convergence.json": document, "convergence.csv": sweep_csv}, {}, EXIT_OK)
 
 
-def cmd_check(config: SimulationConfig, out_dir: str) -> int:
+def cmd_check(config: SimulationConfig) -> Run:
     result = run_all_checks(config)
-    _write_manifest(
-        out_dir,
-        "check",
-        config,
-        [],
-        extra={"checks": result["blocks"], "all_passed": result["all_passed"]},
-    )
     for block, records in result["blocks"].items():
         for rec in records:
             status = "PASS" if rec["passed"] else "FAIL"
             print(f"[{status}] {block}.{rec['name']}")
-    return EXIT_OK if result["all_passed"] else EXIT_VALIDATION
+    extra = {"checks": result["blocks"], "all_passed": result["all_passed"]}
+    return Run({}, extra, EXIT_OK if result["all_passed"] else EXIT_VALIDATION)
 
 
 def main(argv=None) -> int:
@@ -275,8 +255,9 @@ def main(argv=None) -> int:
             config = parse_config(args.config)
         else:
             config = SimulationConfig.default().validate()
-        out_dir = ensure_dir(args.out or config.output.directory)
-        return commands[args.command](config, out_dir)
+        run = commands[args.command](config)
+        _write(args.out or config.output.directory, args.command, config, run)
+        return run.code
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

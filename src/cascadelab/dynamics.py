@@ -226,8 +226,10 @@ def fastest_phase(tensor: PrelimitTensor) -> float:
     """Largest |dE| among quadruples that actually contribute.
 
     This is the fastest prelimit phase rate times eta^2, with
-    dE = (E_a - E_b) - (E_c - E_d); quadruples with a zero coefficient
-    (e.g. under a resonant-only restriction) cannot force the step cap.
+    dE = (E_a - E_b) - (E_c - E_d).  A quadruple with a zero coefficient
+    cannot force the step cap: the tests build masked tensors (see
+    ``test_tiny_eta_resonant_tensor_reproduces_limit``) whose zeroed
+    quadruples must not set it.
     """
     active = tensor.tensor != 0.0
     if not np.any(active):

@@ -2,8 +2,10 @@
 
 All floats are rendered with 17 significant digits in scientific
 notation, rows and keys in fixed order, LF line endings, UTF-8; repeated
-runs of the same configuration produce byte-identical files.  Every file
-carries the config hash, package version, and convention flags.
+runs of the same configuration produce byte-identical files.  The one
+caller of these writers is ``cli._write``, which runs only once a command
+has finished and stamps every file with the config hash, package version
+and convention flags.
 """
 
 from __future__ import annotations
@@ -75,10 +77,9 @@ def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
             handle.write(template % row)
 
 
-def ensure_dir(path: str) -> str:
+def ensure_dir(path: str) -> None:
     """Create the output directory; an unusable path is a validation error."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
-    return path

@@ -269,6 +269,21 @@ def test_grid_transforms_has_one_call_site():
     assert _call_sites(SRC / "cascadelab", "grid_transforms") == ["coeffs.pairing_table"]
 
 
+def test_cli_writer_is_the_one_writer():
+    """Only ``cli._write`` makes the output directory, writes files and stamps provenance,
+    and no command takes an output path: each ``cmd_*`` takes the config alone."""
+    for callee in ("ensure_dir", "write_json", "write_csv", "_provenance"):
+        assert _call_sites(SRC / "cascadelab", callee) == ["cli._write"], callee
+    tree = ast.parse((SRC / "cascadelab" / "cli.py").read_text())
+    commands = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    assert sorted(commands) == ["cmd_check", "cmd_coeffs", "cmd_converge", "cmd_evolve", "cmd_spectrum"]
+    assert all(args == ["config"] for args in commands.values()), commands
+
+
 ONE_MODE_CFG = """
 [trap]
 modes = 1
@@ -449,7 +464,7 @@ def test_rtol_below_solver_floor_exits_3(tmp_path, capsys):
 def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     import cascadelab.cli as cli_module
 
-    def boom(config, out_dir):
+    def boom(config):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli_module, "cmd_spectrum", boom)
@@ -460,16 +475,46 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
     assert record["error"] == "numerical"
 
 
-def test_exit_code_output_path_under_file(tmp_path, capsys):
+def test_exit_code_output_path_under_file(tmp_path, capsys, usable_cpus):
+    """An --out below a file exits 3 with one JSON line naming it.
+
+    The path is first tried once the command has finished, so ``converge``
+    and ``check`` report it after their prelimit solves, which run on a
+    worker pool where fork exists, and leave no worker alive.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        usable_cpus(2)
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("[trap]\nmodes = 2\n")
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     out = blocker / "out"
+    for command in ("spectrum", "converge", "check"):
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3, command
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, command
+        record = json.loads(lines[0])
+        assert record["error"] == "validation"
+        assert str(out) in record["message"]
+        assert multiprocessing.active_children() == []
+
+
+def test_unwritable_output_file_exits_3(tmp_path, capsys):
+    """A file the run cannot write exits 3 with one JSON line naming its path.
+
+    A directory in the place of ``basis.csv`` once raised IsADirectoryError
+    out of ``main`` (a traceback and exit 1).
+    """
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("[trap]\nmodes = 2\n")
+    out = tmp_path / "o"
+    (out / "basis.csv").mkdir(parents=True)
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
-    record = json.loads(capsys.readouterr().err.strip())
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
     assert record["error"] == "validation"
-    assert str(out) in record["message"]
+    assert str(out / "basis.csv") in record["message"]
 
 
 NON_FINITE_CASES = (
@@ -696,6 +741,7 @@ def test_block_error_mid_check_exits_4(tmp_path, capsys, monkeypatch, usable_cpu
     assert record["error"] == "numerical"
     assert record["message"] == "synthetic dynamics failure"
     assert multiprocessing.active_children() == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_block_error_mid_check_stops_running_solves(tmp_path, capsys, monkeypatch, usable_cpus):
@@ -731,6 +777,7 @@ def test_dead_worker_in_check_is_numerical_error(tmp_path, capsys, monkeypatch, 
     assert record["error"] == "numerical"
     assert "worker" in record["message"]
     assert multiprocessing.active_children() == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_custom_tabulated_trap(tmp_path):
@@ -888,3 +935,70 @@ def test_config_rejected_before_output_directory(tmp_path, capsys, command, case
     assert record["error"] == "validation"
     assert named in record["message"]
     assert not out.exists()
+
+
+
+DECAY_CFG = "[trap]\nr_max = 12.0\nn_points = 800\n"
+LOW_CUTOFF_CFG = "[momentum]\nrho_max = 0.5\n"
+THIRTEEN_MODES_CFG = "[trap]\nr_max = 48.0\nn_points = 3200\nmodes = 13\n"
+
+#: Runs whose config passes parse but breaks a rule checked at run time:
+#: (command, config text, the message's tell).
+LATE_RULE_CASES = {
+    **{
+        f"decay-{command}": (command, DECAY_CFG, "eigenfunctions not decayed at r_max")
+        for command in ("spectrum", "coeffs", "evolve", "converge", "check")
+    },
+    **{
+        f"cutoff-{command}": (command, LOW_CUTOFF_CFG, "reaches beyond the momentum cutoff 0.5")
+        for command in ("coeffs", "evolve", "converge", "check")
+    },
+    "mode_cap-converge": (
+        "converge",
+        THIRTEEN_MODES_CFG,
+        "13 modes would need 28561 tensor entries; cap is 12 modes",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, named", LATE_RULE_CASES.values(), ids=LATE_RULE_CASES.keys()
+)
+def test_late_rule_leaves_no_directory(tmp_path, capsys, command, text, named):
+    """A rule that needs the spectrum or the sweep exits 3 with one JSON line and no directory.
+
+    Each of these runs once left an empty output directory behind: the
+    directory was made before the command's work.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    assert named in record["message"]
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_runs_clear_of_late_rules_write_their_files(tmp_path, capsys):
+    """``spectrum`` reads no cutoff, and ``check`` builds no tensor from the configured modes.
+
+    So the first finishes under the low cutoff and the second at 13 modes;
+    each writes its files, whatever its records say.
+    """
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(LOW_CUTOFF_CFG)
+    out = tmp_path / "spectrum"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["basis.csv", "manifest.json", "resonance_report.json"]
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(THIRTEEN_MODES_CFG)
+    out = tmp_path / "check"
+    code = run_cli(["check", "--config", str(cfg), "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    assert os.listdir(out) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert code == (0 if manifest["all_passed"] else 3)
