@@ -42,6 +42,7 @@ zero-gap quadruples (k,k;j,j) next to the exchange ones (k,k';k,k').
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -219,27 +220,34 @@ def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
     return route(a, lam, eps)
 
 
-def _cauchy_weights(momenta: MomentumGrid, lam: float, eps: float) -> np.ndarray:
+def _cauchy_weights(
+    momenta: MomentumGrid, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
+) -> np.ndarray:
     """Weights c over the extended nodes with _cauchy_any(a, lam, eps) = c . a.
 
-    Exterior: c = w / (rho - lam + i eps), plus the end weight on the first
-    node at lam = eps = 0.  The interior route's subtraction adds
+    ``extended`` is ``_extended_grid(momenta)``.  Exterior:
+    c = w / (rho - lam + i eps), plus the end weight on the first node at
+    lam = eps = 0.  The interior route's subtraction adds
     l * (log term - sum c), l the Lagrange row of SpectralDensity.at, and
     moves the weight of a node on an eps = 0 pole onto its neighbours.
+    At eps = 0 the quotient is real and taken as w * (1 / d), which is
+    numpy's complex w / (d + 0j) bit for bit but for the sign of its zero
+    imaginary part: the exterior weights come back real, the interior ones
+    complex through the logarithm.
     """
-    nodes, weights = _extended_grid(momenta)
-    denom = nodes - lam + 1j * eps
+    nodes, weights = extended
+    denom = nodes - lam + 1j * eps if eps else nodes - lam
     if not _is_interior(momenta, lam):
         if lam != 0.0 or eps != 0.0:
-            return weights / denom
+            return weights / denom if eps else weights * (1.0 / denom)
         denom[0] = 1.0  # a vanishes at the origin, so its weight there is immaterial
-        c = weights / denom
+        c = weights * (1.0 / denom)
         c[1] += _ORIGIN_END_WEIGHT
         return c
     i = _pole_node(momenta, lam, eps)
     if i is not None:
         denom[i] = 1.0
-    c = weights / denom
+    c = weights / denom if eps else (weights * (1.0 / denom)).astype(complex)
     if i is not None:
         c[i] = 0.0
     lo, row = _lagrange_row(nodes, lam)
@@ -291,15 +299,23 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     return minus + plus
 
 
-def branch_weights(momenta: MomentumGrid, mu: float, eps: float) -> np.ndarray:
-    """Weights W on the grid nodes with branch_sum(a, mu, eps) = W . a.values.
+def branch_weights(momenta: MomentumGrid, gaps, eps: float) -> Iterator[np.ndarray]:
+    """Weights W(mu) on the grid nodes with branch_sum(a, mu, eps) = W(mu) . a.values.
 
-    W = conj c(mu) + c(-mu) from the Cauchy-route weights; a must vanish at
-    the origin, as genuine densities do.  eps = 0 gives the limit pairing.
+    Yields W(mu) = conj c(mu) + c(-mu) from the Cauchy-route weights for
+    each gap mu of ``gaps`` in turn, one vector alive at a time, on one
+    extended grid built for all of them; a must vanish at the origin, as
+    genuine densities do.  eps = 0 gives the limit pairing, in real
+    arithmetic where the weights are real: W(0) at eps = 0 is a float
+    vector, every other W complex.
     """
     eps = _regularization(eps)
-    both = np.conj(_cauchy_weights(momenta, mu, eps)) + _cauchy_weights(momenta, -mu, eps)
-    return both[1:]
+    extended = _extended_grid(momenta)
+    return (
+        np.conj(_cauchy_weights(momenta, extended, mu, eps))[1:]
+        + _cauchy_weights(momenta, extended, -mu, eps)[1:]
+        for mu in gaps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +501,14 @@ class PairingTable:
         energies, momenta = self.basis.energies, self.momenta
         rows, cols = np.triu_indices(self.basis.size)
         scale = DENSITY_PREFACTOR * momenta.nodes**2
-        zero_gap = branch_weights(momenta, 0.0, eps)
+        pairs = list(zip(rows, cols))
+        gaps = [float(energies[j] - energies[jp]) for j, jp in pairs if j != jp]
+        weights = branch_weights(momenta, [0.0] + gaps, eps)
+        zero_gap = next(weights)
         # row c of B and of ghat belong to the pair {rows[c], cols[c]}
         block = np.empty(self.ghat.shape, dtype=complex)
-        for c, (j, jp) in enumerate(zip(rows, cols)):
-            gap = float(energies[j] - energies[jp])
-            weights = zero_gap if j == jp else branch_weights(momenta, gap, eps)
-            np.multiply(scale * self.ghat[c], weights, out=block[c])
+        for c, (j, jp) in enumerate(pairs):
+            np.multiply(scale * self.ghat[c], zero_gap if j == jp else next(weights), out=block[c])
         upper = self.ghat @ block.T
         out = np.empty((len(self.ghat), self.basis.size, self.basis.size), dtype=complex)
         out[:, cols, rows] = np.conj(upper)

@@ -17,15 +17,24 @@ oracles of the assembled Hartree and Lamb-shift cells, and
 generator; ``resonant_limit_cells`` gives it the eps = 0 resonant cells
 that production never assembles.  ``pair_transforms`` transforms kernels
 with every ordered mode product, K^2 rows where the table has K(K+1)/2.
+
+``complex_branch_weights`` is the branch-sum weight vector with every
+quotient taken in complex arithmetic, w / (d + i eps) at eps = 0 too: the
+form ``coeffs.branch_weights`` replaces by real arithmetic at eps = 0.
 """
 
 import numpy as np
 
 from cascadelab.coeffs import (
+    _ORIGIN_END_WEIGHT,
     DENSITY_PREFACTOR,
     CoefficientSet,
     PrelimitTensor,
     SpectralDensity,
+    _extended_grid,
+    _is_interior,
+    _lagrange_row,
+    _pole_node,
     branch_sum,
     spectral_density,
 )
@@ -189,3 +198,41 @@ def resonant_limit_cells(
         )
         cells[k, kp, j, jp] = -1j * (har - s.real) - s.imag
     return cells
+
+
+def complex_branch_weights(momenta: MomentumGrid, mu: float, eps: float) -> np.ndarray:
+    """W = conj c(mu) + c(-mu) on the grid nodes, every quotient complex.
+
+    c(lam) are the Cauchy-route weights over the extended nodes:
+    w / (rho - lam + i eps) on the exterior route, plus the Euler-Maclaurin
+    end weight at lam = eps = 0; the interior route adds the Lagrange row
+    times (log term - sum c) and moves an eps = 0 pole node's weight onto
+    its neighbours.
+    """
+
+    def cauchy(lam):
+        nodes, weights = _extended_grid(momenta)
+        denom = nodes - lam + 1j * eps
+        if not _is_interior(momenta, lam):
+            if lam != 0.0 or eps != 0.0:
+                return weights / denom
+            denom[0] = 1.0
+            c = weights / denom
+            c[1] += _ORIGIN_END_WEIGHT
+            return c
+        i = _pole_node(momenta, lam, eps)
+        if i is not None:
+            denom[i] = 1.0
+        c = weights / denom
+        if i is not None:
+            c[i] = 0.0
+        lo, row = _lagrange_row(nodes, lam)
+        log_term = np.log(complex(nodes[-1] - lam, eps)) - np.log(complex(-lam, eps))
+        c[lo : lo + 4] += row * (log_term - np.sum(c))
+        if i is not None:
+            quotient = weights[i] / (nodes[i + 1] - nodes[i - 1])
+            c[i + 1] += quotient
+            c[i - 1] -= quotient
+        return c
+
+    return (np.conj(cauchy(mu)) + cauchy(-mu))[1:]

@@ -13,6 +13,7 @@ from cascadelab.coeffs import (
     DENSITY_PREFACTOR,
     TENSOR_MODE_CAP,
     SpectralDensity,
+    _extended_grid,
     assemble_limit_matrix,
     assemble_prelimit_tensor,
     branch_sum,
@@ -156,7 +157,7 @@ def test_negative_zero_eps_is_the_upper_edge(gaussian_pair_density):
     for route in (
         lambda eps: cauchy_transform(a, 1.3, eps),
         lambda eps: branch_sum(a, 1.3, eps),
-        lambda eps: branch_weights(a.momenta, 1.3, eps),
+        lambda eps: next(branch_weights(a.momenta, [1.3], eps)),
     ):
         plus, minus = np.asarray(route(0.0)), np.asarray(route(-0.0))
         assert plus.tobytes() == minus.tobytes()
@@ -376,7 +377,7 @@ def test_limit_matrix_structure(default_assets):
 
 @pytest.mark.parametrize("name, calls", [("default_assets", 16), ("sweep_assets", 7)])
 def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch, name, calls):
-    """Each assembly builds K(K-1)/2 + 1 branch weight vectors, not K^2.
+    """Each assembly builds K(K-1)/2 + 1 branch weight vectors, not K^2, on one extended grid.
 
     One per gap E_j - E_j' with j < j', and one W(0) shared by the K
     zero-gap cells; the cells with j > j' are the conjugates of their
@@ -387,19 +388,28 @@ def test_assembly_builds_one_weight_vector_per_distinct_gap(request, monkeypatch
     assets = request.getfixturevalue(name)
     basis, table = assets.basis, assets.table
     assert basis.size * (basis.size - 1) // 2 + 1 == calls
-    gaps = []
+    gaps, grids = [], []
 
-    def counted(momenta, mu, eps):
-        gaps.append(mu)
-        return branch_weights(momenta, mu, eps)
+    def counted(momenta, mus, eps):
+        for mu, weights in zip(mus, branch_weights(momenta, mus, eps), strict=True):
+            gaps.append(mu)
+            yield weights
+
+    def extended(momenta):
+        grids.append(momenta)
+        return _extended_grid(momenta)
 
     monkeypatch.setattr(coeffs_module, "branch_weights", counted)
+    monkeypatch.setattr(coeffs_module, "_extended_grid", extended)
     assemble_limit_matrix(table)
     assert len(gaps) == calls
     assert sorted(set(gaps)) == sorted(gaps)  # no gap is weighted twice
+    assert grids == [table.momenta]
     gaps.clear()
+    grids.clear()
     assemble_prelimit_tensor(table, 0.1)
     assert len(gaps) == calls
+    assert grids == [table.momenta]
 
 
 @pytest.fixture

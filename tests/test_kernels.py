@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.fft import next_fast_len
 from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import (
+    _ROW_BLOCK,
     InteractionKernel,
     _next_fast_len,
     gaussian_kernel,
@@ -161,18 +164,46 @@ def test_grid_transforms_match_dense_on_doubled_grid(default_assets):
     assert np.max(route_gap(profiles, default_assets.grid, fine)) <= ROUTE_AGREEMENT
 
 
+@pytest.mark.parametrize("count", [1, _ROW_BLOCK, _ROW_BLOCK + 1, 23])
 @pytest.mark.parametrize("preset", ["default_assets", "sweep_assets"])
-def test_stacked_rows_transform_as_single_rows(preset, request):
+def test_stacked_rows_transform_as_single_rows(preset, count, request):
     """A row's transform does not depend on the rows stacked with it, bit for bit.
 
     The pairing table transforms both kernels with the mode products; the
     test oracles transform other row sets and must read the same values.
+    The counts cover one row, one full block, a block and one row over,
+    and default.cfg's 23 rows (the canonical grid's 12 rows repeated).
     """
     assets = request.getfixturevalue(preset)
     profiles = shipped_profiles(assets)
+    profiles = profiles[np.arange(count) % len(profiles)]
     stacked = grid_transforms(profiles, assets.grid, assets.table.momenta)
-    for row, hat in zip(profiles, stacked):
-        assert np.array_equal(grid_transforms(row, assets.grid, assets.table.momenta)[0], hat)
+    for row, hat in zip(profiles, stacked, strict=True):
+        alone = grid_transforms(row, assets.grid, assets.table.momenta)[0]
+        assert alone.tobytes() == hat.tobytes()
+
+
+def test_grid_transforms_working_set_does_not_grow_with_rows(default_assets):
+    """The traced peak beside the output stays flat from 23 to 46 rows and under 3 MB.
+
+    Blocks of rows reuse one spectrum and one product buffer.  Transforming
+    all rows at once traced 7.6 MB beside default.cfg's 23-row output and
+    15.0 MB beside a 46-row one.
+    """
+    profiles = shipped_profiles(default_assets)
+    momenta = default_assets.table.momenta
+    assert momenta.n_rho == 8192
+    grid_transforms(profiles[0], default_assets.grid, momenta)  # numpy caches the FFT plans
+    beside = []
+    for stacked in (profiles, np.vstack([profiles, profiles])):
+        tracemalloc.start()
+        try:
+            out = grid_transforms(stacked, default_assets.grid, momenta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beside.append(peak - out.nbytes)
+    assert beside[1] <= beside[0] < 3e6
 
 
 @settings(max_examples=60, deadline=None)

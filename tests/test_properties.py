@@ -26,7 +26,7 @@ from cascadelab.grids import MomentumGrid, RadialGrid
 from cascadelab.kernels import gaussian_kernel
 from cascadelab.spectrum import Potential, solve_radial_eigenpairs
 
-from oracles import rhs_limit, rhs_prelimit
+from oracles import complex_branch_weights, rhs_limit, rhs_prelimit
 
 ETA = 0.1
 
@@ -174,7 +174,8 @@ def test_branch_weights_match_scalar_branch_sum(gaussian_pair_density, data, eps
     a = gaussian_pair_density
     mu = data.draw(gaps(a.momenta))
     exact = branch_sum(a, mu, eps)
-    assert abs(branch_weights(a.momenta, mu, eps) @ a.values - exact) <= 1e-12 * abs(exact)
+    (weights,) = branch_weights(a.momenta, [mu], eps)
+    assert abs(weights @ a.values - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize("offset", NODE_OFFSETS)
@@ -187,7 +188,34 @@ def test_branch_weights_match_scalar_branch_sum_at_node_poles(
     for node in (2, 700, a.momenta.n_rho - 3):
         mu = sign * (node + offset) * a.momenta.spacing
         exact = branch_sum(a, mu, 0.0)
-        assert abs(branch_weights(a.momenta, mu, 0.0) @ a.values - exact) <= 1e-12 * abs(exact)
+        (weights,) = branch_weights(a.momenta, [mu], 0.0)
+        assert abs(weights @ a.values - exact) <= 1e-12 * abs(exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    rho_max=st.floats(min_value=1.0, max_value=40.0),
+    n_rho=st.integers(min_value=16, max_value=4096),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=2.5e-3, max_value=1e-1)),
+)
+def test_branch_weights_equal_the_complex_quotient_form(data, rho_max, n_rho, eps):
+    """At eps = 0 the weights divide in real arithmetic and equal the complex form value for value.
+
+    Random grids, gaps of both signs (on a node, just off one, anywhere
+    resolvable) and mu = 0.  Only the sign of a zero imaginary part may
+    differ, and W(0) comes back real.  At eps > 0 both forms are complex and
+    agree bit for bit.
+    """
+    momenta = MomentumGrid(rho_max, n_rho)
+    mus = data.draw(st.lists(gaps(momenta), min_size=1, max_size=4))
+    for mu, weights in zip(mus, branch_weights(momenta, mus, eps), strict=True):
+        oracle = complex_branch_weights(momenta, mu, eps)
+        if eps == 0.0:
+            assert np.array_equal(weights, oracle)
+            assert np.iscomplexobj(weights) == (mu != 0.0)
+        else:
+            assert weights.tobytes() == oracle.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,7 +224,7 @@ def test_branch_weights_reject_fringe_gaps(gaussian_pair_density, data):
     a = gaussian_pair_density
     mu = data.draw(fringe_gaps(a.momenta))
     with pytest.raises(ValidationError):
-        branch_weights(a.momenta, mu, 1e-2)
+        list(branch_weights(a.momenta, [mu], 1e-2))
     with pytest.raises(ValidationError):
         branch_sum(a, mu, 1e-2)
 
