@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 configuration parse error, 3 validation error,
 stderr.  Each ``cmd_*`` computes its ``Run`` from the config alone;
 only once it has returned does ``_write`` make the output directory and
 write the run's files and ``manifest.json``, so a failed run leaves no
-directory.  All files are byte-reproducible for a fixed configuration.
+directory, and only once they are written does ``main`` print the run's
+lines (``check``'s verdicts), so a run that cannot write prints none.  All files are byte-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ EXIT_NUMERICAL = 4
 
 class Run(NamedTuple):
     """A command's documents by file name (a dict for ``.json``, ``(comments,
-    header, rows)`` for ``.csv``), the manifest's extra keys and its exit code."""
+    header, rows)`` for ``.csv``), the manifest's extra keys, its exit code and
+    the lines ``main`` prints once the files are written."""
 
     documents: dict
     extra: dict
     code: int
+    lines: list
 
 
 def _provenance(config: SimulationConfig) -> dict:
@@ -103,7 +106,7 @@ def cmd_spectrum(config: SimulationConfig) -> Run:
         "energies": basis.energies,
     }
     documents = {"basis.csv": (energies, header, rows), "resonance_report.json": resonance_report}
-    return Run(documents, {}, EXIT_OK)
+    return Run(documents, {}, EXIT_OK, [])
 
 
 def _assembly(assets: Assets) -> dict:
@@ -148,7 +151,8 @@ def cmd_coeffs(config: SimulationConfig) -> Run:
         for kp in range(coeffs.size)
     ]
     matrix_csv = ([], ["k", "kp", "re_m", "im_m"], rows)
-    return Run({"coefficients.json": document, "limit_matrix.csv": matrix_csv}, {}, EXIT_OK)
+    documents = {"coefficients.json": document, "limit_matrix.csv": matrix_csv}
+    return Run(documents, {}, EXIT_OK, [])
 
 
 def cmd_evolve(config: SimulationConfig) -> Run:
@@ -195,7 +199,7 @@ def cmd_evolve(config: SimulationConfig) -> Run:
             np.min(series.ground_occupation - series.logistic)
         )
     documents = {"trajectory.csv": (comments, header, rows), "diagnostics.json": summary}
-    return Run(documents, {}, EXIT_OK)
+    return Run(documents, {}, EXIT_OK, [])
 
 
 def cmd_converge(config: SimulationConfig) -> Run:
@@ -220,17 +224,19 @@ def cmd_converge(config: SimulationConfig) -> Run:
         "meta": meta,
     }
     sweep_csv = ([], ["eta", "sup_distance"], list(zip(report.etas, report.sup_distances)))
-    return Run({"convergence.json": document, "convergence.csv": sweep_csv}, {}, EXIT_OK)
+    documents = {"convergence.json": document, "convergence.csv": sweep_csv}
+    return Run(documents, {}, EXIT_OK, [])
 
 
 def cmd_check(config: SimulationConfig) -> Run:
     result = run_all_checks(config)
-    for block, records in result["blocks"].items():
-        for rec in records:
-            status = "PASS" if rec["passed"] else "FAIL"
-            print(f"[{status}] {block}.{rec['name']}")
+    lines = [
+        f"[{'PASS' if rec['passed'] else 'FAIL'}] {block}.{rec['name']}"
+        for block, records in result["blocks"].items()
+        for rec in records
+    ]
     extra = {"checks": result["blocks"], "all_passed": result["all_passed"]}
-    return Run({}, extra, EXIT_OK if result["all_passed"] else EXIT_VALIDATION)
+    return Run({}, extra, EXIT_OK if result["all_passed"] else EXIT_VALIDATION, lines)
 
 
 def main(argv=None) -> int:
@@ -257,6 +263,8 @@ def main(argv=None) -> int:
             config = SimulationConfig.default().validate()
         run = commands[args.command](config)
         _write(args.out or config.output.directory, args.command, config, run)
+        for line in run.lines:
+            print(line)
         return run.code
     except ConfigError as exc:
         _emit_error("config", exc)

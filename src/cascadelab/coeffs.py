@@ -588,6 +588,14 @@ def assemble_limit_matrix(table: PairingTable) -> CoefficientSet:
     return CoefficientSet(upper + upper.T, har_ex, har_dir, lamb_ex, lamb_dir)
 
 
+def require_tensor_modes(size: int) -> None:
+    """Reject a prelimit tensor over more than ``TENSOR_MODE_CAP`` modes (its memory grows like K^4)."""
+    if size > TENSOR_MODE_CAP:
+        raise ValidationError(
+            f"{size} modes would need {size**4} tensor entries; cap is {TENSOR_MODE_CAP} modes"
+        )
+
+
 # Quiet for the same reason as assemble_limit_matrix.
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_prelimit_tensor(table: PairingTable, eta: float) -> PrelimitTensor:
@@ -604,11 +612,7 @@ def assemble_prelimit_tensor(table: PairingTable, eta: float) -> PrelimitTensor:
     if not 0 < eta < np.inf:
         raise ValidationError(f"eta must be positive and finite, got {eta}")
     basis = table.basis
-    if basis.size > TENSOR_MODE_CAP:
-        raise ValidationError(
-            f"{basis.size} modes would need {basis.size**4} tensor entries; cap is "
-            f"{TENSOR_MODE_CAP} modes"
-        )
+    require_tensor_modes(basis.size)
     index = table.index
     sums = table.cell_sums(eta**2)
     cells = -1j * (table.hartree[:, index] - sums.real) - sums.imag

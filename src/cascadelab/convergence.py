@@ -39,7 +39,12 @@ from functools import partial
 
 import numpy as np
 
-from .coeffs import PairingTable, assemble_limit_matrix, assemble_prelimit_tensor
+from .coeffs import (
+    PairingTable,
+    assemble_limit_matrix,
+    assemble_prelimit_tensor,
+    require_tensor_modes,
+)
 from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
 from .errors import NumericalError, ValidationError
 
@@ -114,7 +119,8 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
 
 @dataclass(frozen=True)
 class SweepSetup:
-    """The inputs of one eta sweep, validated on construction by ``validate_sweep``.
+    """The inputs of one eta sweep, validated on construction by ``validate_sweep``
+    and, when it has an eta, by the tensor's mode cap (``require_tensor_modes``).
 
     Each eta's tensor is ``table`` read at eps = eta^2, and the limit
     matrix is ``table`` read at eps = 0.  ``solver`` sets the
@@ -133,6 +139,8 @@ class SweepSetup:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=complex))
         validate_sweep(self.etas, self.t_final, self.solver.n_samples)
+        if self.etas:  # each eta assembles a tensor; reject one too large before any worker starts
+            require_tensor_modes(self.table.basis.size)
 
     def prelimit_run(self, eta: float) -> Trajectory:
         """One eta of the sweep: read its tensor off the table and integrate the prelimit system."""

@@ -499,6 +499,60 @@ def test_exit_code_output_path_under_file(tmp_path, capsys, usable_cpus):
         assert multiprocessing.active_children() == []
 
 
+#: The lines a passing ``check`` prints, in order, for the shipped configs.
+PASSING_CHECK_STDOUT = "".join(
+    f"[PASS] {name}\n"
+    for name in (
+        "spectrum.orthonormality",
+        "spectrum.spectral_convergence_doubling",
+        "spectrum.sign_convention",
+        "spectrum.harmonic_oracle",
+        "spectrum.spectral_genericity",
+        "coefficients.coefficient_symmetries",
+        "coefficients.independent_recomputation",
+        "coefficients.dual_route_fgr",
+        "coefficients.lamb_dual_route",
+        "coefficients.plancherel",
+        "coefficients.eps_uniformity",
+        "coefficients.row_sum_stability",
+        "dynamics.mass_conservation",
+        "dynamics.energy_monotonicity",
+        "dynamics.tail_monotonicity",
+        "dynamics.phase_equivariance",
+        "dynamics.logistic_domination",
+        "dynamics.bec_formation",
+        "dynamics.two_mode_exactness",
+        "convergence.sweep_strictly_decreasing",
+        "convergence.sweep_factor_two",
+        "convergence.sweep_initial_distance",
+        "convergence.sweep_reproducibility",
+    )
+)
+
+
+def test_check_under_a_file_prints_no_verdict(tmp_path, capsys):
+    """A ``check`` that cannot write its files prints no [PASS] line before exiting 3.
+
+    It once printed a passing suite's every verdict and then exited 3.
+    """
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    assert run_cli(["check", "--config", str(CONFIGS / "two_mode.cfg"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "validation"
+    assert not out.exists()
+
+
+def test_passing_check_prints_every_verdict(check_runs):
+    """A passing ``check`` prints one [PASS] line per record, in the suite's order."""
+    for run in check_runs.values():
+        assert run.code == 0
+        assert run.stdout == PASSING_CHECK_STDOUT
+
+
 def test_unwritable_output_file_exits_3(tmp_path, capsys):
     """A file the run cannot write exits 3 with one JSON line naming its path.
 
@@ -981,6 +1035,31 @@ def test_late_rule_leaves_no_directory(tmp_path, capsys, command, text, named):
     assert named in record["message"]
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+def test_mode_cap_is_checked_before_any_worker_starts(tmp_path, capsys, monkeypatch, usable_cpus):
+    """``converge`` at 13 modes exits 3 before the sweep asks for a worker pool.
+
+    The cap once surfaced only in the first eta's tensor assembly, after the
+    pool had forked.  The stderr line is the one that run printed.
+    """
+    usable_cpus(2)
+
+    def no_pool(jobs):
+        raise AssertionError("a worker pool was asked for")
+
+    monkeypatch.setattr(convergence, "_worker_pool", no_pool)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THIRTEEN_MODES_CFG)
+    out = tmp_path / "o"
+    assert run_cli(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        '{"error": "validation", "message": "13 modes would need 28561 tensor entries; '
+        'cap is 12 modes", "type": "ValidationError"}\n'
+    )
+    assert not out.exists()
 
 
 def test_runs_clear_of_late_rules_write_their_files(tmp_path, capsys):
