@@ -212,7 +212,6 @@ def cmd_converge(config: SimulationConfig) -> Run:
         atol=solver.atol, modes=setup.table.basis.size, prelimit_method=METHOD, **report.meta
     )
     document = {
-        "config_echo": emit_config(config),
         "etas": report.etas,
         "sup_distances": report.sup_distances,
         "terminal_distances": report.terminal_distances,

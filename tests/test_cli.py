@@ -14,7 +14,7 @@ import pytest
 import cascadelab.checks as checks
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
-from cascadelab.config import SimulationConfig, TrapConfig, emit_config
+from cascadelab.config import SimulationConfig, TrapConfig, emit_config, parse_config
 from cascadelab.errors import NumericalError, ValidationError
 from cascadelab.grids import RadialGrid
 from cascadelab.pipeline import Assets
@@ -428,6 +428,10 @@ def test_converge_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "convergence.json").read_text())
+    # the config text lives in the manifest alone
+    assert "config_echo" not in report
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_echo"] == emit_config(parse_config(str(cfg)))
     assert report["strictly_decreasing"]
     assert len(report["etas"]) == 2
     assert all(n > 0 for n in report["meta"]["prelimit_nfev"])
