@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 configuration parse error, 3 validation error,
 stderr.  Each ``cmd_*`` computes its ``Run`` from the config alone;
 only once it has returned does ``_write`` make the output directory and
 write the run's files and ``manifest.json``, so a failed run leaves no
-directory, and only once they are written does ``main`` print the run's
-lines (``check``'s verdicts), so a run that cannot write prints none.  All files are byte-reproducible for a fixed configuration.
+directory; only once they are written does ``main`` print the run's
+lines (``check``'s verdicts), so a run that cannot write prints none.
+All files are byte-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations

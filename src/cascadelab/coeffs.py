@@ -42,7 +42,7 @@ zero-gap quadruples (k,k;j,j) next to the exchange ones (k,k';k,k').
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -220,34 +220,41 @@ def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
     return route(a, lam, eps)
 
 
+def _quotient(weights: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """weights / denom; a real denom (eps = 0) divides in real arithmetic.
+
+    There the quotient is w * (1 / d): numpy's complex w / (d + 0j) bit for
+    bit but for the sign of its zero imaginary part, which no weight reads.
+    """
+    return weights * (1.0 / denom) if denom.dtype == float else weights / denom
+
+
 def _cauchy_weights(
     momenta: MomentumGrid, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
 ) -> np.ndarray:
-    """Weights c over the extended nodes with _cauchy_any(a, lam, eps) = c . a.
+    """Weights c over the extended nodes (``_extended_grid(momenta)``) with
+    _cauchy_any(a, lam, eps) = c . a.
 
-    ``extended`` is ``_extended_grid(momenta)``.  Exterior:
-    c = w / (rho - lam + i eps), plus the end weight on the first node at
-    lam = eps = 0.  The interior route's subtraction adds
+    Exterior: c = w / (rho - lam + i eps), plus the end weight on the first
+    node at lam = eps = 0.  The interior route's subtraction adds
     l * (log term - sum c), l the Lagrange row of SpectralDensity.at, and
-    moves the weight of a node on an eps = 0 pole onto its neighbours.
-    At eps = 0 the quotient is real and taken as w * (1 / d), which is
-    numpy's complex w / (d + 0j) bit for bit but for the sign of its zero
-    imaginary part: the exterior weights come back real, the interior ones
-    complex through the logarithm.
+    moves the weight of a node on an eps = 0 pole onto its neighbours.  At
+    eps = 0 the quotients are real (``_quotient``), so the exterior weights
+    come back real and the interior ones complex through the logarithm.
     """
     nodes, weights = extended
     denom = nodes - lam + 1j * eps if eps else nodes - lam
     if not _is_interior(momenta, lam):
         if lam != 0.0 or eps != 0.0:
-            return weights / denom if eps else weights * (1.0 / denom)
+            return _quotient(weights, denom)
         denom[0] = 1.0  # a vanishes at the origin, so its weight there is immaterial
-        c = weights * (1.0 / denom)
+        c = _quotient(weights, denom)
         c[1] += _ORIGIN_END_WEIGHT
         return c
     i = _pole_node(momenta, lam, eps)
     if i is not None:
         denom[i] = 1.0
-    c = weights / denom if eps else (weights * (1.0 / denom)).astype(complex)
+    c = _quotient(weights, denom).astype(complex, copy=False)
     if i is not None:
         c[i] = 0.0
     lo, row = _lagrange_row(nodes, lam)
@@ -299,7 +306,9 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     return minus + plus
 
 
-def branch_weights(momenta: MomentumGrid, gaps, eps: float) -> Iterator[np.ndarray]:
+def branch_weights(
+    momenta: MomentumGrid, gaps: Iterable[float], eps: float
+) -> Iterator[np.ndarray]:
     """Weights W(mu) on the grid nodes with branch_sum(a, mu, eps) = W(mu) . a.values.
 
     Yields W(mu) = conj c(mu) + c(-mu) from the Cauchy-route weights for
@@ -589,7 +598,7 @@ def assemble_limit_matrix(table: PairingTable) -> CoefficientSet:
 
 
 def require_tensor_modes(size: int) -> None:
-    """Reject a prelimit tensor over more than ``TENSOR_MODE_CAP`` modes (its memory grows like K^4)."""
+    """Reject a prelimit tensor over more than ``TENSOR_MODE_CAP`` modes (memory ~ K^4)."""
     if size > TENSOR_MODE_CAP:
         raise ValidationError(
             f"{size} modes would need {size**4} tensor entries; cap is {TENSOR_MODE_CAP} modes"
