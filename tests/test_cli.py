@@ -480,11 +480,12 @@ def test_exit_code_numerical_error(tmp_path, capsys, monkeypatch):
 
 
 def test_exit_code_output_path_under_file(tmp_path, capsys, usable_cpus):
-    """An --out below a file exits 3 with one JSON line naming it.
+    """An --out below a file exits 3 with one JSON line naming it and prints nothing.
 
     The path is first tried once the command has finished, so ``converge``
     and ``check`` report it after their prelimit solves, which run on a
-    worker pool where fork exists, and leave no worker alive.
+    worker pool where fork exists, and leave no worker alive.  ``check``
+    once printed a passing suite's verdicts before it found the path.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         usable_cpus(2)
@@ -495,11 +496,14 @@ def test_exit_code_output_path_under_file(tmp_path, capsys, usable_cpus):
     out = blocker / "out"
     for command in ("spectrum", "converge", "check"):
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 3, command
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        lines = captured.err.splitlines()
         assert len(lines) == 1, command
         record = json.loads(lines[0])
         assert record["error"] == "validation"
         assert str(out) in record["message"]
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
 
@@ -532,22 +536,6 @@ PASSING_CHECK_STDOUT = "".join(
         "convergence.sweep_reproducibility",
     )
 )
-
-
-def test_check_under_a_file_prints_no_verdict(tmp_path, capsys):
-    """A ``check`` that cannot write its files prints no [PASS] line before exiting 3.
-
-    It once printed a passing suite's every verdict and then exited 3.
-    """
-    blocker = tmp_path / "file"
-    blocker.write_text("not a directory\n")
-    out = blocker / "out"
-    assert run_cli(["check", "--config", str(CONFIGS / "two_mode.cfg"), "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert json.loads(line)["error"] == "validation"
-    assert not out.exists()
 
 
 def test_passing_check_prints_every_verdict(check_runs):
