@@ -100,17 +100,16 @@ class SpectralDensity:
     def conjugated(self) -> "SpectralDensity":
         return SpectralDensity(self.momenta, np.conj(self.values), np.conj(self.zero_value))
 
-    def _extended(self):
-        nodes, weights = _extended_grid(self.momenta)
-        return nodes, np.concatenate(([self.zero_value], self.values)), weights
+    def _extended_values(self) -> np.ndarray:
+        """The values on the nodes of ``_extended_grid``: zero_value first."""
+        return np.concatenate(([self.zero_value], self.values))
 
     def at(self, lam: float):
         """Density at an off-node frequency by local cubic interpolation."""
-        nodes, values, _ = self._extended()
+        nodes, _ = _extended_grid(self.momenta)
         if lam < nodes[0] or lam > nodes[-1]:
             raise ValidationError(f"interpolation point {lam} outside [0, {nodes[-1]}]")
-        lo, row = _lagrange_row(nodes, lam)
-        return sum(y * weight for y, weight in zip(values[lo : lo + 4], row))
+        return _interpolate(nodes, self._extended_values(), lam)
 
 
 def _extended_grid(momenta: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -127,6 +126,12 @@ def _lagrange_row(nodes: np.ndarray, lam: float) -> tuple[int, np.ndarray]:
     xs = nodes[lo : lo + 4].tolist()
     row = [math.prod((lam - xs[n]) / (xs[m] - xs[n]) for n in range(4) if n != m) for m in range(4)]
     return lo, np.array(row)
+
+
+def _interpolate(nodes: np.ndarray, values: np.ndarray, lam: float):
+    """The 4-point Lagrange interpolant of values on nodes, at lam."""
+    lo, row = _lagrange_row(nodes, lam)
+    return sum(y * weight for y, weight in zip(values[lo : lo + 4], row))
 
 
 def spectral_density(
@@ -159,17 +164,21 @@ def _pole_node(momenta: MomentumGrid, lam: float, eps: float) -> int | None:
     return i if abs(i * momenta.spacing - lam) < _POLE_WINDOW * momenta.spacing else None
 
 
-def _cauchy_interior(a: SpectralDensity, lam: float, eps: float) -> complex:
+def _cauchy_interior(
+    a: SpectralDensity, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
+) -> complex:
     """Subtracted quadrature of int a(rho) / (rho - lam + i eps) drho.
 
     The singular weight integrates in closed form (complex logarithm at
     the interval endpoints); the remainder (a(rho) - a(lam)) / (...) is
     smooth on the scale of a itself and handled by the trapezoid rule.
     Valid for eps >= 0; at eps = 0 a node on the pole takes the central
-    difference quotient in place of the 0/0 remainder.
+    difference quotient in place of the 0/0 remainder.  ``extended`` is
+    ``_extended_grid(a.momenta)``.
     """
-    nodes, values, weights = a._extended()
-    a_lam = a.at(lam)
+    nodes, weights = extended
+    values = a._extended_values()
+    a_lam = _interpolate(nodes, values, lam)
     numer = values - a_lam
     denom = nodes - lam + 1j * eps
     i = _pole_node(a.momenta, lam, eps)
@@ -184,14 +193,17 @@ def _cauchy_interior(a: SpectralDensity, lam: float, eps: float) -> complex:
     return complex(subtracted + log_term)
 
 
-def _cauchy_exterior(a: SpectralDensity, lam: float, eps: float) -> complex:
+def _cauchy_exterior(
+    a: SpectralDensity, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
+) -> complex:
     """Plain quadrature; requires the pole at lam <= 0, outside the interval.
 
     At lam = eps = 0 the integrand a(rho)/rho is odd with slope a''(0)/2 at
     the origin, so the trapezoid rule gains the Euler-Maclaurin end term
-    h^2 f'(0)/12 = a(h)/12 + O(h^4).
+    h^2 f'(0)/12 = a(h)/12 + O(h^4).  ``extended`` is ``_extended_grid(a.momenta)``.
     """
-    nodes, values, weights = a._extended()
+    nodes, weights = extended
+    values = a._extended_values()
     denom = nodes - lam + 1j * eps
     if lam == 0.0 and eps == 0.0:
         # the origin node has zero denominator; a vanishes there like rho^2
@@ -215,9 +227,11 @@ def _is_interior(momenta: MomentumGrid, lam: float) -> bool:
     )
 
 
-def _cauchy_any(a: SpectralDensity, lam: float, eps: float) -> complex:
+def _cauchy_any(
+    a: SpectralDensity, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
+) -> complex:
     route = _cauchy_interior if _is_interior(a.momenta, lam) else _cauchy_exterior
-    return route(a, lam, eps)
+    return route(a, extended, lam, eps)
 
 
 def _quotient(weights: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -233,7 +247,7 @@ def _cauchy_weights(
     momenta: MomentumGrid, extended: tuple[np.ndarray, np.ndarray], lam: float, eps: float
 ) -> np.ndarray:
     """Weights c over the extended nodes (``_extended_grid(momenta)``) with
-    _cauchy_any(a, lam, eps) = c . a.
+    _cauchy_any(a, extended, lam, eps) = c . a.
 
     Exterior: c = w / (rho - lam + i eps), plus the end weight on the first
     node at lam = eps = 0.  The interior route's subtraction adds
@@ -290,7 +304,7 @@ def cauchy_transform(a: SpectralDensity, lam: float, eps: float) -> complex:
     eps = _regularization(eps)
     if not _is_interior(a.momenta, lam):
         raise ValidationError(f"lambda = {lam} must lie inside the momentum interval")
-    return _cauchy_interior(a, lam, eps)
+    return _cauchy_interior(a, _extended_grid(a.momenta), lam, eps)
 
 
 def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
@@ -301,8 +315,9 @@ def branch_sum(a: SpectralDensity, mu: float, eps: float) -> complex:
     the on-shell rate (pi times the density at |mu| as eps -> 0).
     """
     eps = _regularization(eps)
-    minus = np.conj(_cauchy_any(a.conjugated(), mu, eps))
-    plus = _cauchy_any(a, -mu, eps)
+    extended = _extended_grid(a.momenta)
+    minus = np.conj(_cauchy_any(a.conjugated(), extended, mu, eps))
+    plus = _cauchy_any(a, extended, -mu, eps)
     return minus + plus
 
 
