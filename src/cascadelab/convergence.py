@@ -24,6 +24,15 @@ importing them again.  With one usable CPU, or where the "fork" start
 method is missing, each finisher runs the same per-eta function here
 instead.  Each solve is deterministic and the results are collected in
 input order, so the report does not depend on which route ran it.
+
+While the pool exists, numpy's OpenBLAS runs at one thread, here and in
+the workers, and the count from before is restored after the pool shuts
+down: an idle OpenBLAS helper thread busy-spins for about 140 ms after
+each threaded call, which takes CPU from the workers while the caller
+computes.  The count drops before the first submit forks the workers,
+because OpenBLAS shuts its thread pool down at a fork and a count set
+afterwards rebuilds it, with a new spinning helper.  Without numpy's
+bundled OpenBLAS nothing is set.
 """
 
 from __future__ import annotations
@@ -109,6 +118,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _set_blas_threads(count: int) -> int | None:
+    """Set the thread count of numpy's bundled OpenBLAS; return the one before.
+
+    Goes through OpenBLAS's runtime API as numpy's scipy-openblas64 exports
+    it, loaded with numpy's own ctypes helpers.  Returns None, and sets
+    nothing, where numpy bundles no such library (MKL, Accelerate, a system
+    BLAS).
+    """
+    libs = os.path.dirname(np.__file__) + ".libs"
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    c_int = np.ctypeslib.as_ctypes_type(np.intc)
+    for name in (name for name in names if "openblas" in name):
+        try:
+            lib = np.ctypeslib.load_library(name, libs)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], c_int
+        put.argtypes, put.restype = [c_int], None
+        previous = get()
+        put(count)
+        return previous
+    return None
+
+
 def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
     """A fork pool of min(jobs, usable CPUs) workers, or None when that is one."""
     workers = min(jobs, _usable_cpus())
@@ -168,8 +203,11 @@ def sweep_runs(setups: Iterable[SweepSetup]) -> Iterator[list[Callable[[], Conve
     children = set(multiprocessing.active_children())
     pool = _worker_pool(sum(map(len, solves)))
     workers = set()
+    blas_threads = None
     try:
         if pool is not None:
+            # before the first submit forks the workers, so that they inherit it
+            blas_threads = _set_blas_threads(1)
             # smallest eta first across the sweeps: it costs most and sets the makespan
             order = sorted(
                 (eta, n, i) for n, setup in enumerate(setups) for i, eta in enumerate(setup.etas)
@@ -188,6 +226,8 @@ def sweep_runs(setups: Iterable[SweepSetup]) -> Iterator[list[Callable[[], Conve
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
 
 
 def eta_sweep(setup: SweepSetup) -> ConvergenceReport:

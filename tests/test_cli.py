@@ -382,17 +382,20 @@ def test_coeffs_command_and_determinism(tmp_path):
 def test_coeffs_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The outputs are the same bytes at one and at two OpenBLAS threads.
 
-    The runs are ``coeffs`` on default.cfg, and ``coeffs``, ``evolve`` and
-    ``converge`` on it with eight modes.  There the 36 x 36 mean-field
-    table, formed as a BLAS product, moved ``hartree_direct`` by 1.7e-18
-    between the two thread counts.  The count is read when numpy loads, so
-    each run gets a fresh interpreter.
+    The runs are ``coeffs`` and ``check`` on default.cfg, and ``coeffs``,
+    ``evolve`` and ``converge`` on it with eight modes.  There the 36 x 36
+    mean-field table, formed as a BLAS product, moved ``hartree_direct`` by
+    1.7e-18 between the two thread counts.  ``check``'s manifest holds every
+    record of the suite, computed at one thread while the sweep's workers
+    run and at the starting count before and after.  The count is read
+    when numpy loads, so each run gets a fresh interpreter.
     """
     default = CONFIGS / "default.cfg"
     eight = tmp_path / "eight_modes.cfg"
     eight.write_text(default.read_text().replace("modes = 6\n", "modes = 8\n"))
     runs = [
         ("coeffs", default, ("coefficients.json", "limit_matrix.csv")),
+        ("check", default, ("manifest.json",)),
         ("coeffs", eight, ("coefficients.json", "limit_matrix.csv")),
         ("evolve", eight, ("trajectory.csv", "diagnostics.json")),
         ("converge", eight, ("convergence.json", "convergence.csv")),

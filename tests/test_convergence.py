@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 from dataclasses import replace
 
@@ -194,9 +196,82 @@ def test_one_usable_cpu_starts_no_process(sweep_assets, usable_cpus, monkeypatch
         raise AssertionError("a worker pool was started on one usable CPU")
 
     monkeypatch.setattr(convergence, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(convergence, "_set_blas_threads", refuse)
     usable_cpus(1)
     report = _short_sweep(sweep_assets, [0.2, 0.1])
     assert report.strictly_decreasing
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, read independently of
+    the package: set to two for the test and restored after it.
+
+    With one usable CPU the pool runs through the ``usable_cpus`` fixture,
+    so a second CPU is not needed; numpy's OpenBLAS is.
+    """
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        before = get()
+        put(2)
+        yield get
+        put(before)
+        return
+    pytest.skip("numpy bundles no OpenBLAS with a runtime thread-count API")
+
+
+def test_pool_runs_parent_and_workers_at_one_blas_thread(
+    sweep_assets, usable_cpus, blas_threads, monkeypatch, tmp_path
+):
+    """The count drops before the fork, so the workers inherit one thread too."""
+    usable_cpus(2)
+    run = convergence.SweepSetup.prelimit_run
+
+    def prelimit_run(setup, eta):  # a worker unpickles the method by this name
+        (tmp_path / f"{eta}.threads").write_text(str(blas_threads()))
+        return run(setup, eta)
+
+    monkeypatch.setattr(convergence.SweepSetup, "prelimit_run", prelimit_run)
+    with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]) as (
+        finish,
+    ):
+        assert blas_threads() == 1
+        assert finish().strictly_decreasing
+    assert blas_threads() == 2
+    seen = sorted(path.read_text() for path in tmp_path.glob("*.threads"))
+    assert seen == ["1", "1"]
+
+
+def test_pool_restores_the_blas_threads_after_an_exception(
+    sweep_assets, usable_cpus, blas_threads
+):
+    usable_cpus(2)
+    with pytest.raises(KeyboardInterrupt):
+        with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]):
+            assert blas_threads() == 1
+            raise KeyboardInterrupt
+    assert blas_threads() == 2
+
+
+def test_pooled_sweep_without_openblas_is_unchanged(
+    sweep_assets, usable_cpus, blas_threads, monkeypatch
+):
+    """Where the lookup finds no OpenBLAS the pool leaves the count alone."""
+    usable_cpus(2)
+    pooled = _short_sweep(sweep_assets, [0.2, 0.1])
+    monkeypatch.setattr(convergence, "_set_blas_threads", lambda count: None)
+    with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]) as (
+        finish,
+    ):
+        assert blas_threads() == 2
+        assert finish() == pooled
 
 
 def test_check_runs_two_independent_sweeps(usable_cpus, monkeypatch):
