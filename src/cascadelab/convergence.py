@@ -127,9 +127,9 @@ def _set_blas_threads(count: int) -> int | None:
     BLAS).
     """
     libs = os.path.dirname(np.__file__) + ".libs"
-    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    names = os.listdir(libs) if os.path.isdir(libs) else []
     c_int = np.ctypeslib.as_ctypes_type(np.intc)
-    for name in (name for name in names if "openblas" in name):
+    for name in sorted(name for name in names if "openblas" in name):
         try:
             lib = np.ctypeslib.load_library(name, libs)
             get = lib.scipy_openblas_get_num_threads64_

@@ -166,8 +166,12 @@ def test_non_finite_sweep_input_rejected(sweep_assets):
 # ---------------------------------------------------------------------------
 
 
+def _short_setup(assets, etas):
+    return _sweep(assets, 0.25, etas, n_samples=200)
+
+
 def _short_sweep(assets, etas):
-    return eta_sweep(_sweep(assets, 0.25, etas, n_samples=200))
+    return eta_sweep(_short_setup(assets, etas))
 
 
 def test_pooled_sweep_equals_in_process(sweep_assets, usable_cpus):
@@ -239,9 +243,7 @@ def test_pool_runs_parent_and_workers_at_one_blas_thread(
         return run(setup, eta)
 
     monkeypatch.setattr(convergence.SweepSetup, "prelimit_run", prelimit_run)
-    with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]) as (
-        finish,
-    ):
+    with convergence.sweep_runs([_short_setup(sweep_assets, [0.2, 0.1])]) as (finish,):
         assert blas_threads() == 1
         assert finish().strictly_decreasing
     assert blas_threads() == 2
@@ -253,10 +255,10 @@ def test_pool_restores_the_blas_threads_after_an_exception(
     sweep_assets, usable_cpus, blas_threads
 ):
     usable_cpus(2)
-    with pytest.raises(KeyboardInterrupt):
-        with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]):
+    with pytest.raises(RuntimeError, match="left by an exception"):
+        with convergence.sweep_runs([_short_setup(sweep_assets, [0.2, 0.1])]):
             assert blas_threads() == 1
-            raise KeyboardInterrupt
+            raise RuntimeError("left by an exception")
     assert blas_threads() == 2
 
 
@@ -267,9 +269,7 @@ def test_pooled_sweep_without_openblas_is_unchanged(
     usable_cpus(2)
     pooled = _short_sweep(sweep_assets, [0.2, 0.1])
     monkeypatch.setattr(convergence, "_set_blas_threads", lambda count: None)
-    with convergence.sweep_runs([_sweep(sweep_assets, 0.25, [0.2, 0.1], n_samples=200)]) as (
-        finish,
-    ):
+    with convergence.sweep_runs([_short_setup(sweep_assets, [0.2, 0.1])]) as (finish,):
         assert blas_threads() == 2
         assert finish() == pooled
 
