@@ -245,6 +245,11 @@ def coefficient_checks(assets: Assets) -> list[dict]:
 # dynamics block
 # ---------------------------------------------------------------------------
 
+#: ``bec_formation`` passes once the excited mass of the configured initial
+#: data falls below BEC_THRESHOLD within T = BEC_HORIZON of the limit cascade.
+BEC_HORIZON = 200.0
+BEC_THRESHOLD = 1e-3
+
 
 def dynamics_checks(assets: Assets) -> list[dict]:
     """Records of the limit cascade of ``assets`` and of the two-mode logistic oracle.
@@ -270,12 +275,12 @@ def dynamics_checks(assets: Assets) -> list[dict]:
     equivariance = float(np.max(np.abs(rotated.states - phases[None, :] * traj.states)))
     checks.append(_record("phase_equivariance", equivariance, budget * max(t_end, 1.0)))
 
-    if series.logistic is not None:
-        violation = float(np.min(series.ground_occupation - series.logistic))
+    margin = series.logistic_margin()
+    if margin is not None:
         checks.append(
             _record(
                 "logistic_domination",
-                max(0.0, -violation),
+                max(0.0, -margin),
                 budget,
                 detail=f"gamma_tilde = {series.gamma_tilde}",
             )
@@ -290,17 +295,16 @@ def dynamics_checks(assets: Assets) -> list[dict]:
     elif np.min(ground_rates) < MIN_GROUND_RATE:
         checks.append(_skipped("bec_formation", f"some ground-row rate below {MIN_GROUND_RATE:g}"))
     else:
-        horizon = config.dynamics.bec_horizon
-        threshold = config.dynamics.bec_threshold
-        long_traj = integrate_limit(coeffs.limit_matrix, state, horizon, solver)
+        long_traj = integrate_limit(coeffs.limit_matrix, state, BEC_HORIZON, solver)
         excited = np.sum(np.abs(long_traj.states[:, 1:]) ** 2, axis=1)
-        reached = bool(np.any(excited < threshold))
-        first = float(long_traj.times[np.argmax(excited < threshold)]) if reached else float("inf")
+        below = excited < BEC_THRESHOLD
+        reached = bool(np.any(below))
+        first = float(long_traj.times[np.argmax(below)]) if reached else float("inf")
         checks.append(
             _record(
                 "bec_formation",
                 float(np.min(excited)),
-                threshold,
+                BEC_THRESHOLD,
                 reached,
                 detail=f"excited mass below threshold first at T = {first}",
             )

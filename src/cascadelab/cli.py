@@ -195,10 +195,9 @@ def cmd_evolve(config: SimulationConfig) -> Run:
         "final_excited_mass": float(series.mass[-1] - series.ground_occupation[-1]),
         "nfev": traj.meta["nfev"],
     }
-    if series.logistic is not None:
-        summary["min_logistic_margin"] = float(
-            np.min(series.ground_occupation - series.logistic)
-        )
+    margin = series.logistic_margin()
+    if margin is not None:
+        summary["min_logistic_margin"] = margin
     documents = {"trajectory.csv": (comments, header, rows), "diagnostics.json": summary}
     return Run(documents, {}, EXIT_OK, [])
 

@@ -110,7 +110,8 @@ METHOD = "DOP853"
 class SolverOptions:
     """Tolerances of a solve, and where it samples: n_samples evenly spaced times on [0, t_end].
 
-    rtol is finite and at least MIN_RTOL, the floor of ``rk.dop853``; atol positive and finite.
+    rtol is finite and at least MIN_RTOL, the floor of ``rk.dop853``; atol positive and finite;
+    n_samples at least 2.
     """
 
     rtol: float = 1e-9
@@ -123,8 +124,8 @@ class SolverOptions:
             raise ValidationError(f"rtol must be finite and at least {MIN_RTOL:.3g}, got {rtol}")
         if not 0 < atol < np.inf:
             raise ValidationError(f"atol must be positive and finite, got {atol}")
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.n_samples < 2:  # a solve sampled only at T = 0 never reaches t_end
+            raise ValidationError(f"n_samples must be at least 2, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,12 @@ class DiagnosticsSeries:
 
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.mass - self.mass[0])))
+
+    def logistic_margin(self) -> float | None:
+        """Least ground occupation above the logistic bound; None where the bound does not apply."""
+        if self.logistic is None:
+            return None
+        return float(np.min(self.ground_occupation - self.logistic))
 
     def max_energy_increase(self) -> float:
         return float(max(0.0, np.max(np.diff(self.energy), initial=-np.inf)))

@@ -290,7 +290,6 @@ modes = 1
 
 [dynamics]
 t_end = 1.0
-bec_horizon = 2.0
 {preset}
 [sweep]
 etas = 0.2, 0.1
@@ -571,7 +570,7 @@ NON_FINITE_CASES = (
     ("converge", "[sweep]\netas = inf, 0.2\n"),
     ("converge", "[sweep]\nt_final = inf\n"),
     ("converge", "[dynamics]\nt_end = inf\n"),
-    ("converge", "[dynamics]\nbec_horizon = inf\n"),
+    ("converge", "[dynamics]\nrtol = inf\n"),
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(nan)\n"),
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(inf)\n"),
     ("evolve", "[dynamics]\ncoefficient_preset = two-mode(1e400)\n"),
@@ -611,7 +610,7 @@ def run_child(tmp_path, cases, timeout):
 
 
 def test_non_finite_input_exits_3_promptly(tmp_path):
-    """A non-finite eta, horizon, end time, synthetic rate, trap, cutoff or kernel input
+    """A non-finite eta, end time, tolerance, synthetic rate, trap, cutoff or kernel input
     is rejected at parse, not computed with.
 
     Some once ran past a 60 s timeout without exiting; others ran through,
@@ -671,6 +670,23 @@ def test_zero_mass_initial_state_exits_3_at_parse(tmp_path, capsys, command):
     assert len(lines) == 1
     assert "zero mass" in json.loads(lines[0])["message"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["normalize = false", "bec_horizon = 200.0", "bec_threshold = 1e-3"]
+)
+def test_removed_dynamics_key_exits_2(tmp_path, capsys, line):
+    """Unit mass and the condensate horizon and threshold are fixed: no key sets them."""
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(f"[dynamics]\n{line}\n")
+    out = tmp_path / "o"
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert repr(line.split(" = ")[0]) in record["message"]
+    assert not out.exists()
 
 
 def test_overflowing_coefficients_exit_4_promptly(tmp_path):

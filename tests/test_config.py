@@ -1,6 +1,7 @@
 import json
+import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from cascadelab.cli import main
 from cascadelab.config import (
+    _SECTIONS,
     SimulationConfig,
     config_hash,
     emit_config,
@@ -51,10 +53,24 @@ def test_unknown_key_is_hard_error(tmp_path):
 
 
 def test_type_mismatch(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, "[trap]\nn_points = many\n"))
-    with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, "[dynamics]\nnormalize = maybe\n"))
+    """A value that does not parse as its field's type names the field, not an unknown key."""
+    for section, key, raw in [
+        ("trap", "n_points", "many"),
+        ("dynamics", "rtol", "tiny"),
+        ("sweep", "samples", "2.5"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: ")):
+            parse_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+
+def test_every_field_is_int_float_or_str():
+    """The parser reads a value as its field default's type, and bool("false") is True.
+
+    So a bool field would read every value as true; it needs its own parse first.
+    """
+    for section, kind in _SECTIONS.items():
+        for f in fields(kind):
+            assert type(getattr(kind(), f.name)) in (int, float, str), (section, f.name)
 
 
 def test_invalid_values_rejected(tmp_path):
@@ -166,6 +182,10 @@ def default_grid():
             "atol must be positive and finite", id="atol",
         ),
         pytest.param(
+            "[dynamics]\nsamples = 1", lambda _: SolverOptions(1e-11, 1e-14, 1),
+            "n_samples must be at least 2, got 1", id="dynamics-samples",
+        ),
+        pytest.param(
             "[trap]\nmodes = 600",
             lambda _: solve_radial_eigenpairs(Potential.anharmonic(default_grid(), 0.2, 6.0), 600),
             "mode count 600 too large", id="modes",
@@ -272,13 +292,15 @@ def test_initial_state_presets():
 
 
 def test_initial_state_explicit_list():
+    """Explicit amplitudes come back at unit mass with their ratios kept."""
     config = SimulationConfig.default()
-    config.dynamics.initial = "1, 0.5+0.5j, 0, 0, 0, 0"
-    config.dynamics.normalize = False
+    config.dynamics.initial = "1, 0.5+0.5j, 0, 0, 2j"
     state = config.initial_state()
-    assert state[1] == 0.5 + 0.5j
-    config.dynamics.normalize = True
-    assert np.linalg.norm(config.initial_state()) == pytest.approx(1.0)
+    assert state.shape == (6,)
+    assert np.linalg.norm(state) == pytest.approx(1.0)
+    assert state[1] / state[0] == pytest.approx(0.5 + 0.5j)
+    assert state[4] / state[0] == pytest.approx(2j)
+    assert np.all(state[[2, 3, 5]] == 0)
 
 
 def test_initial_state_errors():

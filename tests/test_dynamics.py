@@ -192,7 +192,7 @@ def test_limit_integrator_rejects_bad_input(default_assets):
     ones = np.ones(coeffs.size, dtype=complex)
     with pytest.raises(ValidationError, match="rtol"):
         integrate_limit(coeffs.limit_matrix, ones, 1.0, SolverOptions(rtol=1e-15))
-    for n_samples in (0, -1):
+    for n_samples in (1, 0, -1):
         with pytest.raises(ValidationError, match="n_samples"):
             SolverOptions(n_samples=n_samples)
 

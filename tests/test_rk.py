@@ -219,7 +219,7 @@ def test_random_prelimit_systems_match_solve_ivp(data, size, eta, t_end, capped)
     Tensors are random and complex, energies random with degenerate levels
     drawn often.  A capped draw runs ``integrate_prelimit``, capped at its
     fraction of the fastest phase period (no cap when every phase is
-    degenerate) and sampled at as many evenly spaced times as were drawn;
+    degenerate) and sampled at as many evenly spaced times as were drawn (at least two);
     an uncapped one runs ``dop853`` on the same RHS at the drawn times.
     Both must equal ``solve_ivp`` on the plain ``rhs_prelimit``.
     """
@@ -244,7 +244,7 @@ def test_random_prelimit_systems_match_solve_ivp(data, size, eta, t_end, capped)
     times = np.sort(data.draw(st.lists(instants, min_size=1, max_size=20, unique=True)))
     options = SolverOptions()
     if capped:
-        options = SolverOptions(n_samples=len(times))
+        options = SolverOptions(n_samples=max(len(times), 2))
         traj = integrate_prelimit(tensor, state, t_end, options)
         times, samples, nfev = traj.times, traj.states, traj.meta["nfev"]
         max_step = traj.meta["max_step"] or np.inf
