@@ -127,22 +127,10 @@ def spectrum_checks(assets: Assets) -> list[dict]:
 
 def coefficient_checks(assets: Assets) -> list[dict]:
     basis, coupling, pair, table = assets.basis, assets.coupling, assets.pair, assets.table
-    momenta = table.momenta
-    if assets.config.coefficient_preset() is None:
-        coeffs = assets.coeffs
-    else:
-        # synthetic presets bypass the trap pipeline; check the real one
-        coeffs = assemble_limit_matrix(table)
+    momenta, coeffs = table.momenta, assets.coeffs
     checks = []
 
-    defects = coeffs.symmetry_defects()
-    structural = max(
-        defects["fgr_symmetry"],
-        defects["fgr_negativity"],
-        defects["fgr_diagonal"],
-        defects["re_m_antisymmetry"],
-        defects["re_m_diagonal"],
-    )
+    structural = max(coeffs.symmetry_defects().values())
     checks.append(_record("coefficient_symmetries", structural, 0.0, structural == 0.0))
 
     # the (k',k) exchange cell is the exact conjugate of (k,k'), so this gap measures
@@ -292,6 +280,9 @@ def dynamics_checks(assets: Assets) -> list[dict]:
     ground_rates = coeffs.fgr[0, 1:]
     if ground_rates.size == 0:
         checks.append(_skipped("bec_formation", "no excited mode"))
+    elif state[0] == 0:
+        # the cascade multiplies F_0 by itself, so an empty ground mode stays empty
+        checks.append(_skipped("bec_formation", "zero initial ground occupation"))
     elif np.min(ground_rates) < MIN_GROUND_RATE:
         checks.append(_skipped("bec_formation", f"some ground-row rate below {MIN_GROUND_RATE:g}"))
     else:

@@ -112,9 +112,6 @@ def cmd_spectrum(config: SimulationConfig) -> Run:
 
 def _assembly(assets: Assets) -> dict:
     """What the coefficients of ``assets`` were assembled from: its config's trap and kernels."""
-    gamma = assets.config.coefficient_preset()
-    if gamma is not None:
-        return {"synthetic": "uniform-rate preset", "gamma": gamma}
     t, k, momenta = assets.config.trap, assets.config.kernels, assets.table.momenta
     return {
         "n_points": t.n_points,

@@ -434,8 +434,6 @@ class CoefficientSet:
             "fgr_diagonal": float(np.max(np.abs(np.diag(self.fgr)))),
             "re_m_antisymmetry": float(np.max(np.abs(m.real + m.real.T))),
             "re_m_diagonal": float(np.max(np.abs(np.diag(m).real))),
-            "hartree_symmetry": float(np.max(np.abs(self.hartree - self.hartree.T))),
-            "im_m_max": float(np.max(np.abs(m.imag))),
         }
 
 
@@ -472,17 +470,17 @@ def _sign_matrix(size: int) -> np.ndarray:
     return np.sign(idx[:, None] - idx[None, :]).astype(float)
 
 
-def two_mode_coefficients(gamma: float, size: int = 2) -> CoefficientSet:
-    """Synthetic coefficient preset: a single transition rate, no shifts.
+def two_mode_coefficients(gamma: float) -> CoefficientSet:
+    """Synthetic two-mode coefficients: a single transition rate, no shifts.
 
-    With size 2 the cascade closes to the logistic equation
+    The cascade then closes to the logistic equation
     d|F_0|^2/dT = 2 gamma |F_0|^2 |F_1|^2, the exactness oracle for the
-    integrator.  Larger sizes place the rate gamma on every pair.
+    integrator.
     """
     if not 0 < gamma < np.inf:
         raise ValidationError(f"synthetic rate must be positive and finite, got {gamma}")
-    zeros = np.zeros((size, size))
-    return CoefficientSet(gamma * (1.0 - np.eye(size)), zeros, zeros, zeros, zeros)
+    zeros = np.zeros((2, 2))
+    return CoefficientSet(gamma * (1.0 - np.eye(2)), zeros, zeros, zeros, zeros)
 
 
 @dataclass(frozen=True)

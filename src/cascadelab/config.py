@@ -15,6 +15,9 @@ eps = eta^2, spectral genericity is judged at ``spectrum.GAP_TOL``, the
 initial amplitudes are scaled to unit mass (the cascade is cubic, so a run
 of mass m is the unit-mass run at time m t), and condensate formation is
 certified against ``checks.BEC_HORIZON`` and ``checks.BEC_THRESHOLD``.
+The coefficients always come from the trap: the synthetic two-mode
+logistic that pins the integrator is ``check``'s ``two_mode_exactness``
+record, not a config input.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coeffs import two_mode_coefficients
 from .convergence import validate_sweep
 from .dynamics import SolverOptions
 from .errors import ConfigError, ValidationError
@@ -64,7 +66,6 @@ class MomentumConfig:
 @dataclass
 class DynamicsConfig:
     initial: str = "uniform"
-    coefficient_preset: str = "none"
     t_end: float = 50.0
     rtol: float = 1e-11
     atol: float = 1e-14
@@ -177,16 +178,6 @@ class SimulationConfig:
         amplitude, width = getattr(k, f"{role}_amplitude"), getattr(k, f"{role}_width")
         return gaussian_kernel(role, grid, amplitude, width)
 
-    def coefficient_preset(self) -> float | None:
-        """None for trap-derived coefficients, else the synthetic rate."""
-        text = self.dynamics.coefficient_preset.strip().lower()
-        if text in ("", "none"):
-            return None
-        m = re.fullmatch(r"two-mode\(([^)]+)\)", text)
-        if m:
-            return _preset_number("coefficient_preset", text, m.group(1))
-        raise ConfigError(f"unknown coefficient preset {text!r}")
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
@@ -209,19 +200,16 @@ class SimulationConfig:
             raise ValidationError("dynamics t_end must be positive and finite")
         SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
         self.initial_state()
-        gamma = self.coefficient_preset()
-        if gamma is not None:
-            two_mode_coefficients(gamma, t.modes)
         validate_sweep(self.eta_values(), self.sweep.t_final, self.sweep.samples)
         return self
 
 
-def _preset_number(key: str, text: str, number: str) -> float:
-    """The number inside the preset ``text`` of [dynamics] ``key``."""
+def _preset_number(text: str, number: str) -> float:
+    """The number inside the [dynamics] initial preset ``text``."""
     try:
         return float(number)
     except ValueError:
-        raise ConfigError(f"[dynamics] {key}: cannot parse {number!r} in {text!r} as a number")
+        raise ConfigError(f"[dynamics] initial: cannot parse {number!r} in {text!r} as a number")
 
 
 def _parse_initial(text: str, modes: int) -> np.ndarray:
@@ -234,7 +222,7 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
         return state
     m = re.fullmatch(r"two-mode\(([^)]+)\)", low)
     if m:
-        x0 = _preset_number("initial", text, m.group(1))
+        x0 = _preset_number(text, m.group(1))
         if not 0.0 < x0 < 1.0:
             raise ValidationError(f"two-mode occupation must be in (0,1), got {x0}")
         if modes < 2:
@@ -253,7 +241,7 @@ def _parse_initial(text: str, modes: int) -> np.ndarray:
         return state
     m = re.fullmatch(r"geometric\(([^)]+)\)", low)
     if m:
-        q = _preset_number("initial", text, m.group(1))
+        q = _preset_number(text, m.group(1))
         if not 0.0 < q < 1.0:
             raise ValidationError(f"geometric ratio must be in (0,1), got {q}")
         state = q ** np.arange(modes, dtype=float)

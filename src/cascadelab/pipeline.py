@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .coeffs import (
     CoefficientSet,
     PairingTable,
     assemble_limit_matrix,
     pairing_table,
-    two_mode_coefficients,
 )
 from .config import SimulationConfig
 from .convergence import SweepSetup
@@ -31,7 +28,11 @@ from .spectrum import EigenBasis, Potential, solve_radial_eigenpairs
 
 @dataclass
 class Assets:
-    """Everything derivable from a config, each asset built lazily, once."""
+    """Everything derivable from a config, each asset built lazily, once.
+
+    There is one coefficient source: the limit coefficients and the sweep
+    both read the pairing table of the trap's basis and kernels.
+    """
 
     config: SimulationConfig
 
@@ -65,14 +66,11 @@ class Assets:
 
     @cached_property
     def coeffs(self) -> CoefficientSet:
-        preset = self.config.coefficient_preset()
-        if preset is not None:
-            return two_mode_coefficients(preset, size=self.config.trap.modes)
         return assemble_limit_matrix(self.table)
 
     @cached_property
     def sweep(self) -> SweepSetup:
-        """The configured eta sweep, on the trap's table even under a coefficient preset.
+        """The configured eta sweep, on the trap's table.
 
         Its solver takes the [dynamics] tolerances and the [sweep] samples.
         """
@@ -86,13 +84,6 @@ class Assets:
         )
 
     @property
-    def energies(self) -> np.ndarray:
-        if self.config.coefficient_preset() is not None:
-            # synthetic coefficients carry mock unit-spaced levels
-            return np.arange(self.config.trap.modes, dtype=float)
-        return self.basis.energies
-
-    @property
     def solver_options(self) -> SolverOptions:
         d = self.config.dynamics
         return SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
@@ -104,4 +95,4 @@ def evolve(assets: Assets):
     traj = integrate_limit(
         coeffs.limit_matrix, config.initial_state(), config.dynamics.t_end, assets.solver_options
     )
-    return traj, diagnostics(traj, assets.energies, coeffs)
+    return traj, diagnostics(traj, assets.basis.energies, coeffs)

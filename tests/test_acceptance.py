@@ -39,7 +39,7 @@ def k6_run(default_assets):
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=501)
     state = default_assets.config.initial_state()
     traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 50.0, options)
-    return diagnostics(traj, default_assets.energies, default_assets.coeffs)
+    return diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def finitely_supported_run(default_assets):
     state[:4] = 0.5
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=801)
     traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 200.0, options)
-    return traj, diagnostics(traj, default_assets.energies, default_assets.coeffs)
+    return traj, diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
 def test_criterion_01_harmonic_oracle():

@@ -38,19 +38,6 @@ initial = uniform(6)
 t_end = 1.0
 """
 
-TWO_MODE_CFG = """
-[trap]
-modes = 2
-
-[dynamics]
-initial = two-mode(0.5)
-coefficient_preset = two-mode(1.0)
-t_end = 1.0
-rtol = 1e-11
-atol = 1e-14
-samples = 201
-"""
-
 
 def run_cli(args):
     return main(args)
@@ -290,28 +277,25 @@ modes = 1
 
 [dynamics]
 t_end = 1.0
-{preset}
+
 [sweep]
 etas = 0.2, 0.1
 """
 
 
 def test_one_mode_check_passes_quietly(tmp_path):
-    """A one-mode trap, real or under a rate preset, has no excited mode and no pair.
+    """A one-mode trap has no excited mode and no pair.
 
     ``check`` once exited 3 on the Plancherel record's fixed product
     chi_0 chi_1, and past that with a numpy traceback on the empty ground
     row of ``bec_formation``.
     """
-    presets = ("", "coefficient_preset = two-mode(1.0)\n")
-    cases = [("check", ONE_MODE_CFG.format(preset=p)) for p in presets]
-    done = run_child(tmp_path, cases, timeout=120)
+    done = run_child(tmp_path, [("check", ONE_MODE_CFG)], timeout=120)
     assert done.stderr == ""
     lines = done.stdout.splitlines()
-    assert len(lines) == 2 * 24
-    for printed in (lines[:24], lines[24:]):
-        assert printed[-1] == "0"
-        assert all(line.startswith("[PASS] ") for line in printed[:-1])
+    assert len(lines) == 24
+    assert lines[-1] == "0"
+    assert all(line.startswith("[PASS] ") for line in lines[:-1])
     assert "[PASS] dynamics.bec_formation" in lines
 
 
@@ -332,27 +316,6 @@ def test_spectrum_command_harmonic(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "spectrum"
     assert "config_sha256" in manifest["provenance"]
-
-
-def test_evolve_two_mode_preset(tmp_path):
-    cfg = tmp_path / "two.cfg"
-    cfg.write_text(TWO_MODE_CFG)
-    out = tmp_path / "out"
-    assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-
-    rows = [
-        line.split(",")
-        for line in (out / "trajectory.csv").read_text().splitlines()
-        if line and not line.startswith("#") and not line.startswith("T,")
-    ]
-    times = np.array([float(r[0]) for r in rows])
-    ground = np.array([float(r[1]) ** 2 + float(r[2]) ** 2 for r in rows])
-    curve = 1.0 / (1.0 + np.exp(-2.0 * times))
-    assert np.max(np.abs(ground - curve)) < 1e-8
-
-    diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["mass_conserved"] and diag["energy_monotone"] and diag["tails_monotone"]
-    assert isinstance(diag["nfev"], int) and diag["nfev"] > 0
 
 
 def test_coeffs_command_and_determinism(tmp_path):
@@ -571,15 +534,12 @@ NON_FINITE_CASES = (
     ("converge", "[sweep]\nt_final = inf\n"),
     ("converge", "[dynamics]\nt_end = inf\n"),
     ("converge", "[dynamics]\nrtol = inf\n"),
-    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(nan)\n"),
-    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(inf)\n"),
-    ("evolve", "[dynamics]\ncoefficient_preset = two-mode(1e400)\n"),
     ("spectrum", "[kernels]\ncoupling_amplitude = nan\n"),
     ("spectrum", "[kernels]\npair_width = inf\n"),
     ("spectrum", "[momentum]\nrho_max = inf\n"),
     ("spectrum", "[trap]\nscale = inf\n"),
-    ("evolve", TWO_MODE_CFG.replace("modes = 2\n", "modes = 2\nr_max = inf\n")),
-    ("evolve", TWO_MODE_CFG + "\n[kernels]\ncoupling_amplitude = nan\n"),
+    ("evolve", "[trap]\nr_max = inf\n"),
+    ("evolve", "[kernels]\ncoupling_amplitude = nan\n"),
 )
 
 #: Runs ``main(command, path)`` for each (command, path) argument pair and
@@ -610,13 +570,13 @@ def run_child(tmp_path, cases, timeout):
 
 
 def test_non_finite_input_exits_3_promptly(tmp_path):
-    """A non-finite eta, end time, tolerance, synthetic rate, trap, cutoff or kernel input
+    """A non-finite eta, end time, tolerance, trap, cutoff or kernel input
     is rejected at parse, not computed with.
 
-    Some once ran past a 60 s timeout without exiting; others ran through,
-    even on the synthetic preset, and hashed the value into the outputs.  One child
-    interpreter runs every case and is stopped after 30 s, so a hang fails
-    the test instead of stalling the suite.
+    Some once ran past a 60 s timeout without exiting; others ran through
+    and hashed the value into the outputs.  One child interpreter runs
+    every case and is stopped after 30 s, so a hang fails the test instead
+    of stalling the suite.
     """
     done = run_child(tmp_path, NON_FINITE_CASES, timeout=30)
     assert done.stdout.split() == ["3"] * len(NON_FINITE_CASES), done.stderr
@@ -630,7 +590,6 @@ def test_non_finite_input_exits_3_promptly(tmp_path):
     [
         "initial = geometric(abc)",
         "initial = two-mode(x)",
-        "coefficient_preset = two-mode(abc)",
     ],
 )
 def test_malformed_preset_number_exits_2(tmp_path, capsys, line):
@@ -673,10 +632,16 @@ def test_zero_mass_initial_state_exits_3_at_parse(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "line", ["normalize = false", "bec_horizon = 200.0", "bec_threshold = 1e-3"]
+    "line",
+    [
+        "normalize = false",
+        "bec_horizon = 200.0",
+        "bec_threshold = 1e-3",
+        "coefficient_preset = two-mode(1.0)",
+    ],
 )
 def test_removed_dynamics_key_exits_2(tmp_path, capsys, line):
-    """Unit mass and the condensate horizon and threshold are fixed: no key sets them."""
+    """Unit mass, the condensate horizon and threshold and the coefficient source are fixed."""
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(f"[dynamics]\n{line}\n")
     out = tmp_path / "o"

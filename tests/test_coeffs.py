@@ -365,7 +365,6 @@ def test_limit_matrix_structure(default_assets):
     assert defects["fgr_symmetry"] == 0.0
     assert defects["fgr_diagonal"] == 0.0
     assert defects["fgr_negativity"] == 0.0
-    assert np.isfinite(defects["im_m_max"])
     # entry by entry, the upper mode of each pair loses mass to the lower one at its rate
     m = coeffs.limit_matrix
     for k in range(coeffs.size):

@@ -221,7 +221,10 @@ def test_config_and_sweep_setup_share_the_sweep_rules(
     assert str(from_owner.value) == str(from_config.value)
 
 
-@pytest.mark.parametrize("name", ["default.cfg", "convergence.cfg", "two_mode.cfg"])
+SHIPPED = sorted(path.name for path in CONFIGS.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_parse_runs_no_eigensolve_or_transform(monkeypatch, name):
     """Parsing asks the grids, trap and solver options, never a spectrum or a transform.
 
@@ -244,15 +247,20 @@ def test_parse_runs_no_eigensolve_or_transform(monkeypatch, name):
     parse_config(str(CONFIGS / name))
 
 
+PRESETS = {"default.cfg": SimulationConfig.default, "convergence.cfg": SimulationConfig.convergence}
+
+
 @pytest.mark.parametrize(
     "name, preset",
-    [
-        pytest.param("default.cfg", SimulationConfig.default, id="default"),
-        pytest.param("convergence.cfg", SimulationConfig.convergence, id="convergence"),
-    ],
+    [pytest.param(name, preset, id=name.removesuffix(".cfg")) for name, preset in PRESETS.items()],
 )
 def test_shipped_config_equals_its_preset(name, preset):
-    """Each shipped config is its preset in every section but [output]."""
+    """Each shipped config is its preset in every section but [output].
+
+    The map covers exactly the files in ``configs/``, so a config added
+    without a preset, or a preset whose file is gone, fails here.
+    """
+    assert sorted(PRESETS) == SHIPPED
     path = CONFIGS / name
     shipped, expected = asdict(parse_config(str(path))), asdict(preset())
     del shipped["output"], expected["output"]
@@ -311,16 +319,6 @@ def test_initial_state_errors():
     config.dynamics.initial = "what(1)"
     with pytest.raises(ConfigError):
         config.initial_state()
-
-
-def test_coefficient_preset_parse():
-    config = SimulationConfig.default()
-    assert config.coefficient_preset() is None
-    config.dynamics.coefficient_preset = "two-mode(1.5)"
-    assert config.coefficient_preset() == 1.5
-    config.dynamics.coefficient_preset = "three-mode(1)"
-    with pytest.raises(ConfigError):
-        config.coefficient_preset()
 
 
 def test_rho_max_policy():

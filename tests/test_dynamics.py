@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from cascadelab import checks
 from cascadelab.coeffs import (
     PrelimitTensor,
     assemble_prelimit_tensor,
@@ -17,6 +18,7 @@ from cascadelab.dynamics import (
     logistic_bound,
 )
 from cascadelab.errors import NumericalError, ValidationError
+from cascadelab.pipeline import Assets
 from cascadelab.spectrum import resonant_mask
 
 from oracles import limit_matrix_from_tensor, rhs_limit, rhs_modulus_phase, rhs_prelimit
@@ -283,7 +285,7 @@ def default_run(default_assets):
     state = config.initial_state()
     options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=401)
     traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 50.0, options)
-    return traj, diagnostics(traj, default_assets.energies, default_assets.coeffs)
+    return traj, diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
 def test_mass_conserved_along_limit_flow(default_run):
@@ -343,6 +345,30 @@ def test_bec_formation_threshold(default_assets):
     traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 200.0, options)
     excited = np.sum(np.abs(traj.states[:, 1:]) ** 2, axis=1)
     assert np.any(excited < 1e-3)
+
+
+def test_empty_ground_mode_skips_bec_formation(default_assets, monkeypatch):
+    """The cascade multiplies F_0 by itself, so data with F_0(0) = 0 keep F_0 = 0.
+
+    ``bec_formation`` once ran its T = BEC_HORIZON solve on such data and
+    failed at 0.99999999999972, "first at T = inf".  It is skipped before
+    integrating, with the reason ``logistic_domination`` gives.
+    """
+    ends = []
+
+    def recording(matrix, state, t_end, options):
+        ends.append(t_end)
+        return integrate_limit(matrix, state, t_end, options)
+
+    monkeypatch.setattr(checks, "integrate_limit", recording)
+    config = default_assets.config
+    config = replace(config, dynamics=replace(config.dynamics, initial="0, 1, 1, 1, 1, 1"))
+    records = {r["name"]: r for r in checks.dynamics_checks(Assets(config.validate()))}
+    assert checks.BEC_HORIZON not in ends
+    reason = "skipped: zero initial ground occupation"
+    assert records["bec_formation"]["detail"] == reason
+    assert records["logistic_domination"]["detail"] == reason
+    assert all(r["passed"] for r in records.values())
 
 
 # ---------------------------------------------------------------------------
