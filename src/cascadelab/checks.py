@@ -34,7 +34,6 @@ from .config import SimulationConfig
 from .convergence import ConvergenceReport, sweep_runs
 from .dynamics import (
     BUDGET_PER_RTOL,
-    MIN_GROUND_RATE,
     SolverOptions,
     integrate_limit,
     invariant_verdicts,
@@ -274,17 +273,13 @@ def dynamics_checks(assets: Assets) -> list[dict]:
             )
         )
     else:
-        reason = series.flags.get("logistic_skipped", "not applicable")
-        checks.append(_skipped("logistic_domination", reason))
+        checks.append(_skipped("logistic_domination", series.flags["logistic_skipped"]))
 
-    ground_rates = coeffs.fgr[0, 1:]
-    if ground_rates.size == 0:
+    # condensation is certified exactly where the diagnostics attach the logistic bound
+    if coeffs.size == 1:
         checks.append(_skipped("bec_formation", "no excited mode"))
-    elif state[0] == 0:
-        # the cascade multiplies F_0 by itself, so an empty ground mode stays empty
-        checks.append(_skipped("bec_formation", "zero initial ground occupation"))
-    elif np.min(ground_rates) < MIN_GROUND_RATE:
-        checks.append(_skipped("bec_formation", f"some ground-row rate below {MIN_GROUND_RATE:g}"))
+    elif margin is None:
+        checks.append(_skipped("bec_formation", series.flags["logistic_skipped"]))
     else:
         long_traj = integrate_limit(coeffs.limit_matrix, state, BEC_HORIZON, solver)
         excited = np.sum(np.abs(long_traj.states[:, 1:]) ** 2, axis=1)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .checks import run_all_checks
 from .config import SimulationConfig, config_hash, emit_config, parse_config
-from .convergence import NOISE_FACTOR, eta_sweep
+from .convergence import eta_sweep
 from .dynamics import METHOD, invariant_verdicts
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import ensure_dir, fmt, write_csv, write_json
@@ -158,7 +158,8 @@ def cmd_evolve(config: SimulationConfig) -> Run:
     size = traj.size
     comments = [
         f"modes={size} system=limit",
-        "columns hold Re/Im amplitudes, then mass, energy, ground occupation, tail masses",
+        "columns hold Re/Im amplitudes, then mass, energy, ground occupation, "
+        "tail masses m_j = sum_{k>=j} |F_k|^2",
     ]
     header = ["T"]
     for k in range(size):
@@ -172,7 +173,7 @@ def cmd_evolve(config: SimulationConfig) -> Run:
             traj.times[:, None],
             amplitudes,
             np.column_stack([series.mass, series.energy, series.ground_occupation]),
-            series.tail_masses[1:].T,
+            series.tail_masses.T,
         ]
     ).tolist()
 
@@ -214,9 +215,7 @@ def cmd_converge(config: SimulationConfig) -> Run:
         "terminal_distances": report.terminal_distances,
         "mass_drifts": report.mass_drifts,
         "initial_distance": report.initial_distance,
-        "monotone_within_noise": report.monotone_within_noise,
         "strictly_decreasing": report.strictly_decreasing,
-        "noise_factor": NOISE_FACTOR,
         "meta": meta,
     }
     sweep_csv = ([], ["eta", "sup_distance"], list(zip(report.etas, report.sup_distances)))

@@ -15,6 +15,9 @@ eps = eta^2, spectral genericity is judged at ``spectrum.GAP_TOL``, the
 initial amplitudes are scaled to unit mass (the cascade is cubic, so a run
 of mass m is the unit-mass run at time m t), and condensate formation is
 certified against ``checks.BEC_HORIZON`` and ``checks.BEC_THRESHOLD``.
+``[dynamics] initial`` is ``uniform``, ``geometric(q)`` or an explicit
+complex list; ``SimulationConfig.initial_state`` does the one unit-mass
+division.
 The coefficients always come from the trap: the synthetic two-mode
 logistic that pins the integrator is ``check``'s ``two_mode_exactness``
 record, not a config input.
@@ -160,7 +163,8 @@ class SimulationConfig:
         norm = np.linalg.norm(state)
         if norm == 0:
             raise ValidationError("initial state has zero mass, cannot normalize")
-        return state / norm
+        # a real preset is divided as real numbers, then cast
+        return np.asarray(state / norm, dtype=complex)
 
     def potential(self, grid: RadialGrid) -> Potential:
         """The configured trap on ``grid``: the ``trap.file`` table if set, else the anharmonic one.
@@ -213,39 +217,21 @@ def _preset_number(text: str, number: str) -> float:
 
 
 def _parse_initial(text: str, modes: int) -> np.ndarray:
-    """Initial amplitudes from a preset name or an explicit complex list."""
+    """Raw amplitudes of ``uniform``, ``geometric(q)`` or an explicit complex list.
+
+    ``uniform`` and ``geometric(q)`` give real vectors over all ``modes``;
+    ``initial_state`` scales them to unit mass.
+    """
     text = text.strip()
     low = text.lower()
-    if low == "ground-only":
-        state = np.zeros(modes, dtype=complex)
-        state[0] = 1.0
-        return state
-    m = re.fullmatch(r"two-mode\(([^)]+)\)", low)
-    if m:
-        x0 = _preset_number(text, m.group(1))
-        if not 0.0 < x0 < 1.0:
-            raise ValidationError(f"two-mode occupation must be in (0,1), got {x0}")
-        if modes < 2:
-            raise ValidationError("two-mode preset needs at least 2 modes")
-        state = np.zeros(modes, dtype=complex)
-        state[0] = np.sqrt(x0)
-        state[1] = np.sqrt(1.0 - x0)
-        return state
-    m = re.fullmatch(r"uniform(?:\((\d+)\))?", low)
-    if m:
-        count = int(m.group(1) or modes)
-        if not 1 <= count <= modes:
-            raise ValidationError(f"uniform preset count {count} exceeds {modes} modes")
-        state = np.zeros(modes, dtype=complex)
-        state[:count] = 1.0 / np.sqrt(count)
-        return state
+    if low == "uniform":
+        return np.ones(modes)
     m = re.fullmatch(r"geometric\(([^)]+)\)", low)
     if m:
         q = _preset_number(text, m.group(1))
         if not 0.0 < q < 1.0:
             raise ValidationError(f"geometric ratio must be in (0,1), got {q}")
-        state = q ** np.arange(modes, dtype=float)
-        return (state / np.linalg.norm(state)).astype(complex)
+        return q ** np.arange(modes, dtype=float)
     try:
         values = [complex(p.strip().replace(" ", "")) for p in text.split(",")]
     except ValueError as exc:

@@ -60,14 +60,10 @@ from .errors import NumericalError, ValidationError
 #: Fewest sample times on which a sup distance is measured.
 MIN_SWEEP_SAMPLES = 200
 
-#: A sweep is monotone within noise when each sup distance is at most this
-#: factor times the one before it.
-NOISE_FACTOR = 1.2
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-eta distances of one sweep; its two verdicts read ``sup_distances``.
+    """Per-eta distances of one sweep; its verdict reads ``sup_distances``.
 
     ``meta`` holds only what the solves produced, per eta: ``prelimit_nfev``
     and ``prelimit_max_step``.  The settings they ran under stay with the
@@ -80,12 +76,6 @@ class ConvergenceReport:
     mass_drifts: tuple
     initial_distance: float
     meta: dict = field(default_factory=dict)
-
-    @property
-    def monotone_within_noise(self) -> bool:
-        """Each sup distance is at most NOISE_FACTOR times the one before it."""
-        sups = self.sup_distances
-        return all(b <= NOISE_FACTOR * a for a, b in zip(sups, sups[1:]))
 
     @property
     def strictly_decreasing(self) -> bool:

@@ -151,7 +151,7 @@ class DiagnosticsSeries:
     mass: np.ndarray
     energy: np.ndarray
     ground_occupation: np.ndarray
-    tail_masses: np.ndarray  # shape (K, n): tail_masses[j] = sum_{k>j} |F_k|^2
+    tail_masses: np.ndarray  # shape (K - 1, n): tail_masses[j - 1] = m_j = sum_{k>=j} |F_k|^2
     logistic: np.ndarray | None
     gamma_tilde: float | None
     flags: dict = field(default_factory=dict)
@@ -379,10 +379,8 @@ def diagnostics(
     mass = np.sum(occ, axis=1)
     energy = occ @ energies
     ground = occ[:, 0]
-    # tail_masses[j] = sum_{k > j} |F_k|^2
-    reversed_cumsum = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    tails = np.zeros((size, len(traj.times)))
-    tails[: size - 1] = reversed_cumsum[:, 1:].T
+    # m_j = sum_{k >= j} |F_k|^2 for j = 1 .. K-1; m_1 is the excited mass
+    tails = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1].T
 
     flags: dict = {}
     logistic = None

@@ -34,7 +34,7 @@ modes = 6
 coupling_amplitude = 1.0
 
 [dynamics]
-initial = uniform(6)
+initial = uniform
 t_end = 1.0
 """
 
@@ -406,6 +406,27 @@ def test_converge_command(tmp_path):
     assert csv_lines[-2].startswith("2.0000000000000001e-01")
 
 
+def test_evolve_tail_columns_hold_the_tails_from_mode_one(tmp_path):
+    """``m_j`` is the mass in modes j and up, so ``m_1`` is the excited mass.
+
+    The columns once held the mass above mode j: ``m_1`` left out mode 1
+    and the last column was zero in every row.
+    """
+    out = tmp_path / "out"
+    assert run_cli(["evolve", "--config", str(CONFIGS / "default.cfg"), "--out", str(out)]) == 0
+    lines = [line for line in (out / "trajectory.csv").read_text().splitlines() if line[0] != "#"]
+    header = lines[0].split(",")
+    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    column = dict(zip(header, data.T))
+    tails = [f"m_{j}" for j in range(1, 6)]
+    assert header[-5:] == tails
+    excited = column["mass"] - column["ground_occupation"]
+    assert np.max(np.abs(column["m_1"] - excited)) <= 1e-15
+    assert all(np.any(column[name] != 0.0) for name in tails)
+    occupations = [column[f"re_f_{k}"] ** 2 + column[f"im_f_{k}"] ** 2 for k in range(6)]
+    assert np.allclose(column["m_5"], occupations[5], rtol=1e-12, atol=0)
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     assert run_cli(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
@@ -585,13 +606,7 @@ def test_non_finite_input_exits_3_promptly(tmp_path):
     assert all("finite" in r["message"] for r in records)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "initial = geometric(abc)",
-        "initial = two-mode(x)",
-    ],
-)
+@pytest.mark.parametrize("line", ["initial = geometric(abc)"])
 def test_malformed_preset_number_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[dynamics]\n{line}\n")
@@ -602,6 +617,21 @@ def test_malformed_preset_number_exits_2(tmp_path, capsys, line):
     assert record["error"] == "config"
     key, text = (part.strip() for part in line.split("="))
     assert key in record["message"] and repr(text) in record["message"]
+
+
+@pytest.mark.parametrize("text", ["ground-only", "two-mode(0.25)", "uniform(3)"])
+def test_dropped_initial_spelling_exits_2(tmp_path, capsys, text):
+    """The aliases of explicit lists are gone: ``1``, ``0.5, 0.866...`` and ``1, 1, 1`` remain."""
+    cfg = tmp_path / "dropped.cfg"
+    cfg.write_text(f"[dynamics]\ninitial = {text}\n")
+    out = tmp_path / "o"
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert f"cannot parse initial state {text!r}" in record["message"]
+    assert not out.exists()
 
 
 def test_non_finite_amplitudes_exit_3_before_any_work(tmp_path):

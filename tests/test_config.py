@@ -269,7 +269,7 @@ def test_shipped_config_equals_its_preset(name, preset):
 
 def test_round_trip(tmp_path):
     original = parse_config(
-        write(tmp_path, "[trap]\nmodes = 3\nscale = 2.5\n[dynamics]\ninitial = uniform(3)\n")
+        write(tmp_path, "[trap]\nmodes = 3\nscale = 2.5\n[dynamics]\ninitial = uniform\n")
     )
     emitted = emit_config(original)
     reparsed = parse_config(write(tmp_path, emitted))
@@ -279,24 +279,33 @@ def test_round_trip(tmp_path):
 
 def test_initial_state_presets():
     config = SimulationConfig.default()
-    config.dynamics.initial = "ground-only"
+    config.dynamics.initial = "uniform"
     state = config.initial_state()
-    assert state[0] == 1.0 and np.all(state[1:] == 0)
-
-    config.dynamics.initial = "two-mode(0.25)"
-    state = config.initial_state()
-    assert abs(state[0]) ** 2 == pytest.approx(0.25)
-    assert abs(state[1]) ** 2 == pytest.approx(0.75)
-
-    config.dynamics.initial = "uniform(4)"
-    state = config.initial_state()
-    assert np.allclose(np.abs(state[:4]) ** 2, 0.25)
-    assert np.all(state[4:] == 0)
+    assert state.dtype == complex
+    assert np.allclose(np.abs(state) ** 2, 1.0 / 6.0)
 
     config.dynamics.initial = "geometric(0.5)"
     state = config.initial_state()
     assert np.linalg.norm(state) == pytest.approx(1.0)
     assert abs(state[1] / state[0]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "text, occupations",
+    [
+        pytest.param("1", [1.0], id="ground"),
+        pytest.param("0.5, 0.8660254037844386", [0.25, 0.75], id="two-mode"),
+        pytest.param("1, 1, 1, 1", [0.25] * 4, id="uniform-4"),
+    ],
+)
+def test_initial_state_lists_of_the_dropped_presets(text, occupations):
+    """A list on the first modes keeps its occupations at unit mass and leaves the rest empty."""
+    config = SimulationConfig.default()
+    config.dynamics.initial = text
+    state = config.initial_state()
+    count = len(occupations)
+    assert np.abs(state[:count]) ** 2 == pytest.approx(occupations)
+    assert np.all(state[count:] == 0)
 
 
 def test_initial_state_explicit_list():
@@ -313,7 +322,7 @@ def test_initial_state_explicit_list():
 
 def test_initial_state_errors():
     config = SimulationConfig.default()
-    config.dynamics.initial = "uniform(9)"  # more modes than the trap carries
+    config.dynamics.initial = ", ".join(["1"] * 9)  # more modes than the trap carries
     with pytest.raises(ValidationError):
         config.initial_state()
     config.dynamics.initial = "what(1)"

@@ -12,7 +12,7 @@ import cascadelab.convergence as convergence
 from cascadelab.checks import run_all_checks
 from cascadelab.config import SimulationConfig
 from cascadelab.coeffs import assemble_prelimit_tensor
-from cascadelab.convergence import NOISE_FACTOR, ConvergenceReport, eta_sweep
+from cascadelab.convergence import ConvergenceReport, eta_sweep
 from cascadelab.dynamics import SolverOptions, integrate_limit, integrate_prelimit
 from cascadelab.errors import ValidationError
 from cascadelab.spectrum import resonant_mask
@@ -24,7 +24,6 @@ def test_sweep_distances_strictly_decreasing(sweep_report):
     report, _ = sweep_report
     assert report.etas == (0.2, 0.1, 0.05)
     assert report.strictly_decreasing
-    assert report.monotone_within_noise
     assert all(d > 0 for d in report.sup_distances)
 
 
@@ -104,21 +103,19 @@ def test_sweep_solver_takes_the_sweep_samples(default_assets):
 
 
 @pytest.mark.parametrize(
-    "sups, monotone, strict",
+    "sups, strict",
     [
-        pytest.param((0.5, 0.25), True, True, id="halving"),
-        pytest.param((0.5, NOISE_FACTOR * 0.5), True, False, id="at-noise"),
-        pytest.param((0.5, 0.5), True, False, id="equal"),
-        pytest.param((0.5, 0.25, 0.26), True, False, id="uptick"),
-        pytest.param((0.5, 0.61), False, False, id="above-noise"),
-        pytest.param((0.5,), True, True, id="one-eta"),
-        pytest.param((), True, True, id="empty"),
+        pytest.param((0.5, 0.25), True, id="halving"),
+        pytest.param((0.5, 0.5), False, id="equal"),
+        pytest.param((0.5, 0.25, 0.26), False, id="uptick"),
+        pytest.param((0.5, 0.61), False, id="above-noise"),
+        pytest.param((0.5,), True, id="one-eta"),
+        pytest.param((), True, id="empty"),
     ],
 )
-def test_report_verdicts_read_sup_distances(sups, monotone, strict):
+def test_report_verdicts_read_sup_distances(sups, strict):
     etas = tuple(0.2 / 2**i for i in range(len(sups)))
     report = ConvergenceReport(etas, sups, sups, (0.0,) * len(sups), 0.0)
-    assert report.monotone_within_noise is monotone
     assert report.strictly_decreasing is strict
 
 

@@ -10,7 +10,9 @@ from cascadelab.coeffs import (
     assemble_prelimit_tensor,
     two_mode_coefficients,
 )
+from cascadelab.config import SimulationConfig
 from cascadelab.dynamics import (
+    MIN_GROUND_RATE,
     SolverOptions,
     diagnostics,
     integrate_limit,
@@ -369,6 +371,26 @@ def test_empty_ground_mode_skips_bec_formation(default_assets, monkeypatch):
     assert records["bec_formation"]["detail"] == reason
     assert records["logistic_domination"]["detail"] == reason
     assert all(r["passed"] for r in records.values())
+
+
+def test_empty_excited_modes_do_not_skip_bec_formation():
+    """A vanishing rate to a mode with F_k(0) = 0 does not stop ``bec_formation``.
+
+    With eight modes at trap length 4, fgr[0] reads 1.80, 4.17 and 2.46 on
+    the occupied modes 1-3 and 2.7e-16 on the empty mode 7.  The record
+    once skipped on any ground-row rate below MIN_GROUND_RATE while
+    ``logistic_domination`` applied; both now follow the diagnostics' rule.
+    """
+    config = SimulationConfig.default()
+    config.trap.scale, config.trap.modes = 4.0, 8
+    config.dynamics.initial = "1, 1, 1, 1"
+    assets = Assets(config.validate())
+    assert np.min(assets.coeffs.fgr[0, 1:]) < MIN_GROUND_RATE
+    records = {r["name"]: r for r in checks.dynamics_checks(assets)}
+    assert records["logistic_domination"]["detail"].startswith("gamma_tilde = ")
+    bec = records["bec_formation"]
+    assert bec["passed"]
+    assert bec["detail"].startswith("excited mass below threshold first at T = ")
 
 
 # ---------------------------------------------------------------------------
