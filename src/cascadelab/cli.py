@@ -154,7 +154,8 @@ def cmd_coeffs(config: SimulationConfig) -> Run:
 
 
 def cmd_evolve(config: SimulationConfig) -> Run:
-    traj, series = evolve(Assets(config))
+    assets = Assets(config)
+    traj, series = evolve(assets)
     size = traj.size
     comments = [
         f"modes={size} system=limit",
@@ -177,9 +178,7 @@ def cmd_evolve(config: SimulationConfig) -> Run:
         ]
     ).tolist()
 
-    mass, energy, tails = invariant_verdicts(
-        series, config.dynamics.rtol, config.dynamics.t_end
-    ).values()
+    mass, energy, tails = invariant_verdicts(series, assets.solver_options).values()
     summary = {
         "mass_drift": mass[0],
         "max_energy_increase": energy[0],
@@ -206,7 +205,7 @@ def cmd_converge(config: SimulationConfig) -> Run:
     solver = setup.solver
     # the sweep's settings and integrator, next to what each eta cost
     meta = dict(
-        t_final=float(setup.t_final), n_samples=solver.n_samples, rtol=solver.rtol,
+        t_final=float(solver.t_end), n_samples=solver.n_samples, rtol=solver.rtol,
         atol=solver.atol, modes=setup.table.basis.size, prelimit_method=METHOD, **report.meta
     )
     document = {

@@ -160,6 +160,10 @@ class SimulationConfig:
         state = _parse_initial(text, self.trap.modes)
         if not np.all(np.isfinite(state)):
             raise ValidationError(f"dynamics initial amplitudes must be finite, got {text!r}")
+        # bring the largest real or imaginary part into [1/2, 1) by a power of two, which
+        # is exact part by part, so the squared norm neither overflows nor underflows
+        parts = state.view(float)
+        state = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(state.dtype)
         norm = np.linalg.norm(state)
         if norm == 0:
             raise ValidationError("initial state has zero mass, cannot normalize")
@@ -189,10 +193,10 @@ class SimulationConfig:
     def validate(self) -> "SimulationConfig":
         """Check every input by building the value that owns its rule; none is restated.
 
-        The kernels are built too.  Only t_end has no owner; a trap table is read,
-        nothing is solved or transformed.
+        The kernels and both solves' ``SolverOptions`` are built too; a trap table is
+        read, nothing is solved or transformed.
         """
-        t, d = self.trap, self.dynamics
+        t, d, sweep = self.trap, self.dynamics, self.sweep
         grid = RadialGrid(t.r_max, t.n_points)
         grid.coarsened()
         self.potential(grid)
@@ -200,11 +204,11 @@ class SimulationConfig:
         MomentumGrid(self.rho_max_value(0.0), self.momentum.n_rho)
         for role in ("coupling", "pair"):
             self.kernel(role, grid)
-        if not 0 < d.t_end < np.inf:
-            raise ValidationError("dynamics t_end must be positive and finite")
-        SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
+        SolverOptions(d.t_end, d.rtol, d.atol, d.samples)
         self.initial_state()
-        validate_sweep(self.eta_values(), self.sweep.t_final, self.sweep.samples)
+        # before the sweep's SolverOptions, whose own floor of 2 samples is the lower one
+        validate_sweep(self.eta_values(), sweep.samples)
+        SolverOptions(sweep.t_final, d.rtol, d.atol, sweep.samples)
         return self
 
 

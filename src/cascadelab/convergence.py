@@ -84,19 +84,17 @@ class ConvergenceReport:
         return all(b < a for a, b in zip(sups, sups[1:]))
 
 
-def validate_sweep(etas: tuple, t_final: float, samples: int):
+def validate_sweep(etas: tuple, samples: int):
     """The sweep rules, for a config's [sweep] section and a SweepSetup alike.
 
     Raises ValidationError for eta values that are not positive, finite
-    and strictly decreasing, for a non-finite or non-positive t_final and
-    for fewer than MIN_SWEEP_SAMPLES samples.
+    and strictly decreasing, and for fewer than MIN_SWEEP_SAMPLES samples.
+    The horizon is ``SolverOptions``' to check.
     """
     if not all(0 < e < np.inf for e in etas):
         raise ValidationError(f"sweep etas must be positive and finite, got {etas}")
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValidationError(f"sweep etas must be strictly decreasing, got {etas}")
-    if not 0 < t_final < np.inf:
-        raise ValidationError(f"sweep t_final must be positive and finite, got {t_final}")
     if samples < MIN_SWEEP_SAMPLES:
         raise ValidationError(f"sweep samples must be at least {MIN_SWEEP_SAMPLES}, got {samples}")
 
@@ -148,29 +146,29 @@ class SweepSetup:
     and, when it has an eta, by the tensor's mode cap (``require_tensor_modes``).
 
     Each eta's tensor is ``table`` read at eps = eta^2, and the limit
-    matrix is ``table`` read at eps = 0.  ``solver`` sets the
-    tolerances and, in ``n_samples``, the evenly spaced sample times on
-    [0, t_final] of every solve, on which each sup distance is measured.
-    An empty eta list is a valid sweep with nothing to run.
+    matrix is ``table`` read at eps = 0.  ``solver`` sets the horizon
+    T0 = ``solver.t_end``, the tolerances and the ``n_samples`` evenly
+    spaced sample times on [0, T0] of every solve, on which each sup
+    distance is measured.  An empty eta list is a valid sweep with
+    nothing to run.
     """
 
     table: PairingTable
     initial_state: np.ndarray
-    t_final: float
     etas: tuple
     solver: SolverOptions
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=complex))
-        validate_sweep(self.etas, self.t_final, self.solver.n_samples)
+        validate_sweep(self.etas, self.solver.n_samples)
         if self.etas:  # each eta assembles a tensor; reject one too large before any worker starts
             require_tensor_modes(self.table.basis.size)
 
     def prelimit_run(self, eta: float) -> Trajectory:
         """One eta of the sweep: read its tensor off the table and integrate the prelimit system."""
         tensor = assemble_prelimit_tensor(self.table, eta)
-        return integrate_prelimit(tensor, self.initial_state, self.t_final, self.solver)
+        return integrate_prelimit(tensor, self.initial_state, self.solver)
 
 
 @contextmanager
@@ -237,7 +235,7 @@ def _finish(setup: SweepSetup, solves: list[Callable[[], Trajectory]]) -> Conver
     if len(etas) == 0:
         return ConvergenceReport((), (), (), (), 0.0)
     limit_coeffs = assemble_limit_matrix(setup.table)
-    limit_traj = integrate_limit(limit_coeffs.limit_matrix, initial_state, setup.t_final, solver)
+    limit_traj = integrate_limit(limit_coeffs.limit_matrix, initial_state, solver)
     # smallest eta first, as dispatched: its error is the one reported
     trajs = [solve() for solve in solves[::-1]][::-1]
     mass0 = float(np.sum(np.abs(initial_state) ** 2))

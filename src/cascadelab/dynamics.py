@@ -108,18 +108,22 @@ METHOD = "DOP853"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of a solve, and where it samples: n_samples evenly spaced times on [0, t_end].
+    """The horizon and tolerances of a solve, and where it samples: n_samples evenly
+    spaced times on [0, t_end].
 
-    rtol is finite and at least MIN_RTOL, the floor of ``rk.dop853``; atol positive and finite;
-    n_samples at least 2.
+    t_end is positive and finite; rtol finite and at least MIN_RTOL, the floor of
+    ``rk.dop853``; atol positive and finite; n_samples at least 2.
     """
 
+    t_end: float
     rtol: float = 1e-9
     atol: float = 1e-12
     n_samples: int = 256
 
     def __post_init__(self):
-        rtol, atol = self.rtol, self.atol
+        t_end, rtol, atol = self.t_end, self.rtol, self.atol
+        if not 0 < t_end < np.inf:
+            raise ValidationError(f"t_end must be positive and finite, got {t_end}")
         if not MIN_RTOL <= rtol < np.inf:
             raise ValidationError(f"rtol must be finite and at least {MIN_RTOL:.3g}, got {rtol}")
         if not 0 < atol < np.inf:
@@ -244,14 +248,7 @@ def fastest_phase(tensor: PrelimitTensor) -> float:
     return float(np.max(np.abs(gap_differences(tensor.energies)[active])))
 
 
-def _solve(
-    rhs,
-    rates: np.ndarray,
-    y0: np.ndarray,
-    t_end: float,
-    options: SolverOptions,
-    max_step: float = np.inf,
-):
+def _solve(rhs, rates: np.ndarray, y0: np.ndarray, options: SolverOptions, max_step=np.inf):
     """One adaptive solve by METHOD; returns (sample times, samples (n, dim), meta).
 
     ``rhs`` and ``rates`` are in ``rk.dop853``'s stage form; the samples
@@ -260,17 +257,14 @@ def _solve(
     under (None when uncapped); the inputs stay with the caller.
 
     Raises on bad input, solver breakdown or non-finite output instead of
-    returning partial data; the tolerances are ``SolverOptions``' to check.
+    returning partial data; the horizon and tolerances are ``SolverOptions``' to check.
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state contains non-finite entries")
-    if not 0 < t_end < np.inf:
-        raise ValidationError(f"t_end must be positive and finite, got {t_end}")
+    t_end = float(options.t_end)
     times = np.linspace(0.0, t_end, options.n_samples)
 
-    samples, nfev = dop853(
-        rhs, rates, y0, float(t_end), times, options.rtol, options.atol, max_step
-    )
+    samples, nfev = dop853(rhs, rates, y0, t_end, times, options.rtol, options.atol, max_step)
     finite = np.all(np.isfinite(samples), axis=1)
     if not np.all(finite):
         bad = times[np.argmin(finite)]
@@ -281,10 +275,7 @@ def _solve(
 
 
 def integrate_limit(
-    matrix: np.ndarray,
-    initial_state: np.ndarray,
-    t_end: float,
-    options: SolverOptions = SolverOptions(),
+    matrix: np.ndarray, initial_state: np.ndarray, options: SolverOptions
 ) -> Trajectory:
     """Integrate dF_k/dT = sum_k' M[k,k'] |F_k'|^2 F_k for the K x K generator ``matrix``.
 
@@ -299,19 +290,14 @@ def integrate_limit(
     size = len(matrix)
     state = _require_state(initial_state, size)
     y0 = np.concatenate([np.abs(state), np.zeros(size)])
-    times, samples, meta = _solve(
-        _modulus_occupation_rhs(matrix), np.empty(0), y0, t_end, options
-    )
+    times, samples, meta = _solve(_modulus_occupation_rhs(matrix), np.empty(0), y0, options)
     phases = np.angle(state) + samples[:, size:] @ matrix.imag.T
     states = samples[:, :size] * np.exp(1j * phases)
     return Trajectory(times=times, states=np.ascontiguousarray(states), meta=meta)
 
 
 def integrate_prelimit(
-    tensor: PrelimitTensor,
-    initial_state: np.ndarray,
-    t_end: float,
-    options: SolverOptions = SolverOptions(),
+    tensor: PrelimitTensor, initial_state: np.ndarray, options: SolverOptions
 ) -> Trajectory:
     """Integrate the prelimit system by METHOD, sampled where ``options`` say.
 
@@ -321,7 +307,7 @@ def integrate_prelimit(
     cap = PRELIMIT_STEP_CAP * 2.0 * np.pi / rate if rate > 0 else np.inf
     state = _require_state(initial_state, tensor.size)
     rhs, rates = _prelimit_rhs(tensor)
-    times, samples, meta = _solve(rhs, rates, state, t_end, options, cap)
+    times, samples, meta = _solve(rhs, rates, state, options, cap)
     return Trajectory(times=times, states=np.ascontiguousarray(samples), meta=meta)
 
 
@@ -343,16 +329,16 @@ def logistic_bound(f0_ground_mass: float, gamma_tilde: float, t) -> float | np.n
 
 
 def invariant_verdicts(
-    series: DiagnosticsSeries, rtol: float, t_end: float
+    series: DiagnosticsSeries, options: SolverOptions
 ) -> dict[str, tuple[float, float]]:
     """Measured defect and budget of the mass, energy and tail invariants of a run.
 
     The largest energy and tail increases may reach BUDGET_PER_RTOL * rtol;
     the mass drift, which accumulates over the run, that times t_end.
     """
-    budget = BUDGET_PER_RTOL * rtol
+    budget = BUDGET_PER_RTOL * options.rtol
     return {
-        "mass_conservation": (series.mass_drift(), budget * t_end),
+        "mass_conservation": (series.mass_drift(), budget * options.t_end),
         "energy_monotonicity": (series.max_energy_increase(), budget),
         "tail_monotonicity": (series.max_tail_increase(), budget),
     }

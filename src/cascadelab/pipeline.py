@@ -72,27 +72,21 @@ class Assets:
     def sweep(self) -> SweepSetup:
         """The configured eta sweep, on the trap's table.
 
-        Its solver takes the [dynamics] tolerances and the [sweep] samples.
+        Its solver takes the [dynamics] tolerances and the [sweep] t_final and samples.
         """
         c = self.config
-        return SweepSetup(
-            self.table,
-            c.initial_state(),
-            c.sweep.t_final,
-            c.eta_values(),
-            replace(self.solver_options, n_samples=c.sweep.samples),
-        )
+        solver = replace(self.solver_options, t_end=c.sweep.t_final, n_samples=c.sweep.samples)
+        return SweepSetup(self.table, c.initial_state(), c.eta_values(), solver)
 
     @property
     def solver_options(self) -> SolverOptions:
+        """The [dynamics] solve: t_end, tolerances and samples."""
         d = self.config.dynamics
-        return SolverOptions(rtol=d.rtol, atol=d.atol, n_samples=d.samples)
+        return SolverOptions(d.t_end, d.rtol, d.atol, d.samples)
 
 
 def evolve(assets: Assets):
     """Integrate the limit cascade of ``assets.config``; returns (trajectory, series)."""
     config, coeffs = assets.config, assets.coeffs
-    traj = integrate_limit(
-        coeffs.limit_matrix, config.initial_state(), config.dynamics.t_end, assets.solver_options
-    )
+    traj = integrate_limit(coeffs.limit_matrix, config.initial_state(), assets.solver_options)
     return traj, diagnostics(traj, assets.basis.energies, coeffs)

@@ -36,9 +36,9 @@ def announce(number: int, name: str, passed: bool, detail: str):
 @pytest.fixture(scope="module")
 def k6_run(default_assets):
     """Limit-cascade run of the default config: K = 6, T_end = 50."""
-    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=501)
+    options = SolverOptions(50.0, rtol=1e-11, atol=1e-14, n_samples=501)
     state = default_assets.config.initial_state()
-    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 50.0, options)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, options)
     return diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
@@ -47,8 +47,8 @@ def finitely_supported_run(default_assets):
     """Four occupied modes with |F_0|^2 = 0.25 inside the K = 6 system."""
     state = np.zeros(6, dtype=complex)
     state[:4] = 0.5
-    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=801)
-    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 200.0, options)
+    options = SolverOptions(200.0, rtol=1e-11, atol=1e-14, n_samples=801)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, options)
     return traj, diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
@@ -189,9 +189,7 @@ def test_criterion_08_energy_and_tail_monotonicity(k6_run):
 def test_criterion_09_two_mode_logistic():
     matrix = two_mode_coefficients(1.0).limit_matrix
     state = np.sqrt(np.array([0.5, 0.5], dtype=complex))
-    traj = integrate_limit(
-        matrix, state, 1.0, SolverOptions(rtol=1e-11, atol=1e-14, n_samples=201)
-    )
+    traj = integrate_limit(matrix, state, SolverOptions(1.0, 1e-11, 1e-14, 201))
     occupation = np.abs(traj.states[:, 0]) ** 2
     curve = logistic_bound(0.5, 1.0, traj.times)
     terminal = abs(occupation[-1] - 1.0 / (1.0 + np.exp(-2.0)))

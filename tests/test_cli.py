@@ -661,6 +661,81 @@ def test_zero_mass_initial_state_exits_3_at_parse(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", ["1e200, 1", "1e-200, 1e-200", "1e-320"])
+def test_initial_data_of_extreme_magnitude_evolve(tmp_path, capsys, text):
+    """Data far from unit mass run as their direction, with nothing on stderr.
+
+    Their squared norm once overflowed or underflowed: ``1e200, 1`` ran as
+    the zero vector (final ground occupation 0.0, after a numpy warning),
+    and the two tiny ones exited 3 with "zero mass".
+    """
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(f"[dynamics]\ninitial = {text}\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "diagnostics.json").read_text())
+    assert summary["mass_conserved"]
+    if text == "1e200, 1":
+        assert summary["final_ground_occupation"] == 1.0
+
+
+def test_huge_ground_amplitude_check_runs_bec_formation(tmp_path):
+    """``check`` on ``1e200, 1`` certifies ground-mode data, not the zero data it once
+    passed with ``logistic_domination`` and ``bec_formation`` skipped."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[dynamics]\ninitial = 1e200, 1\n")
+    out = tmp_path / "o"
+    assert run_cli(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((out / "manifest.json").read_text())["checks"]["dynamics"]
+    bec = next(r for r in records if r["name"] == "bec_formation")
+    assert bec["passed"] and not bec["detail"].startswith("skipped")
+
+
+def test_zero_kernels_check_passes(tmp_path):
+    """With both kernels zero every coefficient is zero, and ``check`` keeps its exit codes.
+
+    ``eps_uniformity`` once divided 0/0 (ZeroDivisionError, exit 1 with a
+    traceback) and ``row_sum_stability`` would then have read nan.
+    """
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("[kernels]\ncoupling_amplitude = 0.0\npair_amplitude = 0.0\n")
+    out = tmp_path / "o"
+    assert run_cli(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    blocks = json.loads((out / "manifest.json").read_text())["checks"]
+    records = [record for block in blocks.values() for record in block]
+    assert len(records) == 23
+    assert all(record["passed"] for record in records)
+    assert all(np.all(np.isfinite(np.asarray(r["measured"], dtype=float))) for r in records)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[dynamics]\nt_end = 0\n",
+        "[dynamics]\nt_end = inf\n",
+        "[sweep]\nt_final = 0\n",
+        "[sweep]\nt_final = inf\n",
+    ],
+    ids=["t_end-zero", "t_end-inf", "t_final-zero", "t_final-inf"],
+)
+def test_bad_horizon_exits_3_at_parse(tmp_path, capsys, text):
+    """Both horizons are a ``SolverOptions`` t_end and fail with its one message."""
+    cfg = tmp_path / "horizon.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    assert record["message"].startswith("t_end must be positive and finite, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -134,14 +135,6 @@ def default_grid():
             id="eta-flat",
         ),
         pytest.param(
-            "[sweep]\nt_final = 0", sweep_with(t_final=0.0), "t_final must be positive",
-            id="t-zero",
-        ),
-        pytest.param(
-            "[sweep]\nt_final = inf", sweep_with(t_final=np.inf), "t_final must be positive",
-            id="t-inf",
-        ),
-        pytest.param(
             "[sweep]\nsamples = 199", sweep_with(n_samples=199),
             "sweep samples must be at least 200, got 199", id="samples",
         ),
@@ -174,16 +167,32 @@ def default_grid():
             id="n_rho",
         ),
         pytest.param(
-            "[dynamics]\nrtol = 1e-15", lambda _: SolverOptions(1e-15, 1e-14, 501),
+            "[dynamics]\nt_end = 0", lambda _: SolverOptions(0.0, 1e-11, 1e-14, 501),
+            "t_end must be positive and finite, got 0.0", id="t_end-zero",
+        ),
+        pytest.param(
+            "[dynamics]\nt_end = inf", lambda _: SolverOptions(np.inf, 1e-11, 1e-14, 501),
+            "t_end must be positive and finite, got inf", id="t_end-inf",
+        ),
+        pytest.param(
+            "[dynamics]\nrtol = 1e-15", lambda _: SolverOptions(50.0, 1e-15, 1e-14, 501),
             "rtol must be finite and at least", id="rtol",
         ),
         pytest.param(
-            "[dynamics]\natol = 0", lambda _: SolverOptions(1e-11, 0.0, 501),
+            "[dynamics]\natol = 0", lambda _: SolverOptions(50.0, 1e-11, 0.0, 501),
             "atol must be positive and finite", id="atol",
         ),
         pytest.param(
-            "[dynamics]\nsamples = 1", lambda _: SolverOptions(1e-11, 1e-14, 1),
+            "[dynamics]\nsamples = 1", lambda _: SolverOptions(50.0, 1e-11, 1e-14, 1),
             "n_samples must be at least 2, got 1", id="dynamics-samples",
+        ),
+        pytest.param(
+            "[sweep]\nt_final = 0", lambda _: SolverOptions(0.0, 1e-11, 1e-14, 256),
+            "t_end must be positive and finite, got 0.0", id="t-zero",
+        ),
+        pytest.param(
+            "[sweep]\nt_final = inf", lambda _: SolverOptions(np.inf, 1e-11, 1e-14, 256),
+            "t_end must be positive and finite, got inf", id="t-inf",
         ),
         pytest.param(
             "[trap]\nmodes = 600",
@@ -209,9 +218,11 @@ def test_config_and_sweep_setup_share_the_sweep_rules(
 
     The config changes the one input named from the defaults; the owner is
     built from the same values: a SweepSetup from the canonical sweep (etas
-    0.2, 0.1, 0.05, t_final 1, 256 samples), a grid, trap or solver options
-    from the [trap], [momentum] or [dynamics] defaults, an eigensolve
-    asking for the modes, a kernel on the sweep's radial grid.
+    0.2, 0.1, 0.05, 256 samples), a grid or trap from the [trap] or
+    [momentum] defaults, solver options from the [dynamics] defaults (t_end
+    50, 501 samples) or for the sweep's solve ([sweep] t_final and
+    samples), an eigensolve asking for the modes, a kernel on the sweep's
+    radial grid.
     """
     with pytest.raises(ValidationError, match=message) as from_config:
         parse_config(write(tmp_path, f"{text}\n"))
@@ -306,6 +317,34 @@ def test_initial_state_lists_of_the_dropped_presets(text, occupations):
     count = len(occupations)
     assert np.abs(state[:count]) ** 2 == pytest.approx(occupations)
     assert np.all(state[count:] == 0)
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        pytest.param("1e200, 1", "1, 1e-200", id="huge"),
+        pytest.param("1e-200, 1e-200", "1, 1", id="tiny"),
+        pytest.param("1e-320", "1", id="subnormal"),
+        pytest.param("1e308+1e308j, -0.0", "1+1j, -0.0", id="huge-complex"),
+    ],
+)
+def test_initial_state_of_extreme_magnitude(text, same_as):
+    """Amplitudes far from 1 keep their direction: only their ratios matter.
+
+    The squared norm once overflowed, so ``1e200, 1`` became the zero vector
+    with a numpy warning, or underflowed, so ``1e-200, 1e-200`` and
+    ``1e-320`` failed as "zero mass".
+    """
+    config = SimulationConfig.default()
+    config.dynamics.initial = text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = config.initial_state()
+    config.dynamics.initial = same_as
+    expected = config.initial_state()
+    assert np.max(np.abs(state - expected)) <= 1e-15
+    assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(np.signbit(state.real), np.signbit(expected.real))
 
 
 def test_initial_state_explicit_list():

@@ -51,15 +51,14 @@ def test_prelimit_integrator_error_within_budget(sweep_assets, sweep_report):
     RHS evaluations over the three eta (77,964 with RK45 at cap 0.25).
     """
     report, _ = sweep_report
-    config = sweep_assets.config
-    state = config.initial_state()
-    t_final = config.sweep.t_final
+    state = sweep_assets.config.initial_state()
+    solver = sweep_assets.sweep.solver
     for i, (eta, sup) in enumerate(zip(report.etas, report.sup_distances)):
         tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
-        capped = integrate_prelimit(tensor, state, t_final, sweep_assets.sweep.solver)
+        capped = integrate_prelimit(tensor, state, solver)
         exact = solve_ivp(
             lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor),
-            (0.0, t_final), state, method="DOP853", t_eval=capped.times,
+            (0.0, solver.t_end), state, method="DOP853", t_eval=capped.times,
             rtol=1e-13, atol=1e-16,
         )
         assert exact.success
@@ -76,13 +75,13 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
     Its phases are constant, so its flow must match the generator
     collapsed from the same tensor entries up to integrator noise.
     """
-    solver = SolverOptions(rtol=1e-9, atol=1e-12, n_samples=200)
+    solver = SolverOptions(1.0, rtol=1e-9, atol=1e-12, n_samples=200)
     full = assemble_prelimit_tensor(sweep_assets.table, 1e-3)
     tensor = replace(full, tensor=full.tensor * resonant_mask(full.size))
     collapsed = limit_matrix_from_tensor(tensor.tensor)
     state = sweep_assets.config.initial_state()
-    traj = integrate_prelimit(tensor, state, 1.0, solver)
-    reference = integrate_limit(collapsed, state, 1.0, solver)
+    traj = integrate_prelimit(tensor, state, solver)
+    reference = integrate_limit(collapsed, state, solver)
     distance = np.max(np.linalg.norm(traj.states - reference.states, axis=1))
     assert distance < 10.0 * solver.rtol
 
@@ -90,15 +89,17 @@ def test_tiny_eta_resonant_tensor_reproduces_limit(sweep_assets):
 def _sweep(assets, t_final, etas, **solver):
     """The assets' sweep setup with another horizon, eta list and solver fields."""
     setup = assets.sweep
-    return replace(setup, t_final=t_final, etas=etas, solver=replace(setup.solver, **solver))
+    return replace(setup, etas=etas, solver=replace(setup.solver, t_end=t_final, **solver))
 
 
 def test_sweep_solver_takes_the_sweep_samples(default_assets):
-    """The sweep's solves sample at [sweep] samples, not at [dynamics] samples."""
+    """The sweep's solves run to [sweep] t_final and sample at [sweep] samples,
+    not at the [dynamics] horizon and samples."""
     config = default_assets.config
     assert config.dynamics.samples != config.sweep.samples
+    assert config.dynamics.t_end != config.sweep.t_final
     solver = default_assets.sweep.solver
-    assert solver.n_samples == config.sweep.samples
+    assert (solver.t_end, solver.n_samples) == (config.sweep.t_final, config.sweep.samples)
     assert (solver.rtol, solver.atol) == (config.dynamics.rtol, config.dynamics.atol)
 
 

@@ -109,14 +109,14 @@ def test_prelimit_rejects_bad_input(sweep_assets):
     with pytest.raises(ValidationError):
         rhs_prelimit(0.0, short, tensor)
     with pytest.raises(ValidationError):
-        integrate_prelimit(tensor, short, 1.0)
+        integrate_prelimit(tensor, short, SolverOptions(1.0))
     broken = state.copy()
     broken[1] = np.nan
     with pytest.raises(ValidationError):
-        integrate_prelimit(tensor, broken, 1.0)
+        integrate_prelimit(tensor, broken, SolverOptions(1.0))
     for t_end in (0.0, -1.0):
-        with pytest.raises(ValidationError):
-            integrate_prelimit(tensor, state, t_end)
+        with pytest.raises(ValidationError, match="t_end must be positive"):
+            SolverOptions(t_end)
     with pytest.raises(ValidationError):
         replace(tensor, eta=0.0)
     with pytest.raises(ValidationError):
@@ -127,10 +127,8 @@ def test_prelimit_rejects_non_finite_input(sweep_assets):
     tensor = assemble_prelimit_tensor(sweep_assets.table, eta=0.2)
     state = sweep_assets.config.initial_state()
     for t_end in (np.inf, np.nan):
-        with pytest.raises(ValidationError, match="finite"):
-            integrate_prelimit(tensor, state, t_end)
-        with pytest.raises(ValidationError, match="finite"):
-            integrate_limit(sweep_assets.coeffs.limit_matrix, state, t_end)
+        with pytest.raises(ValidationError, match="t_end must be positive and finite"):
+            SolverOptions(t_end)
     for eta in (np.inf, np.nan):
         with pytest.raises(ValidationError, match="finite"):
             replace(tensor, eta=eta)
@@ -150,15 +148,15 @@ def _zero_tensor(size):
 
 def test_zero_rhs_constant_trajectory():
     state = np.array([0.3 + 0.1j, -0.2j, 0.5])
-    traj = integrate_prelimit(_zero_tensor(3), state, 2.0, SolverOptions(n_samples=17))
+    traj = integrate_prelimit(_zero_tensor(3), state, SolverOptions(2.0, n_samples=17))
     assert np.allclose(traj.states, state[None, :], rtol=0, atol=1e-14)
 
 
 def test_two_mode_logistic_exactness():
     coeffs = two_mode_coefficients(1.0)
     state = unit_state([0.5, 0.5])
-    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=201)
-    traj = integrate_limit(coeffs.limit_matrix, state, 1.0, options)
+    options = SolverOptions(1.0, rtol=1e-11, atol=1e-14, n_samples=201)
+    traj = integrate_limit(coeffs.limit_matrix, state, options)
     occupation = np.abs(traj.states[:, 0]) ** 2
     assert abs(occupation[-1] - EXACT_LOGISTIC_AT_ONE) < 1e-8
     curve = logistic_bound(0.5, 1.0, traj.times)
@@ -171,34 +169,33 @@ def test_tolerance_halving_self_consistency():
     matrix = two_mode_coefficients(1.0).limit_matrix
     state = unit_state([0.3, 0.7])
     rtol = 1e-8
-    coarse = integrate_limit(matrix, state, 1.0, SolverOptions(rtol=rtol, atol=1e-12))
-    fine = integrate_limit(matrix, state, 1.0, SolverOptions(rtol=rtol / 2.0, atol=1e-12))
+    coarse = integrate_limit(matrix, state, SolverOptions(1.0, rtol=rtol, atol=1e-12))
+    fine = integrate_limit(matrix, state, SolverOptions(1.0, rtol=rtol / 2.0, atol=1e-12))
     assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) < 10.0 * rtol
 
 
 def test_integrator_rejects_bad_input():
     with pytest.raises(ValidationError):
-        integrate_prelimit(_zero_tensor(1), np.array([np.nan + 0j]), 1.0)
-    with pytest.raises(ValidationError):
-        integrate_prelimit(_zero_tensor(1), np.array([1.0 + 0j]), -1.0)
+        integrate_prelimit(_zero_tensor(1), np.array([np.nan + 0j]), SolverOptions(1.0))
+    with pytest.raises(ValidationError, match="t_end"):
+        SolverOptions(-1.0)
 
 
 def test_limit_integrator_rejects_bad_input(default_assets):
-    coeffs = default_assets.coeffs
+    coeffs, options = default_assets.coeffs, SolverOptions(1.0)
     with pytest.raises(ValidationError):
-        integrate_limit(coeffs.limit_matrix, np.ones(coeffs.size + 1, dtype=complex), 1.0)
+        integrate_limit(coeffs.limit_matrix, np.ones(coeffs.size + 1, dtype=complex), options)
     state = np.ones(coeffs.size, dtype=complex)
     state[2] = np.inf
     with pytest.raises(ValidationError):
-        integrate_limit(coeffs.limit_matrix, state, 1.0)
-    with pytest.raises(ValidationError):
-        integrate_limit(coeffs.limit_matrix, np.ones(coeffs.size, dtype=complex), 0.0)
-    ones = np.ones(coeffs.size, dtype=complex)
+        integrate_limit(coeffs.limit_matrix, state, options)
+    with pytest.raises(ValidationError, match="t_end"):
+        SolverOptions(0.0)
     with pytest.raises(ValidationError, match="rtol"):
-        integrate_limit(coeffs.limit_matrix, ones, 1.0, SolverOptions(rtol=1e-15))
+        SolverOptions(1.0, rtol=1e-15)
     for n_samples in (1, 0, -1):
         with pytest.raises(ValidationError, match="n_samples"):
-            SolverOptions(n_samples=n_samples)
+            SolverOptions(1.0, n_samples=n_samples)
 
 
 def test_modulus_phase_flow_matches_complex_rk45(default_assets):
@@ -206,10 +203,10 @@ def test_modulus_phase_flow_matches_complex_rk45(default_assets):
     coeffs = default_assets.coeffs
     state = default_assets.config.initial_state()
     options = default_assets.solver_options
-    flow = integrate_limit(coeffs.limit_matrix, state, 50.0, options)
+    flow = integrate_limit(coeffs.limit_matrix, state, options)
     oracle = solve_ivp(
         lambda _t, y: rhs_limit(y, coeffs),
-        (0.0, 50.0),
+        (0.0, options.t_end),
         state,
         method="RK45",
         rtol=options.rtol,
@@ -230,12 +227,13 @@ def test_limit_route_matches_tight_modulus_phase_reference(default_assets):
     """
     coeffs = default_assets.coeffs
     state = default_assets.config.initial_state()
-    flow = integrate_limit(coeffs.limit_matrix, state, 50.0, default_assets.solver_options)
+    options = default_assets.solver_options
+    flow = integrate_limit(coeffs.limit_matrix, state, options)
     size = coeffs.size
     # the phase increment starts at zero, so its error is relative to it alone
     reference = solve_ivp(
         rhs_modulus_phase(coeffs),
-        (0.0, 50.0),
+        (0.0, options.t_end),
         np.concatenate([np.abs(state), np.zeros(size)]),
         method="DOP853",
         rtol=1e-13,
@@ -252,7 +250,7 @@ def test_zero_amplitudes_stay_zero(default_assets):
     coeffs = default_assets.coeffs
     state = np.zeros(coeffs.size, dtype=complex)
     state[:3] = np.array([0.6, 0.6j, -0.2 + 0.5j])
-    traj = integrate_limit(coeffs.limit_matrix, state, 20.0, SolverOptions(n_samples=41))
+    traj = integrate_limit(coeffs.limit_matrix, state, SolverOptions(20.0, n_samples=41))
     assert np.all(traj.states[:, 3:] == 0.0)
 
 
@@ -260,7 +258,7 @@ def test_non_finite_rhs_aborts():
     # one mode with Re M = 1: r' = r^3 from r = 1 blows up at T = 1/2
     blow_up = np.ones((1, 1), dtype=complex)
     with pytest.raises(NumericalError):
-        integrate_limit(blow_up, np.array([1.0 + 0j]), 1.0)
+        integrate_limit(blow_up, np.array([1.0 + 0j]), SolverOptions(1.0))
 
 
 def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
@@ -268,7 +266,7 @@ def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
     drifts = {}
     for eta in (0.1, 0.05):
         tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
-        traj = integrate_prelimit(tensor, state, 1.0, SolverOptions())
+        traj = integrate_prelimit(tensor, state, SolverOptions(1.0))
         drifts[eta] = np.max(np.abs(traj.masses() - 1.0))
     # the oscillatory system conserves mass up to integrator error, which
     # shrinks with the phase-resolving step cap; the cap keeps a 2x margin
@@ -285,8 +283,8 @@ def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
 def default_run(default_assets):
     config = default_assets.config
     state = config.initial_state()
-    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=401)
-    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 50.0, options)
+    options = SolverOptions(50.0, rtol=1e-11, atol=1e-14, n_samples=401)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, options)
     return traj, diagnostics(traj, default_assets.basis.energies, default_assets.coeffs)
 
 
@@ -319,22 +317,22 @@ def test_phase_equivariance(default_assets):
     state = default_assets.config.initial_state()
     rng = np.random.default_rng(23)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, coeffs.size))
-    options = SolverOptions(rtol=1e-10, atol=1e-13, n_samples=51)
-    plain = integrate_limit(coeffs.limit_matrix, state, 5.0, options)
-    rotated = integrate_limit(coeffs.limit_matrix, phases * state, 5.0, options)
+    options = SolverOptions(5.0, rtol=1e-10, atol=1e-13, n_samples=51)
+    plain = integrate_limit(coeffs.limit_matrix, state, options)
+    rotated = integrate_limit(coeffs.limit_matrix, phases * state, options)
     assert np.max(np.abs(rotated.states - phases[None, :] * plain.states)) < 1e-7
 
 
 def test_diagnostics_flags():
     coeffs = two_mode_coefficients(1.0)
-    matrix, options = coeffs.limit_matrix, SolverOptions(n_samples=33)
+    matrix, options = coeffs.limit_matrix, SolverOptions(1.0, n_samples=33)
     # zero ground occupation: the bound does not apply
-    traj = integrate_limit(matrix, np.array([0.0, 1.0 + 0j]), 1.0, options)
+    traj = integrate_limit(matrix, np.array([0.0, 1.0 + 0j]), options)
     series = diagnostics(traj, np.array([0.0, 1.0]), coeffs)
     assert series.logistic is None
     assert "zero initial ground occupation" in series.flags["logistic_skipped"]
     # non-unit mass: skipped as well
-    traj = integrate_limit(matrix, np.array([1.0, 1.0 + 0j]), 1.0, options)
+    traj = integrate_limit(matrix, np.array([1.0, 1.0 + 0j]), options)
     series = diagnostics(traj, np.array([0.0, 1.0]), coeffs)
     assert series.logistic is None
     assert "unit mass" in series.flags["logistic_skipped"]
@@ -343,8 +341,8 @@ def test_diagnostics_flags():
 def test_bec_formation_threshold(default_assets):
     config = default_assets.config
     state = config.initial_state()
-    options = SolverOptions(rtol=1e-10, atol=1e-13, n_samples=401)
-    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, 200.0, options)
+    options = SolverOptions(200.0, rtol=1e-10, atol=1e-13, n_samples=401)
+    traj = integrate_limit(default_assets.coeffs.limit_matrix, state, options)
     excited = np.sum(np.abs(traj.states[:, 1:]) ** 2, axis=1)
     assert np.any(excited < 1e-3)
 
@@ -358,9 +356,9 @@ def test_empty_ground_mode_skips_bec_formation(default_assets, monkeypatch):
     """
     ends = []
 
-    def recording(matrix, state, t_end, options):
-        ends.append(t_end)
-        return integrate_limit(matrix, state, t_end, options)
+    def recording(matrix, state, options):
+        ends.append(options.t_end)
+        return integrate_limit(matrix, state, options)
 
     monkeypatch.setattr(checks, "integrate_limit", recording)
     config = default_assets.config

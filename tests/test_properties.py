@@ -126,9 +126,9 @@ def test_limit_steps_and_moduli_ignore_phases(default_assets, data, scale):
     state = np.sqrt(weights / np.sum(weights)) * np.exp(1j * theta)
     matrix = coeffs.limit_matrix
     rescaled = matrix.real + 1j * scale * matrix.imag
-    options = SolverOptions(rtol=1e-11, atol=1e-14, n_samples=17)
-    plain = integrate_limit(matrix, np.abs(state), 1.0, options)
-    turned = integrate_limit(rescaled, state, 1.0, options)
+    options = SolverOptions(1.0, rtol=1e-11, atol=1e-14, n_samples=17)
+    plain = integrate_limit(matrix, np.abs(state), options)
+    turned = integrate_limit(rescaled, state, options)
     assert turned.meta["nfev"] == plain.meta["nfev"]
     expected, found = np.abs(plain.states), np.abs(turned.states)
     assert np.all(np.abs(found - expected) <= MODULUS_ULPS * np.finfo(float).eps * expected)

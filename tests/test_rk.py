@@ -78,7 +78,7 @@ def limit_problem(assets, state):
 @pytest.mark.parametrize("max_step", [np.inf, 0.5])
 def test_limit_system_matches_solve_ivp(default_assets, max_step):
     options = default_assets.solver_options
-    t_end = default_assets.config.dynamics.t_end
+    t_end = options.t_end
     rhs, y0 = limit_problem(default_assets, default_assets.config.initial_state())
     t_eval = np.linspace(0.0, t_end, options.n_samples)
     nfev = assert_matches_oracle(
@@ -86,7 +86,7 @@ def test_limit_system_matches_solve_ivp(default_assets, max_step):
     )
     if max_step == np.inf:
         state = default_assets.config.initial_state()
-        traj = integrate_limit(default_assets.coeffs.limit_matrix, state, t_end, options)
+        traj = integrate_limit(default_assets.coeffs.limit_matrix, state, options)
         assert traj.meta["nfev"] == nfev == 1274
 
 
@@ -94,15 +94,15 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
     """The shipped step-capped solve, and an uncapped one, at each eta of the sweep."""
     setup = sweep_assets.sweep
     options = setup.solver
-    t_eval = np.linspace(0.0, setup.t_final, options.n_samples)
+    t_eval = np.linspace(0.0, options.t_end, options.n_samples)
     for eta in setup.etas:
         tensor = assemble_prelimit_tensor(setup.table, eta)
         rhs = lambda t, y, tensor=tensor: rhs_prelimit(t, y, tensor)
-        traj = integrate_prelimit(tensor, setup.initial_state, setup.t_final, options)
+        traj = integrate_prelimit(tensor, setup.initial_state, options)
         assert np.array_equal(traj.times, t_eval)
         oracle = solve_ivp(
             rhs,
-            (0.0, setup.t_final),
+            (0.0, options.t_end),
             setup.initial_state,
             method="DOP853",
             rtol=options.rtol,
@@ -115,7 +115,7 @@ def test_prelimit_system_matches_solve_ivp_at_canonical_etas(sweep_assets):
         assert_matches_oracle(
             *_prelimit_rhs(tensor),
             setup.initial_state,
-            setup.t_final,
+            options.t_end,
             t_eval,
             options.rtol,
             options.atol,
@@ -242,10 +242,9 @@ def test_random_prelimit_systems_match_solve_ivp(data, size, eta, t_end, capped)
     state = state / np.linalg.norm(state)
     instants = st.floats(min_value=0.0, max_value=t_end)
     times = np.sort(data.draw(st.lists(instants, min_size=1, max_size=20, unique=True)))
-    options = SolverOptions()
+    options = SolverOptions(t_end, n_samples=max(len(times), 2))
     if capped:
-        options = SolverOptions(n_samples=max(len(times), 2))
-        traj = integrate_prelimit(tensor, state, t_end, options)
+        traj = integrate_prelimit(tensor, state, options)
         times, samples, nfev = traj.times, traj.states, traj.meta["nfev"]
         max_step = traj.meta["max_step"] or np.inf
     else:
