@@ -297,7 +297,7 @@ def dynamics_checks(assets: Assets) -> list[dict]:
         )
 
     exact = 1.0 / (1.0 + np.exp(-2.0))
-    two_mode = two_mode_coefficients(1.0).limit_matrix
+    two_mode = two_mode_coefficients().limit_matrix
     f0 = np.sqrt(np.array([0.5, 0.5], dtype=complex))
     logi = integrate_limit(two_mode, f0, SolverOptions(1.0, 1e-11, 1e-14, 201))
     curve = logistic_bound(0.5, 1.0, logi.times)

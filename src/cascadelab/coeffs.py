@@ -104,13 +104,6 @@ class SpectralDensity:
         """The values on the nodes of ``_extended_grid``: zero_value first."""
         return np.concatenate(([self.zero_value], self.values))
 
-    def at(self, lam: float):
-        """Density at an off-node frequency by local cubic interpolation."""
-        nodes, _ = _extended_grid(self.momenta)
-        if lam < nodes[0] or lam > nodes[-1]:
-            raise ValidationError(f"interpolation point {lam} outside [0, {nodes[-1]}]")
-        return _interpolate(nodes, self._extended_values(), lam)
-
 
 def _extended_grid(momenta: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and trapezoid weights of the grid with the origin node prepended."""
@@ -251,7 +244,7 @@ def _cauchy_weights(
 
     Exterior: c = w / (rho - lam + i eps), plus the end weight on the first
     node at lam = eps = 0.  The interior route's subtraction adds
-    l * (log term - sum c), l the Lagrange row of SpectralDensity.at, and
+    l * (log term - sum c), l the Lagrange row at lam (``_lagrange_row``), and
     moves the weight of a node on an eps = 0 pole onto its neighbours.  At
     eps = 0 the quotients are real (``_quotient``), so the exterior weights
     come back real and the interior ones complex through the logarithm.
@@ -437,6 +430,18 @@ class CoefficientSet:
         }
 
 
+def prelimit_eps(eta: float) -> float:
+    """eps = eta^2, the prelimit regularization at coupling eta; a ValidationError unless
+    eta > 0 and eta^2 is a positive finite float (one that neither underflows nor overflows)."""
+    try:
+        eps = eta**2
+    except OverflowError:  # a Python float's square; numpy's overflows to inf
+        eps = math.inf
+    if not (eta > 0 and 0 < eps < math.inf):
+        raise ValidationError(f"eta must be positive, with eta^2 positive and finite, got {eta}")
+    return eps
+
+
 @dataclass(frozen=True)
 class PrelimitTensor:
     """The quadruple tensor of the oscillatory system at coupling eta.
@@ -452,8 +457,7 @@ class PrelimitTensor:
     energies: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.eta < np.inf:
-            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
+        prelimit_eps(self.eta)
         if self.tensor.shape != (len(self.energies),) * 4:
             raise ValidationError("tensor shape does not match the energies")
         if not np.all(np.isfinite(self.tensor)):
@@ -470,17 +474,15 @@ def _sign_matrix(size: int) -> np.ndarray:
     return np.sign(idx[:, None] - idx[None, :]).astype(float)
 
 
-def two_mode_coefficients(gamma: float) -> CoefficientSet:
-    """Synthetic two-mode coefficients: a single transition rate, no shifts.
+def two_mode_coefficients() -> CoefficientSet:
+    """Synthetic two-mode coefficients: the unit transition rate, no shifts.
 
     The cascade then closes to the logistic equation
-    d|F_0|^2/dT = 2 gamma |F_0|^2 |F_1|^2, the exactness oracle for the
+    d|F_0|^2/dT = 2 |F_0|^2 |F_1|^2, the exactness oracle for the
     integrator.
     """
-    if not 0 < gamma < np.inf:
-        raise ValidationError(f"synthetic rate must be positive and finite, got {gamma}")
     zeros = np.zeros((2, 2))
-    return CoefficientSet(gamma * (1.0 - np.eye(2)), zeros, zeros, zeros, zeros)
+    return CoefficientSet(1.0 - np.eye(2), zeros, zeros, zeros, zeros)
 
 
 @dataclass(frozen=True)
@@ -631,11 +633,9 @@ def assemble_prelimit_tensor(table: PairingTable, eta: float) -> PrelimitTensor:
     stored ``energies``.  Memory grows like K^4; ``TENSOR_MODE_CAP`` guards
     against accidents.
     """
-    if not 0 < eta < np.inf:
-        raise ValidationError(f"eta must be positive and finite, got {eta}")
     basis = table.basis
     require_tensor_modes(basis.size)
     index = table.index
-    sums = table.cell_sums(eta**2)
+    sums = table.cell_sums(prelimit_eps(eta))
     cells = -1j * (table.hartree[:, index] - sums.real) - sums.imag
     return PrelimitTensor(eta, cells[index], basis.energies - basis.energies[0])

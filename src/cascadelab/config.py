@@ -177,7 +177,7 @@ class SimulationConfig:
         """
         t = self.trap
         if t.file:
-            return Potential.tabulated(grid, _read_tabulated(t.file, grid))
+            return Potential(grid, _read_tabulated(t.file, grid))
         return Potential.anharmonic(grid, beta=t.beta, scale=t.scale)
 
     def kernel(self, role: str, grid: RadialGrid) -> InteractionKernel:

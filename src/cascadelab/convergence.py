@@ -52,6 +52,7 @@ from .coeffs import (
     PairingTable,
     assemble_limit_matrix,
     assemble_prelimit_tensor,
+    prelimit_eps,
     require_tensor_modes,
 )
 from .dynamics import SolverOptions, Trajectory, integrate_limit, integrate_prelimit
@@ -87,12 +88,12 @@ class ConvergenceReport:
 def validate_sweep(etas: tuple, samples: int):
     """The sweep rules, for a config's [sweep] section and a SweepSetup alike.
 
-    Raises ValidationError for eta values that are not positive, finite
-    and strictly decreasing, and for fewer than MIN_SWEEP_SAMPLES samples.
-    The horizon is ``SolverOptions``' to check.
+    Raises ValidationError for an eta that ``prelimit_eps`` rejects, for
+    etas that are not strictly decreasing, and for fewer than
+    MIN_SWEEP_SAMPLES samples.  The horizon is ``SolverOptions``' to check.
     """
-    if not all(0 < e < np.inf for e in etas):
-        raise ValidationError(f"sweep etas must be positive and finite, got {etas}")
+    for eta in etas:
+        prelimit_eps(eta)
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValidationError(f"sweep etas must be strictly decreasing, got {etas}")
     if samples < MIN_SWEEP_SAMPLES:

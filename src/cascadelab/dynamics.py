@@ -54,7 +54,7 @@ constant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +116,9 @@ class SolverOptions:
     """
 
     t_end: float
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    n_samples: int = 256
+    rtol: float
+    atol: float
+    n_samples: int
 
     def __post_init__(self):
         t_end, rtol, atol = self.t_end, self.rtol, self.atol
@@ -138,7 +138,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (n_samples, K), complex
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def size(self) -> int:
@@ -158,7 +158,7 @@ class DiagnosticsSeries:
     tail_masses: np.ndarray  # shape (K - 1, n): tail_masses[j - 1] = m_j = sum_{k>=j} |F_k|^2
     logistic: np.ndarray | None
     gamma_tilde: float | None
-    flags: dict = field(default_factory=dict)
+    flags: dict
 
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.mass - self.mass[0])))

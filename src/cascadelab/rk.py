@@ -9,7 +9,7 @@ form f(t, y) of its stage-form RHS (below):
   1993, sec. II.4) for an order-7 error estimate, bounded by ``max_step``;
 - step factors SAFETY * err^(-1/8) clipped to [MIN_FACTOR, MAX_FACTOR],
   no growth on the step that follows a rejection, and failure once the
-  step falls below 10 ulp of t;
+  step falls below 10 ulp of t (or is NaN, where scipy steps forever);
 - the E5/E3 error norm with weight 0.01 on the third-order estimate;
 - three extra stages and the 7-term Horner interpolant (sec. II.10) only
   on steps that hold sample times.
@@ -417,7 +417,7 @@ def dop853(
     t_eval: np.ndarray,
     rtol: float,
     atol: float,
-    max_step: float = np.inf,
+    max_step: float,
 ):
     """Integrate y' = f(t, y), y(0) = y0, up to t_end; returns (samples, nfev).
 
@@ -428,7 +428,8 @@ def dop853(
     that is overwritten after it returns.  ``samples`` has shape
     (len(t_eval), len(y0)) and holds the solution at ``t_eval``, float
     times that must increase within [0, t_end]; ``rtol`` is at least
-    MIN_RTOL.  Raises NumericalError when the step falls below 10 ulp of t.
+    MIN_RTOL; no step exceeds ``max_step`` (np.inf: no cap).  Raises
+    NumericalError when the step falls below 10 ulp of t or is NaN.
     """
     y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     dtype = y.dtype
@@ -476,10 +477,10 @@ def dop853(
         rejected = False
         k[0] = f
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step too, which scipy would retry forever
                 raise NumericalError(
-                    f"integration failed at t = {t}: required step size is "
-                    "less than spacing between numbers"
+                    f"integration failed at t = {t}: step size {h_abs:.3g} is not at least "
+                    "10 ulp of t"
                 )
             t_new = t + h_abs
             if t_new > t_end:

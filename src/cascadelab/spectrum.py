@@ -75,10 +75,6 @@ class Potential:
         x = grid.nodes / scale
         return Potential(grid, (x**2 + beta * x**4) / scale**2)
 
-    @staticmethod
-    def tabulated(grid: RadialGrid, values: np.ndarray) -> "Potential":
-        return Potential(grid, np.asarray(values, dtype=float))
-
 
 @dataclass(frozen=True)
 class EigenBasis:

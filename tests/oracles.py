@@ -18,6 +18,9 @@ generator; ``resonant_limit_cells`` gives it the eps = 0 resonant cells
 that production never assembles.  ``pair_transforms`` transforms kernels
 with every ordered mode product, K^2 rows where the table has K(K+1)/2.
 
+``density_at`` reads a spectral density off its grid by the local cubic
+interpolation the Cauchy routes subtract at the pole.
+
 ``complex_branch_weights`` is the branch-sum weight vector with every
 quotient taken in complex arithmetic, w / (d + i eps) at eps = 0 too: the
 form ``coeffs.branch_weights`` replaces by real arithmetic at eps = 0.
@@ -32,6 +35,7 @@ from cascadelab.coeffs import (
     PrelimitTensor,
     SpectralDensity,
     _extended_grid,
+    _interpolate,
     _is_interior,
     _lagrange_row,
     _pole_node,
@@ -43,6 +47,14 @@ from cascadelab.errors import ValidationError
 from cascadelab.grids import MomentumGrid
 from cascadelab.kernels import InteractionKernel, grid_transforms
 from cascadelab.spectrum import EigenBasis, mode_product, resonant_mask
+
+
+def density_at(a: SpectralDensity, lam: float):
+    """The density ``a`` at an off-node frequency ``lam`` by local cubic interpolation."""
+    nodes, _ = _extended_grid(a.momenta)
+    if lam < nodes[0] or lam > nodes[-1]:
+        raise ValidationError(f"interpolation point {lam} outside [0, {nodes[-1]}]")
+    return _interpolate(nodes, a._extended_values(), lam)
 
 
 def rhs_limit(state: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:

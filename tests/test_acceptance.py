@@ -187,7 +187,7 @@ def test_criterion_08_energy_and_tail_monotonicity(k6_run):
 
 
 def test_criterion_09_two_mode_logistic():
-    matrix = two_mode_coefficients(1.0).limit_matrix
+    matrix = two_mode_coefficients().limit_matrix
     state = np.sqrt(np.array([0.5, 0.5], dtype=complex))
     traj = integrate_limit(matrix, state, SolverOptions(1.0, 1e-11, 1e-14, 201))
     occupation = np.abs(traj.states[:, 0]) ** 2

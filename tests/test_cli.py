@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import cascadelab.checks as checks
+import cascadelab.config as config_module
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
 from cascadelab.config import SimulationConfig, TrapConfig, emit_config, parse_config
@@ -137,14 +139,21 @@ def test_package_defers_no_import():
     assert found == []
 
 
+@functools.cache
+def _package_trees(package):
+    """The parsed modules of ``package`` by name, parsed once for every guard below."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert "coeffs" in trees, package
+    return trees
+
+
 def _unreferenced_module_names(package):
     """Module-level functions, classes and constants that no code in ``package`` refers to.
 
     A reference is a Name or an Attribute outside the name's own
     definition; an import alone is none.
     """
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    assert "coeffs" in trees, package
+    trees = _package_trees(package)
     defined = {}
     for module, tree in trees.items():
         for node in tree.body:
@@ -179,15 +188,75 @@ def test_every_package_name_has_a_use_in_the_package():
     assert _unreferenced_module_names(SRC / "cascadelab") == []
 
 
-def _defaults_no_call_passes(package):
-    """Defaulted parameters of package functions that no call in ``package`` passes.
+def _unreferenced_methods(package):
+    """Non-dunder methods and properties of package classes that no package code
+    refers to by attribute outside their own definition."""
+    trees = _package_trees(package)
+    attributes = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    unused = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(a.attr == fn.name and id(a) not in own for a in attributes):
+                    unused.append(f"{module}.{cls.name}.{fn.name}")
+    return sorted(unused)
 
-    Calls match functions by name.  A call passes a parameter by keyword,
-    by position (not counting a method's self or cls), or through a
-    starred argument.
+
+def test_every_method_has_a_use_in_the_package():
+    """A method or property that only tests call belongs in tests/oracles.py as a function."""
+    assert _unreferenced_methods(SRC / "cascadelab") == []
+
+
+def _is_dataclass(cls):
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list
+    )
+
+
+def _init_fields(cls):
+    """The ``__init__`` fields of a dataclass in order, each with whether it has a default."""
+    out = []
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: getattr(k.value, "value", k.value) for k in value.keywords}
+            if keywords.get("init") is False:
+                continue
+            out.append((node.target.id, "default" in keywords or "default_factory" in keywords))
+        else:
+            out.append((node.target.id, value is not None))
+    return out
+
+
+#: Owners whose defaults the default guards leave alone: the console script and the
+#: tests call ``cli.main``, and ``parse_config`` overwrites the config sections'
+#: documented defaults by name.
+DEFAULT_GUARD_EXEMPT = {("cli", "main"), ("config", "SimulationConfig")} | {
+    ("config", section.__name__) for section in config_module._SECTIONS.values()
+}
+
+
+def _defaults_and_callers(package):
+    """Each defaulted parameter of a package function and each defaulted dataclass field,
+    with, per package call or construction of its owner, whether that call passes it.
+
+    Keys read ``module.function(name)`` and ``module.Class.field``.  Calls match
+    functions and dataclasses by name.  A call passes a parameter by keyword, by
+    position (not counting a method's self or cls), or through a starred argument.
     """
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    assert "coeffs" in trees, package
+    trees = _package_trees(package)
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -201,35 +270,48 @@ def _defaults_no_call_passes(package):
         starred = any(isinstance(a, ast.Starred) for a in call.args)
         return index is not None and (starred or len(call.args) > index)
 
-    missing = []
+    found = {}
     for module, tree in trees.items():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
+        for node in ast.walk(tree):
+            if (module, getattr(node, "name", None)) in DEFAULT_GUARD_EXEMPT:
                 continue
-            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-            if positional[:1] in (["self"], ["cls"]):
-                positional = positional[1:]
-            defaulted = [(name, i) for i, name in enumerate(positional)]
-            defaulted = defaulted[len(defaulted) - len(fn.args.defaults) :]
-            defaulted += [
-                (a.arg, None)
-                for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                if default is not None
-            ]
+            if isinstance(node, ast.FunctionDef):
+                positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+                if positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                defaulted = [(name, i) for i, name in enumerate(positional)]
+                defaulted = defaulted[len(defaulted) - len(node.args.defaults) :]
+                defaulted += [
+                    (a.arg, None)
+                    for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None
+                ]
+                label = f"{module}.{node.name}({{}})"
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = _init_fields(node)
+                defaulted = [(name, i) for i, (name, default) in enumerate(fields) if default]
+                label = f"{module}.{node.name}.{{}}"
+            else:
+                continue
             for name, index in defaulted:
-                if not any(passes(c, name, index) for c in calls.get(fn.name, [])):
-                    missing.append(f"{module}.{fn.name}({name})")
-    return sorted(missing)
+                found[label.format(name)] = [
+                    passes(c, name, index) for c in calls.get(node.name, [])
+                ]
+    return found
 
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
-    """A default that no package call overrides is a constant posing as an option.
+    """A default that no package call or construction overrides is a constant posing as an
+    option: a defaulted function parameter and a defaulted dataclass field alike."""
+    found = _defaults_and_callers(SRC / "cascadelab")
+    assert sorted(label for label, passed in found.items() if not any(passed)) == []
 
-    ``cli.main(argv)`` is the one exception: the console script and the
-    tests are its callers.
-    """
-    missing = _defaults_no_call_passes(SRC / "cascadelab")
-    assert [m for m in missing if m != "cli.main(argv)"] == []
+
+def test_every_default_is_relied_on_in_the_package():
+    """A default that every package call or construction overrides serves only tests:
+    nothing in the package relies on it."""
+    found = _defaults_and_callers(SRC / "cascadelab")
+    assert sorted(label for label, passed in found.items() if passed and all(passed)) == []
 
 
 def _call_sites(package, callee):
@@ -246,8 +328,8 @@ def _call_sites(package, callee):
                     sites.append(scope)
             visit(child, inner)
 
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
+    for module, tree in _package_trees(package).items():
+        visit(tree, module)
     return sites
 
 
@@ -759,6 +841,21 @@ def test_removed_dynamics_key_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_subnormal_eta_square_exits_4_promptly(tmp_path):
+    """eta = 1e-160 passes the eta rule, with eta^2 = 1e-320 subnormal, but its
+    phase rates E / eta^2 overflow and the first step is NaN.
+
+    ``converge`` once retried that step forever, as scipy's solve_ivp does,
+    and was stopped after 300 s.  The child interpreter is stopped after 60 s.
+    """
+    done = run_child(tmp_path, [("converge", "[sweep]\netas = 1e-160\n")], timeout=60)
+    assert done.stdout.split() == ["4"], done.stderr
+    record = json.loads(done.stderr.splitlines()[-1])
+    assert record["error"] == "numerical"
+    assert "not at least 10 ulp of t" in record["message"]
+    assert not (tmp_path / "case0.cfg.out").exists()
+
+
 def test_overflowing_coefficients_exit_4_promptly(tmp_path):
     """A coupling so large that the coefficients overflow is a numerical failure.
 
@@ -1045,21 +1142,33 @@ def test_unusable_trap_table_keeps_exit_codes(tmp_path, capsys, rows, code, name
     assert not (tmp_path / "o" / "basis.csv").exists()
 
 
+#: Config text and the message named, by case; the trap file case writes its own.
+REJECTED_AT_PARSE = {
+    "coupling_width": (
+        "[kernels]\ncoupling_width = 100\n", "coupling kernel profile has not decayed"
+    ),
+    "eta_square_underflow": ("[sweep]\netas = 1e-200\n", "eta^2 positive and finite"),
+    "eta_square_overflow": ("[sweep]\netas = 1e155\n", "eta^2 positive and finite"),
+}
+
+
 @pytest.mark.parametrize("command", ["spectrum", "coeffs", "evolve", "converge", "check"])
-@pytest.mark.parametrize("case", ["coupling_width", "empty_trap_file"])
+@pytest.mark.parametrize("case", [*REJECTED_AT_PARSE, "empty_trap_file"])
 def test_config_rejected_before_output_directory(tmp_path, capsys, command, case):
     """Every command rejects the same configs at parse, before it makes the output directory.
 
     A coupling kernel that has not decayed at r_max once passed ``spectrum``
     (exit 0) and failed ``coeffs`` (exit 3); an empty trap file exited 3 but
-    left an empty output directory behind.
+    left an empty output directory behind.  An eta whose square underflows to
+    zero once made ``converge`` exit 1 on a ZeroDivisionError, and one whose
+    square overflows exit 1 on an OverflowError.
     """
-    if case == "coupling_width":
-        text, named = "[kernels]\ncoupling_width = 100\n", "coupling kernel profile has not decayed"
-    else:
+    if case == "empty_trap_file":
         table, text = anharmonic_table(tmp_path)
         table.write_text("")
         named = "holds no rows"
+    else:
+        text, named = REJECTED_AT_PARSE[case]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "o"

@@ -21,6 +21,7 @@ from cascadelab.coeffs import (
     cauchy_transform,
     gamma_fgr,
     pairing_table,
+    prelimit_eps,
     spectral_density,
     two_mode_coefficients,
 )
@@ -32,6 +33,7 @@ from cascadelab.spectrum import Potential, resonant_mask, solve_radial_eigenpair
 
 from oracles import (
     _pair_density,
+    density_at,
     lambda_hartree,
     lambda_lamb_shift,
     limit_matrix_from_tensor,
@@ -84,11 +86,11 @@ def test_density_grid_mismatch():
 def test_density_interpolation_exact_at_nodes(gaussian_pair_density):
     a = gaussian_pair_density
     node = a.momenta.nodes[1000]
-    assert a.at(float(node)) == pytest.approx(a.values[1000], rel=1e-14)
+    assert density_at(a, float(node)) == pytest.approx(a.values[1000], rel=1e-14)
     # cubic interpolation of a smooth density is far below the grid scale
     lam = float(node) + 0.37 * a.momenta.spacing
     exact = 4.0 * np.pi * lam**2 * np.exp(-lam**2)
-    assert abs(a.at(lam) - exact) / exact < 1e-10
+    assert abs(density_at(a, lam) - exact) / exact < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ def test_cauchy_transform_limit_is_on_shell_value(gaussian_pair_density):
     a = gaussian_pair_density
     lam = 1.3
     value = cauchy_transform(a, lam, 0.0)
-    assert value.imag == pytest.approx(-np.pi * a.at(lam), rel=1e-12)
+    assert value.imag == pytest.approx(-np.pi * density_at(a, lam), rel=1e-12)
 
 
 def test_cauchy_transform_validation(gaussian_pair_density):
@@ -569,6 +571,16 @@ def test_tensor_mode_cap():
         assemble_prelimit_tensor(table, eta=0.1)
 
 
+def test_prelimit_eps_is_eta_squared():
+    """eps = eta^2 bit for bit wherever eta^2 is a positive finite float, a subnormal one
+    included; an eta whose square underflows to zero or overflows is rejected."""
+    for eta in (0.2, 0.1, 0.05, 1e-160):
+        assert prelimit_eps(eta) == eta**2
+    for eta in (0.0, -0.1, 1e-200, 1e155):
+        with pytest.raises(ValidationError, match=r"eta\^2 positive and finite"):
+            prelimit_eps(eta)
+
+
 def test_assembly_rejects_kernels_on_different_grids(sweep_assets):
     """The kernels and the basis share one radial grid; the table owns the momentum grid."""
     basis, w, v = sweep_assets.basis, sweep_assets.coupling, sweep_assets.pair
@@ -668,18 +680,15 @@ def test_tensor_assembly_does_no_limit_work(sweep_assets, tmp_path, monkeypatch)
 
 
 def test_two_mode_synthetic_preset():
-    coeffs = two_mode_coefficients(1.5)
-    assert coeffs.limit_matrix[0, 1] == 1.5
-    assert coeffs.limit_matrix[1, 0] == -1.5
+    coeffs = two_mode_coefficients()
+    assert coeffs.limit_matrix[0, 1] == 1.0
+    assert coeffs.limit_matrix[1, 0] == -1.0
     assert coeffs.limit_matrix[0, 0] == 0.0
     assert coeffs.symmetry_defects()["re_m_antisymmetry"] == 0.0
-    for gamma in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValidationError, match="positive and finite"):
-            two_mode_coefficients(gamma)
 
 
 def test_non_finite_coefficients_rejected(sweep_assets):
-    coeffs = two_mode_coefficients(1.0)
+    coeffs = two_mode_coefficients()
     assert [f.name for f in fields(coeffs)] == [
         "fgr",
         "hartree_exchange",

@@ -127,6 +127,14 @@ def default_grid():
             "[sweep]\netas = inf, 0.2", sweep_with(etas=(np.inf, 0.2)), "and finite", id="eta-inf"
         ),
         pytest.param(
+            "[sweep]\netas = 1e-200", sweep_with(etas=(1e-200,)), r"eta\^2 positive and finite",
+            id="eta-square-underflow",
+        ),
+        pytest.param(
+            "[sweep]\netas = 1e155", sweep_with(etas=(1e155,)), r"eta\^2 positive and finite",
+            id="eta-square-overflow",
+        ),
+        pytest.param(
             "[sweep]\netas = 0.1, 0.2", sweep_with(etas=(0.1, 0.2)), "strictly decreasing",
             id="eta-up",
         ),

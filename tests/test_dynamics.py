@@ -58,7 +58,7 @@ def test_mass_derivative_vanishes_for_random_states(default_assets):
 
 
 def test_two_mode_rhs_matches_logistic_slope():
-    coeffs = two_mode_coefficients(1.0)
+    coeffs = two_mode_coefficients()
     x = 0.37
     state = unit_state([x, 1.0 - x])
     derivative = rhs_limit(state, coeffs)
@@ -109,14 +109,14 @@ def test_prelimit_rejects_bad_input(sweep_assets):
     with pytest.raises(ValidationError):
         rhs_prelimit(0.0, short, tensor)
     with pytest.raises(ValidationError):
-        integrate_prelimit(tensor, short, SolverOptions(1.0))
+        integrate_prelimit(tensor, short, SolverOptions(1.0, 1e-9, 1e-12, 256))
     broken = state.copy()
     broken[1] = np.nan
     with pytest.raises(ValidationError):
-        integrate_prelimit(tensor, broken, SolverOptions(1.0))
+        integrate_prelimit(tensor, broken, SolverOptions(1.0, 1e-9, 1e-12, 256))
     for t_end in (0.0, -1.0):
         with pytest.raises(ValidationError, match="t_end must be positive"):
-            SolverOptions(t_end)
+            SolverOptions(t_end, 1e-9, 1e-12, 256)
     with pytest.raises(ValidationError):
         replace(tensor, eta=0.0)
     with pytest.raises(ValidationError):
@@ -128,8 +128,9 @@ def test_prelimit_rejects_non_finite_input(sweep_assets):
     state = sweep_assets.config.initial_state()
     for t_end in (np.inf, np.nan):
         with pytest.raises(ValidationError, match="t_end must be positive and finite"):
-            SolverOptions(t_end)
-    for eta in (np.inf, np.nan):
+            SolverOptions(t_end, 1e-9, 1e-12, 256)
+    # 1e-200 and 1e155 are finite, but their squares underflow to zero and overflow
+    for eta in (np.inf, np.nan, 1e-200, 1e155):
         with pytest.raises(ValidationError, match="finite"):
             replace(tensor, eta=eta)
         with pytest.raises(ValidationError, match="finite"):
@@ -148,12 +149,12 @@ def _zero_tensor(size):
 
 def test_zero_rhs_constant_trajectory():
     state = np.array([0.3 + 0.1j, -0.2j, 0.5])
-    traj = integrate_prelimit(_zero_tensor(3), state, SolverOptions(2.0, n_samples=17))
+    traj = integrate_prelimit(_zero_tensor(3), state, SolverOptions(2.0, 1e-9, 1e-12, 17))
     assert np.allclose(traj.states, state[None, :], rtol=0, atol=1e-14)
 
 
 def test_two_mode_logistic_exactness():
-    coeffs = two_mode_coefficients(1.0)
+    coeffs = two_mode_coefficients()
     state = unit_state([0.5, 0.5])
     options = SolverOptions(1.0, rtol=1e-11, atol=1e-14, n_samples=201)
     traj = integrate_limit(coeffs.limit_matrix, state, options)
@@ -166,23 +167,25 @@ def test_two_mode_logistic_exactness():
 
 
 def test_tolerance_halving_self_consistency():
-    matrix = two_mode_coefficients(1.0).limit_matrix
+    matrix = two_mode_coefficients().limit_matrix
     state = unit_state([0.3, 0.7])
     rtol = 1e-8
-    coarse = integrate_limit(matrix, state, SolverOptions(1.0, rtol=rtol, atol=1e-12))
-    fine = integrate_limit(matrix, state, SolverOptions(1.0, rtol=rtol / 2.0, atol=1e-12))
+    coarse = integrate_limit(matrix, state, SolverOptions(1.0, rtol, 1e-12, 256))
+    fine = integrate_limit(matrix, state, SolverOptions(1.0, rtol / 2.0, 1e-12, 256))
     assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) < 10.0 * rtol
 
 
 def test_integrator_rejects_bad_input():
     with pytest.raises(ValidationError):
-        integrate_prelimit(_zero_tensor(1), np.array([np.nan + 0j]), SolverOptions(1.0))
+        integrate_prelimit(
+            _zero_tensor(1), np.array([np.nan + 0j]), SolverOptions(1.0, 1e-9, 1e-12, 256)
+        )
     with pytest.raises(ValidationError, match="t_end"):
-        SolverOptions(-1.0)
+        SolverOptions(-1.0, 1e-9, 1e-12, 256)
 
 
 def test_limit_integrator_rejects_bad_input(default_assets):
-    coeffs, options = default_assets.coeffs, SolverOptions(1.0)
+    coeffs, options = default_assets.coeffs, SolverOptions(1.0, 1e-9, 1e-12, 256)
     with pytest.raises(ValidationError):
         integrate_limit(coeffs.limit_matrix, np.ones(coeffs.size + 1, dtype=complex), options)
     state = np.ones(coeffs.size, dtype=complex)
@@ -190,12 +193,12 @@ def test_limit_integrator_rejects_bad_input(default_assets):
     with pytest.raises(ValidationError):
         integrate_limit(coeffs.limit_matrix, state, options)
     with pytest.raises(ValidationError, match="t_end"):
-        SolverOptions(0.0)
+        SolverOptions(0.0, 1e-9, 1e-12, 256)
     with pytest.raises(ValidationError, match="rtol"):
-        SolverOptions(1.0, rtol=1e-15)
+        SolverOptions(1.0, 1e-15, 1e-12, 256)
     for n_samples in (1, 0, -1):
         with pytest.raises(ValidationError, match="n_samples"):
-            SolverOptions(1.0, n_samples=n_samples)
+            SolverOptions(1.0, 1e-9, 1e-12, n_samples)
 
 
 def test_modulus_phase_flow_matches_complex_rk45(default_assets):
@@ -250,7 +253,7 @@ def test_zero_amplitudes_stay_zero(default_assets):
     coeffs = default_assets.coeffs
     state = np.zeros(coeffs.size, dtype=complex)
     state[:3] = np.array([0.6, 0.6j, -0.2 + 0.5j])
-    traj = integrate_limit(coeffs.limit_matrix, state, SolverOptions(20.0, n_samples=41))
+    traj = integrate_limit(coeffs.limit_matrix, state, SolverOptions(20.0, 1e-9, 1e-12, 41))
     assert np.all(traj.states[:, 3:] == 0.0)
 
 
@@ -258,7 +261,7 @@ def test_non_finite_rhs_aborts():
     # one mode with Re M = 1: r' = r^3 from r = 1 blows up at T = 1/2
     blow_up = np.ones((1, 1), dtype=complex)
     with pytest.raises(NumericalError):
-        integrate_limit(blow_up, np.array([1.0 + 0j]), SolverOptions(1.0))
+        integrate_limit(blow_up, np.array([1.0 + 0j]), SolverOptions(1.0, 1e-9, 1e-12, 256))
 
 
 def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
@@ -266,7 +269,7 @@ def test_prelimit_mass_drift_decreases_with_eta(sweep_assets):
     drifts = {}
     for eta in (0.1, 0.05):
         tensor = assemble_prelimit_tensor(sweep_assets.table, eta)
-        traj = integrate_prelimit(tensor, state, SolverOptions(1.0))
+        traj = integrate_prelimit(tensor, state, SolverOptions(1.0, 1e-9, 1e-12, 256))
         drifts[eta] = np.max(np.abs(traj.masses() - 1.0))
     # the oscillatory system conserves mass up to integrator error, which
     # shrinks with the phase-resolving step cap; the cap keeps a 2x margin
@@ -324,8 +327,8 @@ def test_phase_equivariance(default_assets):
 
 
 def test_diagnostics_flags():
-    coeffs = two_mode_coefficients(1.0)
-    matrix, options = coeffs.limit_matrix, SolverOptions(1.0, n_samples=33)
+    coeffs = two_mode_coefficients()
+    matrix, options = coeffs.limit_matrix, SolverOptions(1.0, 1e-9, 1e-12, 33)
     # zero ground occupation: the bound does not apply
     traj = integrate_limit(matrix, np.array([0.0, 1.0 + 0j]), options)
     series = diagnostics(traj, np.array([0.0, 1.0]), coeffs)

@@ -10,7 +10,11 @@ runs unchanged.  The prelimit system is also held to the plain
 ``oracles.rhs_prelimit``, the RHS as written before the stage form.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,15 +246,17 @@ def test_random_prelimit_systems_match_solve_ivp(data, size, eta, t_end, capped)
     state = state / np.linalg.norm(state)
     instants = st.floats(min_value=0.0, max_value=t_end)
     times = np.sort(data.draw(st.lists(instants, min_size=1, max_size=20, unique=True)))
-    options = SolverOptions(t_end, n_samples=max(len(times), 2))
+    options = SolverOptions(t_end, 1e-9, 1e-12, max(len(times), 2))
     if capped:
         traj = integrate_prelimit(tensor, state, options)
         times, samples, nfev = traj.times, traj.states, traj.meta["nfev"]
         max_step = traj.meta["max_step"] or np.inf
     else:
         rhs, rates = _prelimit_rhs(tensor)
-        samples, nfev = dop853(rhs, rates, state, t_end, times, options.rtol, options.atol)
         max_step = np.inf
+        samples, nfev = dop853(
+            rhs, rates, state, t_end, times, options.rtol, options.atol, max_step
+        )
     oracle = solve_ivp(
         lambda t, y: rhs_prelimit(t, y, tensor),
         (0.0, t_end),
@@ -278,4 +284,33 @@ def test_blow_up_raises_numerical_error_where_scipy_fails():
     assert oracle.status == "failed"
     failed_at = re.escape(f"integration failed at t = {float(oracle.t)!r}:")
     with pytest.raises(NumericalError, match=failed_at):
-        dop853(rhs, NO_RATES, np.array([1.0]), 1.0, np.linspace(0.0, 1.0, 11), 1e-9, 1e-12)
+        dop853(rhs, NO_RATES, np.array([1.0]), 1.0, np.linspace(0.0, 1.0, 11), 1e-9, 1e-12, np.inf)
+
+
+#: A dop853 solve whose RHS writes NaN; prints the class of the error it ends with.
+NAN_STEP_SCRIPT = (
+    "import numpy as np\n"
+    "from cascadelab.rk import dop853\n"
+    "def rhs(_v, _v_conj, y, out):\n"
+    "    out[:] = np.nan\n"
+    "try:\n"
+    "    dop853(rhs, np.empty(0), np.ones(1), 1.0, np.linspace(0.0, 1.0, 3), 1e-9, 1e-12, np.inf)\n"
+    "except Exception as exc:\n"
+    "    print(type(exc).__name__, exc)\n"
+)
+
+
+def test_nan_step_raises_numerical_error():
+    """A NaN error estimate makes the step NaN, which no step-size comparison
+    rejects: scipy's loop, which dop853 follows, retries such a step forever.
+    The solve runs in a child interpreter stopped after 60 s, so a hang
+    fails the test instead of stalling the suite."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", NAN_STEP_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout.startswith("NumericalError integration failed at t = 0.0:"), done.stderr

@@ -58,7 +58,7 @@ def test_tabulated_trap_solves_like_the_analytic_one():
     """
     grid = RadialGrid(12.0, 1200)
     analytic = Potential.anharmonic(grid, beta=0.2, scale=1.3)
-    table = Potential.tabulated(grid, analytic.values.copy())
+    table = Potential(grid, analytic.values.copy())
     assert [f.name for f in fields(table)] == ["grid", "values"]
     a = solve_radial_eigenpairs(analytic, 6)
     b = solve_radial_eigenpairs(table, 6)
@@ -98,9 +98,9 @@ def test_potential_validation():
     with pytest.raises(ValidationError):
         Potential.anharmonic(grid, beta=-0.1)
     with pytest.raises(ValidationError):
-        Potential.tabulated(grid, -grid.nodes)  # decreasing towards the wall
+        Potential(grid, -grid.nodes)  # decreasing towards the wall
     with pytest.raises(ValidationError):
-        Potential.tabulated(grid, np.ones(12))  # wrong length
+        Potential(grid, np.ones(12))  # wrong length
 
 
 def test_orthonormality(harmonic_basis):
