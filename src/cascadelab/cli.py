@@ -43,8 +43,8 @@ EXIT_NUMERICAL = 4
 
 class Run(NamedTuple):
     """A command's documents by file name (a dict for ``.json``, ``(comments,
-    header, rows)`` for ``.csv``), the manifest's extra keys, its exit code and
-    the lines ``main`` prints once the files are written."""
+    columns)`` for ``.csv``, its columns a ``{name: column}`` map), the manifest's
+    extra keys, its exit code and the lines ``main`` prints once the files are written."""
 
     documents: dict
     extra: dict
@@ -81,8 +81,8 @@ def _write(out_dir: str, command: str, config: SimulationConfig, run: Run) -> No
         path = f"{out_dir}/{name}"
         try:
             if name.endswith(".csv"):
-                comments, header, rows = document
-                write_csv(path, stamp + comments, header, rows)
+                comments, columns = document
+                write_csv(path, stamp + comments, columns)
             else:
                 write_json(path, {**document, "provenance": provenance})
         except OSError as exc:
@@ -91,14 +91,11 @@ def _write(out_dir: str, command: str, config: SimulationConfig, run: Run) -> No
 
 def cmd_spectrum(config: SimulationConfig) -> Run:
     assets = Assets(config)
-    basis, grid = assets.basis, assets.grid
+    basis = assets.basis
     report = check_gap_independence(basis)
-    rows = (
-        [grid.nodes[i], assets.potential.values[i]] + list(basis.modes[:, i])
-        for i in range(grid.n_points)
-    )
+    columns = {"r": assets.grid.nodes, "V": assets.potential.values}
+    columns |= {f"chi_{k}": mode for k, mode in enumerate(basis.modes)}
     energies = ["energies: " + " ".join(fmt(e) for e in basis.energies)]
-    header = ["r", "V"] + [f"chi_{k}" for k in range(basis.size)]
     resonance_report = {
         "gap_tol": GAP_TOL,
         "collisions": report.collisions,
@@ -106,7 +103,7 @@ def cmd_spectrum(config: SimulationConfig) -> Run:
         "is_generic": report.is_generic,
         "energies": basis.energies,
     }
-    documents = {"basis.csv": (energies, header, rows), "resonance_report.json": resonance_report}
+    documents = {"basis.csv": (energies, columns), "resonance_report.json": resonance_report}
     return Run(documents, {}, EXIT_OK, [])
 
 
@@ -143,40 +140,29 @@ def cmd_coeffs(config: SimulationConfig) -> Run:
         "lamb_direct": coeffs.lamb_direct,
         "assembly": _assembly(assets),
     }
-    rows = [
-        [k, kp, matrix[k, kp].real, matrix[k, kp].imag]
-        for k in range(coeffs.size)
-        for kp in range(coeffs.size)
-    ]
-    matrix_csv = ([], ["k", "kp", "re_m", "im_m"], rows)
-    documents = {"coefficients.json": document, "limit_matrix.csv": matrix_csv}
+    k, kp = np.indices(matrix.shape).reshape(2, -1)
+    columns = {"k": k, "kp": kp, "re_m": matrix.real.ravel(), "im_m": matrix.imag.ravel()}
+    documents = {"coefficients.json": document, "limit_matrix.csv": ([], columns)}
     return Run(documents, {}, EXIT_OK, [])
 
 
 def cmd_evolve(config: SimulationConfig) -> Run:
     assets = Assets(config)
     traj, series = evolve(assets)
-    size = traj.size
     comments = [
-        f"modes={size} system=limit",
+        f"modes={traj.size} system=limit",
         "columns hold Re/Im amplitudes, then mass, energy, ground occupation, "
         "tail masses m_j = sum_{k>=j} |F_k|^2",
     ]
-    header = ["T"]
-    for k in range(size):
-        header += [f"re_f_{k}", f"im_f_{k}"]
-    header += ["mass", "energy", "ground_occupation"]
-    header += [f"m_{j}" for j in range(1, size)]
-    # Re/Im of each mode side by side, as in the header
-    amplitudes = np.stack([traj.states.real, traj.states.imag], axis=2).reshape(-1, 2 * size)
-    rows = np.hstack(
-        [
-            traj.times[:, None],
-            amplitudes,
-            np.column_stack([series.mass, series.energy, series.ground_occupation]),
-            series.tail_masses.T,
-        ]
-    ).tolist()
+    columns = {"T": traj.times}
+    for k, amplitude in enumerate(traj.states.T):
+        columns |= {f"re_f_{k}": amplitude.real, f"im_f_{k}": amplitude.imag}
+    columns |= {
+        "mass": series.mass,
+        "energy": series.energy,
+        "ground_occupation": series.ground_occupation,
+    }
+    columns |= {f"m_{j}": tail for j, tail in enumerate(series.tail_masses, start=1)}
 
     mass, energy, tails = invariant_verdicts(series, assets.solver_options).values()
     summary = {
@@ -195,7 +181,7 @@ def cmd_evolve(config: SimulationConfig) -> Run:
     margin = series.logistic_margin()
     if margin is not None:
         summary["min_logistic_margin"] = margin
-    documents = {"trajectory.csv": (comments, header, rows), "diagnostics.json": summary}
+    documents = {"trajectory.csv": (comments, columns), "diagnostics.json": summary}
     return Run(documents, {}, EXIT_OK, [])
 
 
@@ -217,7 +203,7 @@ def cmd_converge(config: SimulationConfig) -> Run:
         "strictly_decreasing": report.strictly_decreasing,
         "meta": meta,
     }
-    sweep_csv = ([], ["eta", "sup_distance"], list(zip(report.etas, report.sup_distances)))
+    sweep_csv = ([], {"eta": report.etas, "sup_distance": report.sup_distances})
     documents = {"convergence.json": document, "convergence.csv": sweep_csv}
     return Run(documents, {}, EXIT_OK, [])
 

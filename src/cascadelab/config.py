@@ -87,18 +87,10 @@ class OutputConfig:
     directory: str = "runs/out"
 
 
-_SECTIONS = {
-    "trap": TrapConfig,
-    "kernels": KernelConfig,
-    "momentum": MomentumConfig,
-    "dynamics": DynamicsConfig,
-    "sweep": SweepConfig,
-    "output": OutputConfig,
-}
-
-
 @dataclass
 class SimulationConfig:
+    """One field per config section, named as the section, in the order ``emit_config`` writes."""
+
     trap: TrapConfig = field(default_factory=TrapConfig)
     kernels: KernelConfig = field(default_factory=KernelConfig)
     momentum: MomentumConfig = field(default_factory=MomentumConfig)
@@ -300,8 +292,9 @@ def parse_config(path: str) -> SimulationConfig:
         raise ConfigError(f"cannot parse {path}: {exc}")
 
     config = SimulationConfig()
+    sections = {f.name for f in fields(config)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         target = getattr(config, section)
         known = {f.name: getattr(target, f.name) for f in fields(target)}
@@ -323,9 +316,9 @@ def parse_config(path: str) -> SimulationConfig:
 def emit_config(config: SimulationConfig) -> str:
     """Canonical text form with every field present, in fixed order."""
     lines = []
-    for section, _ in _SECTIONS.items():
-        target = getattr(config, section)
-        lines.append(f"[{section}]")
+    for section in fields(config):
+        target = getattr(config, section.name)
+        lines.append(f"[{section.name}]")
         for f in fields(target):
             lines.append(f"{f.name} = {getattr(target, f.name)}")
         lines.append("")

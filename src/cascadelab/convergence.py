@@ -37,6 +37,7 @@ bundled OpenBLAS nothing is set.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -144,7 +145,8 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor | None:
 @dataclass(frozen=True)
 class SweepSetup:
     """The inputs of one eta sweep, validated on construction by ``validate_sweep``
-    and, when it has an eta, by the tensor's mode cap (``require_tensor_modes``).
+    and, when it has an eta, by the tensor's mode cap (``require_tensor_modes``)
+    and by its phase rates: the fastest, (E_max - E_0) / eta^2, must be finite.
 
     Each eta's tensor is ``table`` read at eps = eta^2, and the limit
     matrix is ``table`` read at eps = 0.  ``solver`` sets the horizon
@@ -165,6 +167,14 @@ class SweepSetup:
         validate_sweep(self.etas, self.solver.n_samples)
         if self.etas:  # each eta assembles a tensor; reject one too large before any worker starts
             require_tensor_modes(self.table.basis.size)
+        energies = self.table.basis.energies
+        for eta in self.etas:  # an overflowing rate would make the first step NaN
+            rate = float(energies[-1] - energies[0]) / eta**2
+            if not math.isfinite(rate):
+                raise ValidationError(
+                    f"eta = {eta!r} gives the phase rate (E_max - E_0)/eta^2 = {rate}, "
+                    "which is not finite"
+                )
 
     def prelimit_run(self, eta: float) -> Trajectory:
         """One eta of the sweep: read its tensor off the table and integrate the prelimit system."""

@@ -1,8 +1,9 @@
 """Deterministic file output.
 
-All floats are rendered with 17 significant digits in scientific
-notation, rows and keys in fixed order, LF line endings, UTF-8; repeated
-runs of the same configuration produce byte-identical files.  The one
+A CSV is a column table, each column rendered by the one %-spec of its
+dtype: integers and booleans as %d, floats with 17 significant digits in
+scientific notation.  Rows and keys are in fixed order, LF line endings,
+UTF-8; repeated runs of the same configuration produce byte-identical files.  The one
 caller of these writers is ``cli._write``, which runs only once a command
 has finished and stamps every file with the config hash, package version
 and convention flags.
@@ -18,18 +19,15 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _spec(value) -> str:
-    """The %-format that renders ``value``: 17 significant digits for a float."""
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    if isinstance(value, str):
-        return "%s"
-    return "%.16e"
+def _spec(dtype: np.dtype) -> str:
+    """The %-format of a ``dtype`` column: 17 significant digits for a float, %d for an
+    integer or a boolean."""
+    return "%.16e" if dtype.kind == "f" else "%d"
 
 
 def fmt(value) -> str:
-    """Render a number for CSV output (17 significant digits)."""
-    return _spec(value) % value
+    """Render one number by the %-spec of its dtype, as a CSV column of that dtype does."""
+    return _spec(np.asarray(value).dtype) % value
 
 
 def to_jsonable(obj):
@@ -61,20 +59,22 @@ def write_json(path: str, obj) -> None:
         handle.write(text + "\n")
 
 
-def write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
-    """Rows rendered by ``fmt``, each with one %-template built from its values' types."""
-    templates = {}
+def write_csv(path: str, comments: list[str], columns: dict) -> None:
+    """A column table: comment lines, the column names, then one row per index.
+
+    Each column is rendered by the one %-spec of its dtype, so every cell
+    reads as ``fmt`` renders it; columns of unequal length are a ValueError.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
+    if len({len(array) for array in arrays}) > 1:
+        lengths = {name: len(array) for name, array in zip(columns, arrays)}
+        raise ValueError(f"CSV columns of unequal length: {lengths}")
+    template = ",".join(_spec(array.dtype) for array in arrays) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(map(_spec, row)) + "\n"
-            handle.write(template % row)
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(template % row for row in zip(*(array.tolist() for array in arrays)))
 
 
 def ensure_dir(path: str) -> None:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cascadelab.checks as checks
-import cascadelab.config as config_module
+import cascadelab.cli as cli
 import cascadelab.convergence as convergence
 from cascadelab.cli import main
 from cascadelab.config import SimulationConfig, TrapConfig, emit_config, parse_config
@@ -244,7 +245,8 @@ def _init_fields(cls):
 #: tests call ``cli.main``, and ``parse_config`` overwrites the config sections'
 #: documented defaults by name.
 DEFAULT_GUARD_EXEMPT = {("cli", "main"), ("config", "SimulationConfig")} | {
-    ("config", section.__name__) for section in config_module._SECTIONS.values()
+    ("config", section.default_factory.__name__)
+    for section in dataclasses.fields(SimulationConfig)
 }
 
 
@@ -351,6 +353,38 @@ def test_cli_writer_is_the_one_writer():
     }
     assert sorted(commands) == ["cmd_check", "cmd_coeffs", "cmd_converge", "cmd_evolve", "cmd_spectrum"]
     assert all(args == ["config"] for args in commands.values()), commands
+
+
+@pytest.mark.parametrize("config_name", ["default", "convergence"])
+def test_csv_columns_read_back_bit_for_bit(tmp_path, monkeypatch, config_name):
+    """Every CSV of ``spectrum``, ``coeffs``, ``evolve`` and ``converge`` reads back
+    as the column table its command handed ``cli._write``: the header names its
+    columns in order, and each column, read with ``float``, equals the handed
+    column bit for bit."""
+    handed = {}
+    write = cli._write
+
+    def record(out_dir, command, config, run):
+        handed[command] = run
+        write(out_dir, command, config, run)
+
+    monkeypatch.setattr(cli, "_write", record)
+    config = str(CONFIGS / f"{config_name}.cfg")
+    for command in ("spectrum", "coeffs", "evolve", "converge"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        documents = handed[command].documents
+        tables = [name for name in documents if name.endswith(".csv")]
+        assert tables, command
+        for name in tables:
+            _, columns = documents[name]
+            lines = [line for line in (out / name).read_text().splitlines() if line[0] != "#"]
+            header = lines[0].split(",")
+            assert header == list(columns), (command, name)
+            cells = [line.split(",") for line in lines[1:]]
+            for j, column in enumerate(columns.values()):
+                read = np.array([float(row[j]) for row in cells])
+                assert read.tobytes() == np.asarray(column, dtype=float).tobytes(), (name, j)
 
 
 ONE_MODE_CFG = """
@@ -841,18 +875,21 @@ def test_removed_dynamics_key_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
-def test_subnormal_eta_square_exits_4_promptly(tmp_path):
+def test_overflowing_phase_rate_exits_3_at_sweep_setup(tmp_path):
     """eta = 1e-160 passes the eta rule, with eta^2 = 1e-320 subnormal, but its
-    phase rates E / eta^2 overflow and the first step is NaN.
+    phase rate (E_max - E_0) / eta^2 overflows: the sweep's setup rejects it.
 
-    ``converge`` once retried that step forever, as scipy's solve_ivp does,
-    and was stopped after 300 s.  The child interpreter is stopped after 60 s.
+    ``converge`` once retried the NaN first step forever, as scipy's solve_ivp
+    does, and was stopped after 300 s; later it exited 4 on that step, after two
+    numpy RuntimeWarnings on stderr.  The child interpreter is stopped after 60 s.
     """
     done = run_child(tmp_path, [("converge", "[sweep]\netas = 1e-160\n")], timeout=60)
-    assert done.stdout.split() == ["4"], done.stderr
-    record = json.loads(done.stderr.splitlines()[-1])
-    assert record["error"] == "numerical"
-    assert "not at least 10 ulp of t" in record["message"]
+    assert done.stdout.split() == ["3"], done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "validation"
+    assert "eta = 1e-160" in record["message"]
     assert not (tmp_path / "case0.cfg.out").exists()
 
 

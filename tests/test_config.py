@@ -10,7 +10,6 @@ import pytest
 
 from cascadelab.cli import main
 from cascadelab.config import (
-    _SECTIONS,
     SimulationConfig,
     config_hash,
     emit_config,
@@ -69,9 +68,10 @@ def test_every_field_is_int_float_or_str():
 
     So a bool field would read every value as true; it needs its own parse first.
     """
-    for section, kind in _SECTIONS.items():
+    for section in fields(SimulationConfig):
+        kind = section.default_factory
         for f in fields(kind):
-            assert type(getattr(kind(), f.name)) in (int, float, str), (section, f.name)
+            assert type(getattr(kind(), f.name)) in (int, float, str), (section.name, f.name)
 
 
 def test_invalid_values_rejected(tmp_path):

@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import cascadelab.checks as checks
 import cascadelab.convergence as convergence
 from cascadelab.checks import run_all_checks
 from cascadelab.config import SimulationConfig
-from cascadelab.coeffs import assemble_prelimit_tensor
+from cascadelab.coeffs import PrelimitTensor, assemble_prelimit_tensor
 from cascadelab.convergence import ConvergenceReport, eta_sweep
-from cascadelab.dynamics import SolverOptions, integrate_limit, integrate_prelimit
+from cascadelab.dynamics import SolverOptions, _prelimit_rhs, integrate_limit, integrate_prelimit
 from cascadelab.errors import ValidationError
 from cascadelab.spectrum import resonant_mask
 
@@ -157,6 +159,27 @@ def test_non_finite_sweep_input_rejected(sweep_assets):
     ):
         with pytest.raises(ValidationError, match="finite"):
             eta_sweep(_sweep(sweep_assets, t_final, etas))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eta=st.floats(min_value=-200.0, max_value=200.0))
+def test_sweep_setup_admits_only_finite_phase_rates(default_assets, log_eta):
+    """An eta drawn log-uniformly in [1e-200, 1e200] is rejected when its sweep is
+    set up, or every phase rate its prelimit solve would run with is finite.
+
+    eta = 1e-160 once passed, with eta^2 = 1e-320 subnormal: E / eta^2
+    overflowed and ``converge`` exited 4 on a NaN first step.
+    """
+    eta = 10.0**log_eta
+    try:
+        setup = _sweep(default_assets, 1.0, [eta])
+    except ValidationError:
+        return
+    energies = setup.table.basis.energies
+    tensor = PrelimitTensor(eta, np.zeros((len(energies),) * 4, complex), energies - energies[0])
+    with np.errstate(over="ignore"):
+        _, rates = _prelimit_rhs(tensor)
+    assert np.all(np.isfinite(rates)), eta
 
 
 # ---------------------------------------------------------------------------
